@@ -380,21 +380,6 @@ def neg_set(ring: HyperRing, x: ElementSet) -> ElementSet:
     return ElementSet(ring.carrier, mask_of(ring.neg_table[a] for a in bits(x.mask)))
 
 
-def _sum_row(add, row_mask: int, c: int) -> int:
-    out = 0
-    for x in bits(row_mask):
-        out |= add[x][c]
-    return out
-
-
-def _sum_col(add, a: int, col_mask: int) -> int:
-    out = 0
-    row = add[a]
-    for y in bits(col_mask):
-        out |= row[y]
-    return out
-
-
 def hypergroup_checks(n: int, add, neg) -> list:
     """Axiom checks for a canonical hypergroup given raw mask tables.
 
@@ -432,10 +417,17 @@ def hypergroup_checks(n: int, add, neg) -> list:
 
     bad = None
     for a in range(n):
+        row_a = add[a]
         for b in range(n):
-            ab = add[a][b]
+            ab = row_a[b]
             for c in range(n):
-                if _sum_row(add, ab, c) != _sum_col(add, a, add[b][c]):
+                lhs = 0
+                for t in bits(ab):
+                    lhs |= add[t][c]
+                rhs = 0
+                for u in bits(add[b][c]):
+                    rhs |= row_a[u]
+                if lhs != rhs:
                     bad = (a, b, c)
                     break
             if bad:
@@ -589,3 +581,57 @@ def find_unit(n: int, mul) -> int | None:
         if all(mul[a][u] == a and mul[u][a] == a for a in range(n)):
             return u
     return None
+
+
+HOM_SEARCH_BOUND = 6
+
+
+def search(sizes, rules) -> list:
+    """Every tuple v with 0 <= v[i] < sizes[i] that passes all rules, in
+    lexicographic order, found by backtracking over the cells in order.
+
+    A rule is a pair (watch, test).  test(values, i) runs whenever a
+    watched cell i has just been filled; cells 0..i are set, and it
+    returns False only when they already break the rule.  A rule that
+    reads a cell chosen by another cell's value watches every cell it may
+    read and passes while one of them is unset (index > i).
+    """
+    tests = [[] for _ in sizes]
+    for watch, test in rules:
+        for i in set(watch):
+            tests[i].append(test)
+    values, out = [0] * len(sizes), []
+
+    def fill(i):
+        if i == len(values):
+            out.append(tuple(values))
+            return
+        for values[i] in range(sizes[i]):
+            for test in tests[i]:
+                if not test(values, i):
+                    break
+            else:
+                fill(i + 1)
+
+    fill(0)
+    return out
+
+
+def sum_rule(x: int, y: int, parts, add) -> tuple:
+    """Search rule: the values of the cells in the list ``parts``, as a
+    set, are exactly add[values[x]][values[y]]."""
+
+    def test(values, i):
+        image = 0
+        for c in parts:
+            image |= 1 << values[c]
+        return image == add[values[x]][values[y]]
+
+    return ((max(x, y, *parts),), test)
+
+
+def strong_addition_rules(add, target_add) -> list:
+    """Search rules for maps f (cell a holds f(a)): the image of each
+    hypersum a + b is the target hypersum f(a) + f(b)."""
+    return [sum_rule(a, b, list(bits(ab)), target_add)
+            for a, row in enumerate(add) for b, ab in enumerate(row)]

@@ -6,12 +6,13 @@ two reversibility moves generate a little group acting on triples; any
 valid table is a union of orbits.  The identity and negation axioms pin
 some orbits in, rule some out, and kill a negation table outright when
 one orbit is pinned both ways.  That leaves a subset search over the few
-free orbits, filtered by nonemptiness and associativity, and every
-survivor is pushed through the full validator rather than trusted.
+free orbits, filtered by nonemptiness; every candidate then goes through
+the full hypergroup validator, which discards it when associativity is
+its only failure and raises on any other failure.
 
-Multiplication tables are then filled in by backtracking over the
-nonzero entries, pruning with whatever associativity and distributivity
-instances are already determined.
+Multiplication tables come from ``core.search``: it fills the nonzero
+entries one at a time and checks each associativity and distributivity
+instance as soon as the entries it reads are filled.
 
 Everything is deterministic: fixed enumeration orders, no hashing of
 anything but canonical encodings.  Rings are deduplicated up to
@@ -25,36 +26,17 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 
-from .core import HyperRing, TheoremViolationError, bits, find_unit, hypergroup_checks
+from .core import (
+    HyperRing,
+    TheoremViolationError,
+    bits,
+    find_unit,
+    hypergroup_checks,
+    search,
+    sum_rule,
+)
 
 HARD_ORDER_CAP = 4
-
-
-def _involutions(n: int) -> list:
-    """Self inverse permutations of 0..n-1 fixing 0, lexicographic."""
-    out = []
-    perm = [None] * n
-    if n:
-        perm[0] = 0
-
-    def rec(i):
-        if i == n:
-            out.append(tuple(perm))
-            return
-        if perm[i] is not None:
-            rec(i + 1)
-            return
-        perm[i] = i
-        rec(i + 1)
-        perm[i] = None
-        for j in range(i + 1, n):
-            if perm[j] is None:
-                perm[i], perm[j] = j, i
-                rec(i + 1)
-                perm[i], perm[j] = None, None
-
-    rec(1 if n > 1 else n)
-    return out
 
 
 def _triple_orbits(n: int, nu: tuple):
@@ -85,23 +67,6 @@ def _triple_orbits(n: int, nu: tuple):
     return orbits
 
 
-def _associative(n: int, add) -> bool:
-    for a in range(n):
-        row_a = add[a]
-        for b in range(n):
-            ab = row_a[b]
-            for c in range(n):
-                lhs = 0
-                for t in bits(ab):
-                    lhs |= add[t][c]
-                rhs = 0
-                for u in bits(add[b][c]):
-                    rhs |= row_a[u]
-                if lhs != rhs:
-                    return False
-    return True
-
-
 def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
     """All canonical hypergroups on {0..n-1} as (add_masks, neg) pairs.
 
@@ -110,11 +75,12 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
     """
     if n < 1:
         raise ValueError("order must be positive")
-    if n == 1:
-        return ((((1,),), (0,)),)
 
     found = []
-    for nu in _involutions(n):
+    # negation tables: involutions fixing 0 (cell i holds nu[i]); an
+    # earlier k goes to i exactly when i goes to k
+    involution = (range(n), lambda v, i: all((v[k] == i) == (v[i] == k) for k in range(i)))
+    for nu in search([1] + [n] * (n - 1), [involution]):
         in_mask = 0
         out_mask = 0
         for a in range(n):
@@ -183,14 +149,12 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
                     sum(1 << r for r in range(n) if t_mask >> (p * n + q) * n + r & 1)
                     for q in range(n))
                 for p in range(n))
-            if not _associative(n, add):
+            failed = [c.axiom for c in hypergroup_checks(n, add, nu) if not c.ok]
+            if failed == ["associativity"]:
                 continue
-            checks = hypergroup_checks(n, add, nu)
-            if not all(c.ok for c in checks):
+            if failed:
                 raise TheoremViolationError(
-                    "orbit construction produced a bad table; "
-                    + "; ".join(c.axiom for c in checks if not c.ok)
-                )
+                    "orbit construction produced a bad table; " + "; ".join(failed))
             found.append((add, nu))
 
     if not dedupe:
@@ -222,62 +186,29 @@ def _relabel_add(n: int, add, perm) -> tuple:
 
 def mult_tables(n: int, add) -> tuple:
     """Every multiplication making the hypergroup a hyperring, as full
-    n x n tuples; zero row and column forced, deterministic order."""
-    if n == 1:
-        return (((0,),),)
-    sums = [[tuple(bits(add[b][c])) for c in range(n)] for b in range(n)]
-    slots = [(i, j) for i in range(1, n) for j in range(1, n)]
-    table = [[0] * n for _ in range(n)]
-    known = [[i == 0 or j == 0 for j in range(n)] for i in range(n)]
-    out = []
+    n x n tuples in lexicographic order, from ``core.search`` over cells
+    a * n + b.  Row 0 and column 0 are 0, which satisfies every
+    distributivity and associativity instance with a zero element."""
+    rules = []
+    for a in range(1, n):
+        for b in range(1, n):
+            for c in range(b, n):
+                terms = list(bits(add[b][c]))
+                # a (b + c) = ab + ac and (b + c) a = ba + ca
+                rules.append(sum_rule(a * n + b, a * n + c, [a * n + t for t in terms], add))
+                rules.append(sum_rule(b * n + a, c * n + a, [t * n + a for t in terms], add))
+            for c in range(1, n):
+                # (ab) c = a (bc) reads cells chosen by values: watch row a, column c
+                def associativity(v, i, ab=a * n + b, bc=b * n + c, a=a, c=c):
+                    if ab > i or bc > i:
+                        return True
+                    p, q = v[ab] * n + c, a * n + v[bc]
+                    return p > i or q > i or v[p] == v[q]
 
-    def consistent() -> bool:
-        for x in range(1, n):
-            for y in range(1, n):
-                if not known[x][y]:
-                    continue
-                xy = table[x][y]
-                for z in range(1, n):
-                    if not known[y][z]:
-                        continue
-                    yz = table[y][z]
-                    if known[xy][z] and known[x][yz] and table[xy][z] != table[x][yz]:
-                        return False
-        for a in range(1, n):
-            row = table[a]
-            ka = known[a]
-            for b in range(n):
-                for c in range(b, n):
-                    parts = sums[b][c]
-                    if ka[b] and ka[c] and all(ka[t] for t in parts):
-                        image = 0
-                        for t in parts:
-                            image |= 1 << row[t]
-                        if image != add[row[b]][row[c]]:
-                            return False
-                    if known[b][a] and known[c][a] and all(known[t][a] for t in parts):
-                        image = 0
-                        for t in parts:
-                            image |= 1 << table[t][a]
-                        if image != add[table[b][a]][table[c][a]]:
-                            return False
-        return True
-
-    def rec(k):
-        if k == len(slots):
-            out.append(tuple(tuple(row) for row in table))
-            return
-        i, j = slots[k]
-        for v in range(n):
-            table[i][j] = v
-            known[i][j] = True
-            if consistent():
-                rec(k + 1)
-            known[i][j] = False
-        table[i][j] = 0
-
-    rec(0)
-    return tuple(out)
+                watch = (a * n + b, b * n + c, *range(a * n, a * n + n), *range(c, n * n, n))
+                rules.append((watch, associativity))
+    sizes = [1 if a == 0 or b == 0 else n for a in range(n) for b in range(n)]
+    return tuple(tuple(v[a * n:a * n + n] for a in range(n)) for v in search(sizes, rules))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ equals the hypersum of the images as sets, not merely a subset of it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
+    HOM_SEARCH_BOUND,
     AxiomCheck,
     BoundExceededError,
     Carrier,
@@ -27,10 +27,10 @@ from .core import (
     bits,
     hypergroup_checks,
     mask_of,
+    search,
+    strong_addition_rules,
 )
 from .ideals import ENUMERATION_BOUND, HyperIdeal, IdealCheck, is_hyperideal, sum_of_products_closure
-
-HOM_SEARCH_BOUND = 6
 
 
 class HyperModule:
@@ -539,51 +539,41 @@ def hom_image(hom: ModuleHom) -> ElementSet:
     return out
 
 
+def _module_homs(source: HyperModule, target: HyperModule, extra_rules=()) -> tuple:
+    # module homs fixing 0 that also pass extra_rules, each re-verified
+    tact = target.act_table
+    rules = strong_addition_rules(source.madd_masks, target.madd_masks) + list(extra_rules)
+    for a, row in enumerate(source.act_table):
+        for r, ar in enumerate(row):
+            rules.append(((max(a, ar),), lambda f, i, a=a, r=r, ar=ar: f[ar] == tact[f[a]][r]))
+    homs = tuple(ModuleHom(source, target, f)
+                 for f in search([1] + [target.order] * (source.order - 1), rules))
+    for hom in homs:
+        report = verify_module_hom(hom)
+        if not report.ok:
+            raise TheoremViolationError(
+                f"module hom search produced {hom.mapping}, which fails {report.failures}")
+    return homs
+
+
 def enumerate_module_homs(source: HyperModule, target: HyperModule,
                           bound: int = HOM_SEARCH_BOUND) -> tuple:
-    """All verified module homs, exhaustively over maps fixing 0."""
+    """All verified module homs fixing 0, lexicographic, by ``core.search``."""
     if source.order > bound or target.order > bound:
         raise BoundExceededError(
             f"hom search is exhaustive over {target.order}^{source.order - 1} maps; "
             f"orders ({source.order}, {target.order}) exceed the bound {bound}"
         )
-    out = []
-    for rest in itertools.product(range(target.order), repeat=source.order - 1):
-        hom = ModuleHom(source, target, (0,) + rest)
-        if verify_module_hom(hom).ok:
-            out.append(hom)
-    return tuple(out)
-
-
-def _profile(module: HyperModule, m: int) -> tuple:
-    # invariants of m under any isomorphism (which fixes the ring pointwise)
-    sizes = tuple(sorted(module.madd_masks[m][b].bit_count() for b in range(module.order)))
-    self_sum = module.madd_masks[m][m].bit_count()
-    zeros = tuple(module.act_table[m][r] == 0 for r in range(module.ring.order))
-    return (sizes, self_sum, module.mneg_table[m] == m, zeros)
+    return _module_homs(source, target)
 
 
 def find_isomorphism(a: HyperModule, b: HyperModule) -> tuple | None:
-    """A bijective module hom a -> b as a mapping tuple, or None.
-
-    Permutation search fixing 0, pruned by local structure profiles.
-    """
+    """The lexicographically first bijective module hom a -> b as a mapping
+    tuple, or None: ``core.search`` with each f(m) outside f(0..m-1)."""
     if a.ring is not b.ring or a.order != b.order:
         return None
-    n = a.order
-    prof_a = [_profile(a, m) for m in range(n)]
-    prof_b = [_profile(b, m) for m in range(n)]
-    if sorted(prof_a) != sorted(prof_b):
-        return None
-    rest = range(1, n)
-    for perm in itertools.permutations(rest):
-        mapping = (0,) + perm
-        if any(prof_a[m] != prof_b[mapping[m]] for m in rest):
-            continue
-        hom = ModuleHom(a, b, mapping)
-        if verify_module_hom(hom).ok:
-            return mapping
-    return None
+    isos = _module_homs(a, b, [(range(1, a.order), lambda f, i: f[i] not in f[:i])])
+    return isos[0].mapping if isos else None
 
 
 def restrict_scalars(module: HyperModule, hom) -> HyperModule:

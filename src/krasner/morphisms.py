@@ -8,10 +8,10 @@ miss is distinguishable from a wild map, but nothing here accepts it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .core import (
+    HOM_SEARCH_BOUND,
     AxiomCheck,
     BoundExceededError,
     HyperRing,
@@ -19,6 +19,8 @@ from .core import (
     VerificationReport,
     bits,
     mask_of,
+    search,
+    strong_addition_rules,
 )
 from .ideals import (
     HyperIdeal,
@@ -28,8 +30,6 @@ from .ideals import (
     quotient_ring,
 )
 from .spectrum import SpectrumSpace
-
-HOM_SEARCH_BOUND = 6
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def identity_hom(ring: HyperRing) -> RingHom:
 def enumerate_ring_homs(source: HyperRing, target: HyperRing,
                         bound: int = HOM_SEARCH_BOUND,
                         surjective_only: bool = False) -> tuple:
-    """All verified strong homs, exhaustively over maps fixing 0."""
+    """All verified strong homs fixing 0, lexicographic, by ``core.search``."""
     if source.order > bound or target.order > bound:
         raise BoundExceededError(
             f"hom search is exhaustive over {target.order}^{source.order - 1} maps; "
@@ -172,14 +172,22 @@ def enumerate_ring_homs(source: HyperRing, target: HyperRing,
         )
     if surjective_only and source.order < target.order:
         return ()
-    out = []
-    for rest in itertools.product(range(target.order), repeat=source.order - 1):
-        hom = RingHom(source, target, (0,) + rest)
-        if surjective_only and not hom.is_surjective():
-            continue
-        if verify_strong_hom(hom).ok:
-            out.append(hom)
-    return tuple(out)
+    tneg, tmul = target.neg_table, target.mul_table
+    rules = strong_addition_rules(source.add_masks, target.add_masks)
+    for a, na in enumerate(source.neg_table):
+        rules.append(((max(a, na),), lambda f, i, a=a, na=na: f[na] == tneg[f[a]]))
+    for a, row in enumerate(source.mul_table):
+        for b, ab in enumerate(row):
+            rules.append(((max(a, b, ab),),
+                          lambda f, i, a=a, b=b, ab=ab: f[ab] == tmul[f[a]][f[b]]))
+    homs = [RingHom(source, target, f)
+            for f in search([1] + [target.order] * (source.order - 1), rules)]
+    for hom in homs:
+        report = verify_strong_hom(hom)
+        if not report.ok:
+            raise TheoremViolationError(
+                f"hom search produced {hom.mapping}, which fails {report.failures}")
+    return tuple(hom for hom in homs if not surjective_only or hom.is_surjective())
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,9 @@ instead of trusting us.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .core import HyperRing, TheoremViolationError, mask_of
+from .core import HyperRing, TheoremViolationError, bits, mask_of, search, sum_rule
 from .hypermodules import (
     HyperModule,
     annihilator,
@@ -135,29 +134,54 @@ def check_primitive_iff_quotient_primitive(
     return BiconditionalReport(ok=not mismatches, mismatches=tuple(mismatches))
 
 
+def _action_rules(ring: HyperRing, n: int, madd) -> list:
+    # sum-action, action-sum and action-associativity on nonzero elements
+    # for search over act tables (cell m * |R| + r holds m r)
+    nr = ring.order
+    rules = []
+    for m in range(1, n):
+        for r in range(1, nr):
+            for b in range(m, n):
+                parts = [t * nr + r for t in bits(madd[m][b])]
+                rules.append(sum_rule(m * nr + r, b * nr + r, parts, madd))
+            for s in range(r, nr):
+                parts = [m * nr + t for t in bits(ring.add_masks[r][s])]
+                rules.append(sum_rule(m * nr + r, m * nr + s, parts, madd))
+            for s in range(1, nr):
+                # m (r s) = (m r) s reads cell (m r, s), chosen by a value: watch column s
+                def associativity(v, i, mr=m * nr + r, mrs=m * nr + ring.mul_table[r][s], s=s):
+                    if mr > i or mrs > i:
+                        return True
+                    c = v[mr] * nr + s
+                    return c > i or v[mrs] == v[c]
+
+                rules.append(((m * nr + r, m * nr + ring.mul_table[r][s], *range(s, n * nr, nr)),
+                              associativity))
+    return rules
+
+
 def enumerate_simple_modules(ring: HyperRing, max_order: int = 3) -> tuple:
     """Every simple right hypermodule on a carrier of at most max_order
-    elements, found by exhausting canonical hypergroups and action tables.
-
-    Meant for small bounds only; the table space is n^((n-1)(|R|-1)) per
-    hypergroup.
-    """
+    elements.  For each canonical hypergroup, ``core.search`` fills the
+    action table (row 0 and column 0 zero); each table it returns is
+    validated and kept when simple.  Meant for small bounds only."""
     from .corpus import enumerate_hypergroups  # local: corpus pulls in heavier machinery
 
     ring.require_validated()
     nr = ring.order
     found = []
     for n in range(2, max_order + 1):
-        slots = [(m, r) for m in range(1, n) for r in range(1, nr)]
+        sizes = [1 if m == 0 or r == 0 else n for m in range(n) for r in range(nr)]
         for add_masks, neg in enumerate_hypergroups(n):
-            madd = [[[t for t in range(n) if cell >> t & 1] for cell in row]
-                    for row in add_masks]
-            for values in itertools.product(range(n), repeat=len(slots)):
-                act = [[0] * nr for _ in range(n)]
-                for (mm, r), v in zip(slots, values):
-                    act[mm][r] = v
-                module = HyperModule(ring, madd, neg, act)
-                if module.validate().ok and is_simple(module):
+            members = [[list(bits(cell)) for cell in row] for row in add_masks]
+            for values in search(sizes, _action_rules(ring, n, add_masks)):
+                act = [values[m * nr:(m + 1) * nr] for m in range(n)]
+                module = HyperModule(ring, members, neg, act)
+                report = module.validate()
+                if not report.ok:
+                    raise TheoremViolationError(
+                        f"module table search produced an invalid module: {report.failures}")
+                if is_simple(module):
                     found.append(module)
     return tuple(found)
 

@@ -158,6 +158,22 @@ def test_module_hom_enumeration(z4):
         assert verify_module_hom(hom).ok
 
 
+def test_module_hom_enumeration_bound(monkeypatch):
+    import krasner.hypermodules as hypermodules
+    from krasner.core import HOM_SEARCH_BOUND, BoundExceededError
+
+    big = regular_module(cyclic_ring(HOM_SEARCH_BOUND + 1))
+
+    def refuse(sizes, rules):
+        raise AssertionError("searched past the bound")
+
+    with monkeypatch.context() as m:
+        m.setattr(hypermodules, "search", refuse)
+        with pytest.raises(BoundExceededError):
+            enumerate_module_homs(big, big)
+    assert len(enumerate_module_homs(big, big, bound=HOM_SEARCH_BOUND + 1)) == HOM_SEARCH_BOUND + 1
+
+
 def test_module_homs_need_one_ring(z4, z2):
     with pytest.raises(ValueError):
         ModuleHom(regular_module(z4), regular_module(z2), (0, 0, 0, 0))
