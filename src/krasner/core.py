@@ -233,15 +233,15 @@ def _normalize_set_table(n: int, table) -> tuple:
     return tuple(out)
 
 
-def _normalize_value_table(n: int, table, what: str) -> tuple:
+def _normalize_value_table(n: int, columns: int, table, what: str) -> tuple:
     rows = tuple(table)
     if len(rows) != n:
         raise ValueError(f"{what} table must have {n} rows, got {len(rows)}")
     out = []
     for row in rows:
         cells = tuple(int(v) for v in row)
-        if len(cells) != n:
-            raise ValueError(f"{what} table rows must have {n} cells, got {len(cells)}")
+        if len(cells) != columns:
+            raise ValueError(f"{what} table rows must have {columns} cells, got {len(cells)}")
         for v in cells:
             if not 0 <= v < n:
                 raise ValueError(f"{what} value {v} outside carrier of size {n}")
@@ -272,7 +272,7 @@ class HyperRing:
         for v in neg_t:
             self.carrier.check_element(v)
         self.neg_table = neg_t
-        self.mul_table = _normalize_value_table(n, mul, "mul")
+        self.mul_table = _normalize_value_table(n, n, mul, "mul")
         self.unit = None if unit is None else self.carrier.check_element(int(unit))
         self.name = name
         self._checked = False
@@ -635,3 +635,20 @@ def strong_addition_rules(add, target_add) -> list:
     hypersum a + b is the target hypersum f(a) + f(b)."""
     return [sum_rule(a, b, list(bits(ab)), target_add)
             for a, row in enumerate(add) for b, ab in enumerate(row)]
+
+
+def strong_addition_check(f, add, target_add) -> AxiomCheck:
+    """Whether the map f (f[a] is the image of a) sends each hypersum
+    a + b onto exactly f(a) + f(b); the witness is the first failing
+    (a, b).  Shared by ring and module homs."""
+    for a, row in enumerate(add):
+        for b, ab in enumerate(row):
+            image = mask_of(f[t] for t in bits(ab))
+            expected = target_add[f[a]][f[b]]
+            if image != expected:
+                detail = ("image only covers part of the target hypersum "
+                          "(a weak hom, not a strong one)"
+                          if image & ~expected == 0 else
+                          "image escapes the target hypersum")
+                return AxiomCheck("strong-addition", False, (a, b), detail)
+    return AxiomCheck("strong-addition", True)

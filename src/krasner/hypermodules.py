@@ -4,7 +4,8 @@ A right hypermodule is a canonical hypergroup (M, +, -, 0) with a single
 valued action M x R -> M that distributes over both hyperadditions, is
 associative against the ring multiplication and kills 0.  The ring acting
 on itself gives the regular module; right hyperideals are exactly its
-subhypermodules.
+subhypermodules, so the closure checks, closures, subset scans and
+quotients here run the helpers in ``ideals`` on the module tables.
 
 Module homomorphisms here are the strong kind: the image of a hypersum
 equals the hypersum of the images as sets, not merely a subset of it.
@@ -24,13 +25,28 @@ from .core import (
     NotValidatedError,
     TheoremViolationError,
     VerificationReport,
+    _normalize_set_table,
+    _normalize_value_table,
     bits,
     hypergroup_checks,
     mask_of,
     search,
+    strong_addition_check,
     strong_addition_rules,
 )
-from .ideals import ENUMERATION_BOUND, HyperIdeal, IdealCheck, is_hyperideal, sum_of_products_closure
+from .ideals import (
+    ENUMERATION_BOUND,
+    HyperIdeal,
+    IdealCheck,
+    closed_subsets,
+    closure,
+    closure_check,
+    coset_partition,
+    induced_set_table,
+    induced_value_table,
+    is_hyperideal,
+    sum_of_products_closure,
+)
 
 
 class HyperModule:
@@ -51,24 +67,11 @@ class HyperModule:
         mneg_t = tuple(int(v) for v in mneg)
         n = len(mneg_t)
         self.carrier = Carrier(n)
-        rows = tuple(tuple(mask_of(int(i) for i in cell) for cell in row) for row in madd)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("madd table shape must match the module carrier")
-        for row in rows:
-            for m in row:
-                if m >> n:
-                    raise ValueError("madd entry mentions an element outside the carrier")
-        self.madd_masks = rows
+        self.madd_masks = _normalize_set_table(n, madd)
         for v in mneg_t:
             self.carrier.check_element(v)
         self.mneg_table = mneg_t
-        acts = tuple(tuple(int(v) for v in row) for row in act)
-        if len(acts) != n or any(len(r) != ring.order for r in acts):
-            raise ValueError("act table must be module order by ring order")
-        for row in acts:
-            for v in row:
-                self.carrier.check_element(v)
-        self.act_table = acts
+        self.act_table = _normalize_value_table(n, ring.order, act, "act")
         self.unital = bool(unital)
         self.name = name
         self._checked = False
@@ -96,14 +99,6 @@ class HyperModule:
 
     def subset(self, members) -> ElementSet:
         return self.carrier.subset(members)
-
-    def msum(self, x: ElementSet, y: ElementSet) -> ElementSet:
-        out = 0
-        for a in bits(x.mask):
-            row = self.madd_masks[a]
-            for b in bits(y.mask):
-                out |= row[b]
-        return ElementSet(self.carrier, out)
 
     def validate(self) -> "ModuleReport":
         self.ring.require_validated()
@@ -253,8 +248,14 @@ def regular_module(ring: HyperRing) -> HyperModule:
     return mod
 
 
+def _action(module: HyperModule) -> list:
+    # the closure action of a subhypermodule, as ideals.closure_check reads it
+    return [("action-closure", module.act_table)]
+
+
 def is_subhypermodule(module: HyperModule, members) -> IdealCheck:
-    """Closure of a subset under madd, mneg and the ring action."""
+    """Closure of a subset under madd, mneg and the ring action, by
+    ``ideals.closure_check``."""
     module.require_validated()
     if isinstance(members, ElementSet):
         if members.carrier is not module.carrier:
@@ -262,20 +263,7 @@ def is_subhypermodule(module: HyperModule, members) -> IdealCheck:
         s = members.mask
     else:
         s = module.subset(members).mask
-    if not s & 1:
-        return IdealCheck(False, "zero", (), "must contain the additive identity")
-    madd = module.madd_masks
-    for a in bits(s):
-        if not (1 << module.mneg_table[a]) & s:
-            return IdealCheck(False, "neg-closure", (a,), f"-{a} escapes the set")
-        for b in bits(s):
-            if madd[a][b] & ~s:
-                return IdealCheck(False, "add-closure", (a, b), f"{a} + {b} escapes the set")
-        row = module.act_table[a]
-        for r in range(module.ring.order):
-            if not (1 << row[r]) & s:
-                return IdealCheck(False, "action-closure", (a, r), f"{a} * {r} escapes the set")
-    return IdealCheck(True)
+    return closure_check(s, module.madd_masks, module.mneg_table, _action(module))
 
 
 def enumerate_subhypermodules(module: HyperModule, bound: int = ENUMERATION_BOUND) -> tuple:
@@ -285,12 +273,8 @@ def enumerate_subhypermodules(module: HyperModule, bound: int = ENUMERATION_BOUN
             f"submodule enumeration scans 2^{module.order - 1} subsets; "
             f"order {module.order} exceeds the bound {bound}"
         )
-    out = []
-    for half in range(1 << (module.order - 1)):
-        mask = half << 1 | 1
-        if is_subhypermodule(module, module.carrier.from_mask(mask)):
-            out.append(module.carrier.from_mask(mask))
-    return tuple(out)
+    masks = closed_subsets(module.madd_masks, module.mneg_table, _action(module))
+    return tuple(module.carrier.from_mask(mask) for mask in masks)
 
 
 def submodule(module: HyperModule, members) -> HyperModule:
@@ -317,21 +301,8 @@ def cyclic_submodule(module: HyperModule, m: int) -> ElementSet:
     """Smallest subhypermodule containing m."""
     module.require_validated()
     module.carrier.check_element(m)
-    mask = 1 | 1 << m
-    madd = module.madd_masks
-    nr = module.ring.order
-    while True:
-        grown = mask
-        for a in bits(mask):
-            grown |= 1 << module.mneg_table[a]
-            for b in bits(mask):
-                grown |= madd[a][b]
-            row = module.act_table[a]
-            for r in range(nr):
-                grown |= 1 << row[r]
-        if grown == mask:
-            return module.carrier.from_mask(mask)
-        mask = grown
+    mask = closure(1 << m, module.madd_masks, module.mneg_table, _action(module))
+    return module.carrier.from_mask(mask)
 
 
 def action_is_zero(module: HyperModule) -> bool:
@@ -398,54 +369,12 @@ def quotient_module(module: HyperModule, members) -> ModuleQuotient:
     if not check:
         raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
     k = members if isinstance(members, ElementSet) else module.subset(members)
-    n = module.order
-    coset_mask = [module.msum(k, module.carrier.singleton(m)).mask for m in range(n)]
-    cosets = [coset_mask[0]]
-    for m in sorted(set(coset_mask)):
-        if m != coset_mask[0]:
-            cosets.append(m)
-    index = {m: i for i, m in enumerate(cosets)}
-    coset_of = tuple(index[coset_mask[m]] for m in range(n))
-
-    covered = 0
-    for m in cosets:
-        if covered & m:
-            raise TheoremViolationError("module cosets fail to partition the carrier")
-        covered |= m
-    if covered != module.carrier.full_mask:
-        raise TheoremViolationError("module cosets fail to cover the carrier")
-
-    q = len(cosets)
-    nr = module.ring.order
-    madd = [[None] * q for _ in range(q)]
-    for i in range(q):
-        for j in range(q):
-            seen = None
-            for a in bits(cosets[i]):
-                for b in bits(cosets[j]):
-                    s = frozenset(coset_of[t] for t in bits(module.madd_masks[a][b]))
-                    if seen is None:
-                        seen = s
-                    elif s != seen:
-                        raise TheoremViolationError(
-                            f"quotient addition depends on representatives at ({i}, {j})"
-                        )
-            madd[i][j] = sorted(seen)
-    act = [[None] * nr for _ in range(q)]
-    for i in range(q):
-        for r in range(nr):
-            images = {coset_of[module.act_table[a][r]] for a in bits(cosets[i])}
-            if len(images) != 1:
-                raise TheoremViolationError(
-                    f"quotient action depends on representatives at ({i}, {r})"
-                )
-            act[i][r] = images.pop()
-    mneg = []
-    for i in range(q):
-        images = {coset_of[module.mneg_table[a]] for a in bits(cosets[i])}
-        if len(images) != 1:
-            raise TheoremViolationError("quotient negation depends on representatives")
-        mneg.append(images.pop())
+    cosets, coset_of = coset_partition(module.madd_masks, k.mask)
+    madd = induced_set_table(module.madd_masks, cosets, coset_of)
+    ring_elements = [1 << r for r in range(module.ring.order)]
+    act = induced_value_table(module.act_table, cosets, coset_of, ring_elements)
+    negs = induced_value_table([(v,) for v in module.mneg_table], cosets, coset_of, (1,))
+    mneg = [row[0] for row in negs]
 
     out = HyperModule(module.ring, madd, mneg, act, unital=module.unital,
                       name=f"{module.name or 'M'}/{k!r}")
@@ -455,7 +384,7 @@ def quotient_module(module: HyperModule, members) -> ModuleQuotient:
             f"quotient by a verified subhypermodule failed validation: {report.failures}"
         )
     projection = ModuleHom(module, out, coset_of, name="project")
-    return ModuleQuotient(out, module, k, tuple(cosets), coset_of, projection)
+    return ModuleQuotient(out, module, k, cosets, coset_of, projection)
 
 
 @dataclass(frozen=True)
@@ -488,21 +417,7 @@ def verify_module_hom(hom: ModuleHom) -> VerificationReport:
         "zero", f[0] == 0, () if f[0] == 0 else (0,),
         "" if f[0] == 0 else "0 must map to 0"))
 
-    bad = None
-    detail = ""
-    for a in range(src.order):
-        for b in range(src.order):
-            image = mask_of(f[t] for t in bits(src.madd_masks[a][b]))
-            expected = dst.madd_masks[f[a]][f[b]]
-            if image != expected:
-                bad = (a, b)
-                detail = ("image only covers part of the target hypersum"
-                          if image & ~expected == 0 else
-                          "image escapes the target hypersum")
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck("strong-addition", bad is None, bad or (), detail))
+    checks.append(strong_addition_check(f, src.madd_masks, dst.madd_masks))
 
     bad = None
     for a in range(src.order):

@@ -48,36 +48,28 @@ def _as_mask(ring: HyperRing, members) -> int:
     return ring.subset(members).mask
 
 
+def _absorption(ring: HyperRing, sidedness: str) -> list:
+    # the closure actions of a hyperideal: right absorption is s * R in s,
+    # left absorption R * s in s, read through the transposed table
+    if sidedness not in SIDEDNESS:
+        raise ValueError(f"sidedness must be one of {SIDEDNESS}")
+    actions = []
+    if sidedness != "left":
+        actions.append(("right-absorption", ring.mul_table))
+    if sidedness != "right":
+        actions.append(("left-absorption", tuple(zip(*ring.mul_table))))
+    return actions
+
+
 def is_hyperideal(ring: HyperRing, members, sidedness: str = "two-sided") -> IdealCheck:
     """Decide whether a subset is a hyperideal, with a witness on failure."""
     ring.require_validated()
-    if sidedness not in SIDEDNESS:
-        raise ValueError(f"sidedness must be one of {SIDEDNESS}")
-    s = _as_mask(ring, members)
-    if not s & 1:
-        return IdealCheck(False, "zero", (), "must contain the additive identity")
-    add = ring.add_masks
-    neg = ring.neg_table
-    mul = ring.mul_table
-    n = ring.order
-    for a in bits(s):
-        if not (1 << neg[a]) & s:
-            return IdealCheck(False, "neg-closure", (a,), f"-{a} = {neg[a]} escapes the set")
-        for b in bits(s):
-            if add[a][b] & ~s:
-                return IdealCheck(False, "add-closure", (a, b), f"{a} + {b} escapes the set")
-    if sidedness in ("right", "two-sided"):
-        for a in bits(s):
-            row = mul[a]
-            for r in range(n):
-                if not (1 << row[r]) & s:
-                    return IdealCheck(False, "right-absorption", (a, r), f"{a} * {r} escapes the set")
-    if sidedness in ("left", "two-sided"):
-        for a in bits(s):
-            for r in range(n):
-                if not (1 << mul[r][a]) & s:
-                    return IdealCheck(False, "left-absorption", (r, a), f"{r} * {a} escapes the set")
-    return IdealCheck(True)
+    actions = _absorption(ring, sidedness)
+    check = closure_check(_as_mask(ring, members), ring.add_masks, ring.neg_table, actions)
+    if check.clause == "left-absorption":
+        a, r = check.witness
+        return IdealCheck(False, check.clause, (r, a), f"{r} * {a} escapes the set")
+    return check
 
 
 class HyperIdeal:
@@ -148,12 +140,8 @@ def enumerate_ideals(ring: HyperRing, sidedness: str = "two-sided",
             f"ideal enumeration scans 2^{ring.order - 1} subsets; "
             f"order {ring.order} exceeds the bound {bound}"
         )
-    found = []
-    for half in range(1 << (ring.order - 1)):
-        mask = half << 1 | 1
-        if is_hyperideal(ring, ring.carrier.from_mask(mask), sidedness):
-            found.append(HyperIdeal._trusted(ring, mask, sidedness))
-    return tuple(found)
+    masks = closed_subsets(ring.add_masks, ring.neg_table, _absorption(ring, sidedness))
+    return tuple(HyperIdeal._trusted(ring, mask, sidedness) for mask in masks)
 
 
 @dataclass(frozen=True)
@@ -214,36 +202,38 @@ def maximal_above(ideal: HyperIdeal, lattice: IdealLattice) -> HyperIdeal:
     )
 
 
-def ideal_intersection(ideals) -> HyperIdeal:
-    ideals = tuple(ideals)
+def _common_sidedness(ideals) -> str:
+    # a two sided ideal is also left and right, so it takes the side of
+    # the others; left together with right has no common side
     if not ideals:
         raise ValueError("need at least one ideal")
+    if any(i.ring is not ideals[0].ring for i in ideals):
+        raise ValueError("ideals over different rings")
+    sides = {i.sidedness for i in ideals} - {"two-sided"}
+    if len(sides) > 1:
+        raise ValueError("cannot combine left and right ideals")
+    return sides.pop() if sides else "two-sided"
+
+
+def ideal_intersection(ideals) -> HyperIdeal:
+    """Meet of ideals over one ring, with the sidedness they share."""
+    ideals = tuple(ideals)
+    sided = _common_sidedness(ideals)
     ring = ideals[0].ring
     mask = ring.carrier.full_mask
-    sided = ideals[0].sidedness
     for i in ideals:
-        if i.ring is not ring:
-            raise ValueError("ideals over different rings")
-        if i.sidedness != sided:
-            sided = "two-sided"
         mask &= i.members.mask
-    out = HyperIdeal(ring, ring.carrier.from_mask(mask), sided)
-    return out
+    return HyperIdeal(ring, ring.carrier.from_mask(mask), sided)
 
 
 def ideal_sum(ideals) -> HyperIdeal:
-    """Elements lying in some hypersum of one representative per ideal."""
+    """Elements lying in some hypersum of one representative per ideal,
+    with the sidedness the ideals share."""
     ideals = tuple(ideals)
-    if not ideals:
-        raise ValueError("need at least one ideal")
+    sided = _common_sidedness(ideals)
     ring = ideals[0].ring
-    sided = ideals[0].sidedness
     acc = ideals[0].members
     for i in ideals[1:]:
-        if i.ring is not ring:
-            raise ValueError("ideals over different rings")
-        if i.sidedness != sided:
-            sided = "two-sided"
         acc = hypersum(ring, acc, i.members)
     check = is_hyperideal(ring, acc, sided)
     if not check:
@@ -265,6 +255,120 @@ def sum_of_products_closure(add, products_mask: int) -> int:
         if grown == result:
             return result
         result = grown
+
+
+# Closure and cosets on raw tables.  A hyperideal of R and a
+# subhypermodule of M are the same thing over different tables: a set s
+# holding 0, closed under negation and hyperaddition, and closed under a
+# list of actions (clause, table), meaning table[a][r] lies in s for every
+# a in s and every column r.  The ideal passes the absorbing products, the
+# module its ring action; the regular module R_R makes the two agree.
+
+
+def closure_check(s: int, add, neg, actions) -> IdealCheck:
+    """Whether the mask s holds 0 and is closed under neg, add and the
+    actions.  Scans negation and addition first, then each action in
+    order; the witness is the first failure in that order."""
+    if not s & 1:
+        return IdealCheck(False, "zero", (), "must contain the additive identity")
+    members = tuple(bits(s))
+    for a in members:
+        if not s >> neg[a] & 1:
+            return IdealCheck(False, "neg-closure", (a,), f"-{a} = {neg[a]} escapes the set")
+        row = add[a]
+        for b in members:
+            if row[b] & ~s:
+                return IdealCheck(False, "add-closure", (a, b), f"{a} + {b} escapes the set")
+    for clause, table in actions:
+        for a in members:
+            for r, v in enumerate(table[a]):
+                if not s >> v & 1:
+                    return IdealCheck(False, clause, (a, r), f"{a} * {r} escapes the set")
+    return IdealCheck(True)
+
+
+def closure(mask: int, add, neg, actions) -> int:
+    """Smallest mask containing mask and 0 that ``closure_check``
+    accepts, grown to a fixpoint."""
+    mask |= 1
+    while True:
+        grown = mask
+        members = tuple(bits(mask))
+        for a in members:
+            grown |= 1 << neg[a]
+            row = add[a]
+            for b in members:
+                grown |= row[b]
+            for _, table in actions:
+                for v in table[a]:
+                    grown |= 1 << v
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def closed_subsets(add, neg, actions) -> list:
+    """Every mask that ``closure_check`` accepts, ascending.  Scans the
+    2^(n-1) masks holding 0, so callers bound n first."""
+    return [s for s in range(1, 1 << len(neg), 2) if closure_check(s, add, neg, actions)]
+
+
+def coset_partition(add, k: int) -> tuple:
+    """(cosets, coset_of) for the closed mask k: the coset of 0 first,
+    then the others by ascending mask, and the coset index of each
+    element.  Raises unless the cosets k + x partition the carrier."""
+    n = len(add)
+    coset_mask = []
+    for x in range(n):
+        m = 0
+        for a in bits(k):
+            m |= add[a][x]
+        coset_mask.append(m)
+    cosets = [coset_mask[0]] + sorted(set(coset_mask) - {coset_mask[0]})
+    index = {m: i for i, m in enumerate(cosets)}
+    covered = 0
+    for m in cosets:
+        if covered & m:
+            raise TheoremViolationError("cosets fail to partition the carrier")
+        covered |= m
+    if covered != (1 << n) - 1:
+        raise TheoremViolationError("cosets fail to cover the carrier")
+    return tuple(cosets), tuple(index[m] for m in coset_mask)
+
+
+def induced_set_table(add, cosets, coset_of) -> list:
+    """Quotient hyperaddition: entry (i, j) lists, ascending, the cosets
+    met by a + b for a in coset i and b in coset j, which must not depend
+    on the choice of a and b."""
+    out = []
+    for i, ci in enumerate(cosets):
+        row = []
+        for j, cj in enumerate(cosets):
+            images = {mask_of(coset_of[t] for t in bits(add[a][b]))
+                      for a in bits(ci) for b in bits(cj)}
+            if len(images) != 1:
+                raise TheoremViolationError(
+                    f"coset tables depend on representatives at ({i}, {j})")
+            row.append(list(bits(images.pop())))
+        out.append(row)
+    return out
+
+
+def induced_value_table(table, cosets, coset_of, columns) -> list:
+    """Quotient of a single valued table: entry (i, j) is the coset of
+    table[a][b] for a in coset i and b in the column mask columns[j],
+    which must not depend on the choice of a and b."""
+    out = []
+    for i, ci in enumerate(cosets):
+        row = []
+        for j, cj in enumerate(columns):
+            images = {coset_of[table[a][b]] for a in bits(ci) for b in bits(cj)}
+            if len(images) != 1:
+                raise TheoremViolationError(
+                    f"coset tables depend on representatives at ({i}, {j})")
+            row.append(images.pop())
+        out.append(row)
+    return out
 
 
 def ideal_product(a, b, ring: HyperRing | None = None):
@@ -314,29 +418,8 @@ def generated_ideal(ring: HyperRing, members, sidedness: str = "two-sided") -> H
     lattice route.
     """
     ring.require_validated()
-    if sidedness not in SIDEDNESS:
-        raise ValueError(f"sidedness must be one of {SIDEDNESS}")
-    mask = _as_mask(ring, members) | 1
-    add = ring.add_masks
-    neg = ring.neg_table
-    mul = ring.mul_table
-    n = ring.order
-    while True:
-        grown = mask
-        for a in bits(mask):
-            grown |= 1 << neg[a]
-            for b in bits(mask):
-                grown |= add[a][b]
-            if sidedness in ("right", "two-sided"):
-                row = mul[a]
-                for r in range(n):
-                    grown |= 1 << row[r]
-            if sidedness in ("left", "two-sided"):
-                for r in range(n):
-                    grown |= 1 << mul[r][a]
-        if grown == mask:
-            break
-        mask = grown
+    actions = _absorption(ring, sidedness)
+    mask = closure(_as_mask(ring, members), ring.add_masks, ring.neg_table, actions)
     return HyperIdeal(ring, ring.carrier.from_mask(mask), sidedness)
 
 
@@ -436,49 +519,11 @@ def quotient_ring(ring: HyperRing, ideal: HyperIdeal) -> Quotient:
         raise ValueError("ideal belongs to a different ring")
     if ideal.sidedness != "two-sided":
         raise ValueError("quotients need a two sided hyperideal")
-    n = ring.order
-    k = ideal.members
-    coset_mask = [hypersum(ring, k, ring.singleton(r)).mask for r in range(n)]
-    cosets = [coset_mask[0]]
-    for m in sorted(set(coset_mask)):
-        if m != coset_mask[0]:
-            cosets.append(m)
-    index = {m: i for i, m in enumerate(cosets)}
-    coset_of = tuple(index[coset_mask[r]] for r in range(n))
-
-    covered = 0
-    for m in cosets:
-        if covered & m:
-            raise TheoremViolationError("cosets fail to partition the carrier")
-        covered |= m
-    if covered != ring.carrier.full_mask:
-        raise TheoremViolationError("cosets fail to cover the carrier")
-
-    q = len(cosets)
-    add = [[None] * q for _ in range(q)]
-    mul = [[None] * q for _ in range(q)]
-    for i in range(q):
-        for j in range(q):
-            seen_add = None
-            seen_mul = None
-            for r1 in bits(cosets[i]):
-                for r2 in bits(cosets[j]):
-                    s = frozenset(coset_of[t] for t in bits(ring.add_masks[r1][r2]))
-                    m = coset_of[ring.mul_table[r1][r2]]
-                    if seen_add is None:
-                        seen_add, seen_mul = s, m
-                    elif s != seen_add or m != seen_mul:
-                        raise TheoremViolationError(
-                            f"coset tables depend on representatives at ({i}, {j})"
-                        )
-            add[i][j] = sorted(seen_add)
-            mul[i][j] = seen_mul
-    neg = []
-    for i in range(q):
-        images = {coset_of[ring.neg_table[r]] for r in bits(cosets[i])}
-        if len(images) != 1:
-            raise TheoremViolationError("negation is not constant on cosets")
-        neg.append(images.pop())
+    cosets, coset_of = coset_partition(ring.add_masks, ideal.members.mask)
+    add = induced_set_table(ring.add_masks, cosets, coset_of)
+    mul = induced_value_table(ring.mul_table, cosets, coset_of, cosets)
+    negs = induced_value_table([(v,) for v in ring.neg_table], cosets, coset_of, (1,))
+    neg = [row[0] for row in negs]
 
     unit = None if ring.unit is None else coset_of[ring.unit]
     label = f"{ring.name or 'R'}/{ideal.members!r}"
@@ -492,4 +537,4 @@ def quotient_ring(ring: HyperRing, ideal: HyperIdeal) -> Quotient:
     from .morphisms import RingHom
 
     projection = RingHom(ring, out, coset_of, name=f"project {label}")
-    return Quotient(out, ring, ideal, tuple(cosets), coset_of, projection)
+    return Quotient(out, ring, ideal, cosets, coset_of, projection)

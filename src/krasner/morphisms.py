@@ -20,6 +20,7 @@ from .core import (
     bits,
     mask_of,
     search,
+    strong_addition_check,
     strong_addition_rules,
 )
 from .ideals import (
@@ -75,22 +76,7 @@ def verify_strong_hom(hom: RingHom) -> VerificationReport:
         "zero", f[0] == 0, () if f[0] == 0 else (0,),
         "" if f[0] == 0 else "0 must map to 0"))
 
-    bad = None
-    detail = ""
-    for a in range(src.order):
-        for b in range(src.order):
-            image = mask_of(f[t] for t in bits(src.add_masks[a][b]))
-            expected = dst.add_masks[f[a]][f[b]]
-            if image != expected:
-                bad = (a, b)
-                detail = ("image only covers part of the target hypersum "
-                          "(a weak hom, not a strong one)"
-                          if image & ~expected == 0 else
-                          "image escapes the target hypersum")
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck("strong-addition", bad is None, bad or (), detail))
+    checks.append(strong_addition_check(f, src.add_masks, dst.add_masks))
 
     bad = None
     for a in range(src.order):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import datetime
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import TheoremViolationError
@@ -688,8 +687,9 @@ def run_theorem_suite(entries=None, max_order=3, per_order_limit=None,
                       check_ids=None, threads=1) -> SuiteReport:
     """Run the registry over a corpus (or explicit entries) and report.
 
-    Thread count never changes the content: rings are distributed with
-    order preserving map and every check is deterministic.
+    Rings run one after another in corpus order.  ``threads`` is accepted
+    and ignored, like ``--seed``: the checks are pure Python, which the
+    interpreter lock keeps on one core whatever the thread count.
     """
     if check_ids:
         unknown = sorted(set(check_ids) - set(CHECK_IDS))
@@ -706,18 +706,9 @@ def run_theorem_suite(entries=None, max_order=3, per_order_limit=None,
         entries = tuple(entries)
         fp = corpus_fingerprint(entries, max_order, True, per_order_limit)
 
-    def job(entry):
-        return RingReportRow(
-            name=entry.name,
-            order=entry.ring.order,
-            results=run_ring_checks(entry.ring, check_ids),
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(job, entries))
-    else:
-        rows = tuple(job(e) for e in entries)
+    rows = tuple(RingReportRow(name=e.name, order=e.ring.order,
+                               results=run_ring_checks(e.ring, check_ids))
+                 for e in entries)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return SuiteReport(parameters=params, fingerprint=fp, rows=rows,
                        generated_at=stamp)

@@ -1,0 +1,266 @@
+"""The closure and coset helpers in ideals, refereed by the separate
+ideal and module code they replaced.
+
+Each oracle below is one of the loops that ``ideals.py`` and
+``hypermodules.py`` used to carry on their own: the hyperideal and
+subhypermodule checks, the two closure loops and the two coset
+quotients.  The shared helpers must give the same answers on every
+corpus ring of order <= 4, on its regular module and on its quotients
+by maximal right ideals.
+"""
+
+import pytest
+
+from krasner.core import BoundExceededError, HyperRing, bits
+from krasner.hypermodules import (
+    HyperModule,
+    cyclic_submodule,
+    enumerate_subhypermodules,
+    is_subhypermodule,
+    quotient_module,
+    regular_module,
+)
+from krasner import hypermodules, ideals
+from krasner.ideals import (
+    SIDEDNESS,
+    IdealCheck,
+    IdealLattice,
+    enumerate_ideals,
+    generated_ideal,
+    is_hyperideal,
+    quotient_ring,
+)
+
+
+# oracles: the separate ideal and module loops
+
+
+def old_is_hyperideal(ring, s, sidedness):
+    if not s & 1:
+        return IdealCheck(False, "zero", (), "must contain the additive identity")
+    add, neg, mul, n = ring.add_masks, ring.neg_table, ring.mul_table, ring.order
+    for a in bits(s):
+        if not (1 << neg[a]) & s:
+            return IdealCheck(False, "neg-closure", (a,), f"-{a} = {neg[a]} escapes the set")
+        for b in bits(s):
+            if add[a][b] & ~s:
+                return IdealCheck(False, "add-closure", (a, b), f"{a} + {b} escapes the set")
+    if sidedness in ("right", "two-sided"):
+        for a in bits(s):
+            for r in range(n):
+                if not (1 << mul[a][r]) & s:
+                    return IdealCheck(False, "right-absorption", (a, r), f"{a} * {r} escapes the set")
+    if sidedness in ("left", "two-sided"):
+        for a in bits(s):
+            for r in range(n):
+                if not (1 << mul[r][a]) & s:
+                    return IdealCheck(False, "left-absorption", (r, a), f"{r} * {a} escapes the set")
+    return IdealCheck(True)
+
+
+def old_generated_ideal(ring, mask, sidedness):
+    mask |= 1
+    add, neg, mul, n = ring.add_masks, ring.neg_table, ring.mul_table, ring.order
+    while True:
+        grown = mask
+        for a in bits(mask):
+            grown |= 1 << neg[a]
+            for b in bits(mask):
+                grown |= add[a][b]
+            if sidedness in ("right", "two-sided"):
+                for r in range(n):
+                    grown |= 1 << mul[a][r]
+            if sidedness in ("left", "two-sided"):
+                for r in range(n):
+                    grown |= 1 << mul[r][a]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def old_is_subhypermodule(module, s):
+    if not s & 1:
+        return False
+    madd = module.madd_masks
+    for a in bits(s):
+        if not (1 << module.mneg_table[a]) & s:
+            return False
+        for b in bits(s):
+            if madd[a][b] & ~s:
+                return False
+        for r in range(module.ring.order):
+            if not (1 << module.act_table[a][r]) & s:
+                return False
+    return True
+
+
+def old_cyclic_submodule(module, m):
+    mask = 1 | 1 << m
+    madd = module.madd_masks
+    while True:
+        grown = mask
+        for a in bits(mask):
+            grown |= 1 << module.mneg_table[a]
+            for b in bits(mask):
+                grown |= madd[a][b]
+            for r in range(module.ring.order):
+                grown |= 1 << module.act_table[a][r]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def old_cosets(add, k):
+    coset_mask = []
+    for x in range(len(add)):
+        m = 0
+        for a in bits(k):
+            m |= add[a][x]
+        coset_mask.append(m)
+    cosets = [coset_mask[0]]
+    for m in sorted(set(coset_mask)):
+        if m != coset_mask[0]:
+            cosets.append(m)
+    index = {m: i for i, m in enumerate(cosets)}
+    coset_of = tuple(index[coset_mask[x]] for x in range(len(add)))
+    covered = 0
+    for m in cosets:
+        assert not covered & m
+        covered |= m
+    assert covered == (1 << len(add)) - 1
+    return cosets, coset_of
+
+
+def old_quotient_ring(ring, k):
+    cosets, coset_of = old_cosets(ring.add_masks, k)
+    q = len(cosets)
+    add = [[None] * q for _ in range(q)]
+    mul = [[None] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(q):
+            seen_add = seen_mul = None
+            for r1 in bits(cosets[i]):
+                for r2 in bits(cosets[j]):
+                    s = frozenset(coset_of[t] for t in bits(ring.add_masks[r1][r2]))
+                    m = coset_of[ring.mul_table[r1][r2]]
+                    if seen_add is None:
+                        seen_add, seen_mul = s, m
+                    assert (s, m) == (seen_add, seen_mul)
+            add[i][j] = sorted(seen_add)
+            mul[i][j] = seen_mul
+    neg = []
+    for i in range(q):
+        images = {coset_of[ring.neg_table[r]] for r in bits(cosets[i])}
+        assert len(images) == 1
+        neg.append(images.pop())
+    unit = None if ring.unit is None else coset_of[ring.unit]
+    out = HyperRing(add, neg, mul, unit=unit)
+    assert out.validate().ok
+    return tuple(cosets), coset_of, out.encoding()
+
+
+def old_quotient_module(module, k):
+    cosets, coset_of = old_cosets(module.madd_masks, k)
+    q = len(cosets)
+    nr = module.ring.order
+    madd = [[None] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(q):
+            seen = None
+            for a in bits(cosets[i]):
+                for b in bits(cosets[j]):
+                    s = frozenset(coset_of[t] for t in bits(module.madd_masks[a][b]))
+                    if seen is None:
+                        seen = s
+                    assert s == seen
+            madd[i][j] = sorted(seen)
+    act = [[None] * nr for _ in range(q)]
+    for i in range(q):
+        for r in range(nr):
+            images = {coset_of[module.act_table[a][r]] for a in bits(cosets[i])}
+            assert len(images) == 1
+            act[i][r] = images.pop()
+    mneg = []
+    for i in range(q):
+        images = {coset_of[module.mneg_table[a]] for a in bits(cosets[i])}
+        assert len(images) == 1
+        mneg.append(images.pop())
+    out = HyperModule(module.ring, madd, mneg, act, unital=module.unital)
+    assert out.validate().ok
+    return tuple(cosets), coset_of, out.encoding()
+
+
+# the shared helpers against their oracles
+
+
+def test_is_hyperideal_matches_the_old_check(corpus4):
+    clauses = set()
+    for ring in (e.ring for e in corpus4):
+        for s in range(1 << ring.order):
+            for sidedness in SIDEDNESS:
+                check = is_hyperideal(ring, ring.carrier.from_mask(s), sidedness)
+                assert check == old_is_hyperideal(ring, s, sidedness)
+                clauses.add(check.clause)
+    assert clauses == {"", "zero", "neg-closure", "add-closure",
+                       "right-absorption", "left-absorption"}
+
+
+def test_generated_ideal_matches_the_old_loop(corpus4):
+    for ring in (e.ring for e in corpus4):
+        for s in range(1 << ring.order):
+            for sidedness in SIDEDNESS:
+                got = generated_ideal(ring, ring.carrier.from_mask(s), sidedness)
+                assert got.key == old_generated_ideal(ring, s, sidedness)
+
+
+def regular_and_quotients(ring, lattice):
+    reg = regular_module(ring)
+    mods = [reg]
+    for m in lattice.maximal_right:
+        mods.append(quotient_module(reg, reg.carrier.from_mask(m.members.mask)).module)
+    return mods
+
+
+def test_module_closure_matches_the_old_loops(corpus4):
+    seen = set()
+    for ring in (e.ring for e in corpus4):
+        for module in regular_and_quotients(ring, IdealLattice.build(ring)):
+            for s in range(1 << module.order):
+                ok = is_subhypermodule(module, module.carrier.from_mask(s)).ok
+                assert ok == old_is_subhypermodule(module, s)
+                seen.add(ok)
+            expected = [s for s in range(1 << module.order) if old_is_subhypermodule(module, s)]
+            assert [m.mask for m in enumerate_subhypermodules(module)] == expected
+            for m in range(module.order):
+                assert cyclic_submodule(module, m).mask == old_cyclic_submodule(module, m)
+    assert seen == {False, True}
+
+
+def test_quotients_match_the_old_coset_code(corpus4):
+    quotients = 0
+    for ring in (e.ring for e in corpus4):
+        lattice = IdealLattice.build(ring)
+        for ideal in lattice.two_sided:
+            q = quotient_ring(ring, ideal)
+            got = (q.cosets, q.coset_of, q.ring.encoding())
+            assert got == old_quotient_ring(ring, ideal.key)
+            quotients += 1
+        reg = regular_module(ring)
+        for ideal in lattice.right:
+            q = quotient_module(reg, reg.carrier.from_mask(ideal.key))
+            got = (q.cosets, q.coset_of, q.module.encoding())
+            assert got == old_quotient_module(reg, ideal.key)
+            quotients += 1
+    assert quotients
+
+
+def test_the_scan_bound_fires_before_any_work(z4, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("scanned past the bound")
+
+    monkeypatch.setattr(ideals, "closed_subsets", refuse)
+    monkeypatch.setattr(hypermodules, "closed_subsets", refuse)
+    with pytest.raises(BoundExceededError):
+        enumerate_ideals(z4, "two-sided", bound=3)
+    with pytest.raises(BoundExceededError):
+        enumerate_subhypermodules(regular_module(z4), bound=3)

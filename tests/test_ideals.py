@@ -102,6 +102,25 @@ def test_ideal_sum_and_product_z6(z6):
     assert ideal_product(a, b).members.members == (0,)
 
 
+def test_meet_and_sum_keep_the_shared_sidedness(corpus4):
+    # r4_7 has the right ideal {0,2}, which is not two sided; combined
+    # with a two sided ideal the result is a right ideal again
+    ring = next(e.ring for e in corpus4 if e.name == "r4_7")
+    lattice = IdealLattice.build(ring)
+    right = next(i for i in lattice.right if i.members.members == (0, 2))
+    assert not is_hyperideal(ring, right.members, "two-sided")
+    whole = next(i for i in lattice.two_sided if not i.proper)
+    zero = next(i for i in lattice.two_sided if i.members.members == (0,))
+    for out in (ideal_intersection([right, whole]), ideal_sum([right, zero]),
+                ideal_sum([zero, right])):
+        assert out.sidedness == "right"
+        assert out.members.members == (0, 2)
+    left = HyperIdeal(ring, [0], "left")
+    for combine in (ideal_intersection, ideal_sum):
+        with pytest.raises(ValueError, match="left and right"):
+            combine([left, whole, right])
+
+
 def test_product_lands_inside_intersection(corpus3):
     for entry in corpus3:
         lattice = IdealLattice.build(entry.ring)
