@@ -49,14 +49,26 @@ def mask_of(members) -> int:
     return m
 
 
-def bits(mask: int):
-    """Indices of the set bits of ``mask``, ascending."""
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+def _bits_table(width: int) -> tuple:
+    table = [()]
+    for m in range(1, 1 << width):
+        top = m.bit_length() - 1
+        table.append(table[m ^ 1 << top] + (top,))
+    return tuple(table)
+
+
+# the answer of ``bits`` for every mask over at most 12 elements, the
+# widest carrier the ideal and submodule scans accept
+# (ideals.ENUMERATION_BOUND); 4096 tuples, built once at import
+_BITS = _bits_table(12)
+
+
+def bits(mask: int) -> tuple:
+    """Indices of the set bits of the non-negative ``mask``, ascending."""
+    try:
+        return _BITS[mask]
+    except IndexError:
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class Carrier:
@@ -154,7 +166,7 @@ class ElementSet:
         return 0 <= i < self.carrier.size and self.mask >> i & 1 == 1
 
     def __iter__(self):
-        return bits(self.mask)
+        return iter(bits(self.mask))
 
     def __len__(self):
         return self.mask.bit_count()
@@ -164,7 +176,7 @@ class ElementSet:
 
     @property
     def members(self) -> tuple:
-        return tuple(bits(self.mask))
+        return bits(self.mask)
 
     def is_full(self) -> bool:
         return self.mask == self.carrier.full_mask
@@ -618,7 +630,7 @@ def search(sizes, rules) -> list:
 
 
 def sum_rule(x: int, y: int, parts, add) -> tuple:
-    """Search rule: the values of the cells in the list ``parts``, as a
+    """Search rule: the values of the cells listed in ``parts``, as a
     set, are exactly add[values[x]][values[y]]."""
 
     def test(values, i):
@@ -633,7 +645,7 @@ def sum_rule(x: int, y: int, parts, add) -> tuple:
 def strong_addition_rules(add, target_add) -> list:
     """Search rules for maps f (cell a holds f(a)): the image of each
     hypersum a + b is the target hypersum f(a) + f(b)."""
-    return [sum_rule(a, b, list(bits(ab)), target_add)
+    return [sum_rule(a, b, bits(ab), target_add)
             for a, row in enumerate(add) for b, ab in enumerate(row)]
 
 

@@ -193,7 +193,7 @@ def mult_tables(n: int, add) -> tuple:
     for a in range(1, n):
         for b in range(1, n):
             for c in range(b, n):
-                terms = list(bits(add[b][c]))
+                terms = bits(add[b][c])
                 # a (b + c) = ab + ac and (b + c) a = ba + ca
                 rules.append(sum_rule(a * n + b, a * n + c, [a * n + t for t in terms], add))
                 rules.append(sum_rule(b * n + a, c * n + a, [t * n + a for t in terms], add))

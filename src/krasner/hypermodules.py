@@ -284,7 +284,7 @@ def submodule(module: HyperModule, members) -> HyperModule:
     if not check:
         raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
     s = members.mask if isinstance(members, ElementSet) else module.subset(members).mask
-    elems = list(bits(s))
+    elems = bits(s)
     index = {e: i for i, e in enumerate(elems)}
     madd = [[[index[t] for t in bits(module.madd_masks[a][b])] for b in elems] for a in elems]
     mneg = [index[module.mneg_table[a]] for a in elems]

@@ -271,7 +271,7 @@ def closure_check(s: int, add, neg, actions) -> IdealCheck:
     order; the witness is the first failure in that order."""
     if not s & 1:
         return IdealCheck(False, "zero", (), "must contain the additive identity")
-    members = tuple(bits(s))
+    members = bits(s)
     for a in members:
         if not s >> neg[a] & 1:
             return IdealCheck(False, "neg-closure", (a,), f"-{a} = {neg[a]} escapes the set")
@@ -293,7 +293,7 @@ def closure(mask: int, add, neg, actions) -> int:
     mask |= 1
     while True:
         grown = mask
-        members = tuple(bits(mask))
+        members = bits(mask)
         for a in members:
             grown |= 1 << neg[a]
             row = add[a]
@@ -371,12 +371,28 @@ def induced_value_table(table, cosets, coset_of, columns) -> list:
     return out
 
 
+def _product_sidedness(a: HyperIdeal, b: HyperIdeal) -> str | None:
+    # r(xy) = (rx)y lies in ab when a absorbs on the left, and
+    # (xy)r = x(yr) when b absorbs on the right; distributivity carries
+    # this over the hypersums of products
+    left = a.sidedness != "right"
+    right = b.sidedness != "left"
+    if left and right:
+        return "two-sided"
+    if left:
+        return "left"
+    return "right" if right else None
+
+
 def ideal_product(a, b, ring: HyperRing | None = None):
     """Product: all elements lying in finite sums of pairwise products.
 
     Accepts hyperideals or plain element sets over the same ring.  When
-    both inputs are hyperideals, the result is asserted to be one and is
-    returned as such; otherwise the raw element set comes back.
+    both inputs are hyperideals, the product absorbs on the left when a
+    does (left or two sided) and on the right when b does (right or two
+    sided); it is asserted to be a hyperideal of that sidedness and is
+    returned as such.  A right ideal times a left ideal has no side, and
+    then, as for plain element sets, the raw element set comes back.
     """
     a_ideal = isinstance(a, HyperIdeal)
     b_ideal = isinstance(b, HyperIdeal)
@@ -399,8 +415,8 @@ def ideal_product(a, b, ring: HyperRing | None = None):
         for y in bits(b_set.mask):
             products |= 1 << row[y]
     closed = sum_of_products_closure(ring.add_masks, products)
-    if a_ideal and b_ideal and a.sidedness == b.sidedness:
-        sided = a.sidedness
+    sided = _product_sidedness(a, b) if a_ideal and b_ideal else None
+    if sided is not None:
         check = is_hyperideal(ring, ring.carrier.from_mask(closed), sided)
         if not check:
             raise TheoremViolationError(
@@ -424,17 +440,30 @@ def generated_ideal(ring: HyperRing, members, sidedness: str = "two-sided") -> H
 
 
 def cross_check_generated(ring: HyperRing, members, lattice: IdealLattice) -> HyperIdeal:
-    """Lattice route for ``generated_ideal``: intersect every two sided
-    ideal containing the set.  Raises if the two routes disagree."""
+    """Lattice route for ``generated_ideal``: the meet of the two sided
+    ideals containing the set must equal its two sided closure.  Lattice
+    membership is the validation: the lattice scan already ran
+    ``closure_check`` on every mask holding 0, so the closure is an ideal
+    exactly when it is in ``lattice.two_sided``.  Returns that lattice
+    ideal; raises if the routes disagree or the closure is not in it."""
+    if lattice.ring is not ring:
+        raise ValueError("lattice belongs to a different ring")
+    ring.require_validated()
     mask = _as_mask(ring, members)
-    above = [i for i in lattice.two_sided if mask & ~i.members.mask == 0]
-    closed = generated_ideal(ring, members, "two-sided")
-    via_lattice = ideal_intersection(above) if above else None
-    if via_lattice is None or via_lattice.members.mask != closed.members.mask:
+    closed = closure(mask, ring.add_masks, ring.neg_table, _absorption(ring, "two-sided"))
+    meet = ring.carrier.full_mask
+    found = None
+    for ideal in lattice.two_sided:
+        key = ideal.members.mask
+        if mask & ~key == 0:
+            meet &= key
+        if key == closed:
+            found = ideal
+    if found is None or meet != closed:
         raise TheoremViolationError(
             f"generated ideal mismatch for {ring.subset(bits(mask))!r}"
         )
-    return closed
+    return found
 
 
 def nilpotent_elements(ring: HyperRing) -> ElementSet:

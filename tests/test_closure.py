@@ -7,11 +7,18 @@ subhypermodule checks, the two closure loops and the two coset
 quotients.  The shared helpers must give the same answers on every
 corpus ring of order <= 4, on its regular module and on its quotients
 by maximal right ideals.
+
+The lattice cross-check of generated ideals is refereed the same way, by
+the route it replaced: ``generated_ideal`` and ``ideal_intersection``,
+each building a checked ideal, compared on masks.
 """
+
+import dataclasses
 
 import pytest
 
-from krasner.core import BoundExceededError, HyperRing, bits
+from krasner.catalog import cyclic_ring
+from krasner.core import BoundExceededError, HyperRing, TheoremViolationError, bits
 from krasner.hypermodules import (
     HyperModule,
     cyclic_submodule,
@@ -25,8 +32,10 @@ from krasner.ideals import (
     SIDEDNESS,
     IdealCheck,
     IdealLattice,
+    cross_check_generated,
     enumerate_ideals,
     generated_ideal,
+    ideal_intersection,
     is_hyperideal,
     quotient_ring,
 )
@@ -76,6 +85,15 @@ def old_generated_ideal(ring, mask, sidedness):
         if grown == mask:
             return mask
         mask = grown
+
+
+def old_cross_check_generated(ring, mask, lattice):
+    above = [i for i in lattice.two_sided if mask & ~i.key == 0]
+    closed = generated_ideal(ring, ring.carrier.from_mask(mask), "two-sided")
+    via_lattice = ideal_intersection(above) if above else None
+    if via_lattice is None or via_lattice.key != closed.key:
+        raise TheoremViolationError(f"generated ideal mismatch for {mask}")
+    return closed
 
 
 def old_is_subhypermodule(module, s):
@@ -211,6 +229,44 @@ def test_generated_ideal_matches_the_old_loop(corpus4):
             for sidedness in SIDEDNESS:
                 got = generated_ideal(ring, ring.carrier.from_mask(s), sidedness)
                 assert got.key == old_generated_ideal(ring, s, sidedness)
+
+
+def test_cross_check_matches_the_checked_route(corpus4):
+    for ring in (e.ring for e in corpus4):
+        lattice = IdealLattice.build(ring)
+        for s in range(1 << ring.order):
+            got = cross_check_generated(ring, ring.carrier.from_mask(s), lattice)
+            expected = old_cross_check_generated(ring, s, lattice)
+            assert (got.key, got.sidedness) == (expected.key, expected.sidedness)
+            assert got in lattice.two_sided
+
+
+def test_cross_check_needs_the_closure_in_the_lattice(corpus4):
+    # with one ideal struck from the lattice, the ideal's own members
+    # close to a mask the lattice no longer vouches for, even where the
+    # meet of the ideals above it still agrees
+    meet_agreed = 0
+    for ring in (e.ring for e in corpus4):
+        lattice = IdealLattice.build(ring)
+        for ideal in lattice.two_sided:
+            rest = tuple(i for i in lattice.two_sided if i != ideal)
+            damaged = dataclasses.replace(lattice, two_sided=rest)
+            with pytest.raises(TheoremViolationError, match="generated ideal mismatch"):
+                cross_check_generated(ring, ideal.members, damaged)
+            above = [i for i in rest if ideal.key & ~i.key == 0]
+            if above and ideal_intersection(above).key == ideal.key:
+                meet_agreed += 1
+    assert meet_agreed
+
+
+def test_cross_check_refuses_another_rings_lattice(z4, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closure computed for a foreign lattice")
+
+    monkeypatch.setattr(ideals, "closure", refuse)
+    for other in (cyclic_ring(6), cyclic_ring(4)):
+        with pytest.raises(ValueError, match="different ring"):
+            cross_check_generated(z4, [0], IdealLattice.build(other))
 
 
 def regular_and_quotients(ring, lattice):

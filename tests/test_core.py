@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from krasner.catalog import cyclic_ring, hyperfield_k, standard_rings, zero_mul_ring
+from krasner import core
 from krasner.core import (
     Carrier,
     CarrierMismatchError,
@@ -16,7 +17,7 @@ from krasner.core import (
     neg_set,
     verify_hyperring,
 )
-from krasner.ideals import IdealLattice
+from krasner.ideals import ENUMERATION_BOUND, IdealLattice
 
 
 def ring_tables(ring):
@@ -140,6 +141,40 @@ def test_element_set_basics():
     assert c.subset([0, 1, 2, 3]).is_full()
     assert mask_of([1, 3]) == s.mask
     assert list(bits(0b1010)) == [1, 3]
+
+
+def old_bits(mask):
+    # the generator that ``bits`` was before it became a table lookup
+    i = 0
+    while mask:
+        if mask & 1:
+            yield i
+        mask >>= 1
+        i += 1
+
+
+def test_bits_matches_the_old_generator():
+    # every mask below 2^13 crosses the table edge at 2^12
+    for mask in range(1 << 13):
+        assert bits(mask) == tuple(old_bits(mask))
+    wide = [(1 << 40) - 1, 1 << 39, 0x5A5A5A5A5A, 0xF0F0F0F0F0 | 1, 0x8000000001]
+    for mask in wide:
+        got = bits(mask)
+        assert isinstance(got, tuple)
+        assert got == tuple(old_bits(mask))
+
+
+def test_the_bits_table_covers_every_ideal_scan():
+    # the ideal and submodule scans refuse carriers above the bound, so
+    # every mask they walk is inside the table
+    assert len(core._BITS) == 1 << ENUMERATION_BOUND
+
+
+def test_a_ring_wider_than_the_bits_table_still_validates():
+    z13 = cyclic_ring(13)
+    assert verify_hyperring(z13).ok
+    assert z13.full_set().members == tuple(range(13))
+    assert list(z13.full_set()) == list(range(13))
 
 
 def test_element_set_rejects_out_of_range():

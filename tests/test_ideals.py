@@ -121,6 +121,58 @@ def test_meet_and_sum_keep_the_shared_sidedness(corpus4):
             combine([left, whole, right])
 
 
+def test_mixed_products_are_ideals_on_the_sides_that_absorb(corpus4):
+    # r4_7: the whole ring times the right ideal {0,2} absorbs on the
+    # left through the whole ring and on the right through {0,2}
+    ring = next(e.ring for e in corpus4 if e.name == "r4_7")
+    lattice = IdealLattice.build(ring)
+    right = next(i for i in lattice.right if i.members.members == (0, 2))
+    whole = next(i for i in lattice.two_sided if not i.proper)
+    prod = ideal_product(whole, right)
+    assert isinstance(prod, HyperIdeal)
+    assert (prod.sidedness, prod.members.members) == ("two-sided", (0, 1, 2, 3))
+    prod = ideal_product(right, whole)
+    assert isinstance(prod, HyperIdeal)
+    assert (prod.sidedness, prod.members.members) == ("right", (0, 2))
+
+
+def absorbs(ring, mask, left, right):
+    mul, n = ring.mul_table, ring.order
+    for x in range(n):
+        if mask >> x & 1:
+            for r in range(n):
+                if left and not mask >> mul[r][x] & 1:
+                    return False
+                if right and not mask >> mul[x][r] & 1:
+                    return False
+    return True
+
+
+def test_product_sidedness_rule(corpus3):
+    # left absorption comes from a, right absorption from b; a right
+    # ideal times a left ideal has no side and stays an element set
+    seen = set()
+    for entry in corpus3:
+        ring = entry.ring
+        family = [i for side in ("left", "right", "two-sided")
+                  for i in enumerate_ideals(ring, side)]
+        for a in family:
+            for b in family:
+                prod = ideal_product(a, b)
+                left = a.sidedness in ("left", "two-sided")
+                right = b.sidedness in ("right", "two-sided")
+                if not (left or right):
+                    assert not isinstance(prod, HyperIdeal)
+                    continue
+                expected = {(True, True): "two-sided", (True, False): "left",
+                            (False, True): "right"}[(left, right)]
+                assert isinstance(prod, HyperIdeal)
+                assert prod.sidedness == expected
+                assert absorbs(ring, prod.key, left, right)
+                seen.add((a.sidedness, b.sidedness))
+    assert len(seen) == 8
+
+
 def test_product_lands_inside_intersection(corpus3):
     for entry in corpus3:
         lattice = IdealLattice.build(entry.ring)
