@@ -36,7 +36,7 @@ for m in lattice.maximal_right:
           f"order {module.order}, simple: {is_simple(module)}")
     print(f"  annihilator {{{','.join(map(str, ann.members))}}}")
 
-certs = prim_certificates(ring, lattice)
+certs = prim_certificates(ring)
 print(f"\nprimitive hyperideals of {ring.name}:")
 for c in certs:
     print(f"  {{{','.join(map(str, c.ideal.members))}}} "

@@ -13,7 +13,8 @@ algebra below is integer arithmetic.
 Structures built from raw tables start out unchecked.  Run ``validate()``
 (or the individual ``verify_*`` functions) before handing a structure to
 the lattice, module, or spectrum layers; those layers refuse unchecked
-input rather than silently trusting a table.
+input rather than silently trusting a table, and keep what they derive
+from a checked structure on it (``derived``).
 """
 
 from __future__ import annotations
@@ -274,7 +275,8 @@ class HyperRing:
     ``require_validated()`` first.
     """
 
-    __slots__ = ("carrier", "add_masks", "neg_table", "mul_table", "unit", "name", "_checked")
+    __slots__ = ("carrier", "add_masks", "neg_table", "mul_table", "unit", "name",
+                 "_checked", "_derived")
 
     def __init__(self, add, neg, mul, unit=None, name=None):
         neg_t = tuple(int(v) for v in neg)
@@ -288,6 +290,7 @@ class HyperRing:
         self.unit = None if unit is None else self.carrier.check_element(int(unit))
         self.name = name
         self._checked = False
+        self._derived = {}
 
     @property
     def order(self) -> int:
@@ -369,6 +372,15 @@ class RingReport:
             "hypergroup": self.hypergroup.as_dict(),
             "ring": self.ring.as_dict(),
         }
+
+
+def derived(obj, key, build):
+    """What build() returns for the validated structure obj, built on the
+    first request for key and kept in obj._derived."""
+    obj.require_validated()
+    if key not in obj._derived:
+        obj._derived[key] = build()
+    return obj._derived[key]
 
 
 def hypersum(ring: HyperRing, x: ElementSet, y: ElementSet) -> ElementSet:

@@ -28,6 +28,7 @@ from .core import (
     _normalize_set_table,
     _normalize_value_table,
     bits,
+    derived,
     hypergroup_checks,
     mask_of,
     search,
@@ -58,7 +59,7 @@ class HyperModule:
     """
 
     __slots__ = ("ring", "carrier", "madd_masks", "mneg_table", "act_table",
-                 "unital", "name", "_checked")
+                 "unital", "name", "_checked", "_derived")
 
     def __init__(self, ring: HyperRing, madd, mneg, act, unital=False, name=None):
         # construction stays permissive so broken fixtures can be built
@@ -75,6 +76,7 @@ class HyperModule:
         self.unital = bool(unital)
         self.name = name
         self._checked = False
+        self._derived = {}
 
     @property
     def order(self) -> int:
@@ -230,22 +232,23 @@ def verify_hypermodule(module: HyperModule) -> VerificationReport:
 
 
 def regular_module(ring: HyperRing) -> HyperModule:
-    """The ring acting on itself from the right."""
-    ring.require_validated()
-    mod = HyperModule(
-        ring,
-        madd=[[list(bits(m)) for m in row] for row in ring.add_masks],
-        mneg=ring.neg_table,
-        act=[list(row) for row in ring.mul_table],
-        unital=ring.is_unital,
-        name=f"{ring.name or 'R'} as module",
-    )
-    report = mod.validate()
-    if not report.ok:
-        raise TheoremViolationError(
-            f"regular module of a verified ring failed validation: {report.failures}"
+    """The ring acting on itself from the right, kept on the ring."""
+    def build():
+        mod = HyperModule(
+            ring,
+            madd=[[list(bits(m)) for m in row] for row in ring.add_masks],
+            mneg=ring.neg_table,
+            act=[list(row) for row in ring.mul_table],
+            unital=ring.is_unital,
+            name=f"{ring.name or 'R'} as module",
         )
-    return mod
+        report = mod.validate()
+        if not report.ok:
+            raise TheoremViolationError(
+                f"regular module of a verified ring failed validation: {report.failures}"
+            )
+        return mod
+    return derived(ring, "regular", build)
 
 
 def _action(module: HyperModule) -> list:
@@ -349,7 +352,7 @@ def annihilator(module: HyperModule) -> HyperIdeal:
         raise TheoremViolationError(
             f"annihilator failed {check.clause} at {check.witness}"
         )
-    return HyperIdeal(module.ring, good, "two-sided")
+    return HyperIdeal._trusted(module.ring, mask_of(good), "two-sided")
 
 
 @dataclass(frozen=True)
@@ -364,27 +367,30 @@ class ModuleQuotient:
 
 def quotient_module(module: HyperModule, members) -> ModuleQuotient:
     """M / K for a subhypermodule K, tables checked to be representative
-    independent and the result validated."""
+    independent and the result validated, once: the module keeps it."""
     check = is_subhypermodule(module, members)
     if not check:
         raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
     k = members if isinstance(members, ElementSet) else module.subset(members)
-    cosets, coset_of = coset_partition(module.madd_masks, k.mask)
-    madd = induced_set_table(module.madd_masks, cosets, coset_of)
-    ring_elements = [1 << r for r in range(module.ring.order)]
-    act = induced_value_table(module.act_table, cosets, coset_of, ring_elements)
-    negs = induced_value_table([(v,) for v in module.mneg_table], cosets, coset_of, (1,))
-    mneg = [row[0] for row in negs]
 
-    out = HyperModule(module.ring, madd, mneg, act, unital=module.unital,
-                      name=f"{module.name or 'M'}/{k!r}")
-    report = out.validate()
-    if not report.ok:
-        raise TheoremViolationError(
-            f"quotient by a verified subhypermodule failed validation: {report.failures}"
-        )
-    projection = ModuleHom(module, out, coset_of, name="project")
-    return ModuleQuotient(out, module, k, cosets, coset_of, projection)
+    def build():
+        cosets, coset_of = coset_partition(module.madd_masks, k.mask)
+        madd = induced_set_table(module.madd_masks, cosets, coset_of)
+        ring_elements = [1 << r for r in range(module.ring.order)]
+        act = induced_value_table(module.act_table, cosets, coset_of, ring_elements)
+        negs = induced_value_table([(v,) for v in module.mneg_table], cosets, coset_of, (1,))
+        mneg = [row[0] for row in negs]
+
+        out = HyperModule(module.ring, madd, mneg, act, unital=module.unital,
+                          name=f"{module.name or 'M'}/{k!r}")
+        report = out.validate()
+        if not report.ok:
+            raise TheoremViolationError(
+                f"quotient by a verified subhypermodule failed validation: {report.failures}"
+            )
+        projection = ModuleHom(module, out, coset_of, name="project")
+        return ModuleQuotient(out, module, k, cosets, coset_of, projection)
+    return derived(module, ("quotient", k.mask), build)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from .core import (
     HyperRing,
     TheoremViolationError,
     bits,
+    derived,
     hypersum,
     mask_of,
 )
@@ -156,13 +157,16 @@ class IdealLattice:
     maximal_right: tuple
 
     @classmethod
-    def build(cls, ring: HyperRing, bound: int = ENUMERATION_BOUND) -> "IdealLattice":
-        two_sided = enumerate_ideals(ring, "two-sided", bound)
-        right = enumerate_ideals(ring, "right", bound)
-        maximal = tuple(i for i in two_sided if _is_maximal_in(i, two_sided))
-        prime = tuple(i for i in two_sided if i.proper and _prime_witness(i, two_sided) is None)
-        maximal_right = tuple(i for i in right if _is_maximal_in(i, right))
-        return cls(ring, two_sided, right, maximal, prime, maximal_right)
+    def build(cls, ring: HyperRing) -> "IdealLattice":
+        def build():
+            two_sided = enumerate_ideals(ring, "two-sided")
+            right = enumerate_ideals(ring, "right")
+            maximal = tuple(i for i in two_sided if _is_maximal_in(i, two_sided))
+            prime = tuple(i for i in two_sided
+                          if i.proper and _prime_witness(i, two_sided) is None)
+            maximal_right = tuple(i for i in right if _is_maximal_in(i, right))
+            return cls(ring, two_sided, right, maximal, prime, maximal_right)
+        return derived(ring, "lattice", build)
 
     def proper_two_sided(self) -> tuple:
         return tuple(i for i in self.two_sided if i.proper)
@@ -541,29 +545,32 @@ def quotient_ring(ring: HyperRing, ideal: HyperIdeal) -> Quotient:
 
     Cosets are a + r; the tables are built from representatives and
     checked to be representative independent, then the quotient is
-    validated like any other ring.
+    validated like any other ring, once: the ring keeps it by mask.
     """
     ring.require_validated()
     if ideal.ring is not ring:
         raise ValueError("ideal belongs to a different ring")
     if ideal.sidedness != "two-sided":
         raise ValueError("quotients need a two sided hyperideal")
-    cosets, coset_of = coset_partition(ring.add_masks, ideal.members.mask)
-    add = induced_set_table(ring.add_masks, cosets, coset_of)
-    mul = induced_value_table(ring.mul_table, cosets, coset_of, cosets)
-    negs = induced_value_table([(v,) for v in ring.neg_table], cosets, coset_of, (1,))
-    neg = [row[0] for row in negs]
 
-    unit = None if ring.unit is None else coset_of[ring.unit]
-    label = f"{ring.name or 'R'}/{ideal.members!r}"
-    out = HyperRing(add, neg, mul, unit=unit, name=label)
-    report = out.validate()
-    if not report.ok:
-        raise TheoremViolationError(
-            f"quotient by a verified ideal failed validation: {report.failures}"
-        )
+    def build():
+        cosets, coset_of = coset_partition(ring.add_masks, ideal.members.mask)
+        add = induced_set_table(ring.add_masks, cosets, coset_of)
+        mul = induced_value_table(ring.mul_table, cosets, coset_of, cosets)
+        negs = induced_value_table([(v,) for v in ring.neg_table], cosets, coset_of, (1,))
+        neg = [row[0] for row in negs]
 
-    from .morphisms import RingHom
+        unit = None if ring.unit is None else coset_of[ring.unit]
+        label = f"{ring.name or 'R'}/{ideal.members!r}"
+        out = HyperRing(add, neg, mul, unit=unit, name=label)
+        report = out.validate()
+        if not report.ok:
+            raise TheoremViolationError(
+                f"quotient by a verified ideal failed validation: {report.failures}"
+            )
 
-    projection = RingHom(ring, out, coset_of, name=f"project {label}")
-    return Quotient(out, ring, ideal, cosets, coset_of, projection)
+        from .morphisms import RingHom
+
+        projection = RingHom(ring, out, coset_of, name=f"project {label}")
+        return Quotient(out, ring, ideal, cosets, coset_of, projection)
+    return derived(ring, ("quotient", ideal.members.mask), build)

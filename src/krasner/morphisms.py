@@ -4,6 +4,8 @@ induce on primitive ideal spaces.
 Strong means the image of a hypersum equals the hypersum of the images.
 The weaker inclusion-only notion shows up in failure details so a near
 miss is distinguishable from a wild map, but nothing here accepts it.
+Spaces and lattices come from the builders that keep them on each ring,
+so nothing here takes a prebuilt one.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def kernel_ideal(hom: RingHom) -> HyperIdeal:
         raise TheoremViolationError(
             f"kernel of a strong hom failed {check.clause} at {check.witness}"
         )
-    return HyperIdeal(hom.source, members, "two-sided")
+    return HyperIdeal._trusted(hom.source, mask_of(members), "two-sided")
 
 
 def preimage_ideal(hom: RingHom, ideal: HyperIdeal) -> HyperIdeal:
@@ -131,7 +133,7 @@ def preimage_ideal(hom: RingHom, ideal: HyperIdeal) -> HyperIdeal:
             f"preimage of a {ideal.sidedness} hyperideal failed "
             f"{check.clause} at {check.witness}"
         )
-    return HyperIdeal(hom.source, members, ideal.sidedness)
+    return HyperIdeal._trusted(hom.source, mask_of(members), ideal.sidedness)
 
 
 def compose(outer: RingHom, inner: RingHom) -> RingHom:
@@ -209,12 +211,10 @@ class InducedMap:
         return self.apply(self.domain.full_pmask)
 
 
-def induced_map(hom: RingHom, domain: SpectrumSpace | None = None,
-                codomain: SpectrumSpace | None = None) -> InducedMap:
-    if domain is None:
-        domain = SpectrumSpace.build(hom.target)
-    if codomain is None:
-        codomain = SpectrumSpace.build(hom.source)
+def induced_map(hom: RingHom) -> InducedMap:
+    """Pullback from the target's space to the source's."""
+    domain = SpectrumSpace.build(hom.target)
+    codomain = SpectrumSpace.build(hom.source)
     lookup = {m: i for i, m in enumerate(codomain.point_masks)}
     point_map = []
     escapes = []
@@ -288,14 +288,14 @@ class DensityReport:
         return self.dense == self.kernel_in_radical
 
 
-def check_density(imap: InducedMap, lattice: IdealLattice | None = None) -> DensityReport:
+def check_density(imap: InducedMap) -> DensityReport:
     """Compare density of the pullback image against the kernel sitting
     inside the intersection of the primes."""
     if not imap.total:
         raise ValueError("density check expects a total map")
     image = imap.image_pmask()
     dense = imap.codomain.closure(image) == imap.codomain.full_pmask
-    rad = nil_radical(imap.hom.source, lattice or IdealLattice.build(imap.hom.source))
+    rad = nil_radical(imap.hom.source, IdealLattice.build(imap.hom.source))
     ker = kernel_ideal(imap.hom)
     return DensityReport(dense=dense,
                          kernel_in_radical=ker.members.mask & ~rad.members.mask == 0)
@@ -312,13 +312,11 @@ class RadicalQuotientReport:
         return self.total and self.bijective and self.closed_sets_correspond
 
 
-def check_radical_homeomorphism(ring: HyperRing,
-                                lattice: IdealLattice | None = None) -> RadicalQuotientReport:
+def check_radical_homeomorphism(ring: HyperRing) -> RadicalQuotientReport:
     """Killing the intersection of the primes should not move the
     primitive ideal space: the projection's pullback must be a bijection
     matching closed sets both ways."""
-    lat = lattice or IdealLattice.build(ring)
-    rad = nil_radical(ring, lat)
+    rad = nil_radical(ring, IdealLattice.build(ring))
     quot = quotient_ring(ring, rad)
     imap = induced_map(quot.projection)
     if not imap.total:

@@ -5,14 +5,15 @@ simple right hypermodule.  The hunt goes through the regular module: for
 a maximal right hyperideal m that does not swallow every product, R/m is
 a simple module and its annihilator is primitive.  Each certificate keeps
 the witness module around so downstream checks can re-verify simplicity
-instead of trusting us.
+instead of trusting us.  The ring keeps its certificates, like its
+lattice, so nothing here takes a lattice argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HyperRing, TheoremViolationError, bits, mask_of, search, sum_rule
+from .core import HyperRing, TheoremViolationError, bits, derived, mask_of, search, sum_rule
 from .hypermodules import (
     HyperModule,
     annihilator,
@@ -79,33 +80,33 @@ def prim_from_maximal_right(ring: HyperRing, m: HyperIdeal) -> PrimitiveCertific
     return PrimitiveCertificate(ideal=p, maximal_right=m, module=mod)
 
 
-def prim_certificates(ring: HyperRing, lattice: IdealLattice | None = None) -> tuple:
+def prim_certificates(ring: HyperRing) -> tuple:
     """One certificate per primitive ideal, in canonical member order."""
-    if lattice is None:
-        lattice = IdealLattice.build(ring)
-    seen = set()
-    certs = []
-    for m in lattice.maximal_right:
-        cert = prim_from_maximal_right(ring, m)
-        if cert is None or cert.ideal.key in seen:
-            continue
-        seen.add(cert.ideal.key)
-        certs.append(cert)
-    certs.sort(key=lambda c: c.ideal.key)
-    return tuple(certs)
+    def build():
+        seen = set()
+        certs = []
+        for m in IdealLattice.build(ring).maximal_right:
+            cert = prim_from_maximal_right(ring, m)
+            if cert is None or cert.ideal.key in seen:
+                continue
+            seen.add(cert.ideal.key)
+            certs.append(cert)
+        certs.sort(key=lambda c: c.ideal.key)
+        return tuple(certs)
+    return derived(ring, "certificates", build)
 
 
-def prim_set(ring: HyperRing, lattice: IdealLattice | None = None) -> tuple:
-    return tuple(c.ideal for c in prim_certificates(ring, lattice))
+def prim_set(ring: HyperRing) -> tuple:
+    return tuple(c.ideal for c in prim_certificates(ring))
 
 
-def is_primitive(ideal: HyperIdeal, lattice: IdealLattice | None = None) -> bool:
-    return ideal.key in {p.key for p in prim_set(ideal.ring, lattice)}
+def is_primitive(ideal: HyperIdeal) -> bool:
+    return ideal.key in {p.key for p in prim_set(ideal.ring)}
 
 
-def is_primitive_ring(ring: HyperRing, lattice: IdealLattice | None = None) -> bool:
+def is_primitive_ring(ring: HyperRing) -> bool:
     """Primitive ring: the zero ideal annihilates a simple module."""
-    return any(c.ideal.members.mask == 1 for c in prim_certificates(ring, lattice))
+    return any(c.ideal.members.mask == 1 for c in prim_certificates(ring))
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,10 @@ class BiconditionalReport:
     mismatches: tuple  # (ideal, in_prim_set, quotient_is_primitive)
 
 
-def check_primitive_iff_quotient_primitive(
-    ring: HyperRing, lattice: IdealLattice | None = None
-) -> BiconditionalReport:
-    if lattice is None:
-        lattice = IdealLattice.build(ring)
-    prim_keys = {p.key for p in prim_set(ring, lattice)}
+def check_primitive_iff_quotient_primitive(ring: HyperRing) -> BiconditionalReport:
+    prim_keys = {p.key for p in prim_set(ring)}
     mismatches = []
-    for p in lattice.two_sided:
+    for p in IdealLattice.build(ring).two_sided:
         if not p.proper:
             continue
         left = p.key in prim_keys
@@ -186,14 +183,11 @@ def enumerate_simple_modules(ring: HyperRing, max_order: int = 3) -> tuple:
     return tuple(found)
 
 
-def rogue_annihilators(ring: HyperRing, lattice: IdealLattice | None = None,
-                       max_order: int = 3) -> tuple:
+def rogue_annihilators(ring: HyperRing, max_order: int = 3) -> tuple:
     """Annihilators of small simple modules that the maximal right ideal
     hunt did not produce.  Expected empty; returned as (ideal, module)
     pairs rather than asserted, so sweeps can report them."""
-    if lattice is None:
-        lattice = IdealLattice.build(ring)
-    known = {p.key for p in prim_set(ring, lattice)}
+    known = {p.key for p in prim_set(ring)}
     rogues = {}
     for module in enumerate_simple_modules(ring, max_order):
         p = annihilator(module)

@@ -12,8 +12,9 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .core import BoundExceededError, ElementSet, HyperRing, bits
-from .ideals import HyperIdeal, IdealLattice, ideal_sum
+from .core import BoundExceededError, ElementSet, HyperRing, bits, derived
+from .ideals import HyperIdeal, ideal_sum
+from .primitivity import prim_certificates
 
 MATERIALIZE_BOUND = 15
 FULL_KURATOWSKI_BOUND = 7  # pair sweeps touch 4^k subsets
@@ -36,10 +37,8 @@ class SpectrumSpace:
         self._closed = None
 
     @classmethod
-    def build(cls, ring: HyperRing, lattice: IdealLattice | None = None) -> "SpectrumSpace":
-        from .primitivity import prim_certificates
-
-        return cls(ring, prim_certificates(ring, lattice))
+    def build(cls, ring: HyperRing) -> "SpectrumSpace":
+        return derived(ring, "space", lambda: cls(ring, prim_certificates(ring)))
 
     @property
     def size(self) -> int:

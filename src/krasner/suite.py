@@ -74,44 +74,18 @@ SCHEMA = "krasner-suite/1"
 
 
 class RingContext:
-    """One ring with its derived objects, built once and shared by the
-    checks."""
+    """One ring as the checks see it.  The builders keep each derived
+    object on the ring, so every check shares one of each."""
 
     def __init__(self, ring):
         ring.require_validated()
         self.ring = ring
-        self._lattice = None
-        self._certs = None
-        self._space = None
-        self._regular = None
 
-    @property
-    def lattice(self):
-        if self._lattice is None:
-            self._lattice = IdealLattice.build(self.ring)
-        return self._lattice
-
-    @property
-    def certs(self):
-        if self._certs is None:
-            self._certs = prim_certificates(self.ring, self.lattice)
-        return self._certs
-
-    @property
-    def space(self):
-        if self._space is None:
-            self._space = SpectrumSpace(self.ring, self.certs)
-        return self._space
-
-    @property
-    def regular(self):
-        if self._regular is None:
-            self._regular = regular_module(self.ring)
-        return self._regular
-
-    @property
-    def unital(self):
-        return self.ring.is_unital
+    lattice = property(lambda self: IdealLattice.build(self.ring))
+    certs = property(lambda self: prim_certificates(self.ring))
+    space = property(lambda self: SpectrumSpace.build(self.ring))
+    regular = property(lambda self: regular_module(self.ring))
+    unital = property(lambda self: self.ring.is_unital)
 
 
 @dataclass(frozen=True)
@@ -184,10 +158,11 @@ def check_product_inside_intersection(ctx):
 def check_generated_ideal_cross_oracle(ctx):
     cid = "generated-ideal-cross-oracle"
     n = ctx.ring.order
+    lattice = ctx.lattice
     for mask in range(1 << n):
         members = ctx.ring.carrier.from_mask(mask)
         try:
-            cross_check_generated(ctx.ring, members, ctx.lattice)
+            cross_check_generated(ctx.ring, members, lattice)
         except TheoremViolationError as e:
             return _fail(cid, str(e))
     return _pass(cid, f"agreed on all {1 << n} generating sets")
@@ -312,7 +287,7 @@ def check_maximal_implies_primitive(ctx):
 
 def check_primitive_iff_quotient_primitive(ctx):
     cid = "primitive-iff-quotient-primitive"
-    report = quotient_primitivity_report(ctx.ring, ctx.lattice)
+    report = quotient_primitivity_report(ctx.ring)
     if report.ok:
         return _pass(cid)
     p, left, right = report.mismatches[0]
@@ -496,7 +471,7 @@ def check_induced_map_continuity(ctx):
     total_maps = 0
     partial = 0
     for hom in enumerate_ring_homs(ctx.ring, ctx.ring):
-        imap = induced_map(hom, domain=ctx.space, codomain=ctx.space)
+        imap = induced_map(hom)
         if not imap.total:
             partial += 1
             continue
@@ -511,7 +486,7 @@ def check_induced_map_continuity(ctx):
 
 def check_radical_quotient_homeomorphism(ctx):
     cid = "radical-quotient-homeomorphism"
-    report = check_radical_homeomorphism(ctx.ring, ctx.lattice)
+    report = check_radical_homeomorphism(ctx.ring)
     if report.ok:
         return _pass(cid)
     return _fail(cid, f"total={report.total} bijective={report.bijective} "
@@ -525,7 +500,7 @@ def check_surjection_embedding(ctx):
     checked = 0
     for a in ctx.lattice.two_sided:
         quot = quotient_ring(ctx.ring, a)
-        imap = induced_map(quot.projection, codomain=ctx.space)
+        imap = induced_map(quot.projection)
         if not imap.total:
             return _fail(cid, f"projection mod {a.members!r} pulls a primitive "
                               "outside the space")
@@ -535,7 +510,7 @@ def check_surjection_embedding(ctx):
                               f"injective={report.injective} "
                               f"image={report.image_is_kernel_vanishing} "
                               f"closed={report.closed_sets_correspond}")
-        density = check_density(imap, ctx.lattice)
+        density = check_density(imap)
         if not density.agree:
             return _fail(cid, f"projection mod {a.members!r}: dense={density.dense} "
                               f"kernel in radical={density.kernel_in_radical}")
@@ -560,7 +535,7 @@ def check_rogue_simple_modules(ctx):
     cid = "rogue-simple-modules"
     if ctx.ring.order > 3:
         return _skip(cid, "module table search bounded to very small rings")
-    rogues = rogue_annihilators(ctx.ring, ctx.lattice, max_order=3)
+    rogues = rogue_annihilators(ctx.ring, max_order=3)
     if not rogues:
         return _pass(cid, "no simple module hides from the maximal right ideals")
     names = ", ".join(repr(p.members) for p, _ in rogues)
@@ -680,6 +655,9 @@ def run_ring_checks(ring, check_ids=None) -> tuple:
         if wanted is not None and cid not in wanted:
             continue
         results.append(fn(ctx))
+    # corpus rings live on in corpus._CACHE; drop what the checks kept on
+    # this one, or the lattices, quotients and spaces pile up over a sweep
+    ring._derived.clear()
     return tuple(results)
 
 
@@ -749,8 +727,9 @@ def counterexample_search(kind, max_order=3, per_order_limit=None) -> SearchResu
                 found.append((entry.name, result.detail))
         else:
             if entry.ring.order <= 3:
-                for p, module in rogue_annihilators(entry.ring, ctx.lattice):
+                for p, module in rogue_annihilators(entry.ring):
                     found.append((entry.name,
                                   f"annihilator {p.members!r} from a module "
                                   f"of order {module.order}"))
+        entry.ring._derived.clear()  # as in run_ring_checks
     return SearchResult(kind=kind, scanned=len(entries), found=tuple(found))

@@ -86,7 +86,7 @@ def machinery(corpus4):
     out = {}
     for e in corpus4:
         lattice = IdealLattice.build(e.ring)
-        certs = prim_certificates(e.ring, lattice)
+        certs = prim_certificates(e.ring)
         out[e.name] = (e.ring, lattice, certs, SpectrumSpace(e.ring, certs))
     return out
 
@@ -273,7 +273,7 @@ def test_criterion_4_primitivity_implications(machinery):
             for mx in lattice.maximal:
                 if mx.key not in prim_keys:
                     bad.append(f"{name}: maximal {mx.members!r} is not primitive")
-        report = check_primitive_iff_quotient_primitive(ring, lattice)
+        report = check_primitive_iff_quotient_primitive(ring)
         if not report.ok:
             p, left, right = report.mismatches[0]
             bad.append(f"{name}: {p.members!r} primitive {left}, "

@@ -1,0 +1,123 @@
+"""Derived objects are built once per validated structure and kept on it.
+
+A fresh build from a table copy of each ring is the oracle for what the
+kept objects hold; the copy shares no cache with the original.
+"""
+
+import pytest
+
+from krasner.catalog import cyclic_ring
+from krasner.core import BoundExceededError, HyperRing, bits
+from krasner.hypermodules import quotient_module, regular_module
+from krasner.ideals import ENUMERATION_BOUND, IdealLattice, quotient_ring
+from krasner.primitivity import prim_certificates
+from krasner.spectrum import SpectrumSpace
+from krasner.suite import run_ring_checks, run_theorem_suite
+
+
+def table_copy(ring):
+    copy = HyperRing(add=[[list(bits(m)) for m in row] for row in ring.add_masks],
+                     neg=ring.neg_table, mul=ring.mul_table, unit=ring.unit,
+                     name=ring.name)
+    assert copy.validate().ok
+    return copy
+
+
+def derived_view(ring):
+    """Everything the builders derive from ring, as plain values."""
+    lattice = IdealLattice.build(ring)
+    families = {name: tuple((i.key, i.sidedness) for i in getattr(lattice, name))
+                for name in ("two_sided", "right", "maximal", "prime", "maximal_right")}
+    certs = tuple((c.ideal.key, c.maximal_right.key, c.module.encoding())
+                  for c in prim_certificates(ring))
+    reg = regular_module(ring)
+    quotients = []
+    for ideal in lattice.two_sided:
+        q = quotient_ring(ring, ideal)
+        quotients.append((q.cosets, q.coset_of, q.ring.name, q.ring.encoding(),
+                          q.projection.mapping))
+    module_quotients = []
+    for ideal in lattice.right:
+        q = quotient_module(reg, reg.carrier.from_mask(ideal.key))
+        module_quotients.append((q.cosets, q.coset_of, q.module.name, q.module.encoding()))
+    return (families, certs, reg.encoding(), SpectrumSpace.build(ring).point_masks,
+            tuple(quotients), tuple(module_quotients))
+
+
+def test_builders_return_the_kept_object():
+    ring = cyclic_ring(6)
+    lattice = IdealLattice.build(ring)
+    assert IdealLattice.build(ring) is lattice
+    reg = regular_module(ring)
+    assert regular_module(ring) is reg
+    assert prim_certificates(ring) is prim_certificates(ring)
+    assert SpectrumSpace.build(ring) is SpectrumSpace.build(ring)
+    three = next(i for i in lattice.two_sided if i.members.members == (0, 3))
+    assert quotient_ring(ring, three) is quotient_ring(ring, three)
+    k = reg.subset([0, 3])
+    assert quotient_module(reg, k) is quotient_module(reg, [0, 3])
+
+
+def test_kept_objects_match_a_fresh_build(corpus3):
+    for entry in corpus3:
+        # warm the original through the space first, so the lattice and
+        # quotients come back from the cache when the view asks for them
+        SpectrumSpace.build(entry.ring)
+        kept = derived_view(entry.ring)
+        assert derived_view(table_copy(entry.ring)) == kept, entry.name
+
+
+def test_quotient_inputs_are_checked_before_the_cache():
+    ring = cyclic_ring(6)
+    lattice = IdealLattice.build(ring)
+    two_sided = next(i for i in lattice.two_sided if i.members.members == (0, 3))
+    right = next(i for i in lattice.right if i.members.members == (0, 3))
+    quotient_ring(ring, two_sided)
+    # equal to the cached ideal, since equality ignores sidedness
+    assert right == two_sided
+    with pytest.raises(ValueError):
+        quotient_ring(ring, right)
+    other = cyclic_ring(6)
+    foreign = next(i for i in IdealLattice.build(other).two_sided if i.key == two_sided.key)
+    with pytest.raises(ValueError):
+        quotient_ring(ring, foreign)
+
+    reg = regular_module(ring)
+    quotient_module(reg, [0, 3])
+    with pytest.raises(ValueError):
+        quotient_module(reg, [0, 1])
+    with pytest.raises(ValueError):
+        quotient_module(reg, regular_module(other).subset([0, 3]))
+
+
+def test_a_refused_build_keeps_nothing():
+    big = cyclic_ring(ENUMERATION_BOUND + 1)
+    for _ in range(2):
+        with pytest.raises(BoundExceededError):
+            IdealLattice.build(big)
+    assert big._derived == {}
+
+
+def test_ring_checks_release_what_they_built():
+    ring = cyclic_ring(4)
+    run_ring_checks(ring)
+    assert ring._derived == {}
+
+
+def test_a_corpus_sweep_validates_each_quotient_once(corpus4, monkeypatch):
+    for entry in corpus4:
+        entry.ring._derived.clear()
+    validated = []
+    original = HyperRing.validate
+
+    def counting(self):
+        validated.append(self.name)
+        return original(self)
+
+    monkeypatch.setattr(HyperRing, "validate", counting)
+    run_theorem_suite(max_order=4)
+    # quotient-ring-valid takes one per two sided ideal of each ring, and
+    # the other checks reuse those
+    assert len(validated) == 444
+    assert len(set(validated)) == 444
+    assert all("/" in name for name in validated)

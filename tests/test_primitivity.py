@@ -63,7 +63,7 @@ def test_is_primitive(z4):
     lattice = IdealLattice.build(z4)
     for ideal in lattice.two_sided:
         expect = ideal.members.members == (0, 2)
-        assert is_primitive(ideal, lattice) is expect
+        assert is_primitive(ideal) is expect
 
 
 def test_primitive_ring_flags(z2, z4, kfield):
@@ -76,7 +76,7 @@ def test_primitive_implies_prime_corpuswide(corpus3):
     for entry in corpus3:
         lattice = IdealLattice.build(entry.ring)
         prime_keys = {p.key for p in lattice.prime}
-        for p in prim_set(entry.ring, lattice):
+        for p in prim_set(entry.ring):
             assert p.key in prime_keys, (entry.name, p.members.members)
 
 
@@ -85,7 +85,7 @@ def test_maximal_implies_primitive_on_unital_rings(corpus3):
         if not entry.ring.is_unital:
             continue
         lattice = IdealLattice.build(entry.ring)
-        prim_keys = {p.key for p in prim_set(entry.ring, lattice)}
+        prim_keys = {p.key for p in prim_set(entry.ring)}
         for m in lattice.maximal:
             assert m.key in prim_keys, (entry.name, m.members.members)
 

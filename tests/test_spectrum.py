@@ -2,6 +2,7 @@
 
 import pytest
 
+from krasner.catalog import cyclic_ring
 from krasner.core import BoundExceededError
 from krasner.ideals import IdealLattice
 from krasner.spectrum import (
@@ -167,11 +168,13 @@ def test_compactness_witness_bound(z6):
         compactness_witness(space, family, bound=2)
 
 
-def test_materialize_bound(z6, monkeypatch):
+def test_materialize_bound(monkeypatch):
     import krasner.spectrum as spectrum
 
+    # a ring of its own: the session z6 keeps a space whose closed sets
+    # another test may already have materialized
     monkeypatch.setattr(spectrum, "MATERIALIZE_BOUND", 1)
-    space = SpectrumSpace.build(z6)
+    space = SpectrumSpace.build(cyclic_ring(6))
     with pytest.raises(BoundExceededError):
         space.closed_sets()
 
