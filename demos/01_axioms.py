@@ -18,7 +18,7 @@ z6 = HyperRing(
 
 report = z6.validate()
 print(f"{z6.name}: ok={report.ok}")
-for chk in report.hypergroup.checks + report.ring.checks:
+for chk in report.hypergroup.checks + report.table.checks:
     print(f"  {chk.axiom:20s} {'ok' if chk.ok else 'FAIL'}")
 
 # the two element hyperfield: 1 + 1 = {0, 1} is the whole point

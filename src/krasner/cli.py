@@ -44,6 +44,13 @@ def _members(ideal) -> str:
     return "{" + ",".join(str(x) for x in ideal.members) + "}"
 
 
+def _failures(report) -> str:
+    """One line per failed check of a report: axiom, witness and detail."""
+    return "\n".join(f"  {chk.axiom}: witness {chk.witness}"
+                     + (f" ({chk.detail})" if chk.detail else "")
+                     for chk in report.failures)
+
+
 class InputError(Exception):
     """Invalid input, reported then mapped to exit code 2."""
 
@@ -56,11 +63,7 @@ def _validated_rings(doc, only=None):
             continue
         report = ring.validate()
         if not report.ok:
-            lines = [f"{name}: invalid"]
-            for chk in report.failures:
-                lines.append(f"  {chk.axiom}: witness {chk.witness}"
-                             + (f" ({chk.detail})" if chk.detail else ""))
-            raise InputError("\n".join(lines))
+            raise InputError(f"{name}: invalid\n{_failures(report)}")
         out.append((name, ring))
     if only and not out:
         raise InputError(f"no ring named {only!r} in the file")
@@ -78,9 +81,7 @@ def cmd_verify(args) -> int:
             print(f"{path}: {name}: {status}")
             if not report.ok:
                 code = 2
-                for chk in report.failures:
-                    print(f"  {chk.axiom}: witness {chk.witness}"
-                          + (f" ({chk.detail})" if chk.detail else ""))
+                print(_failures(report))
     return code
 
 
@@ -184,13 +185,10 @@ def cmd_check(args) -> int:
                 if not args.allow_invalid:
                     print(f"{name}: invalid ring; rerun with --allow-invalid "
                           "to check the others", file=sys.stderr)
-                    for chk in report.failures:
-                        print(f"  {chk.axiom}: witness {chk.witness}", file=sys.stderr)
+                    print(_failures(report), file=sys.stderr)
                     return 2
                 print(f"skipping invalid ring {name}:", file=sys.stderr)
-                for chk in report.failures:
-                    print(f"  {chk.axiom}: witness {chk.witness}"
-                          + (f" ({chk.detail})" if chk.detail else ""), file=sys.stderr)
+                print(_failures(report), file=sys.stderr)
         report = run_theorem_suite(entries=entries, max_order=args.max_order,
                                    per_order_limit=args.per_order_limit,
                                    check_ids=check_ids, threads=args.threads)
@@ -267,9 +265,7 @@ def cmd_hom(args) -> int:
         report = verify_strong_hom(hom)
         if not report.ok:
             print(f"{name}: not a strong hom")
-            for chk in report.failures:
-                print(f"  {chk.axiom}: witness {chk.witness}"
-                      + (f" ({chk.detail})" if chk.detail else ""))
+            print(_failures(report))
             code = 2
             continue
         ker = kernel_ideal(hom)

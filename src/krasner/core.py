@@ -105,9 +105,6 @@ class Carrier:
         self.check_element(i)
         return ElementSet(self, 1 << i)
 
-    def empty(self) -> "ElementSet":
-        return ElementSet(self, 0)
-
     def full(self) -> "ElementSet":
         return ElementSet(self, self.full_mask)
 
@@ -196,7 +193,6 @@ class AxiomCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    subject: str
     checks: tuple
 
     @property
@@ -207,26 +203,23 @@ class VerificationReport:
     def failures(self) -> tuple:
         return tuple(c for c in self.checks if not c.ok)
 
-    def witness(self, axiom: str):
-        for c in self.checks:
-            if c.axiom == axiom:
-                return c.witness
-        raise KeyError(axiom)
 
-    def as_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "ok": self.ok,
-            "checks": [
-                {
-                    "axiom": c.axiom,
-                    "ok": c.ok,
-                    "witness": list(c.witness),
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+@dataclass(frozen=True)
+class ValidationReport:
+    """What ``validate()`` finds on a ring or a module: the hypergroup
+    axioms of its addition, then the axioms of its single-valued table
+    (the multiplication of a ring, the action of a module)."""
+
+    hypergroup: VerificationReport
+    table: VerificationReport
+
+    @property
+    def ok(self) -> bool:
+        return self.hypergroup.ok and self.table.ok
+
+    @property
+    def failures(self) -> tuple:
+        return self.hypergroup.failures + self.table.failures
 
 
 def _normalize_set_table(n: int, table) -> tuple:
@@ -262,7 +255,55 @@ def _normalize_value_table(n: int, columns: int, table, what: str) -> tuple:
     return tuple(out)
 
 
-class HyperRing:
+class Structure:
+    """What a hyperring and a right hypermodule share: a carrier built from
+    the hypergroup tables, a name, the validation gate and the objects
+    derived from the structure once it is validated (``derived``)."""
+
+    __slots__ = ("carrier", "name", "_checked", "_derived")
+
+    def _hypergroup(self, add, neg, name) -> tuple:
+        # start unchecked on the carrier neg spans; the add table as masks
+        # and the neg table, both range checked
+        neg_t = tuple(int(v) for v in neg)
+        n = len(neg_t)
+        self.carrier = Carrier(n)
+        add_masks = _normalize_set_table(n, add)
+        for v in neg_t:
+            self.carrier.check_element(v)
+        self.name = name
+        self._checked = False
+        self._derived = {}
+        return add_masks, neg_t
+
+    def _settle(self, add_masks, neg_table, verify_table) -> ValidationReport:
+        # the hypergroup checks, then verify_table(self); usable once both pass
+        hypergroup = VerificationReport(
+            tuple(hypergroup_checks(self.order, add_masks, neg_table)))
+        report = ValidationReport(hypergroup, verify_table(self))
+        if report.ok:
+            self._checked = True
+        return report
+
+    @property
+    def order(self) -> int:
+        return self.carrier.size
+
+    @property
+    def validated(self) -> bool:
+        return self._checked
+
+    def require_validated(self):
+        if not self._checked:
+            raise NotValidatedError(
+                f"{self!r} has not passed validation; call validate() first"
+            )
+
+    def subset(self, members) -> ElementSet:
+        return self.carrier.subset(members)
+
+
+class HyperRing(Structure):
     """Krasner hyperring given by explicit finite tables.
 
     add   : n x n table of nonempty subsets (any iterables of indices)
@@ -275,40 +316,17 @@ class HyperRing:
     ``require_validated()`` first.
     """
 
-    __slots__ = ("carrier", "add_masks", "neg_table", "mul_table", "unit", "name",
-                 "_checked", "_derived")
+    __slots__ = ("add_masks", "neg_table", "mul_table", "unit")
 
     def __init__(self, add, neg, mul, unit=None, name=None):
-        neg_t = tuple(int(v) for v in neg)
-        n = len(neg_t)
-        self.carrier = Carrier(n)
-        self.add_masks = _normalize_set_table(n, add)
-        for v in neg_t:
-            self.carrier.check_element(v)
-        self.neg_table = neg_t
+        self.add_masks, self.neg_table = self._hypergroup(add, neg, name)
+        n = self.order
         self.mul_table = _normalize_value_table(n, n, mul, "mul")
         self.unit = None if unit is None else self.carrier.check_element(int(unit))
-        self.name = name
-        self._checked = False
-        self._derived = {}
-
-    @property
-    def order(self) -> int:
-        return self.carrier.size
 
     @property
     def is_unital(self) -> bool:
         return self.unit is not None
-
-    @property
-    def validated(self) -> bool:
-        return self._checked
-
-    def require_validated(self):
-        if not self._checked:
-            raise NotValidatedError(
-                f"{self!r} has not passed validation; call validate() first"
-            )
 
     def add(self, a: int, b: int) -> ElementSet:
         return ElementSet(self.carrier, self.add_masks[a][b])
@@ -319,23 +337,15 @@ class HyperRing:
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
-    def subset(self, members) -> ElementSet:
-        return self.carrier.subset(members)
-
     def singleton(self, i: int) -> ElementSet:
         return self.carrier.singleton(i)
 
     def full_set(self) -> ElementSet:
         return self.carrier.full()
 
-    def validate(self) -> "RingReport":
+    def validate(self) -> ValidationReport:
         """Run both verification passes and mark the ring usable on success."""
-        hg = verify_canonical_hypergroup(self)
-        ring = verify_hyperring(self)
-        report = RingReport(hypergroup=hg, ring=ring)
-        if report.ok:
-            self._checked = True
-        return report
+        return self._settle(self.add_masks, self.neg_table, verify_hyperring)
 
     def encoding(self) -> tuple:
         """Canonical tuple encoding of the tables (used for ordering,
@@ -351,27 +361,6 @@ class HyperRing:
     def __repr__(self):
         label = self.name or f"hyperring of order {self.order}"
         return f"<HyperRing {label}{'' if self._checked else ' (unchecked)'}>"
-
-
-@dataclass(frozen=True)
-class RingReport:
-    hypergroup: VerificationReport
-    ring: VerificationReport
-
-    @property
-    def ok(self) -> bool:
-        return self.hypergroup.ok and self.ring.ok
-
-    @property
-    def failures(self) -> tuple:
-        return self.hypergroup.failures + self.ring.failures
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "hypergroup": self.hypergroup.as_dict(),
-            "ring": self.ring.as_dict(),
-        }
 
 
 def derived(obj, key, build):
@@ -510,12 +499,6 @@ def hypergroup_checks(n: int, add, neg) -> list:
     return checks
 
 
-def verify_canonical_hypergroup(ring: HyperRing) -> VerificationReport:
-    """Check the additive tables against the canonical hypergroup axioms."""
-    checks = hypergroup_checks(ring.order, ring.add_masks, ring.neg_table)
-    return VerificationReport(subject=ring.name or "hypergroup", checks=tuple(checks))
-
-
 def verify_hyperring(ring: HyperRing) -> VerificationReport:
     """Check the multiplicative axioms.
 
@@ -596,7 +579,7 @@ def verify_hyperring(ring: HyperRing) -> VerificationReport:
             "unit", bad is None, bad or (),
             "" if bad is None else f"{u} does not act as identity on {bad[0]}"))
 
-    return VerificationReport(subject=ring.name or "hyperring", checks=tuple(checks))
+    return VerificationReport(tuple(checks))
 
 
 def find_unit(n: int, mul) -> int | None:

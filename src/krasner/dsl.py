@@ -12,14 +12,18 @@ homs, plus its emitter.
     end
 
 Blocks start with `ring NAME`, `module NAME over RING` or
-`hom NAME : SOURCE -> TARGET` and close with `end`.  `order` must come
-first inside a block so every later index can be range checked where it
-appears.  `symmetric` mirrors add/madd entries.  Rows involving 0 follow
-the conventions of the structures themselves: hyperaddition with 0 and
-negation of 0 are fixed and may not be contradicted, while
-multiplication and action entries involving 0 default to 0 but may be
-overridden, which is how broken fixtures for the validators get written
-down.
+`hom NAME : SOURCE -> TARGET` and close with `end`.  A ring block and a
+module block share one grammar, since a ring is a module over itself:
+`order`, which must come first so every later index can be range checked
+where it appears, an optional `symmetric`, a hypergroup (`add`/`neg`, or
+`madd`/`mneg`), a single-valued table (`mul` over the ring's own
+elements, or `act` over the base ring's) and a unit line (`unit N`, or
+the `unital` flag).  `symmetric` mirrors add/madd entries.  Rows
+involving 0 follow the conventions of the structures themselves:
+hyperaddition with 0 and negation of 0 are fixed and may not be
+contradicted, while multiplication and action entries involving 0
+default to 0 but may be overridden, which is how broken fixtures for the
+validators get written down.
 
 Parsing builds structures without validating them; run their validators
 (or `Document.verify_all`) afterwards.
@@ -32,6 +36,12 @@ from dataclasses import dataclass, field
 from .core import AxiomCheck, HyperRing, bits
 from .hypermodules import HyperModule
 from .morphisms import RingHom, verify_strong_hom
+
+
+# the keys of a ring block and of a module block: hyperaddition, negation,
+# the single-valued table and the unit line
+RING_KEYS = ("add", "neg", "mul", "unit")
+MODULE_KEYS = ("madd", "mneg", "act", "unital")
 
 
 class ParseError(Exception):
@@ -116,9 +126,6 @@ class BlockedReport:
     def failures(self) -> tuple:
         return (AxiomCheck("base-ring", False, (), self.reason),)
 
-    def as_dict(self) -> dict:
-        return {"ok": False, "blocked": self.reason}
-
 
 @dataclass
 class Document:
@@ -173,7 +180,7 @@ class _Parser:
                     self.error("expected 'ring NAME'", lineno, head.col)
                 name = toks[1].text
                 self.claim(name, lineno, toks[1].col)
-                i = self.ring_block(name, i + 1)
+                i = self.table_block(name, i + 1, RING_KEYS)
                 order.append(("ring", name))
             elif head.text == "module":
                 if len(toks) != 4 or toks[2].text != "over":
@@ -183,7 +190,8 @@ class _Parser:
                 ring_name = toks[3].text
                 if ring_name not in self.doc.rings:
                     self.error(f"undeclared ring {ring_name!r}", lineno, toks[3].col)
-                i = self.module_block(name, self.doc.rings[ring_name], i + 1)
+                i = self.table_block(name, i + 1, MODULE_KEYS,
+                                     self.doc.rings[ring_name])
                 order.append(("module", name))
             elif head.text == "hom":
                 if (len(toks) != 6 or toks[2].text != ":" or toks[4].text != "->"):
@@ -240,17 +248,22 @@ class _Parser:
         if order is None:
             self.error("'order' must come first in the block", lineno, col)
 
-    def ring_block(self, name, i):
+    def table_block(self, name, i, keys, ring=None):
+        """A ring block (ring None) or a module block over ring: `order`,
+        `symmetric`, then the hyperaddition, negation, single-valued table
+        and unit line named by keys (RING_KEYS or MODULE_KEYS).  A ring's
+        table runs over its own elements and its unit line names the unit;
+        a module's runs over the ring's and `unital` is a flag."""
+        add_key, neg_key, table_key, unit_key = keys
         order = None
         unit = None
         symmetric = False
         add = {}
         neg = {}
-        mul = {}
-        keys = {"order", "unit", "symmetric", "add", "neg", "mul"}
+        table = {}
         first = i
         while True:
-            i, lineno, toks = self.block_lines(i, keys)
+            i, lineno, toks = self.block_lines(i, ("order", "symmetric") + keys)
             if toks is None:
                 break
             key = toks[0].text
@@ -263,15 +276,18 @@ class _Parser:
                     self.error("order must be positive", lineno, toks[1].col)
                 continue
             self.need_order(order, lineno, toks[0].col)
-            if key == "unit":
+            if key == unit_key and ring is None:
                 self.arity(toks, 1, lineno)
                 if unit is not None:
                     self.error("duplicate entry for unit", lineno, toks[0].col)
                 unit = self.element(toks[1], order, lineno)
+            elif key == unit_key:
+                self.arity(toks, 0, lineno)
+                unit = True
             elif key == "symmetric":
                 self.arity(toks, 0, lineno)
                 symmetric = True
-            elif key == "add":
+            elif key == add_key:
                 self.arity(toks, 3, lineno)
                 a = self.element(toks[1], order, lineno)
                 b = self.element(toks[2], order, lineno)
@@ -283,30 +299,33 @@ class _Parser:
                 if (a == 0 or b == 0) and set(vals) != {b if a == 0 else a}:
                     self.error("element 0 must be the additive identity",
                                lineno, toks[3].col)
-                self.put(add, (a, b), sorted(set(vals)), lineno, toks[0].col, "add")
+                self.put(add, (a, b), sorted(set(vals)), lineno, toks[0].col, add_key)
                 if symmetric and a != b:
-                    self.put(add, (b, a), sorted(set(vals)), lineno, toks[0].col, "add")
-            elif key == "neg":
+                    self.put(add, (b, a), sorted(set(vals)), lineno, toks[0].col, add_key)
+            elif key == neg_key:
                 self.arity(toks, 2, lineno)
                 a = self.element(toks[1], order, lineno)
                 v = self.element(toks[2], order, lineno)
                 if a == 0 and v != 0:
                     self.error("element 0 must be the additive identity",
                                lineno, toks[2].col)
-                self.put(neg, a, v, lineno, toks[0].col, "neg")
-            elif key == "mul":
+                self.put(neg, a, v, lineno, toks[0].col, neg_key)
+            else:
                 self.arity(toks, 3, lineno)
                 a = self.element(toks[1], order, lineno)
-                b = self.element(toks[2], order, lineno)
+                if ring is None:
+                    b = self.element(toks[2], order, lineno)
+                else:
+                    b = self.element(toks[2], ring.order, lineno, what="ring element")
                 vals = _value_set(toks[3], self.source, lineno)
                 if len(vals) != 1:
-                    self.error("multiplication must be single-valued",
-                               lineno, toks[3].col)
+                    self.error(("multiplication" if ring is None else "action")
+                               + " must be single-valued", lineno, toks[3].col)
                 v = vals[0]
                 if not 0 <= v < order:
                     self.error(f"element {v} out of range for order {order}",
                                lineno, toks[3].col)
-                self.put(mul, (a, b), v, lineno, toks[0].col, "mul")
+                self.put(table, (a, b), v, lineno, toks[0].col, table_key)
         if order is None:
             self.error("missing order", first, 1)
 
@@ -319,120 +338,32 @@ class _Parser:
         for a in range(1, order):
             for b in range(1, order):
                 if add_table[a][b] is None:
-                    self.error(f"missing add entry for ({a}, {b})", first, 1)
+                    self.error(f"missing {add_key} entry for ({a}, {b})", first, 1)
         neg_table = [0] * order
         for a in range(1, order):
             if a not in neg:
-                self.error(f"missing neg entry for {a}", first, 1)
+                self.error(f"missing {neg_key} entry for {a}", first, 1)
             neg_table[a] = neg[a]
-        mul_table = [[0] * order for _ in range(order)]
-        for (a, b), v in mul.items():
-            mul_table[a][b] = v
+        columns = order if ring is None else ring.order
+        value_table = [[0] * columns for _ in range(order)]
+        for (a, b), v in table.items():
+            value_table[a][b] = v
         for a in range(1, order):
-            for b in range(1, order):
-                if (a, b) not in mul:
-                    self.error(f"missing mul entry for ({a}, {b})", first, 1)
-        self.doc.rings[name] = HyperRing(add_table, neg_table, mul_table,
-                                         unit=unit, name=name)
+            for b in range(1, columns):
+                if (a, b) not in table:
+                    self.error(f"missing {table_key} entry for ({a}, {b})", first, 1)
+        if ring is None:
+            self.doc.rings[name] = HyperRing(add_table, neg_table, value_table,
+                                             unit=unit, name=name)
+        else:
+            self.doc.modules[name] = HyperModule(ring, add_table, neg_table, value_table,
+                                                 unital=bool(unit), name=name)
         return i
 
     def put(self, store, key, value, lineno, col, label):
         if key in store:
             self.error(f"duplicate entry for {label} {key}", lineno, col)
         store[key] = value
-
-    def module_block(self, name, ring, i):
-        order = None
-        unital = False
-        symmetric = False
-        madd = {}
-        mneg = {}
-        act = {}
-        keys = {"order", "unital", "symmetric", "madd", "mneg", "act"}
-        first = i
-        while True:
-            i, lineno, toks = self.block_lines(i, keys)
-            if toks is None:
-                break
-            key = toks[0].text
-            if key == "order":
-                self.arity(toks, 1, lineno)
-                if order is not None:
-                    self.error("duplicate entry for order", lineno, toks[0].col)
-                order = _int(toks[1], self.source, lineno)
-                if order < 1:
-                    self.error("order must be positive", lineno, toks[1].col)
-                continue
-            self.need_order(order, lineno, toks[0].col)
-            if key == "unital":
-                self.arity(toks, 0, lineno)
-                unital = True
-            elif key == "symmetric":
-                self.arity(toks, 0, lineno)
-                symmetric = True
-            elif key == "madd":
-                self.arity(toks, 3, lineno)
-                a = self.element(toks[1], order, lineno)
-                b = self.element(toks[2], order, lineno)
-                vals = _value_set(toks[3], self.source, lineno)
-                for v in vals:
-                    if not 0 <= v < order:
-                        self.error(f"element {v} out of range for order {order}",
-                                   lineno, toks[3].col)
-                if (a == 0 or b == 0) and set(vals) != {b if a == 0 else a}:
-                    self.error("element 0 must be the additive identity",
-                               lineno, toks[3].col)
-                self.put(madd, (a, b), sorted(set(vals)), lineno, toks[0].col, "madd")
-                if symmetric and a != b:
-                    self.put(madd, (b, a), sorted(set(vals)), lineno, toks[0].col, "madd")
-            elif key == "mneg":
-                self.arity(toks, 2, lineno)
-                a = self.element(toks[1], order, lineno)
-                v = self.element(toks[2], order, lineno)
-                if a == 0 and v != 0:
-                    self.error("element 0 must be the additive identity",
-                               lineno, toks[2].col)
-                self.put(mneg, a, v, lineno, toks[0].col, "mneg")
-            elif key == "act":
-                self.arity(toks, 3, lineno)
-                m = self.element(toks[1], order, lineno)
-                r = self.element(toks[2], ring.order, lineno, what="ring element")
-                vals = _value_set(toks[3], self.source, lineno)
-                if len(vals) != 1:
-                    self.error("action must be single-valued", lineno, toks[3].col)
-                v = vals[0]
-                if not 0 <= v < order:
-                    self.error(f"element {v} out of range for order {order}",
-                               lineno, toks[3].col)
-                self.put(act, (m, r), v, lineno, toks[0].col, "act")
-        if order is None:
-            self.error("missing order", first, 1)
-
-        madd_table = [[None] * order for _ in range(order)]
-        for a in range(order):
-            madd_table[a][0] = [a]
-            madd_table[0][a] = [a]
-        for (a, b), vals in madd.items():
-            madd_table[a][b] = vals
-        for a in range(1, order):
-            for b in range(1, order):
-                if madd_table[a][b] is None:
-                    self.error(f"missing madd entry for ({a}, {b})", first, 1)
-        mneg_table = [0] * order
-        for a in range(1, order):
-            if a not in mneg:
-                self.error(f"missing mneg entry for {a}", first, 1)
-            mneg_table[a] = mneg[a]
-        act_table = [[0] * ring.order for _ in range(order)]
-        for (m, r), v in act.items():
-            act_table[m][r] = v
-        for m in range(1, order):
-            for r in range(1, ring.order):
-                if (m, r) not in act:
-                    self.error(f"missing act entry for ({m}, {r})", first, 1)
-        self.doc.modules[name] = HyperModule(ring, madd_table, mneg_table,
-                                             act_table, unital=unital, name=name)
-        return i
 
     def hom_block(self, name, source_ring, target_ring, i):
         mapping = {}
@@ -479,36 +410,41 @@ def _set_text(values) -> str:
     return "{" + ",".join(str(v) for v in sorted(values)) + "}"
 
 
+def _table_text(header, keys, unit_line, add_masks, neg_table, table) -> str:
+    # the lines a table block parses back from, in the order it reads them
+    add_key, neg_key, table_key, _ = keys
+    n = len(neg_table)
+    for a in range(n):
+        if add_masks[a][0] != 1 << a or add_masks[0][a] != 1 << a:
+            raise ValueError("the format fixes 0 as the additive identity")
+    if neg_table[0] != 0:
+        raise ValueError("the format fixes 0 as the additive identity")
+    lines = [header, f"  order {n}"]
+    if unit_line:
+        lines.append(unit_line)
+    lines.append("  symmetric")
+    for a in range(1, n):
+        for b in range(a, n):
+            lines.append(f"  {add_key} {a} {b} {_set_text(bits(add_masks[a][b]))}")
+    for a in range(1, n):
+        lines.append(f"  {neg_key} {a} {neg_table[a]}")
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            if (a and b) or v:
+                lines.append(f"  {table_key} {a} {b} {v}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
 def emit_ring(ring: HyperRing, name: str | None = None) -> str:
     """Canonical text for a ring; parsing it back rebuilds the same
     tables under the same name."""
     label = name or ring.name
     if not label:
         raise ValueError("the ring needs a name to be written down")
-    n = ring.order
-    for a in range(n):
-        if ring.add_masks[a][0] != 1 << a or ring.add_masks[0][a] != 1 << a:
-            raise ValueError("the format fixes 0 as the additive identity")
-    if ring.neg_table[0] != 0:
-        raise ValueError("the format fixes 0 as the additive identity")
-    lines = [f"ring {label}", f"  order {n}"]
-    if ring.unit is not None:
-        lines.append(f"  unit {ring.unit}")
-    lines.append("  symmetric")
-    for a in range(1, n):
-        for b in range(a, n):
-            lines.append(f"  add {a} {b} {_set_text(bits(ring.add_masks[a][b]))}")
-    for a in range(1, n):
-        lines.append(f"  neg {a} {ring.neg_table[a]}")
-    for a in range(n):
-        for b in range(n):
-            v = ring.mul_table[a][b]
-            if a and b:
-                lines.append(f"  mul {a} {b} {v}")
-            elif v:
-                lines.append(f"  mul {a} {b} {v}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    unit_line = None if ring.unit is None else f"  unit {ring.unit}"
+    return _table_text(f"ring {label}", RING_KEYS, unit_line,
+                       ring.add_masks, ring.neg_table, ring.mul_table)
 
 
 def emit_module(module: HyperModule, name: str | None = None,
@@ -517,30 +453,9 @@ def emit_module(module: HyperModule, name: str | None = None,
     rlabel = ring_name or module.ring.name
     if not label or not rlabel:
         raise ValueError("module and ring both need names to be written down")
-    n = module.order
-    for a in range(n):
-        if module.madd_masks[a][0] != 1 << a or module.madd_masks[0][a] != 1 << a:
-            raise ValueError("the format fixes 0 as the additive identity")
-    if module.mneg_table[0] != 0:
-        raise ValueError("the format fixes 0 as the additive identity")
-    lines = [f"module {label} over {rlabel}", f"  order {n}"]
-    if module.unital:
-        lines.append("  unital")
-    lines.append("  symmetric")
-    for a in range(1, n):
-        for b in range(a, n):
-            lines.append(f"  madd {a} {b} {_set_text(bits(module.madd_masks[a][b]))}")
-    for a in range(1, n):
-        lines.append(f"  mneg {a} {module.mneg_table[a]}")
-    for m in range(n):
-        for r in range(module.ring.order):
-            v = module.act_table[m][r]
-            if m and r:
-                lines.append(f"  act {m} {r} {v}")
-            elif v:
-                lines.append(f"  act {m} {r} {v}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _table_text(f"module {label} over {rlabel}", MODULE_KEYS,
+                       "  unital" if module.unital else None,
+                       module.madd_masks, module.mneg_table, module.act_table)
 
 
 def emit_hom(hom: RingHom, name: str | None = None,

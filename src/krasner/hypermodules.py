@@ -19,17 +19,15 @@ from .core import (
     HOM_SEARCH_BOUND,
     AxiomCheck,
     BoundExceededError,
-    Carrier,
     ElementSet,
     HyperRing,
-    NotValidatedError,
+    Structure,
     TheoremViolationError,
+    ValidationReport,
     VerificationReport,
-    _normalize_set_table,
     _normalize_value_table,
     bits,
     derived,
-    hypergroup_checks,
     mask_of,
     search,
     strong_addition_check,
@@ -50,7 +48,7 @@ from .ideals import (
 )
 
 
-class HyperModule:
+class HyperModule(Structure):
     """Right hypermodule given by explicit tables.
 
     madd : n x n table of nonempty subsets of the module carrier
@@ -58,37 +56,15 @@ class HyperModule:
     act  : n x |R| table, act[m][r] is the single element m * r
     """
 
-    __slots__ = ("ring", "carrier", "madd_masks", "mneg_table", "act_table",
-                 "unital", "name", "_checked", "_derived")
+    __slots__ = ("ring", "madd_masks", "mneg_table", "act_table", "unital")
 
     def __init__(self, ring: HyperRing, madd, mneg, act, unital=False, name=None):
         # construction stays permissive so broken fixtures can be built
         # and then interrogated; validate() is the gate
         self.ring = ring
-        mneg_t = tuple(int(v) for v in mneg)
-        n = len(mneg_t)
-        self.carrier = Carrier(n)
-        self.madd_masks = _normalize_set_table(n, madd)
-        for v in mneg_t:
-            self.carrier.check_element(v)
-        self.mneg_table = mneg_t
-        self.act_table = _normalize_value_table(n, ring.order, act, "act")
+        self.madd_masks, self.mneg_table = self._hypergroup(madd, mneg, name)
+        self.act_table = _normalize_value_table(self.order, ring.order, act, "act")
         self.unital = bool(unital)
-        self.name = name
-        self._checked = False
-        self._derived = {}
-
-    @property
-    def order(self) -> int:
-        return self.carrier.size
-
-    @property
-    def validated(self) -> bool:
-        return self._checked
-
-    def require_validated(self):
-        if not self._checked:
-            raise NotValidatedError(f"{self!r} has not passed validation; call validate() first")
 
     def madd(self, a: int, b: int) -> ElementSet:
         return ElementSet(self.carrier, self.madd_masks[a][b])
@@ -99,20 +75,9 @@ class HyperModule:
     def act(self, m: int, r: int) -> int:
         return self.act_table[m][r]
 
-    def subset(self, members) -> ElementSet:
-        return self.carrier.subset(members)
-
-    def validate(self) -> "ModuleReport":
+    def validate(self) -> ValidationReport:
         self.ring.require_validated()
-        hg = VerificationReport(
-            subject=self.name or "module hypergroup",
-            checks=tuple(hypergroup_checks(self.order, self.madd_masks, self.mneg_table)),
-        )
-        mod = verify_hypermodule(self)
-        report = ModuleReport(hypergroup=hg, module=mod)
-        if report.ok:
-            self._checked = True
-        return report
+        return self._settle(self.madd_masks, self.mneg_table, verify_hypermodule)
 
     def encoding(self) -> tuple:
         return (
@@ -125,27 +90,6 @@ class HyperModule:
     def __repr__(self):
         label = self.name or f"module of order {self.order}"
         return f"<HyperModule {label}{'' if self._checked else ' (unchecked)'}>"
-
-
-@dataclass(frozen=True)
-class ModuleReport:
-    hypergroup: VerificationReport
-    module: VerificationReport
-
-    @property
-    def ok(self) -> bool:
-        return self.hypergroup.ok and self.module.ok
-
-    @property
-    def failures(self) -> tuple:
-        return self.hypergroup.failures + self.module.failures
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "hypergroup": self.hypergroup.as_dict(),
-            "module": self.module.as_dict(),
-        }
 
 
 def verify_hypermodule(module: HyperModule) -> VerificationReport:
@@ -228,7 +172,7 @@ def verify_hypermodule(module: HyperModule) -> VerificationReport:
             "unit-action", bad is None, bad or (),
             "" if bad is None else f"{bad[0]} * 1 != {bad[0]}"))
 
-    return VerificationReport(subject=module.name or "hypermodule", checks=tuple(checks))
+    return VerificationReport(tuple(checks))
 
 
 def regular_module(ring: HyperRing) -> HyperModule:
@@ -282,22 +226,27 @@ def enumerate_subhypermodules(module: HyperModule, bound: int = ENUMERATION_BOUN
 
 def submodule(module: HyperModule, members) -> HyperModule:
     """A subhypermodule as a standalone structure (elements reindexed,
-    0 first)."""
+    0 first), validated once: the module keeps it."""
     check = is_subhypermodule(module, members)
     if not check:
         raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
     s = members.mask if isinstance(members, ElementSet) else module.subset(members).mask
-    elems = bits(s)
-    index = {e: i for i, e in enumerate(elems)}
-    madd = [[[index[t] for t in bits(module.madd_masks[a][b])] for b in elems] for a in elems]
-    mneg = [index[module.mneg_table[a]] for a in elems]
-    act = [[index[module.act_table[a][r]] for r in range(module.ring.order)] for a in elems]
-    sub = HyperModule(module.ring, madd, mneg, act, unital=module.unital,
-                      name=f"{module.name or 'M'} restricted to {module.carrier.from_mask(s)!r}")
-    report = sub.validate()
-    if not report.ok:
-        raise TheoremViolationError(f"subhypermodule failed validation: {report.failures}")
-    return sub
+
+    def build():
+        elems = bits(s)
+        index = {e: i for i, e in enumerate(elems)}
+        madd = [[[index[t] for t in bits(module.madd_masks[a][b])] for b in elems]
+                for a in elems]
+        mneg = [index[module.mneg_table[a]] for a in elems]
+        act = [[index[module.act_table[a][r]] for r in range(module.ring.order)]
+               for a in elems]
+        sub = HyperModule(module.ring, madd, mneg, act, unital=module.unital,
+                          name=f"{module.name or 'M'} restricted to {module.carrier.from_mask(s)!r}")
+        report = sub.validate()
+        if not report.ok:
+            raise TheoremViolationError(f"subhypermodule failed validation: {report.failures}")
+        return sub
+    return derived(module, ("submodule", s), build)
 
 
 def cyclic_submodule(module: HyperModule, m: int) -> ElementSet:
@@ -437,7 +386,7 @@ def verify_module_hom(hom: ModuleHom) -> VerificationReport:
         "action", bad is None, bad or (),
         "" if bad is None else "f(m r) != f(m) r at " + str(bad)))
 
-    return VerificationReport(subject=hom.name or "module hom", checks=tuple(checks))
+    return VerificationReport(tuple(checks))
 
 
 def hom_kernel(hom: ModuleHom) -> ElementSet:

@@ -168,9 +168,6 @@ class IdealLattice:
             return cls(ring, two_sided, right, maximal, prime, maximal_right)
         return derived(ring, "lattice", build)
 
-    def proper_two_sided(self) -> tuple:
-        return tuple(i for i in self.two_sided if i.proper)
-
 
 def _is_maximal_in(ideal: HyperIdeal, family) -> bool:
     if not ideal.proper:

@@ -107,7 +107,7 @@ def verify_strong_hom(hom: RingHom) -> VerificationReport:
             "unit", ok, () if ok else (src.unit,),
             "" if ok else "declared unit preserving but f(1) != 1"))
 
-    return VerificationReport(subject=hom.name or "ring hom", checks=tuple(checks))
+    return VerificationReport(tuple(checks))
 
 
 def kernel_ideal(hom: RingHom) -> HyperIdeal:

@@ -144,8 +144,12 @@ def test_check_rejects_invalid_file(tmp_path, ring_file, capsys):
     bad = tmp_path / "bad.khr"
     bad.write_text(BAD_RING, encoding="utf-8")
     assert main(["check", str(bad), ring_file]) == 2
-    err = capsys.readouterr().err
-    assert "rerun with --allow-invalid" in err
+    # the refusal lists each failed axiom with its detail, as every other
+    # report printer does
+    assert capsys.readouterr().err == (
+        "bad: invalid ring; rerun with --allow-invalid to check the others\n"
+        "  negation: witness (1,) (element 1 has 0 additive inverses)\n"
+        "  reversibility: witness (1, 0, 1) (0 not in 1 - 1)\n")
 
 
 def test_check_allow_invalid(tmp_path, ring_file, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from krasner.catalog import cyclic_ring
 from krasner.core import BoundExceededError, HyperRing, bits
-from krasner.hypermodules import quotient_module, regular_module
+from krasner.hypermodules import quotient_module, regular_module, submodule
 from krasner.ideals import ENUMERATION_BOUND, IdealLattice, quotient_ring
 from krasner.primitivity import prim_certificates
 from krasner.spectrum import SpectrumSpace
@@ -37,11 +37,14 @@ def derived_view(ring):
         quotients.append((q.cosets, q.coset_of, q.ring.name, q.ring.encoding(),
                           q.projection.mapping))
     module_quotients = []
+    submodules = []
     for ideal in lattice.right:
         q = quotient_module(reg, reg.carrier.from_mask(ideal.key))
         module_quotients.append((q.cosets, q.coset_of, q.module.name, q.module.encoding()))
+        sub = submodule(reg, reg.carrier.from_mask(ideal.key))
+        submodules.append((sub.name, sub.unital, sub.encoding()))
     return (families, certs, reg.encoding(), SpectrumSpace.build(ring).point_masks,
-            tuple(quotients), tuple(module_quotients))
+            tuple(quotients), tuple(module_quotients), tuple(submodules))
 
 
 def test_builders_return_the_kept_object():
@@ -56,13 +59,16 @@ def test_builders_return_the_kept_object():
     assert quotient_ring(ring, three) is quotient_ring(ring, three)
     k = reg.subset([0, 3])
     assert quotient_module(reg, k) is quotient_module(reg, [0, 3])
+    assert submodule(reg, k) is submodule(reg, [0, 3])
 
 
 def test_kept_objects_match_a_fresh_build(corpus3):
     for entry in corpus3:
-        # warm the original through the space first, so the lattice and
-        # quotients come back from the cache when the view asks for them
+        # warm the original first: the space keeps the lattice, and a first
+        # view the quotients and submodules, so the second view reads every
+        # one of them from the cache
         SpectrumSpace.build(entry.ring)
+        derived_view(entry.ring)
         kept = derived_view(entry.ring)
         assert derived_view(table_copy(entry.ring)) == kept, entry.name
 
@@ -84,10 +90,12 @@ def test_quotient_inputs_are_checked_before_the_cache():
 
     reg = regular_module(ring)
     quotient_module(reg, [0, 3])
-    with pytest.raises(ValueError):
-        quotient_module(reg, [0, 1])
-    with pytest.raises(ValueError):
-        quotient_module(reg, regular_module(other).subset([0, 3]))
+    submodule(reg, [0, 3])
+    for build in (quotient_module, submodule):
+        with pytest.raises(ValueError):
+            build(reg, [0, 1])
+        with pytest.raises(ValueError):
+            build(reg, regular_module(other).subset([0, 3]))
 
 
 def test_a_refused_build_keeps_nothing():

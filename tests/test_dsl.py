@@ -12,7 +12,8 @@ from krasner.dsl import (
     parse_file,
     parse_text,
 )
-from krasner.hypermodules import regular_module
+from krasner.hypermodules import quotient_module, regular_module
+from krasner.ideals import IdealLattice
 from krasner.morphisms import RingHom
 
 RING2 = """ring r
@@ -71,6 +72,21 @@ def test_module_and_hom_round_trip(z4):
     assert doc.homs["id"].mapping == (0, 1, 2, 3)
     assert doc.homs["id"].unit_preserving
     assert emit_document(doc) == text
+
+
+def test_module_round_trip_corpus(corpus3):
+    # each regular module and its quotients by maximal right ideals
+    for entry in corpus3:
+        reg = regular_module(entry.ring)
+        modules = [reg] + [quotient_module(reg, reg.carrier.from_mask(m.key)).module
+                           for m in IdealLattice.build(entry.ring).maximal_right]
+        ring_text = emit_ring(entry.ring, entry.name)
+        for module in modules:
+            text = emit_module(module, "m", entry.name)
+            back = parse_text(ring_text + "\n" + text).modules["m"]
+            assert back.encoding() == module.encoding(), entry.name
+            assert back.unital == module.unital
+            assert emit_module(back, "m", entry.name) == text
 
 
 def test_verify_all_good_document(z4):
@@ -135,6 +151,35 @@ def test_diagnostic_positions():
          "t.khr:4:11: multiplication must be single-valued"),
         ("ring r\n  order 2\n  add 1 1 {0}\n  mul 1 1 x\nend\n",
          "t.khr:4:11: expected an integer, got 'x'"),
+    ]
+    for text, expected in table:
+        assert err(text) == expected
+
+
+def test_module_diagnostic_positions():
+    # the module block's own keys, and each block refusing the other's
+    def module(order, body):
+        return RING2 + f"module m over r\n  order {order}\n" + body + "end\n"
+
+    table = [
+        (module(2, "  madd 1 1 {0}\n  madd 1 1 {1}\n"),
+         "t.khr:11:3: duplicate entry for madd (1, 1)"),
+        (module(3, "  madd 1 1 {0}\n"),
+         "t.khr:8:1: missing madd entry for (1, 2)"),
+        (module(2, "  madd 1 1 {0}\n"),
+         "t.khr:8:1: missing mneg entry for 1"),
+        (module(2, "  madd 1 1 {0}\n  mneg 1 1\n"),
+         "t.khr:8:1: missing act entry for (1, 1)"),
+        (module(2, "  madd 1 1 {0}\n  mneg 1 1\n  act 1 2 0\n"),
+         "t.khr:12:9: ring element 2 out of range for order 2"),
+        (module(2, "  unital 1\n"),
+         "t.khr:10:3: 'unital' takes 0 argument(s)"),
+        (module(2, "  unit 1\n"),
+         "t.khr:10:3: unknown key 'unit'"),
+        ("ring r\n  order 2\n  unital\nend\n",
+         "t.khr:3:3: unknown key 'unital'"),
+        ("ring r\n  order 2\n  unit 1\n  unit 1\nend\n",
+         "t.khr:4:3: duplicate entry for unit"),
     ]
     for text, expected in table:
         assert err(text) == expected
