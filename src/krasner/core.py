@@ -540,7 +540,9 @@ def verify_hyperring(ring: HyperRing) -> VerificationReport:
         row = mul[a]
         for b in range(n):
             for c in range(n):
-                image = mask_of(row[t] for t in bits(add[b][c]))
+                image = 0
+                for t in bits(add[b][c]):
+                    image |= 1 << row[t]
                 if image != add[row[b]][row[c]]:
                     bad = (a, b, c)
                     break
@@ -556,7 +558,9 @@ def verify_hyperring(ring: HyperRing) -> VerificationReport:
     for c in range(n):
         for a in range(n):
             for b in range(n):
-                image = mask_of(mul[t][c] for t in bits(add[a][b]))
+                image = 0
+                for t in bits(add[a][b]):
+                    image |= 1 << mul[t][c]
                 if image != add[mul[a][c]][mul[b][c]]:
                     bad = (a, b, c)
                     break

@@ -18,7 +18,9 @@ module block share one grammar, since a ring is a module over itself:
 where it appears, an optional `symmetric`, a hypergroup (`add`/`neg`, or
 `madd`/`mneg`), a single-valued table (`mul` over the ring's own
 elements, or `act` over the base ring's) and a unit line (`unit N`, or
-the `unital` flag).  `symmetric` mirrors add/madd entries.  Rows
+the `unital` flag).  `symmetric` mirrors add/madd entries.  `order`,
+`symmetric`, the unit line and a hom's `unit_preserving` may each appear
+once per block.  Rows
 involving 0 follow the conventions of the structures themselves:
 hyperaddition with 0 and negation of 0 are fixed and may not be
 contradicted, while multiplication and action entries involving 0
@@ -276,16 +278,15 @@ class _Parser:
                     self.error("order must be positive", lineno, toks[1].col)
                 continue
             self.need_order(order, lineno, toks[0].col)
-            if key == unit_key and ring is None:
-                self.arity(toks, 1, lineno)
+            if key == unit_key:
+                self.arity(toks, 1 if ring is None else 0, lineno)
                 if unit is not None:
-                    self.error("duplicate entry for unit", lineno, toks[0].col)
-                unit = self.element(toks[1], order, lineno)
-            elif key == unit_key:
-                self.arity(toks, 0, lineno)
-                unit = True
+                    self.error(f"duplicate entry for {key}", lineno, toks[0].col)
+                unit = True if ring is not None else self.element(toks[1], order, lineno)
             elif key == "symmetric":
                 self.arity(toks, 0, lineno)
+                if symmetric:
+                    self.error("duplicate entry for symmetric", lineno, toks[0].col)
                 symmetric = True
             elif key == add_key:
                 self.arity(toks, 3, lineno)
@@ -383,6 +384,8 @@ class _Parser:
                 self.put(mapping, a, v, lineno, toks[0].col, "map")
             else:
                 self.arity(toks, 0, lineno)
+                if unit_preserving:
+                    self.error("duplicate entry for unit_preserving", lineno, toks[0].col)
                 unit_preserving = True
                 flag_line = lineno
         for a in range(source_ring.order):

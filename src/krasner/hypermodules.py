@@ -93,7 +93,8 @@ class HyperModule(Structure):
 
 
 def verify_hypermodule(module: HyperModule) -> VerificationReport:
-    """The four action axioms, plus the unit action when declared."""
+    """The four action axioms, plus the unit action when declared; a
+    module declared unital over a ring without a unit fails it."""
     ring = module.ring
     n = module.order
     nr = ring.order
@@ -105,7 +106,9 @@ def verify_hypermodule(module: HyperModule) -> VerificationReport:
     for a in range(n):
         for b in range(n):
             for r in range(nr):
-                image = mask_of(act[t][r] for t in bits(madd[a][b]))
+                image = 0
+                for t in bits(madd[a][b]):
+                    image |= 1 << act[t][r]
                 if image != madd[act[a][r]][act[b][r]]:
                     bad = (a, b, r)
                     break
@@ -123,7 +126,9 @@ def verify_hypermodule(module: HyperModule) -> VerificationReport:
         row = act[a]
         for r in range(nr):
             for s in range(nr):
-                image = mask_of(row[t] for t in bits(radd[r][s]))
+                image = 0
+                for t in bits(radd[r][s]):
+                    image |= 1 << row[t]
                 if image != madd[row[r]][row[s]]:
                     bad = (a, r, s)
                     break
@@ -161,7 +166,11 @@ def verify_hypermodule(module: HyperModule) -> VerificationReport:
         "zero-action", bad is None, bad or (),
         "" if bad is None else f"{bad[0]} * 0 != 0"))
 
-    if module.unital and ring.unit is not None:
+    if module.unital and ring.unit is None:
+        checks.append(AxiomCheck(
+            "unit-action", False, (),
+            f"declared unital, but {ring.name or 'the ring'} has no unit"))
+    elif module.unital:
         u = ring.unit
         bad = None
         for a in range(n):

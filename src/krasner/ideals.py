@@ -3,7 +3,12 @@
 A hyperideal is an additive subhypergroup that absorbs multiplication on
 the requested sides.  Everything here is exhaustive: the carrier is small
 enough that the ideal lattice is enumerated by scanning the subsets that
-contain 0, with an explicit refusal above the configured bound.
+contain 0, with an explicit refusal above the configured bound.  The scan
+asks each subset a yes/no question; only ``is_hyperideal`` builds a
+witness.  Generated ideals come from ``closure``, a second route that
+shares no code with the scan, and are cross-checked against the lattice,
+one set at a time or over every generating set with each distinct seed
+closed once.
 
 Canonical order everywhere is the integer value of the member bit mask.
 """
@@ -310,8 +315,38 @@ def closure(mask: int, add, neg, actions) -> int:
 
 def closed_subsets(add, neg, actions) -> list:
     """Every mask that ``closure_check`` accepts, ascending.  Scans the
-    2^(n-1) masks holding 0, so callers bound n first."""
-    return [s for s in range(1, 1 << len(neg), 2) if closure_check(s, add, neg, actions)]
+    2^(n-1) masks holding 0, so callers bound n first.
+
+    A yes/no test that shares no code with ``closure``: need[a] is what
+    a forces into a closed set, its negative and every action image, so
+    s is kept when each member's need and each sum add[a][b] of members
+    lies inside s.  No witness is built for a rejected mask."""
+    need = []
+    for a in range(len(neg)):
+        m = 1 << neg[a]
+        for _, table in actions:
+            for v in table[a]:
+                m |= 1 << v
+        need.append(m)
+    out = []
+    for s in range(1, 1 << len(neg), 2):
+        outside = ~s
+        members = bits(s)
+        for a in members:
+            if need[a] & outside:
+                break
+        else:
+            for a in members:
+                row = add[a]
+                for b in members:
+                    if row[b] & outside:
+                        break
+                else:
+                    continue
+                break
+            else:
+                out.append(s)
+    return out
 
 
 def coset_partition(add, k: int) -> tuple:
@@ -443,15 +478,51 @@ def generated_ideal(ring: HyperRing, members, sidedness: str = "two-sided") -> H
 def cross_check_generated(ring: HyperRing, members, lattice: IdealLattice) -> HyperIdeal:
     """Lattice route for ``generated_ideal``: the meet of the two sided
     ideals containing the set must equal its two sided closure.  Lattice
-    membership is the validation: the lattice scan already ran
-    ``closure_check`` on every mask holding 0, so the closure is an ideal
-    exactly when it is in ``lattice.two_sided``.  Returns that lattice
-    ideal; raises if the routes disagree or the closure is not in it."""
+    membership is the validation: the lattice scan already tested every
+    mask holding 0 for closure, so the closure is an ideal exactly when
+    it is in ``lattice.two_sided``.  Returns that lattice ideal; raises
+    if the routes disagree or the closure is not in it.
+    ``cross_check_all_generated`` runs the same comparison on every set."""
     if lattice.ring is not ring:
         raise ValueError("lattice belongs to a different ring")
     ring.require_validated()
     mask = _as_mask(ring, members)
     closed = closure(mask, ring.add_masks, ring.neg_table, _absorption(ring, "two-sided"))
+    return _lattice_ideal(ring, mask, closed, lattice)
+
+
+def cross_check_all_generated(ring: HyperRing, lattice: IdealLattice) -> int:
+    """``cross_check_generated`` on all 2^n generating sets, in ascending
+    mask order; returns 2^n, or raises on the first set whose routes
+    disagree.
+
+    Each closure is found once per seed: with top the highest bit of a
+    nonempty mask, closure(mask) = closure(closure(mask - top) + top),
+    because ``closure`` is a closure operator.  The earlier masks already
+    hold closure(mask - top), a lattice ideal, so at most |L| * n + 1
+    fixpoints run, where |L| = len(lattice.two_sided)."""
+    if lattice.ring is not ring:
+        raise ValueError("lattice belongs to a different ring")
+    ring.require_validated()
+    add, neg = ring.add_masks, ring.neg_table
+    actions = _absorption(ring, "two-sided")
+    closed = []   # closed[mask], the closure of each mask so far
+    by_seed = {}
+    for mask in range(1 << ring.order):
+        seed = 0
+        if mask:
+            top = 1 << (mask.bit_length() - 1)
+            seed = closed[mask ^ top] | top
+        if seed not in by_seed:
+            by_seed[seed] = closure(seed, add, neg, actions)
+        closed.append(by_seed[seed])
+        _lattice_ideal(ring, mask, by_seed[seed], lattice)
+    return len(closed)
+
+
+def _lattice_ideal(ring: HyperRing, mask: int, closed: int, lattice: IdealLattice) -> HyperIdeal:
+    # the comparison both cross-checks make: closed, the closure of mask,
+    # must be the meet of the lattice ideals above mask and a lattice ideal
     meet = ring.carrier.full_mask
     found = None
     for ideal in lattice.two_sided:

@@ -47,6 +47,20 @@ def test_verify_reports_failures(tmp_path, capsys):
     assert "negation" in out
 
 
+def test_verify_reports_unital_module_over_ring_without_unit(tmp_path, capsys):
+    path = tmp_path / "nounit.khr"
+    path.write_text("ring r\n  order 2\n  add 1 1 {0}\n  neg 1 1\n  mul 1 1 0\nend\n"
+                    "module m over r\n  order 2\n  unital\n  madd 1 1 {0}\n"
+                    "  mneg 1 1\n  act 1 1 0\nend\n", encoding="utf-8")
+    doc = parse_file(str(path))
+    assert doc.rings["r"].validate().ok
+    assert not doc.modules["m"].validate().ok
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{path}: r: ok", f"{path}: m: FAIL",
+                   "  unit-action: witness () (declared unital, but r has no unit)"]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.khr"
     path.write_text("ring r\n  order 2\n", encoding="utf-8")

@@ -10,7 +10,9 @@ by maximal right ideals.
 
 The lattice cross-check of generated ideals is refereed the same way, by
 the route it replaced: ``generated_ideal`` and ``ideal_intersection``,
-each building a checked ideal, compared on masks.
+each building a checked ideal, compared on masks.  The sweep over every
+generating set is refereed by the single-set cross-check, mask by mask,
+and the yes/no subset scan by ``closure_check`` run on every mask.
 """
 
 import dataclasses
@@ -32,6 +34,9 @@ from krasner.ideals import (
     SIDEDNESS,
     IdealCheck,
     IdealLattice,
+    closed_subsets,
+    closure_check,
+    cross_check_all_generated,
     cross_check_generated,
     enumerate_ideals,
     generated_ideal,
@@ -267,6 +272,78 @@ def test_cross_check_refuses_another_rings_lattice(z4, monkeypatch):
     for other in (cyclic_ring(6), cyclic_ring(4)):
         with pytest.raises(ValueError, match="different ring"):
             cross_check_generated(z4, [0], IdealLattice.build(other))
+        with pytest.raises(ValueError, match="different ring"):
+            cross_check_all_generated(z4, IdealLattice.build(other))
+
+
+def corpus4_and_z12(corpus4):
+    return [e.ring for e in corpus4] + [cyclic_ring(12)]
+
+
+def test_the_sweep_agrees_with_the_single_set_route(corpus4, monkeypatch):
+    # every mask reaches the shared comparison once, in ascending order,
+    # with the closure and the lattice ideal the single-set route finds
+    compare = ideals._lattice_ideal
+    for ring in corpus4_and_z12(corpus4):
+        lattice = IdealLattice.build(ring)
+        seen = []
+
+        def record(ring, mask, closed, lattice):
+            found = compare(ring, mask, closed, lattice)
+            seen.append((mask, closed, found))
+            return found
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ideals, "_lattice_ideal", record)
+            assert cross_check_all_generated(ring, lattice) == 1 << ring.order
+        expected = []
+        for s in range(1 << ring.order):
+            found = cross_check_generated(ring, ring.carrier.from_mask(s), lattice)
+            expected.append((s, generated_ideal(ring, ring.carrier.from_mask(s)).key, found))
+        assert seen == expected
+
+
+def first_single_set_failure(ring, lattice):
+    for s in range(1 << ring.order):
+        try:
+            cross_check_generated(ring, ring.carrier.from_mask(s), lattice)
+        except TheoremViolationError as e:
+            return str(e)
+    return None
+
+
+def test_the_sweep_fails_on_the_first_failing_mask(corpus4):
+    # the message names the generating set, so equal messages mean the
+    # same first mask
+    for ring in corpus4_and_z12(corpus4):
+        lattice = IdealLattice.build(ring)
+        for ideal in lattice.two_sided:
+            rest = tuple(i for i in lattice.two_sided if i != ideal)
+            damaged = dataclasses.replace(lattice, two_sided=rest)
+            expected = first_single_set_failure(ring, damaged)
+            assert expected is not None
+            with pytest.raises(TheoremViolationError) as info:
+                cross_check_all_generated(ring, damaged)
+            assert str(info.value) == expected
+
+
+def test_the_sweep_closes_each_seed_once(corpus4, monkeypatch):
+    # closure(S) = closure(closure(S - top) + top), so only the distinct
+    # (lattice ideal, top bit) seeds and the empty set need a fixpoint
+    closure = ideals.closure
+    for ring in corpus4_and_z12(corpus4):
+        lattice = IdealLattice.build(ring)
+        calls = []
+
+        def count(*args):
+            calls.append(args[0])
+            return closure(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ideals, "closure", count)
+            cross_check_all_generated(ring, lattice)
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= len(lattice.two_sided) * ring.order + 1
 
 
 def regular_and_quotients(ring, lattice):
@@ -275,6 +352,38 @@ def regular_and_quotients(ring, lattice):
     for m in lattice.maximal_right:
         mods.append(quotient_module(reg, reg.carrier.from_mask(m.members.mask)).module)
     return mods
+
+
+def scan_oracle(add, neg, actions):
+    return [s for s in range(1, 1 << len(neg), 2) if closure_check(s, add, neg, actions)]
+
+
+def test_closed_subsets_matches_the_checked_scan(corpus3, corpus4):
+    cases = []
+    for ring in corpus4_and_z12(corpus4):
+        for sidedness in SIDEDNESS:
+            cases.append((ring.add_masks, ring.neg_table, ideals._absorption(ring, sidedness)))
+    for ring in (e.ring for e in corpus3):
+        for module in regular_and_quotients(ring, IdealLattice.build(ring)):
+            cases.append((module.madd_masks, module.mneg_table, hypermodules._action(module)))
+    proper = 0
+    for add, neg, actions in cases:
+        expected = scan_oracle(add, neg, actions)
+        assert closed_subsets(add, neg, actions) == expected
+        proper += len(expected) > 2
+    assert proper
+
+
+def test_closed_subsets_never_builds_a_witness(corpus3, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closure_check called by the subset scan")
+
+    monkeypatch.setattr(ideals, "closure_check", refuse)
+    monkeypatch.setattr(hypermodules, "closure_check", refuse)
+    for ring in (e.ring for e in corpus3):
+        for sidedness in SIDEDNESS:
+            enumerate_ideals(ring, sidedness)
+        enumerate_subhypermodules(regular_module(ring))
 
 
 def test_module_closure_matches_the_old_loops(corpus4):

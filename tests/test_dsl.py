@@ -151,6 +151,10 @@ def test_diagnostic_positions():
          "t.khr:4:11: multiplication must be single-valued"),
         ("ring r\n  order 2\n  add 1 1 {0}\n  mul 1 1 x\nend\n",
          "t.khr:4:11: expected an integer, got 'x'"),
+        ("ring r\n  order 2\n  symmetric\n  symmetric\nend\n",
+         "t.khr:4:3: duplicate entry for symmetric"),
+        (RING2 + "hom f : r -> r\n  unit_preserving\n  map 0 0\n  unit_preserving\nend\n",
+         "t.khr:11:3: duplicate entry for unit_preserving"),
     ]
     for text, expected in table:
         assert err(text) == expected
@@ -180,6 +184,8 @@ def test_module_diagnostic_positions():
          "t.khr:3:3: unknown key 'unital'"),
         ("ring r\n  order 2\n  unit 1\n  unit 1\nend\n",
          "t.khr:4:3: duplicate entry for unit"),
+        (module(2, "  unital\n  madd 1 1 {0}\n  unital\n"),
+         "t.khr:12:3: duplicate entry for unital"),
     ]
     for text, expected in table:
         assert err(text) == expected

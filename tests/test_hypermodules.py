@@ -89,6 +89,15 @@ def test_broken_unit_action_is_caught(z4):
     assert by_axiom["sum-action"].witness == (1, 1, 1)
 
 
+def test_unital_module_over_a_ring_without_unit_fails(zmul2):
+    madd, mneg, act = module_tables(regular_module(zmul2))
+    assert HyperModule(zmul2, madd, mneg, act).validate().ok
+    report = HyperModule(zmul2, madd, mneg, act, unital=True).validate()
+    assert not report.ok
+    assert [(c.axiom, c.witness) for c in report.failures] == [("unit-action", ())]
+    assert report.failures[0].detail.endswith("has no unit")
+
+
 def test_cyclic_submodule(z4):
     mod = regular_module(z4)
     assert cyclic_submodule(mod, 1).members == (0, 1, 2, 3)
