@@ -8,14 +8,16 @@ asks each subset a yes/no question; only ``is_hyperideal`` builds a
 witness.  Generated ideals come from ``closure``, a second route that
 shares no code with the scan, and are cross-checked against the lattice,
 one set at a time or over every generating set with each distinct seed
-closed once.
+closed once.  The lattice also keeps the product of every ordered pair
+of its two sided ideals, each closed once and validated by membership,
+and primality reads that table.
 
 Canonical order everywhere is the integer value of the member bit mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     BoundExceededError,
@@ -63,7 +65,8 @@ def _absorption(ring: HyperRing, sidedness: str) -> list:
     if sidedness != "left":
         actions.append(("right-absorption", ring.mul_table))
     if sidedness != "right":
-        actions.append(("left-absorption", tuple(zip(*ring.mul_table))))
+        columns = derived(ring, "transposed_mul", lambda: tuple(zip(*ring.mul_table)))
+        actions.append(("left-absorption", columns))
     return actions
 
 
@@ -152,7 +155,13 @@ def enumerate_ideals(ring: HyperRing, sidedness: str = "two-sided",
 
 @dataclass(frozen=True)
 class IdealLattice:
-    """Two sided and right ideals of a ring plus the distinguished families."""
+    """Two sided and right ideals of a ring plus the distinguished families.
+
+    ``products`` maps (a.key, b.key) to the member mask of
+    ``ideal_product(a, b)`` for every ordered pair of two sided ideals.
+    It is keyed by mask and left out of comparison, so lattices compare
+    and hash by their families alone.
+    """
 
     ring: HyperRing
     two_sided: tuple
@@ -160,6 +169,7 @@ class IdealLattice:
     maximal: tuple
     prime: tuple
     maximal_right: tuple
+    products: dict = field(compare=False, repr=False)
 
     @classmethod
     def build(cls, ring: HyperRing) -> "IdealLattice":
@@ -167,11 +177,38 @@ class IdealLattice:
             two_sided = enumerate_ideals(ring, "two-sided")
             right = enumerate_ideals(ring, "right")
             maximal = tuple(i for i in two_sided if _is_maximal_in(i, two_sided))
+            products = _product_table(ring, two_sided)
             prime = tuple(i for i in two_sided
-                          if i.proper and _prime_witness(i, two_sided) is None)
+                          if i.proper and _prime_witness(i, two_sided, products) is None)
             maximal_right = tuple(i for i in right if _is_maximal_in(i, right))
-            return cls(ring, two_sided, right, maximal, prime, maximal_right)
+            return cls(ring, two_sided, right, maximal, prime, maximal_right, products)
         return derived(ring, "lattice", build)
+
+
+def _product_table(ring: HyperRing, two_sided) -> dict:
+    # ideal_product for every ordered pair, closed once each.  The scan
+    # already tested every mask holding 0, so a product is a two sided
+    # ideal exactly when it is in the family; on a miss ideal_product
+    # reports the failed clause, or the product is missing from the scan
+    mul, add = ring.mul_table, ring.add_masks
+    family = {a.key for a in two_sided}
+    table = {}
+    for a in two_sided:
+        rows = [mul[x] for x in bits(a.key)]
+        for b in two_sided:
+            products = 0
+            for row in rows:
+                for y in bits(b.key):
+                    products |= 1 << row[y]
+            closed = sum_of_products_closure(add, products)
+            if closed not in family:
+                ideal_product(a, b)
+                raise TheoremViolationError(
+                    f"product {ring.carrier.from_mask(closed)!r} of {a.members!r} and "
+                    f"{b.members!r} is missing from the lattice"
+                )
+            table[a.key, b.key] = closed
+    return table
 
 
 def _is_maximal_in(ideal: HyperIdeal, family) -> bool:
@@ -573,12 +610,12 @@ class PrimeCheck:
         return self.ok
 
 
-def _prime_witness(ideal: HyperIdeal, two_sided) -> tuple | None:
+def _prime_witness(ideal: HyperIdeal, two_sided, products) -> tuple | None:
     p = ideal.members.mask
     for a in two_sided:
         am = a.members.mask
         for b in two_sided:
-            if ideal_product(a, b).members.mask & ~p == 0:
+            if products[am, b.members.mask] & ~p == 0:
                 if am & ~p and b.members.mask & ~p:
                     return (a, b)
     return None
@@ -586,10 +623,14 @@ def _prime_witness(ideal: HyperIdeal, two_sided) -> tuple | None:
 
 def is_prime(ideal: HyperIdeal, lattice: IdealLattice) -> PrimeCheck:
     """Primality against every pair of two sided hyperideals,
-    the improper one included."""
+    the improper one included: the ideal is prime unless some product
+    ab in ``lattice.products`` lies in it while neither a nor b does,
+    and then (a, b) is the witness."""
+    if ideal.ring is not lattice.ring:
+        raise ValueError("ideal belongs to a different ring")
     if not ideal.proper:
         raise ValueError("prime ideals are proper by definition")
-    w = _prime_witness(ideal, lattice.two_sided)
+    w = _prime_witness(ideal, lattice.two_sided, lattice.products)
     return PrimeCheck(w is None, w or ())
 
 

@@ -135,12 +135,18 @@ def check_ideal_sum_closed(ctx):
 
 
 def check_ideal_product_closed(ctx):
+    # ideal_product is the slow route that referees the lattice's table
     cid = "ideal-product-closed"
-    for a, b in itertools.product(ctx.lattice.two_sided, repeat=2):
+    lattice = ctx.lattice
+    for a, b in itertools.product(lattice.two_sided, repeat=2):
         try:
-            ideal_product(a, b)
+            prod = ideal_product(a, b)
         except TheoremViolationError as e:
             return _fail(cid, str(e))
+        table = lattice.products.get((a.key, b.key))
+        if prod.key != table:
+            return _fail(cid, f"{a.members!r} * {b.members!r} has mask {prod.key}, "
+                              f"the lattice's product table {table}")
     return _pass(cid)
 
 

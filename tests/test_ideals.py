@@ -7,8 +7,9 @@ recomputed from plain integer arithmetic and compared.
 
 import pytest
 
+from krasner import ideals
 from krasner.catalog import cyclic_ring, zero_mul_ring
-from krasner.core import BoundExceededError
+from krasner.core import BoundExceededError, TheoremViolationError
 from krasner.ideals import (
     ENUMERATION_BOUND,
     HyperIdeal,
@@ -26,6 +27,7 @@ from krasner.ideals import (
     nil_radical,
     nilpotent_elements,
     quotient_ring,
+    sum_of_products_closure,
 )
 
 
@@ -228,6 +230,108 @@ def test_prime_witness(z4):
     a, b = check.witness
     assert a.members.members == (0, 2)
     assert b.members.members == (0, 2)
+
+
+def old_prime_witness(ideal, two_sided):
+    """Oracle: the |L|^3 route, one ideal_product per pair per candidate."""
+    p = ideal.members.mask
+    for a in two_sided:
+        for b in two_sided:
+            if ideal_product(a, b).members.mask & ~p == 0:
+                if a.members.mask & ~p and b.members.mask & ~p:
+                    return (a, b)
+    return None
+
+
+def test_primality_matches_the_pairwise_product_oracle(corpus4):
+    rings = [e.ring for e in corpus4] + [cyclic_ring(n) for n in (8, 9, 12)]
+    rows = witnessed = 0
+    for ring in rings:
+        lattice = IdealLattice.build(ring)
+        primes = []
+        for ideal in lattice.two_sided:
+            if not ideal.proper:
+                continue
+            expected = old_prime_witness(ideal, lattice.two_sided)
+            check = is_prime(ideal, lattice)
+            assert check.ok is (expected is None)
+            assert [w.key for w in check.witness] == [w.key for w in expected or ()]
+            if expected is None:
+                primes.append(ideal.key)
+            rows += 1
+            witnessed += expected is not None
+        assert [p.key for p in lattice.prime] == primes
+    # 166 prime families plus 291 verdicts, 251 of them with a witness
+    assert (len(rings), rows, witnessed) == (166, 291, 251)
+
+
+def test_product_table_matches_ideal_product(corpus4):
+    for entry in corpus4:
+        lattice = IdealLattice.build(entry.ring)
+        assert len(lattice.products) == len(lattice.two_sided) ** 2
+        for a in lattice.two_sided:
+            for b in lattice.two_sided:
+                assert lattice.products[a.key, b.key] == ideal_product(a, b).members.mask
+
+
+def test_lattice_build_closes_each_ordered_pair_once(monkeypatch):
+    ring = cyclic_ring(12)  # fresh: the lattice is kept on its ring
+    closures = []
+
+    def count(*args):
+        closures.append(args)
+        return sum_of_products_closure(*args)
+
+    def refuse(*args):
+        raise AssertionError("ideal_product called")
+
+    monkeypatch.setattr(ideals, "sum_of_products_closure", count)
+    monkeypatch.setattr(ideals, "ideal_product", refuse)
+    lattice = IdealLattice.build(ring)
+    assert len(closures) == len(lattice.two_sided) ** 2 == 36
+    closures.clear()
+    verdicts = [is_prime(i, lattice).ok for i in lattice.two_sided if i.proper]
+    assert closures == []
+    assert verdicts.count(True) == 2  # 2Z/12 and 3Z/12
+
+
+def test_a_product_that_is_no_ideal_raises_ideal_products_message(monkeypatch):
+    # every product grows by the element 1, and {0,1} is no ideal of Z4
+    def grow(add, products):
+        return sum_of_products_closure(add, products) | 0b10
+
+    monkeypatch.setattr(ideals, "sum_of_products_closure", grow)
+    with pytest.raises(TheoremViolationError, match="product of two-sided ideals failed"):
+        IdealLattice.build(cyclic_ring(4))
+
+
+def test_a_product_missing_from_the_lattice_is_named(monkeypatch):
+    # {0,2} * {0,2} = {0}, which the damaged scan leaves out
+    scan = ideals.enumerate_ideals
+
+    def drop_zero(ring, sidedness="two-sided"):
+        found = scan(ring, sidedness)
+        return tuple(i for i in found if i.key != 1) if sidedness == "two-sided" else found
+
+    monkeypatch.setattr(ideals, "enumerate_ideals", drop_zero)
+    with pytest.raises(TheoremViolationError, match=r"\{0\} .*missing from the lattice"):
+        IdealLattice.build(cyclic_ring(4))
+
+
+def test_is_prime_refuses_an_ideal_of_another_ring(z4, z6, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("primality work before the ring check")
+
+    lattice = IdealLattice.build(z4)
+    monkeypatch.setattr(ideals, "_prime_witness", refuse)
+    with pytest.raises(ValueError, match="ideal belongs to a different ring"):
+        is_prime(HyperIdeal(z6, [0, 3]), lattice)
+
+
+def test_the_transposed_table_is_built_once_per_ring(z4):
+    columns = ideals._absorption(z4, "two-sided")[1][1]
+    assert ideals._absorption(z4, "left")[0][1] is columns
+    assert columns == tuple(zip(*z4.mul_table))
 
 
 def test_primes_in_zero_mul_ring(zmul2):

@@ -1,12 +1,17 @@
 """Theorem suite: registry behavior, report determinism, searches."""
 
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from krasner.catalog import cyclic_ring
+from krasner.ideals import IdealLattice
 from krasner.suite import (
     CHECK_IDS,
     SCHEMA,
+    check_ideal_product_closed,
     counterexample_search,
     run_ring_checks,
     run_theorem_suite,
@@ -122,3 +127,17 @@ def test_explicit_entries_run(corpus3):
     subset = corpus3[:3]
     report = run_theorem_suite(entries=subset, max_order=3)
     assert [row.name for row in report.rows] == [e.name for e in subset]
+
+
+def test_ideal_product_referees_the_lattice_product_table():
+    ring = cyclic_ring(4)
+    lattice = IdealLattice.build(ring)
+    ok = check_ideal_product_closed(SimpleNamespace(ring=ring, lattice=lattice))
+    assert (ok.status, ok.detail) == ("pass", "")
+    # {0,2} * {0,2} = {0}, mask 1; the damaged table says {0,2}, mask 5
+    products = dict(lattice.products)
+    products[5, 5] = 5
+    damaged = dataclasses.replace(lattice, products=products)
+    bad = check_ideal_product_closed(SimpleNamespace(ring=ring, lattice=damaged))
+    assert bad.status == "fail"
+    assert bad.detail == "{0,2} * {0,2} has mask 1, the lattice's product table 5"
