@@ -29,7 +29,7 @@ print(f"\nmaximal right hyperideals: "
                   for m in lattice.maximal_right))
 
 for m in lattice.maximal_right:
-    quot = quotient_module(reg, reg.carrier.from_mask(m.members.mask))
+    quot = quotient_module(reg, reg.from_mask(m.members.mask))
     module = quot.module
     ann = annihilator(module)
     print(f"\nR/{{{','.join(map(str, m.members))}}}: "

@@ -9,7 +9,6 @@ see the `khr` command for the same machinery at the shell.
 from .catalog import cyclic_ring, hyperfield_k, standard_rings, zero_mul_ring
 from .core import (
     BoundExceededError,
-    Carrier,
     ElementSet,
     HyperRing,
     NotValidatedError,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundExceededError",
-    "Carrier",
     "ElementSet",
     "HyperIdeal",
     "HyperModule",

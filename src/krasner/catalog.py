@@ -17,18 +17,14 @@ def cyclic_ring(n: int, name: str | None = None) -> HyperRing:
     neg = [(-a) % n for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
     ring = HyperRing(add, neg, mul, unit=1 if n > 1 else 0, name=name or f"Z{n}")
-    report = ring.validate()
-    assert report.ok, report.failures
-    return ring
+    return ring.checked("bundled ring failed validation")
 
 
 def hyperfield_k() -> HyperRing:
     """The Krasner hyperfield K = {0, 1}: 1 + 1 = {0, 1}, 1 * 1 = 1."""
     add = [[[0], [1]], [[1], [0, 1]]]
     ring = HyperRing(add, neg=[0, 1], mul=[[0, 0], [0, 1]], unit=1, name="K")
-    report = ring.validate()
-    assert report.ok, report.failures
-    return ring
+    return ring.checked("bundled ring failed validation")
 
 
 def zero_mul_ring(n: int = 2, name: str | None = None) -> HyperRing:
@@ -37,9 +33,7 @@ def zero_mul_ring(n: int = 2, name: str | None = None) -> HyperRing:
     neg = [(-a) % n for a in range(n)]
     mul = [[0] * n for _ in range(n)]
     ring = HyperRing(add, neg, mul, unit=0 if n == 1 else None, name=name or f"O{n}")
-    report = ring.validate()
-    assert report.ok, report.failures
-    return ring
+    return ring.checked("bundled ring failed validation")
 
 
 def standard_rings() -> tuple:

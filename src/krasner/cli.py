@@ -33,7 +33,7 @@ from .morphisms import (
 )
 from .primitivity import prim_certificates
 from .spectrum import SpectrumSpace, dot_graph, space_as_dict
-from .suite import counterexample_search, run_theorem_suite
+from .suite import CHECK_IDS, counterexample_search, run_theorem_suite
 
 
 def _dump(obj) -> str:
@@ -173,6 +173,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_check(args) -> int:
     check_ids = args.checks.split(",") if args.checks else None
+    unknown = sorted(set(check_ids or ()) - set(CHECK_IDS))
+    if unknown:
+        raise InputError(f"error: unknown check ids: {', '.join(unknown)}")
     if args.files:
         entries = []
         for path in args.files:
@@ -374,7 +377,7 @@ def main(argv=None) -> int:
     except InputError as e:
         print(str(e), file=sys.stderr)
         return 2
-    except (NotValidatedError, BoundExceededError, ValueError, OSError) as e:
+    except (NotValidatedError, BoundExceededError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TheoremViolationError as e:

@@ -1,4 +1,4 @@
-"""Finite Krasner hyperrings over a dense carrier.
+"""Finite Krasner hyperrings and the structure they share with modules.
 
 A Krasner hyperring (R, +, *, -, 0) has a multivalued addition: a + b is a
 nonempty subset of R rather than a single element.  The additive structure
@@ -6,9 +6,11 @@ is a canonical hypergroup and multiplication is single valued, associative,
 absorbing through 0 and distributive over the hyperaddition (as set
 equality on both sides).
 
-Carriers are index sets {0, .., n-1} and element 0 is the additive
-identity by convention.  Subsets are stored as bit masks, so all the set
-algebra below is integer arithmetic.
+The elements of a structure (a ring here, a module in ``hypermodules``)
+are the indices {0, .., n-1} and element 0 is the additive identity by
+convention.  Subsets are bit masks, so all the set algebra below is
+integer arithmetic; ``ElementSet`` wraps a mask together with its
+structure, which keeps the sets of different structures apart.
 
 Structures built from raw tables start out unchecked.  Run ``validate()``
 (or the individual ``verify_*`` functions) before handing a structure to
@@ -72,73 +74,35 @@ def bits(mask: int) -> tuple:
         return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-class Carrier:
-    """Index set {0, .., size-1}.  Compared by identity on purpose:
-    two structures of equal order still have distinct carriers."""
-
-    __slots__ = ("size", "full_mask")
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ValueError("carrier needs at least the zero element")
-        self.size = size
-        self.full_mask = (1 << size) - 1
-
-    def check_element(self, i: int) -> int:
-        if not 0 <= i < self.size:
-            raise ValueError(f"element {i} outside carrier of size {self.size}")
-        return i
-
-    def subset(self, members) -> "ElementSet":
-        m = 0
-        for i in members:
-            self.check_element(i)
-            m |= 1 << i
-        return ElementSet(self, m)
-
-    def from_mask(self, mask: int) -> "ElementSet":
-        if mask & ~self.full_mask:
-            raise ValueError("mask has bits outside the carrier")
-        return ElementSet(self, mask)
-
-    def singleton(self, i: int) -> "ElementSet":
-        self.check_element(i)
-        return ElementSet(self, 1 << i)
-
-    def full(self) -> "ElementSet":
-        return ElementSet(self, self.full_mask)
-
-    def __repr__(self):
-        return f"Carrier({self.size})"
-
-
 class ElementSet:
-    """Subset of a carrier, stored as a bit mask."""
+    """Subset of the elements of one structure, stored as a bit mask.
+    Sets compare by structure identity: two structures of equal order
+    still keep their sets apart."""
 
-    __slots__ = ("carrier", "mask")
+    __slots__ = ("structure", "mask")
 
-    def __init__(self, carrier: Carrier, mask: int):
-        self.carrier = carrier
+    def __init__(self, structure: "Structure", mask: int):
+        self.structure = structure
         self.mask = mask
 
     def _lift(self, other: "ElementSet") -> int:
         if not isinstance(other, ElementSet):
             raise TypeError(f"expected ElementSet, got {type(other).__name__}")
-        if other.carrier is not self.carrier:
+        if other.structure is not self.structure:
             raise CarrierMismatchError("operands live over different carriers")
         return other.mask
 
     def __or__(self, other):
-        return ElementSet(self.carrier, self.mask | self._lift(other))
+        return ElementSet(self.structure, self.mask | self._lift(other))
 
     def __and__(self, other):
-        return ElementSet(self.carrier, self.mask & self._lift(other))
+        return ElementSet(self.structure, self.mask & self._lift(other))
 
     def __sub__(self, other):
-        return ElementSet(self.carrier, self.mask & ~self._lift(other))
+        return ElementSet(self.structure, self.mask & ~self._lift(other))
 
     def complement(self) -> "ElementSet":
-        return ElementSet(self.carrier, self.carrier.full_mask & ~self.mask)
+        return ElementSet(self.structure, self.structure.full_mask & ~self.mask)
 
     def __le__(self, other):
         m = self._lift(other)
@@ -151,17 +115,17 @@ class ElementSet:
     def __eq__(self, other):
         if not isinstance(other, ElementSet):
             return NotImplemented
-        return self.carrier is other.carrier and self.mask == other.mask
+        return self.structure is other.structure and self.mask == other.mask
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash((id(self.carrier), self.mask))
+        return hash((id(self.structure), self.mask))
 
     def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.carrier.size and self.mask >> i & 1 == 1
+        return 0 <= i < self.structure.order and self.mask >> i & 1 == 1
 
     def __iter__(self):
         return iter(bits(self.mask))
@@ -177,7 +141,7 @@ class ElementSet:
         return bits(self.mask)
 
     def is_full(self) -> bool:
-        return self.mask == self.carrier.full_mask
+        return self.mask == self.structure.full_mask
 
     def __repr__(self):
         return "{" + ",".join(str(i) for i in self) + "}"
@@ -256,21 +220,25 @@ def _normalize_value_table(n: int, columns: int, table, what: str) -> tuple:
 
 
 class Structure:
-    """What a hyperring and a right hypermodule share: a carrier built from
-    the hypergroup tables, a name, the validation gate and the objects
-    derived from the structure once it is validated (``derived``)."""
+    """What a hyperring and a right hypermodule share: the elements
+    {0, .., order-1} read off the hypergroup tables, the subsets of them
+    (``ElementSet``), a name, the validation gate and the objects derived
+    from the structure once it is validated (``derived``)."""
 
-    __slots__ = ("carrier", "name", "_checked", "_derived")
+    __slots__ = ("order", "full_mask", "name", "_checked", "_derived")
 
     def _hypergroup(self, add, neg, name) -> tuple:
-        # start unchecked on the carrier neg spans; the add table as masks
-        # and the neg table, both range checked
+        # start unchecked on the elements neg spans; the add table as
+        # masks and the neg table, both range checked
         neg_t = tuple(int(v) for v in neg)
         n = len(neg_t)
-        self.carrier = Carrier(n)
+        if n < 1:
+            raise ValueError("carrier needs at least the zero element")
+        self.order = n
+        self.full_mask = (1 << n) - 1
         add_masks = _normalize_set_table(n, add)
         for v in neg_t:
-            self.carrier.check_element(v)
+            self.check_element(v)
         self.name = name
         self._checked = False
         self._derived = {}
@@ -285,9 +253,13 @@ class Structure:
             self._checked = True
         return report
 
-    @property
-    def order(self) -> int:
-        return self.carrier.size
+    def checked(self, what: str):
+        """Validate a structure built from validated ones and return it;
+        a failure breaks a theorem and raises ``what: failures``."""
+        report = self.validate()
+        if not report.ok:
+            raise TheoremViolationError(f"{what}: {report.failures}")
+        return self
 
     @property
     def validated(self) -> bool:
@@ -299,8 +271,38 @@ class Structure:
                 f"{self!r} has not passed validation; call validate() first"
             )
 
+    def check_element(self, i: int) -> int:
+        if not 0 <= i < self.order:
+            raise ValueError(f"element {i} outside carrier of size {self.order}")
+        return i
+
     def subset(self, members) -> ElementSet:
-        return self.carrier.subset(members)
+        m = 0
+        for i in members:
+            self.check_element(i)
+            m |= 1 << i
+        return ElementSet(self, m)
+
+    def from_mask(self, mask: int) -> ElementSet:
+        if mask & ~self.full_mask:
+            raise ValueError("mask has bits outside the carrier")
+        return ElementSet(self, mask)
+
+    def singleton(self, i: int) -> ElementSet:
+        self.check_element(i)
+        return ElementSet(self, 1 << i)
+
+    def full_set(self) -> ElementSet:
+        return ElementSet(self, self.full_mask)
+
+    def members_mask(self, members) -> int:
+        """The mask of an ElementSet of this structure, or of any other
+        iterable of its elements."""
+        if isinstance(members, ElementSet):
+            if members.structure is not self:
+                raise ValueError("member set lives over a different carrier")
+            return members.mask
+        return self.subset(members).mask
 
 
 class HyperRing(Structure):
@@ -322,26 +324,20 @@ class HyperRing(Structure):
         self.add_masks, self.neg_table = self._hypergroup(add, neg, name)
         n = self.order
         self.mul_table = _normalize_value_table(n, n, mul, "mul")
-        self.unit = None if unit is None else self.carrier.check_element(int(unit))
+        self.unit = None if unit is None else self.check_element(int(unit))
 
     @property
     def is_unital(self) -> bool:
         return self.unit is not None
 
     def add(self, a: int, b: int) -> ElementSet:
-        return ElementSet(self.carrier, self.add_masks[a][b])
+        return ElementSet(self, self.add_masks[a][b])
 
     def neg(self, a: int) -> int:
         return self.neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
-
-    def singleton(self, i: int) -> ElementSet:
-        return self.carrier.singleton(i)
-
-    def full_set(self) -> ElementSet:
-        return self.carrier.full()
 
     def validate(self) -> ValidationReport:
         """Run both verification passes and mark the ring usable on success."""
@@ -375,7 +371,7 @@ def derived(obj, key, build):
 def hypersum(ring: HyperRing, x: ElementSet, y: ElementSet) -> ElementSet:
     """Set sum: union of a + b over a in x, b in y.  Empty inputs give
     the empty set."""
-    if x.carrier is not ring.carrier or y.carrier is not ring.carrier:
+    if x.structure is not ring or y.structure is not ring:
         raise CarrierMismatchError("hypersum operands must live over the ring's carrier")
     add = ring.add_masks
     out = 0
@@ -383,14 +379,14 @@ def hypersum(ring: HyperRing, x: ElementSet, y: ElementSet) -> ElementSet:
         row = add[a]
         for b in bits(y.mask):
             out |= row[b]
-    return ElementSet(ring.carrier, out)
+    return ElementSet(ring, out)
 
 
 def neg_set(ring: HyperRing, x: ElementSet) -> ElementSet:
     """Elementwise additive inverse of a subset."""
-    if x.carrier is not ring.carrier:
+    if x.structure is not ring:
         raise CarrierMismatchError("neg_set operand must live over the ring's carrier")
-    return ElementSet(ring.carrier, mask_of(ring.neg_table[a] for a in bits(x.mask)))
+    return ElementSet(ring, mask_of(ring.neg_table[a] for a in bits(x.mask)))
 
 
 def hypergroup_checks(n: int, add, neg) -> list:

@@ -27,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (
+    BoundExceededError,
     HyperRing,
     TheoremViolationError,
     bits,
@@ -249,7 +250,7 @@ def generate_corpus(max_order: int = HARD_ORDER_CAP, dedupe: bool = True,
     reproducibility.
     """
     if max_order > HARD_ORDER_CAP:
-        raise ValueError(
+        raise BoundExceededError(
             f"generation is exhaustive and grows savagely; {max_order} is past "
             f"the supported cap {HARD_ORDER_CAP}"
         )
@@ -269,12 +270,7 @@ def generate_corpus(max_order: int = HARD_ORDER_CAP, dedupe: bool = True,
                     if ck in seen:
                         continue
                     seen.add(ck)
-                report = ring.validate()
-                if not report.ok:
-                    raise TheoremViolationError(
-                        f"generator produced an invalid ring: {report.failures}"
-                    )
-                rings.append(ring)
+                rings.append(ring.checked("generator produced an invalid ring"))
         rings.sort(key=lambda r: r.encoding())
         if per_order_limit is not None:
             rings = rings[:per_order_limit]

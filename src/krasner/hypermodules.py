@@ -67,7 +67,7 @@ class HyperModule(Structure):
         self.unital = bool(unital)
 
     def madd(self, a: int, b: int) -> ElementSet:
-        return ElementSet(self.carrier, self.madd_masks[a][b])
+        return ElementSet(self, self.madd_masks[a][b])
 
     def mneg(self, a: int) -> int:
         return self.mneg_table[a]
@@ -195,12 +195,7 @@ def regular_module(ring: HyperRing) -> HyperModule:
             unital=ring.is_unital,
             name=f"{ring.name or 'R'} as module",
         )
-        report = mod.validate()
-        if not report.ok:
-            raise TheoremViolationError(
-                f"regular module of a verified ring failed validation: {report.failures}"
-            )
-        return mod
+        return mod.checked("regular module of a verified ring failed validation")
     return derived(ring, "regular", build)
 
 
@@ -213,13 +208,8 @@ def is_subhypermodule(module: HyperModule, members) -> IdealCheck:
     """Closure of a subset under madd, mneg and the ring action, by
     ``ideals.closure_check``."""
     module.require_validated()
-    if isinstance(members, ElementSet):
-        if members.carrier is not module.carrier:
-            raise ValueError("member set lives over a different carrier")
-        s = members.mask
-    else:
-        s = module.subset(members).mask
-    return closure_check(s, module.madd_masks, module.mneg_table, _action(module))
+    return closure_check(module.members_mask(members), module.madd_masks,
+                         module.mneg_table, _action(module))
 
 
 def enumerate_subhypermodules(module: HyperModule, bound: int = ENUMERATION_BOUND) -> tuple:
@@ -230,7 +220,7 @@ def enumerate_subhypermodules(module: HyperModule, bound: int = ENUMERATION_BOUN
             f"order {module.order} exceeds the bound {bound}"
         )
     masks = closed_subsets(module.madd_masks, module.mneg_table, _action(module))
-    return tuple(module.carrier.from_mask(mask) for mask in masks)
+    return tuple(module.from_mask(mask) for mask in masks)
 
 
 def submodule(module: HyperModule, members) -> HyperModule:
@@ -239,7 +229,7 @@ def submodule(module: HyperModule, members) -> HyperModule:
     check = is_subhypermodule(module, members)
     if not check:
         raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
-    s = members.mask if isinstance(members, ElementSet) else module.subset(members).mask
+    s = module.members_mask(members)
 
     def build():
         elems = bits(s)
@@ -250,20 +240,17 @@ def submodule(module: HyperModule, members) -> HyperModule:
         act = [[index[module.act_table[a][r]] for r in range(module.ring.order)]
                for a in elems]
         sub = HyperModule(module.ring, madd, mneg, act, unital=module.unital,
-                          name=f"{module.name or 'M'} restricted to {module.carrier.from_mask(s)!r}")
-        report = sub.validate()
-        if not report.ok:
-            raise TheoremViolationError(f"subhypermodule failed validation: {report.failures}")
-        return sub
+                          name=f"{module.name or 'M'} restricted to {module.from_mask(s)!r}")
+        return sub.checked("subhypermodule failed validation")
     return derived(module, ("submodule", s), build)
 
 
 def cyclic_submodule(module: HyperModule, m: int) -> ElementSet:
     """Smallest subhypermodule containing m."""
     module.require_validated()
-    module.carrier.check_element(m)
+    module.check_element(m)
     mask = closure(1 << m, module.madd_masks, module.mneg_table, _action(module))
-    return module.carrier.from_mask(mask)
+    return module.from_mask(mask)
 
 
 def action_is_zero(module: HyperModule) -> bool:
@@ -289,7 +276,7 @@ def module_ideal_product(module: HyperModule, ideal: HyperIdeal) -> ElementSet:
         for a in bits(ideal.members.mask):
             products |= 1 << row[a]
     closed = sum_of_products_closure(module.madd_masks, products)
-    out = module.carrier.from_mask(closed)
+    out = module.from_mask(closed)
     check = is_subhypermodule(module, out)
     if not check:
         raise TheoremViolationError(
@@ -329,7 +316,7 @@ def quotient_module(module: HyperModule, members) -> ModuleQuotient:
     check = is_subhypermodule(module, members)
     if not check:
         raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
-    k = members if isinstance(members, ElementSet) else module.subset(members)
+    k = module.from_mask(module.members_mask(members))
 
     def build():
         cosets, coset_of = coset_partition(module.madd_masks, k.mask)
@@ -341,11 +328,7 @@ def quotient_module(module: HyperModule, members) -> ModuleQuotient:
 
         out = HyperModule(module.ring, madd, mneg, act, unital=module.unital,
                           name=f"{module.name or 'M'}/{k!r}")
-        report = out.validate()
-        if not report.ok:
-            raise TheoremViolationError(
-                f"quotient by a verified subhypermodule failed validation: {report.failures}"
-            )
+        out.checked("quotient by a verified subhypermodule failed validation")
         projection = ModuleHom(module, out, coset_of, name="project")
         return ModuleQuotient(out, module, k, cosets, coset_of, projection)
     return derived(module, ("quotient", k.mask), build)
@@ -365,7 +348,7 @@ class ModuleHom:
         if len(self.mapping) != self.source.order:
             raise ValueError("mapping must cover the source carrier")
         for v in self.mapping:
-            self.target.carrier.check_element(v)
+            self.target.check_element(v)
         if self.source.ring is not self.target.ring:
             raise ValueError("module homs need a common base ring")
 
@@ -401,7 +384,7 @@ def verify_module_hom(hom: ModuleHom) -> VerificationReport:
 def hom_kernel(hom: ModuleHom) -> ElementSet:
     """Preimage of 0; asserted to be a subhypermodule of the source."""
     mask = mask_of(m for m, v in enumerate(hom.mapping) if v == 0)
-    out = hom.source.carrier.from_mask(mask)
+    out = hom.source.from_mask(mask)
     check = is_subhypermodule(hom.source, out)
     if not check:
         raise TheoremViolationError(f"kernel failed {check.clause} at {check.witness}")
@@ -411,7 +394,7 @@ def hom_kernel(hom: ModuleHom) -> ElementSet:
 def hom_image(hom: ModuleHom) -> ElementSet:
     """Range; asserted to be a subhypermodule of the target."""
     mask = mask_of(hom.mapping)
-    out = hom.target.carrier.from_mask(mask)
+    out = hom.target.from_mask(mask)
     check = is_subhypermodule(hom.target, out)
     if not check:
         raise TheoremViolationError(f"image failed {check.clause} at {check.witness}")
@@ -468,9 +451,4 @@ def restrict_scalars(module: HyperModule, hom) -> HyperModule:
                       act=act,
                       unital=False,
                       name=f"{module.name or 'M'} via {hom.name or 'hom'}")
-    report = out.validate()
-    if not report.ok:
-        raise TheoremViolationError(
-            f"scalar restriction failed validation: {report.failures}"
-        )
-    return out
+    return out.checked("scalar restriction failed validation")

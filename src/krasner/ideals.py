@@ -47,13 +47,10 @@ class IdealCheck:
 
 
 def _as_mask(ring: HyperRing, members) -> int:
+    # a hyperideal stands for its member set
     if isinstance(members, HyperIdeal):
         members = members.members
-    if isinstance(members, ElementSet):
-        if members.carrier is not ring.carrier:
-            raise ValueError("member set lives over a different carrier")
-        return members.mask
-    return ring.subset(members).mask
+    return ring.members_mask(members)
 
 
 def _absorption(ring: HyperRing, sidedness: str) -> list:
@@ -99,14 +96,14 @@ class HyperIdeal:
                 f"not a {sidedness} hyperideal: {check.clause} fails at {check.witness}"
             )
         self.ring = ring
-        self.members = ring.carrier.from_mask(_as_mask(ring, members))
+        self.members = ring.from_mask(_as_mask(ring, members))
         self.sidedness = sidedness
 
     @classmethod
     def _trusted(cls, ring: HyperRing, mask: int, sidedness: str) -> "HyperIdeal":
         self = object.__new__(cls)
         self.ring = ring
-        self.members = ring.carrier.from_mask(mask)
+        self.members = ring.from_mask(mask)
         self.sidedness = sidedness
         return self
 
@@ -204,7 +201,7 @@ def _product_table(ring: HyperRing, two_sided) -> dict:
             if closed not in family:
                 ideal_product(a, b)
                 raise TheoremViolationError(
-                    f"product {ring.carrier.from_mask(closed)!r} of {a.members!r} and "
+                    f"product {ring.from_mask(closed)!r} of {a.members!r} and "
                     f"{b.members!r} is missing from the lattice"
                 )
             table[a.key, b.key] = closed
@@ -263,10 +260,10 @@ def ideal_intersection(ideals) -> HyperIdeal:
     ideals = tuple(ideals)
     sided = _common_sidedness(ideals)
     ring = ideals[0].ring
-    mask = ring.carrier.full_mask
+    mask = ring.full_mask
     for i in ideals:
         mask &= i.members.mask
-    return HyperIdeal(ring, ring.carrier.from_mask(mask), sided)
+    return HyperIdeal(ring, ring.from_mask(mask), sided)
 
 
 def ideal_sum(ideals) -> HyperIdeal:
@@ -479,7 +476,7 @@ def ideal_product(a, b, ring: HyperRing | None = None):
     a_set = a.members if a_ideal else a
     b_set = b.members if b_ideal else b
     for s in (a_set, b_set):
-        if not isinstance(s, ElementSet) or s.carrier is not ring.carrier:
+        if not isinstance(s, ElementSet) or s.structure is not ring:
             raise ValueError("operands must live over the same ring")
     mul = ring.mul_table
     products = 0
@@ -490,13 +487,13 @@ def ideal_product(a, b, ring: HyperRing | None = None):
     closed = sum_of_products_closure(ring.add_masks, products)
     sided = _product_sidedness(a, b) if a_ideal and b_ideal else None
     if sided is not None:
-        check = is_hyperideal(ring, ring.carrier.from_mask(closed), sided)
+        check = is_hyperideal(ring, ring.from_mask(closed), sided)
         if not check:
             raise TheoremViolationError(
                 f"product of {sided} ideals failed {check.clause} at {check.witness}"
             )
         return HyperIdeal._trusted(ring, closed, sided)
-    return ring.carrier.from_mask(closed)
+    return ring.from_mask(closed)
 
 
 def generated_ideal(ring: HyperRing, members, sidedness: str = "two-sided") -> HyperIdeal:
@@ -509,7 +506,7 @@ def generated_ideal(ring: HyperRing, members, sidedness: str = "two-sided") -> H
     ring.require_validated()
     actions = _absorption(ring, sidedness)
     mask = closure(_as_mask(ring, members), ring.add_masks, ring.neg_table, actions)
-    return HyperIdeal(ring, ring.carrier.from_mask(mask), sidedness)
+    return HyperIdeal(ring, ring.from_mask(mask), sidedness)
 
 
 def cross_check_generated(ring: HyperRing, members, lattice: IdealLattice) -> HyperIdeal:
@@ -560,7 +557,7 @@ def cross_check_all_generated(ring: HyperRing, lattice: IdealLattice) -> int:
 def _lattice_ideal(ring: HyperRing, mask: int, closed: int, lattice: IdealLattice) -> HyperIdeal:
     # the comparison both cross-checks make: closed, the closure of mask,
     # must be the meet of the lattice ideals above mask and a lattice ideal
-    meet = ring.carrier.full_mask
+    meet = ring.full_mask
     found = None
     for ideal in lattice.two_sided:
         key = ideal.members.mask
@@ -587,7 +584,7 @@ def nilpotent_elements(ring: HyperRing) -> ElementSet:
                 out |= 1 << a
                 break
             x = mul[x][a]
-    return ring.carrier.from_mask(out)
+    return ring.from_mask(out)
 
 
 def nil_radical(ring: HyperRing, lattice: IdealLattice) -> HyperIdeal:
@@ -597,7 +594,7 @@ def nil_radical(ring: HyperRing, lattice: IdealLattice) -> HyperIdeal:
     whole ring; for the one element ring that is still {0}.
     """
     if not lattice.prime:
-        return HyperIdeal._trusted(ring, ring.carrier.full_mask, "two-sided")
+        return HyperIdeal._trusted(ring, ring.full_mask, "two-sided")
     return ideal_intersection(lattice.prime)
 
 
@@ -646,7 +643,7 @@ class Quotient:
     projection: object       # RingHom from morphisms
 
     def coset_members(self, index: int) -> ElementSet:
-        return self.source.carrier.from_mask(self.cosets[index])
+        return self.source.from_mask(self.cosets[index])
 
 
 def quotient_ring(ring: HyperRing, ideal: HyperIdeal) -> Quotient:
@@ -672,11 +669,7 @@ def quotient_ring(ring: HyperRing, ideal: HyperIdeal) -> Quotient:
         unit = None if ring.unit is None else coset_of[ring.unit]
         label = f"{ring.name or 'R'}/{ideal.members!r}"
         out = HyperRing(add, neg, mul, unit=unit, name=label)
-        report = out.validate()
-        if not report.ok:
-            raise TheoremViolationError(
-                f"quotient by a verified ideal failed validation: {report.failures}"
-            )
+        out.checked("quotient by a verified ideal failed validation")
 
         from .morphisms import RingHom
 

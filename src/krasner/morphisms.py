@@ -50,7 +50,7 @@ class RingHom:
         if len(self.mapping) != self.source.order:
             raise ValueError("mapping must cover the source carrier")
         for v in self.mapping:
-            self.target.carrier.check_element(v)
+            self.target.check_element(v)
         if self.unit_preserving and (self.source.unit is None or self.target.unit is None):
             raise ValueError("unit preservation needs units on both sides")
 
@@ -61,7 +61,7 @@ class RingHom:
         return mask_of(self.mapping)
 
     def is_surjective(self) -> bool:
-        return self.image_mask() == self.target.carrier.full_mask
+        return self.image_mask() == self.target.full_mask
 
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)

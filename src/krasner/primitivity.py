@@ -60,7 +60,7 @@ def prim_from_maximal_right(ring: HyperRing, m: HyperIdeal) -> PrimitiveCertific
     if product_mask(ring) & ~m.members.mask == 0:
         return None
     reg = regular_module(ring)
-    quot = quotient_module(reg, reg.carrier.from_mask(m.members.mask))
+    quot = quotient_module(reg, reg.from_mask(m.members.mask))
     mod = quot.module
     if not is_simple(mod):
         raise TheoremViolationError(
@@ -75,7 +75,7 @@ def prim_from_maximal_right(ring: HyperRing, m: HyperIdeal) -> PrimitiveCertific
     if direct != p.members.mask:
         raise TheoremViolationError(
             f"annihilator of R/{m.members!r} is {p.members!r} but the direct "
-            f"route gives {ring.carrier.from_mask(direct)!r}"
+            f"route gives {ring.from_mask(direct)!r}"
         )
     return PrimitiveCertificate(ideal=p, maximal_right=m, module=mod)
 
@@ -173,11 +173,8 @@ def enumerate_simple_modules(ring: HyperRing, max_order: int = 3) -> tuple:
             members = [[list(bits(cell)) for cell in row] for row in add_masks]
             for values in search(sizes, _action_rules(ring, n, add_masks)):
                 act = [values[m * nr:(m + 1) * nr] for m in range(n)]
-                module = HyperModule(ring, members, neg, act)
-                report = module.validate()
-                if not report.ok:
-                    raise TheoremViolationError(
-                        f"module table search produced an invalid module: {report.failures}")
+                module = HyperModule(ring, members, neg, act).checked(
+                    "module table search produced an invalid module")
                 if is_simple(module):
                     found.append(module)
     return tuple(found)

@@ -2,8 +2,8 @@
 contains the intersection of S}, with the empty set closed by fiat.
 
 Points live in a fixed canonical order, so a subset of the space is just
-an int bitmask over point indices (pmask), mirroring how element sets
-work over a carrier.  Kernels are plain element masks on the ring.
+an int bitmask over point indices (pmask), as a set of ring elements is a
+bitmask over element indices.  Kernels are plain element masks on the ring.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class SpectrumSpace:
 
     def kernel_of(self, pmask: int) -> int:
         """Intersection of the points, the whole ring for the empty set."""
-        out = self.ring.carrier.full_mask
+        out = self.ring.full_mask
         for i in bits(pmask):
             out &= self.point_masks[i]
         return out
@@ -93,7 +93,7 @@ class SpectrumSpace:
                 f"materializing closed sets scans 2^{n} subsets; "
                 f"{n} points exceeds the bound {MATERIALIZE_BOUND}"
             )
-        full = self.ring.carrier.full_mask
+        full = self.ring.full_mask
         kern = [full] * (1 << n)
         closed = []
         for s in range(1, 1 << n):

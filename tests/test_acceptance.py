@@ -194,7 +194,7 @@ def test_criterion_2_ideal_closure(machinery):
         for family, sided in ((lattice.two_sided, "two-sided"),
                               (lattice.right, "right")):
             for a, b in itertools.combinations_with_replacement(family, 2):
-                meet = ring.carrier.from_mask(a.members.mask & b.members.mask)
+                meet = ring.from_mask(a.members.mask & b.members.mask)
                 verdict = is_hyperideal(ring, meet, sided)
                 if not verdict:
                     bad.append(f"{name}: {a.members!r} meet {b.members!r} fails "
@@ -371,7 +371,7 @@ def test_criterion_6_compactness(machinery):
                     for y in bits(kernel):
                         grown |= row[y]
                 acc = grown
-            if acc != ring.carrier.full_mask:
+            if acc != ring.full_mask:
                 bad.append(f"{name}: a minimal empty family of {len(chosen)} "
                            f"closed sets has kernel sum {acc:#x}")
     record(6, "compactness kernel sums", bad,
@@ -430,7 +430,7 @@ def test_criterion_7_morphism_sweep(corpus3):
         targets = [reg]
         for m in lattice.maximal_right:
             targets.append(
-                quotient_module(reg, reg.carrier.from_mask(m.members.mask)).module)
+                quotient_module(reg, reg.from_mask(m.members.mask)).module)
         for target in targets:
             for mh in enumerate_module_homs(reg, target):
                 module_homs += 1

@@ -177,7 +177,7 @@ def test_check_allow_invalid(tmp_path, ring_file, capsys):
 
 def test_check_unknown_check_id(capsys):
     assert main(["check", "--checks", "t0,phantom"]) == 2
-    assert "phantom" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown check ids: phantom\n"
 
 
 def test_check_filtered(capsys):
@@ -277,7 +277,9 @@ def test_hom_name_filter(tmp_path, z2, capsys):
 
 def test_order_cap_maps_to_input_error(capsys):
     assert main(["gen", "--max-order", "9"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: generation is exhaustive and grows savagely; 9 is past "
+        "the supported cap 4\n")
 
 
 def test_missing_file(capsys):
@@ -288,3 +290,14 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_internal_value_error_is_not_reported_as_invalid_input(monkeypatch):
+    # a ValueError from inside a command is a bug, not a refusal of input:
+    # it must surface instead of becoming "error: ..." with exit code 2
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("krasner.cli.generate_corpus", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["gen", "--max-order", "2"])

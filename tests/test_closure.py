@@ -94,7 +94,7 @@ def old_generated_ideal(ring, mask, sidedness):
 
 def old_cross_check_generated(ring, mask, lattice):
     above = [i for i in lattice.two_sided if mask & ~i.key == 0]
-    closed = generated_ideal(ring, ring.carrier.from_mask(mask), "two-sided")
+    closed = generated_ideal(ring, ring.from_mask(mask), "two-sided")
     via_lattice = ideal_intersection(above) if above else None
     if via_lattice is None or via_lattice.key != closed.key:
         raise TheoremViolationError(f"generated ideal mismatch for {mask}")
@@ -221,7 +221,7 @@ def test_is_hyperideal_matches_the_old_check(corpus4):
     for ring in (e.ring for e in corpus4):
         for s in range(1 << ring.order):
             for sidedness in SIDEDNESS:
-                check = is_hyperideal(ring, ring.carrier.from_mask(s), sidedness)
+                check = is_hyperideal(ring, ring.from_mask(s), sidedness)
                 assert check == old_is_hyperideal(ring, s, sidedness)
                 clauses.add(check.clause)
     assert clauses == {"", "zero", "neg-closure", "add-closure",
@@ -232,7 +232,7 @@ def test_generated_ideal_matches_the_old_loop(corpus4):
     for ring in (e.ring for e in corpus4):
         for s in range(1 << ring.order):
             for sidedness in SIDEDNESS:
-                got = generated_ideal(ring, ring.carrier.from_mask(s), sidedness)
+                got = generated_ideal(ring, ring.from_mask(s), sidedness)
                 assert got.key == old_generated_ideal(ring, s, sidedness)
 
 
@@ -240,7 +240,7 @@ def test_cross_check_matches_the_checked_route(corpus4):
     for ring in (e.ring for e in corpus4):
         lattice = IdealLattice.build(ring)
         for s in range(1 << ring.order):
-            got = cross_check_generated(ring, ring.carrier.from_mask(s), lattice)
+            got = cross_check_generated(ring, ring.from_mask(s), lattice)
             expected = old_cross_check_generated(ring, s, lattice)
             assert (got.key, got.sidedness) == (expected.key, expected.sidedness)
             assert got in lattice.two_sided
@@ -298,15 +298,15 @@ def test_the_sweep_agrees_with_the_single_set_route(corpus4, monkeypatch):
             assert cross_check_all_generated(ring, lattice) == 1 << ring.order
         expected = []
         for s in range(1 << ring.order):
-            found = cross_check_generated(ring, ring.carrier.from_mask(s), lattice)
-            expected.append((s, generated_ideal(ring, ring.carrier.from_mask(s)).key, found))
+            found = cross_check_generated(ring, ring.from_mask(s), lattice)
+            expected.append((s, generated_ideal(ring, ring.from_mask(s)).key, found))
         assert seen == expected
 
 
 def first_single_set_failure(ring, lattice):
     for s in range(1 << ring.order):
         try:
-            cross_check_generated(ring, ring.carrier.from_mask(s), lattice)
+            cross_check_generated(ring, ring.from_mask(s), lattice)
         except TheoremViolationError as e:
             return str(e)
     return None
@@ -350,7 +350,7 @@ def regular_and_quotients(ring, lattice):
     reg = regular_module(ring)
     mods = [reg]
     for m in lattice.maximal_right:
-        mods.append(quotient_module(reg, reg.carrier.from_mask(m.members.mask)).module)
+        mods.append(quotient_module(reg, reg.from_mask(m.members.mask)).module)
     return mods
 
 
@@ -391,7 +391,7 @@ def test_module_closure_matches_the_old_loops(corpus4):
     for ring in (e.ring for e in corpus4):
         for module in regular_and_quotients(ring, IdealLattice.build(ring)):
             for s in range(1 << module.order):
-                ok = is_subhypermodule(module, module.carrier.from_mask(s)).ok
+                ok = is_subhypermodule(module, module.from_mask(s)).ok
                 assert ok == old_is_subhypermodule(module, s)
                 seen.add(ok)
             expected = [s for s in range(1 << module.order) if old_is_subhypermodule(module, s)]
@@ -412,7 +412,7 @@ def test_quotients_match_the_old_coset_code(corpus4):
             quotients += 1
         reg = regular_module(ring)
         for ideal in lattice.right:
-            q = quotient_module(reg, reg.carrier.from_mask(ideal.key))
+            q = quotient_module(reg, reg.from_mask(ideal.key))
             got = (q.cosets, q.coset_of, q.module.encoding())
             assert got == old_quotient_module(reg, ideal.key)
             quotients += 1

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import krasner
 from krasner.catalog import cyclic_ring, hyperfield_k, standard_rings, zero_mul_ring
 from krasner import core
 from krasner.core import (
-    Carrier,
     CarrierMismatchError,
     HyperRing,
     NotValidatedError,
@@ -17,7 +17,8 @@ from krasner.core import (
     neg_set,
     verify_hyperring,
 )
-from krasner.ideals import ENUMERATION_BOUND, IdealLattice
+from krasner.hypermodules import is_subhypermodule, regular_module
+from krasner.ideals import ENUMERATION_BOUND, IdealLattice, is_hyperideal
 
 
 def ring_tables(ring):
@@ -131,8 +132,33 @@ def test_carrier_mismatch(z4, z6):
         hypersum(z4, z4.full_set(), z6.full_set())
 
 
+def test_equal_order_structures_keep_their_sets_apart():
+    # sets belong to one structure, not to its order: two separately
+    # built Z4s, and each ring against its own regular module
+    a, b = cyclic_ring(4), cyclic_ring(4)
+    ma, mb = regular_module(a), regular_module(b)
+    assert a.full_set() != b.full_set()
+    assert ma.subset(range(4)) != mb.subset(range(4))
+    assert a.full_set() != ma.subset(range(4))
+    with pytest.raises(CarrierMismatchError):
+        hypersum(a, a.full_set(), b.full_set())
+    with pytest.raises(CarrierMismatchError):
+        a.full_set() | b.full_set()
+    with pytest.raises(ValueError, match="different carrier"):
+        is_hyperideal(a, b.full_set())
+    with pytest.raises(ValueError, match="different carrier"):
+        is_subhypermodule(ma, mb.subset([0]))
+    with pytest.raises(ValueError, match="different carrier"):
+        is_subhypermodule(ma, a.full_set())
+
+
+def test_every_export_resolves():
+    for name in krasner.__all__:
+        assert getattr(krasner, name, None) is not None, name
+
+
 def test_element_set_basics():
-    c = Carrier(4)
+    c = cyclic_ring(4)
     s = c.subset([1, 3])
     assert s.mask == 0b1010
     assert s.members == (1, 3)
@@ -178,13 +204,13 @@ def test_a_ring_wider_than_the_bits_table_still_validates():
 
 
 def test_element_set_rejects_out_of_range():
-    c = Carrier(3)
+    c = cyclic_ring(3)
     with pytest.raises(ValueError):
         c.subset([3])
     with pytest.raises(ValueError):
         c.from_mask(1 << 3)
     with pytest.raises(ValueError):
-        Carrier(0)
+        HyperRing([], [], [])
 
 
 def test_ring_encoding_is_stable(z4):

@@ -39,9 +39,9 @@ def derived_view(ring):
     module_quotients = []
     submodules = []
     for ideal in lattice.right:
-        q = quotient_module(reg, reg.carrier.from_mask(ideal.key))
+        q = quotient_module(reg, reg.from_mask(ideal.key))
         module_quotients.append((q.cosets, q.coset_of, q.module.name, q.module.encoding()))
-        sub = submodule(reg, reg.carrier.from_mask(ideal.key))
+        sub = submodule(reg, reg.from_mask(ideal.key))
         submodules.append((sub.name, sub.unital, sub.encoding()))
     return (families, certs, reg.encoding(), SpectrumSpace.build(ring).point_masks,
             tuple(quotients), tuple(module_quotients), tuple(submodules))

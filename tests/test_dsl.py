@@ -78,7 +78,7 @@ def test_module_round_trip_corpus(corpus3):
     # each regular module and its quotients by maximal right ideals
     for entry in corpus3:
         reg = regular_module(entry.ring)
-        modules = [reg] + [quotient_module(reg, reg.carrier.from_mask(m.key)).module
+        modules = [reg] + [quotient_module(reg, reg.from_mask(m.key)).module
                            for m in IdealLattice.build(entry.ring).maximal_right]
         ring_text = emit_ring(entry.ring, entry.name)
         for module in modules:

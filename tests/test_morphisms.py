@@ -3,6 +3,7 @@
 import pytest
 
 from krasner.catalog import cyclic_ring
+from krasner.hypermodules import hom_kernel, quotient_module, regular_module, verify_module_hom
 from krasner.ideals import IdealLattice, quotient_ring
 from krasner.morphisms import (
     RingHom,
@@ -213,3 +214,29 @@ def test_compose_requires_matching_middle(z4, z2):
     q = projection_mod_even(z4)
     with pytest.raises(ValueError):
         compose(q.projection, identity_hom(z2))
+
+
+def test_quotient_ring_projections_over_corpus4(corpus4):
+    count = 0
+    for entry in corpus4:
+        ring = entry.ring
+        for ideal in IdealLattice.build(ring).two_sided:
+            proj = quotient_ring(ring, ideal).projection
+            assert verify_strong_hom(proj).ok, (entry.name, ideal)
+            assert kernel_ideal(proj) == ideal, (entry.name, ideal)
+            count += 1
+    assert count > len(corpus4)
+
+
+def test_quotient_module_projections_over_corpus4(corpus4):
+    count = 0
+    for entry in corpus4:
+        ring = entry.ring
+        reg = regular_module(ring)
+        for ideal in IdealLattice.build(ring).right:
+            members = reg.subset(ideal.members)
+            proj = quotient_module(reg, members).projection
+            assert verify_module_hom(proj).ok, (entry.name, ideal)
+            assert hom_kernel(proj) == members, (entry.name, ideal)
+            count += 1
+    assert count > len(corpus4)

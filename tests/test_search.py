@@ -154,7 +154,7 @@ def regular_and_quotients(ring):
     reg = regular_module(ring)
     mods = [reg]
     for m in IdealLattice.build(ring).maximal_right:
-        mods.append(quotient_module(reg, reg.carrier.from_mask(m.members.mask)).module)
+        mods.append(quotient_module(reg, reg.from_mask(m.members.mask)).module)
     return mods
 
 

@@ -61,7 +61,7 @@ def test_kernel_of(z6):
     space = SpectrumSpace.build(z6)
     # kernel of all points is the intersection {0}; of none, the whole ring
     assert space.kernel_of(0b11) == 0b1
-    assert space.kernel_of(0) == z6.carrier.full_mask
+    assert space.kernel_of(0) == z6.full_mask
 
 
 def test_point_set_round_trip(z6):

@@ -12,6 +12,7 @@ from krasner.suite import (
     CHECK_IDS,
     SCHEMA,
     check_ideal_product_closed,
+    check_product_inside_intersection,
     counterexample_search,
     run_ring_checks,
     run_theorem_suite,
@@ -141,3 +142,23 @@ def test_ideal_product_referees_the_lattice_product_table():
     bad = check_ideal_product_closed(SimpleNamespace(ring=ring, lattice=damaged))
     assert bad.status == "fail"
     assert bad.detail == "{0,2} * {0,2} has mask 1, the lattice's product table 5"
+
+
+def test_product_inside_intersection_reads_the_product_table(monkeypatch):
+    ring = cyclic_ring(4)
+    lattice = IdealLattice.build(ring)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check recomputed a product")
+
+    monkeypatch.setattr("krasner.suite.ideal_product", refuse)
+    ok = check_product_inside_intersection(SimpleNamespace(ring=ring, lattice=lattice))
+    assert (ok.status, ok.detail) == ("pass", "")
+    # {0} * {0,2} = {0}, mask 1; the damaged table says {0,2}, mask 5,
+    # which escapes the intersection {0}
+    products = dict(lattice.products)
+    products[1, 5] = 5
+    damaged = dataclasses.replace(lattice, products=products)
+    bad = check_product_inside_intersection(SimpleNamespace(ring=ring, lattice=damaged))
+    assert bad.status == "fail"
+    assert bad.detail == "{0} * {0,2} = {0,2} escapes the intersection"
