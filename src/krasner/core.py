@@ -95,22 +95,8 @@ class ElementSet:
     def __or__(self, other):
         return ElementSet(self.structure, self.mask | self._lift(other))
 
-    def __and__(self, other):
-        return ElementSet(self.structure, self.mask & self._lift(other))
-
-    def __sub__(self, other):
-        return ElementSet(self.structure, self.mask & ~self._lift(other))
-
     def complement(self) -> "ElementSet":
         return ElementSet(self.structure, self.structure.full_mask & ~self.mask)
-
-    def __le__(self, other):
-        m = self._lift(other)
-        return self.mask & ~m == 0
-
-    def __lt__(self, other):
-        m = self._lift(other)
-        return self.mask != m and self.mask & ~m == 0
 
     def __eq__(self, other):
         if not isinstance(other, ElementSet):
@@ -121,20 +107,11 @@ class ElementSet:
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
 
-    def __hash__(self):
-        return hash((id(self.structure), self.mask))
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.structure.order and self.mask >> i & 1 == 1
-
     def __iter__(self):
         return iter(bits(self.mask))
 
     def __len__(self):
         return self.mask.bit_count()
-
-    def __bool__(self):
-        return self.mask != 0
 
     @property
     def members(self) -> tuple:

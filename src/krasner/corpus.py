@@ -5,12 +5,12 @@ on triples (p, q, r) standing for r in p + q, and commutativity plus the
 two reversibility moves generate a little group acting on triples; any
 valid table is a union of orbits.  The identity and negation axioms pin
 some orbits in, rule some out, and kill a negation table outright when
-one orbit is pinned both ways.  That leaves a subset search over the few
-free orbits, filtered by nonemptiness; every candidate then goes through
-the full hypergroup validator, which discards it when associativity is
-its only failure and raises on any other failure.
+one orbit is pinned both ways.  Each free orbit is then an in-or-out cell
+of ``core.search``, whose rules keep every cell of the table nonempty and
+every associativity instance true as soon as the orbits they read are
+decided; a table it finds that fails the hypergroup validator raises.
 
-Multiplication tables come from ``core.search``: it fills the nonzero
+Multiplication tables come from ``core.search`` too: it fills the nonzero
 entries one at a time and checks each associativity and distributivity
 instance as soon as the entries it reads are filled.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     BoundExceededError,
@@ -33,6 +34,7 @@ from .core import (
     bits,
     find_unit,
     hypergroup_checks,
+    mask_of,
     search,
     sum_rule,
 )
@@ -40,44 +42,34 @@ from .core import (
 HARD_ORDER_CAP = 4
 
 
-def _triple_orbits(n: int, nu: tuple):
-    """Orbits of (p, q, r) under swap and the two reversibility moves."""
-    total = n * n * n
-    seen = [False] * total
+def _triple_orbits(n: int, nu: tuple) -> list:
+    """Masks of the orbits of (p, q, r) under swap and the two
+    reversibility moves, in order of their least triple."""
+    seen = 0
     orbits = []
-    for start in range(total):
-        if seen[start]:
+    for start in range(n * n * n):
+        if seen >> start & 1:
             continue
         stack = [start]
-        seen[start] = True
-        orbit = []
+        omask = 1 << start
         while stack:
             t = stack.pop()
-            orbit.append(t)
             p, rest = divmod(t, n * n)
             q, r = divmod(rest, n)
             for img in ((q * n + p) * n + r,
                         (nu[p] * n + r) * n + q,
                         (r * n + nu[q]) * n + p):
-                if not seen[img]:
-                    seen[img] = True
+                if not omask >> img & 1:
+                    omask |= 1 << img
                     stack.append(img)
-        orbit.sort()
-        orbits.append(tuple(orbit))
-    orbits.sort()
+        seen |= omask
+        orbits.append(omask)
     return orbits
 
 
-def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
-    """All canonical hypergroups on {0..n-1} as (add_masks, neg) pairs.
-
-    With dedupe, one representative per relabeling class (permutations
-    fixing 0), sorted by canonical encoding.
-    """
-    if n < 1:
-        raise ValueError("order must be positive")
-
-    found = []
+def _orbit_splits(n: int):
+    """(nu, base, free) for each negation table nu the identity and negation
+    axioms leave alive: the union of orbits pinned in, and the orbits left open."""
     # negation tables: involutions fixing 0 (cell i holds nu[i]); an
     # earlier k goes to i exactly when i goes to k
     involution = (range(n), lambda v, i: all((v[k] == i) == (v[i] == k) for k in range(i)))
@@ -98,65 +90,77 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
 
         base = 0
         free = []
-        dead = False
-        for orbit in _triple_orbits(n, nu):
-            omask = 0
-            for t in orbit:
-                omask |= 1 << t
-            has_in = bool(omask & in_mask)
-            has_out = bool(omask & out_mask)
-            if has_in and has_out:
-                dead = True
-                break
-            if has_in:
-                base |= omask
-            elif not has_out:
-                free.append(omask)
-        if dead:
-            continue
-
-        # a subset must leave no cell empty; record which free orbits can
-        # rescue each cell the base misses
-        requirements = []
-        impossible = False
-        for p in range(n):
-            for q in range(n):
-                cell = 0
-                for r in range(n):
-                    cell |= 1 << (p * n + q) * n + r
-                if base & cell:
-                    continue
-                req = 0
-                for i, omask in enumerate(free):
-                    if omask & cell:
-                        req |= 1 << i
-                if not req:
-                    impossible = True
+        for omask in _triple_orbits(n, nu):
+            if omask & in_mask:
+                if omask & out_mask:
                     break
-                requirements.append(req)
-            if impossible:
-                break
-        if impossible:
-            continue
+                base |= omask
+            elif not omask & out_mask:
+                free.append(omask)
+        else:
+            yield nu, base, free
 
-        for chosen in range(1 << len(free)):
-            if any(not chosen & req for req in requirements):
-                continue
-            t_mask = base
-            for i in bits(chosen):
-                t_mask |= free[i]
-            add = tuple(
-                tuple(
-                    sum(1 << r for r in range(n) if t_mask >> (p * n + q) * n + r & 1)
-                    for q in range(n))
-                for p in range(n))
-            failed = [c.axiom for c in hypergroup_checks(n, add, nu) if not c.ok]
-            if failed == ["associativity"]:
-                continue
-            if failed:
-                raise TheoremViolationError(
-                    "orbit construction produced a bad table; " + "; ".join(failed))
-            found.append((add, nu))
+
+def _associative(n: int, a: int, c: int, t: int) -> bool:
+    """(a + b) + c = a + (b + c) for every b, from rows a and c of the triple mask t."""
+    full = (1 << n) - 1
+    for b in range(n):
+        lhs = rhs = 0
+        for x in bits(t >> (a * n + b) * n & full):
+            lhs |= t >> (c * n + x) * n & full
+        for u in bits(t >> (c * n + b) * n & full):
+            rhs |= t >> (a * n + u) * n & full
+        if lhs != rhs:
+            return False
+    return True
+
+
+def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
+    """All canonical hypergroups on {0..n-1} as (add_masks, neg) pairs.
+
+    With dedupe, one representative per relabeling class (permutations
+    fixing 0), sorted by canonical encoding.
+    """
+    if n < 1:
+        raise ValueError("order must be positive")
+
+    full = (1 << n) - 1
+    row = (1 << n * n) - 1
+    found = []
+    for nu, base, free in _orbit_splits(n):
+        # search cell j includes orbit free[k - 1 - j] or leaves it out, so
+        # tables come in ascending order of the included orbits' bit set
+        orbits = free[::-1]
+
+        def table(v, reads, base=base, orbits=orbits):
+            # the orbits are disjoint from one another and from the base
+            return base + sum(orbits[j] for j in reads if v[j])
+
+        # (region, want): no cell is empty, and associativity holds for each
+        # row pair a < c, which covers (c, b, a); (a, b, a) and a = 0 always do
+        wants = [(full << s * n, lambda t, cell=full << s * n: t & cell)
+                 for s in range(n * n) if not base >> s * n & full]
+        wants += [(row << a * n * n | row << c * n * n, partial(_associative, n, a, c))
+                  for a in range(1, n) for c in range(a + 1, n)]
+        rules = []
+        for region, want in wants:
+            # watch the last cell whose orbit meets the region; with none, test now
+            reads = [j for j, o in enumerate(orbits) if o & region]
+            if reads:
+                rules.append(((reads[-1],),
+                              lambda v, i, want=want, reads=reads: want(table(v, reads))))
+            elif not want(base):
+                break
+        else:
+            for v in search([2] * len(orbits), rules):
+                t = table(v, range(len(orbits)))
+                add = tuple(tuple(t >> (p * n + q) * n & full for q in range(n))
+                            for p in range(n))
+                failed = [c.axiom for c in hypergroup_checks(n, add, nu) if not c.ok]
+                if failed:
+                    raise TheoremViolationError(
+                        "orbit construction produced a bad table; " + "; ".join(failed))
+                found.append((add, nu))
 
     if not dedupe:
         return tuple(sorted(found))
@@ -164,8 +168,7 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
     for add, nu in found:
         key = min(_relabel_add(n, add, perm)
                   for perm in _zero_fixing_perms(n))
-        if key not in canon:
-            canon[key] = (add, nu)
+        canon.setdefault(key, (add, nu))
     return tuple(canon[k] for k in sorted(canon))
 
 
@@ -178,10 +181,7 @@ def _relabel_add(n: int, add, perm) -> tuple:
     out = [[0] * n for _ in range(n)]
     for p in range(n):
         for q in range(n):
-            m = 0
-            for r in bits(add[p][q]):
-                m |= 1 << perm[r]
-            out[perm[p]][perm[q]] = m
+            out[perm[p]][perm[q]] = mask_of(perm[r] for r in bits(add[p][q]))
     return tuple(tuple(row) for row in out)
 
 

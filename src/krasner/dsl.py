@@ -330,29 +330,29 @@ class _Parser:
         if order is None:
             self.error("missing order", first, 1)
 
+        # find a missing entry before allocating anything by the declared
+        # order: each scan stops within one step past its dict's size, and
+        # complete tables are no larger than the input
+        columns = order if ring is None else ring.order
+        for label, store, keys in (
+                (add_key, add, ((a, b) for a in range(1, order) for b in range(1, order))),
+                (neg_key, neg, range(1, order)),
+                (table_key, table, ((a, b) for a in range(1, order) for b in range(1, columns)))):
+            missing = next((k for k in keys if k not in store), None)
+            if missing is not None:
+                self.error(f"missing {label} entry for {missing}", first, 1)
         add_table = [[None] * order for _ in range(order)]
         for a in range(order):
             add_table[a][0] = [a]
             add_table[0][a] = [a]
         for (a, b), vals in add.items():
             add_table[a][b] = vals
-        for a in range(1, order):
-            for b in range(1, order):
-                if add_table[a][b] is None:
-                    self.error(f"missing {add_key} entry for ({a}, {b})", first, 1)
         neg_table = [0] * order
         for a in range(1, order):
-            if a not in neg:
-                self.error(f"missing {neg_key} entry for {a}", first, 1)
             neg_table[a] = neg[a]
-        columns = order if ring is None else ring.order
         value_table = [[0] * columns for _ in range(order)]
         for (a, b), v in table.items():
             value_table[a][b] = v
-        for a in range(1, order):
-            for b in range(1, columns):
-                if (a, b) not in table:
-                    self.error(f"missing {table_key} entry for ({a}, {b})", first, 1)
         if ring is None:
             self.doc.rings[name] = HyperRing(add_table, neg_table, value_table,
                                              unit=unit, name=name)

@@ -66,12 +66,6 @@ class HyperModule(Structure):
         self.act_table = _normalize_value_table(self.order, ring.order, act, "act")
         self.unital = bool(unital)
 
-    def madd(self, a: int, b: int) -> ElementSet:
-        return ElementSet(self, self.madd_masks[a][b])
-
-    def mneg(self, a: int) -> int:
-        return self.mneg_table[a]
-
     def act(self, m: int, r: int) -> int:
         return self.act_table[m][r]
 
@@ -226,12 +220,13 @@ def enumerate_subhypermodules(module: HyperModule, bound: int = ENUMERATION_BOUN
 def submodule(module: HyperModule, members) -> HyperModule:
     """A subhypermodule as a standalone structure (elements reindexed,
     0 first), validated once: the module keeps it."""
-    check = is_subhypermodule(module, members)
-    if not check:
-        raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
+    module.require_validated()
     s = module.members_mask(members)
 
     def build():
+        check = is_subhypermodule(module, module.from_mask(s))
+        if not check:
+            raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
         elems = bits(s)
         index = {e: i for i, e in enumerate(elems)}
         madd = [[[index[t] for t in bits(module.madd_masks[a][b])] for b in elems]
@@ -313,12 +308,13 @@ class ModuleQuotient:
 def quotient_module(module: HyperModule, members) -> ModuleQuotient:
     """M / K for a subhypermodule K, tables checked to be representative
     independent and the result validated, once: the module keeps it."""
-    check = is_subhypermodule(module, members)
-    if not check:
-        raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
+    module.require_validated()
     k = module.from_mask(module.members_mask(members))
 
     def build():
+        check = is_subhypermodule(module, k)
+        if not check:
+            raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
         cosets, coset_of = coset_partition(module.madd_masks, k.mask)
         madd = induced_set_table(module.madd_masks, cosets, coset_of)
         ring_elements = [1 << r for r in range(module.ring.order)]
@@ -352,8 +348,6 @@ class ModuleHom:
         if self.source.ring is not self.target.ring:
             raise ValueError("module homs need a common base ring")
 
-    def __call__(self, m: int) -> int:
-        return self.mapping[m]
 
 
 def verify_module_hom(hom: ModuleHom) -> VerificationReport:

@@ -115,9 +115,6 @@ class HyperIdeal:
     def proper(self) -> bool:
         return not self.members.is_full()
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
     def __len__(self):
         return len(self.members)
 
@@ -129,9 +126,6 @@ class HyperIdeal:
     def __ne__(self, other):
         eq = self.__eq__(other)
         return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash((id(self.ring), self.members.mask))
 
     def __repr__(self):
         return f"<{self.sidedness} ideal {self.members!r} of {self.ring.name or 'ring'}>"
@@ -602,9 +596,6 @@ def nil_radical(ring: HyperRing, lattice: IdealLattice) -> HyperIdeal:
 class PrimeCheck:
     ok: bool
     witness: tuple = ()
-
-    def __bool__(self):
-        return self.ok
 
 
 def _prime_witness(ideal: HyperIdeal, two_sided, products) -> tuple | None:

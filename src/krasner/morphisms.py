@@ -54,9 +54,6 @@ class RingHom:
         if self.unit_preserving and (self.source.unit is None or self.target.unit is None):
             raise ValueError("unit preservation needs units on both sides")
 
-    def __call__(self, a: int) -> int:
-        return self.mapping[a]
-
     def image_mask(self) -> int:
         return mask_of(self.mapping)
 
@@ -65,10 +62,6 @@ class RingHom:
 
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
-
-    def __repr__(self):
-        label = self.name or f"{self.source.name or 'R'} -> {self.target.name or 'S'}"
-        return f"<RingHom {label}>"
 
 
 def verify_strong_hom(hom: RingHom) -> VerificationReport:

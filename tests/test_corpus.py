@@ -4,21 +4,28 @@ The oracle below re-enumerates every table at orders up to 3 with frozensets
 and spelled out quantifiers, sharing no code with the generator: the package
 builds tables from triple orbits and bit masks, the oracle filters the raw
 product space. Counts and the tables themselves must agree exactly.
+
+At order 4 the generator's rule search over the free triple orbits is
+refereed by a plain loop over every subset of those orbits, and the
+labelled counts by the orbit-stabilizer identity over the classes.
 """
 
 import itertools
+import math
 
 import pytest
 
+from krasner import corpus
 from krasner.corpus import (
     HARD_ORDER_CAP,
+    _orbit_splits,
     corpus_fingerprint,
     enumerate_hypergroups,
     generate_corpus,
     mult_tables,
     ring_canonical_key,
 )
-from krasner.core import HyperRing
+from krasner.core import HyperRing, TheoremViolationError, bits, hypergroup_checks
 
 
 # oracle: canonical hypergroups as {(a, b): frozenset} dictionaries
@@ -122,6 +129,96 @@ def to_mul_rows(mul, n):
     return tuple(tuple(mul[(a, b)] for b in range(n)) for a in range(n))
 
 
+# oracle: every subset of the free orbits, kept when no cell is empty and
+# the full validator fails nothing but associativity at most
+
+
+def subset_loop_hypergroups(n):
+    found = []
+    for nu, base, free in _orbit_splits(n):
+        requirements = []
+        impossible = False
+        for p in range(n):
+            for q in range(n):
+                cell = 0
+                for r in range(n):
+                    cell |= 1 << (p * n + q) * n + r
+                if base & cell:
+                    continue
+                req = 0
+                for i, omask in enumerate(free):
+                    if omask & cell:
+                        req |= 1 << i
+                if not req:
+                    impossible = True
+                requirements.append(req)
+        if impossible:
+            continue
+        for chosen in range(1 << len(free)):
+            if any(not chosen & req for req in requirements):
+                continue
+            t_mask = base
+            for i in bits(chosen):
+                t_mask |= free[i]
+            add = tuple(
+                tuple(
+                    sum(1 << r for r in range(n) if t_mask >> (p * n + q) * n + r & 1)
+                    for q in range(n))
+                for p in range(n))
+            failed = [c.axiom for c in hypergroup_checks(n, add, nu) if not c.ok]
+            if failed == ["associativity"]:
+                continue
+            if failed:
+                raise TheoremViolationError("; ".join(failed))
+            found.append((add, nu))
+    return found
+
+
+def relabel(add, perm):
+    n = len(add)
+    out = [[0] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(n):
+            for r in range(n):
+                if add[p][q] >> r & 1:
+                    out[perm[p]][perm[q]] |= 1 << perm[r]
+    return tuple(tuple(row) for row in out)
+
+
+def zero_fixing(n):
+    return [(0,) + rest for rest in itertools.permutations(range(1, n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hypergroup_search_matches_subset_loop(n):
+    found = subset_loop_hypergroups(n)
+    assert enumerate_hypergroups(n, dedupe=False) == tuple(sorted(found))
+    # the first table of each class in loop order represents it
+    canon = {}
+    for add, nu in found:
+        canon.setdefault(min(relabel(add, perm) for perm in zero_fixing(n)), (add, nu))
+    assert enumerate_hypergroups(n) == tuple(canon[k] for k in sorted(canon))
+
+
+@pytest.mark.parametrize("n, labelled", [(1, 1), (2, 2), (3, 15), (4, 390)])
+def test_labelled_count_is_the_orbit_sum_over_classes(n, labelled):
+    # a class of a table with automorphism group Aut (relabelings fixing 0
+    # that leave it unchanged) holds (n - 1)! / |Aut| labelled tables
+    total = 0
+    for add, _ in enumerate_hypergroups(n):
+        aut = sum(1 for perm in zero_fixing(n) if relabel(add, perm) == add)
+        total += math.factorial(n - 1) // aut
+    assert total == labelled == len(enumerate_hypergroups(n, dedupe=False))
+
+
+def test_a_rule_no_free_orbit_reads_is_tested_before_the_search(monkeypatch):
+    # no free orbit and a base that leaves 1 + 1 empty: the search has no
+    # cell to watch, so the nonempty rule is decided up front
+    base = sum(1 << (p * 2 + q) * 2 + r for p, q, r in [(0, 0, 0), (0, 1, 1), (1, 0, 1)])
+    monkeypatch.setattr(corpus, "_orbit_splits", lambda n: iter([((0, 1), base, [])]))
+    assert enumerate_hypergroups(2, dedupe=False) == ()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hypergroup_tables_match_oracle(n):
     brute = {(to_mask_table(add, n), neg_of(add, n)) for add in brute_hypergroups(n)}
@@ -210,6 +307,11 @@ def test_fingerprint_tracks_parameters(corpus3, corpus4):
     limited = generate_corpus(max_order=3, per_order_limit=2)
     assert f3 != corpus_fingerprint(limited, max_order=3, per_order_limit=2)
     assert len(f3) == 64 and int(f3, 16) >= 0
+
+
+def test_corpus4_fingerprint_is_pinned(corpus4):
+    assert corpus_fingerprint(corpus4, 4) == (
+        "95e8cb16b81dfda457236a8aaa5374a66302edb08ec81f39abd87e38e9e77d11")
 
 
 def test_order_cap():

@@ -6,9 +6,10 @@ kept objects hold; the copy shares no cache with the original.
 
 import pytest
 
+import krasner.hypermodules
 from krasner.catalog import cyclic_ring
-from krasner.core import BoundExceededError, HyperRing, bits
-from krasner.hypermodules import quotient_module, regular_module, submodule
+from krasner.core import BoundExceededError, HyperRing, NotValidatedError, bits
+from krasner.hypermodules import HyperModule, quotient_module, regular_module, submodule
 from krasner.ideals import ENUMERATION_BOUND, IdealLattice, quotient_ring
 from krasner.primitivity import prim_certificates
 from krasner.spectrum import SpectrumSpace
@@ -96,6 +97,38 @@ def test_quotient_inputs_are_checked_before_the_cache():
             build(reg, [0, 1])
         with pytest.raises(ValueError):
             build(reg, regular_module(other).subset([0, 3]))
+
+
+def test_a_kept_submodule_is_not_checked_again(monkeypatch):
+    ring = cyclic_ring(6)
+    reg = regular_module(ring)
+    checked = []
+    original = krasner.hypermodules.is_subhypermodule
+
+    def counting(module, members):
+        checked.append(module.members_mask(members))
+        return original(module, members)
+
+    monkeypatch.setattr(krasner.hypermodules, "is_subhypermodule", counting)
+    for build in (quotient_module, submodule):
+        kept = build(reg, [0, 3])
+        assert build(reg, [0, 3]) is kept
+        assert build(reg, reg.subset([0, 3])) is kept
+        # a refused set is stored nowhere, so each call checks it again
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a subhypermodule"):
+                build(reg, [0, 1])
+    assert checked == [0b1001, 0b11, 0b11] * 2
+    assert len(reg._derived) == 2
+
+    # an unvalidated module refuses before it looks at the set
+    raw = HyperModule(ring, [[list(bits(m)) for m in row] for row in reg.madd_masks],
+                      reg.mneg_table, reg.act_table)
+    for build in (quotient_module, submodule):
+        for members in ([0, 3], regular_module(cyclic_ring(6)).subset([0, 3])):
+            with pytest.raises(NotValidatedError):
+                build(raw, members)
+    assert checked == [0b1001, 0b11, 0b11] * 2
 
 
 def test_a_refused_build_keeps_nothing():

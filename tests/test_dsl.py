@@ -136,6 +136,9 @@ def test_diagnostic_positions():
          "t.khr:4:3: duplicate entry for add (1, 1)"),
         ("ring r\n  order 3\n  add 1 1 {0}\nend\n",
          "t.khr:1:1: missing add entry for (1, 2)"),
+        # a missing entry is found before any table of the order is built
+        ("ring r\n  order 99999999999\n  add 1 1 {0}\nend\n",
+         "t.khr:1:1: missing add entry for (1, 2)"),
         ("end\n", "t.khr:1:1: 'end' outside a block"),
         ("ring r\n  order 2\n  add 1 1 {0}\n",
          "t.khr:3:1: block never closed with 'end'"),
@@ -169,6 +172,8 @@ def test_module_diagnostic_positions():
         (module(2, "  madd 1 1 {0}\n  madd 1 1 {1}\n"),
          "t.khr:11:3: duplicate entry for madd (1, 1)"),
         (module(3, "  madd 1 1 {0}\n"),
+         "t.khr:8:1: missing madd entry for (1, 2)"),
+        (module(99999999999, "  madd 1 1 {0}\n"),
          "t.khr:8:1: missing madd entry for (1, 2)"),
         (module(2, "  madd 1 1 {0}\n"),
          "t.khr:8:1: missing mneg entry for 1"),
