@@ -22,6 +22,7 @@ from a checked structure on it (``derived``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class CarrierMismatchError(ValueError):
@@ -222,10 +223,10 @@ class Structure:
         return add_masks, neg_t
 
     def _settle(self, add_masks, neg_table, verify_table) -> ValidationReport:
-        # the hypergroup checks, then verify_table(self); usable once both pass
-        hypergroup = VerificationReport(
-            tuple(hypergroup_checks(self.order, add_masks, neg_table)))
-        report = ValidationReport(hypergroup, verify_table(self))
+        # the hypergroup checks (one report per distinct table pair), then
+        # verify_table(self) on every call; usable once both pass
+        report = ValidationReport(_hypergroup_report(add_masks, neg_table),
+                                  verify_table(self))
         if report.ok:
             self._checked = True
         return report
@@ -470,6 +471,16 @@ def hypergroup_checks(n: int, add, neg) -> list:
     checks.append(AxiomCheck("reversibility", bad is None, bad or (), detail))
 
     return checks
+
+
+@lru_cache(maxsize=64)
+def _hypergroup_report(add_masks: tuple, neg_table: tuple) -> VerificationReport:
+    # the verdict of hypergroup_checks depends on the two tables alone, and
+    # a sweep validates many structures over few additive tables; the call
+    # goes through the module global, so a wrapped hypergroup_checks sees
+    # every miss
+    return VerificationReport(
+        tuple(hypergroup_checks(len(neg_table), add_masks, neg_table)))
 
 
 def verify_hyperring(ring: HyperRing) -> VerificationReport:

@@ -423,6 +423,29 @@ def enumerate_module_homs(source: HyperModule, target: HyperModule,
     return _module_homs(source, target)
 
 
+def induced_isomorphism(hom: ModuleHom, quotient: ModuleQuotient,
+                        image: HyperModule) -> tuple | None:
+    """The induced map M/ker f -> im f, [m] -> f(m), as a mapping tuple
+    when it is a bijective module hom, else None.
+
+    ``quotient`` is ``quotient_module(M, ker f)``, read through its
+    ``coset_of``, and ``image`` is ``submodule(target, im f)``, whose
+    elements are the members of im f in ascending order.  A bijective
+    module hom is an isomorphism, so a map that passes settles
+    M/ker f = im f; on None, ``find_isomorphism`` decides instead."""
+    if quotient.source is not hom.source:
+        raise ValueError("quotient is not a quotient of the hom's source")
+    f = hom.mapping
+    index = {e: i for i, e in enumerate(bits(mask_of(f)))}
+    mapping = [0] * quotient.module.order
+    for m, c in enumerate(quotient.coset_of):
+        mapping[c] = index[f[m]]
+    if not len(set(mapping)) == len(mapping) == len(index) == image.order:
+        return None
+    iso = ModuleHom(quotient.module, image, mapping)
+    return iso.mapping if verify_module_hom(iso).ok else None
+
+
 def find_isomorphism(a: HyperModule, b: HyperModule) -> tuple | None:
     """The lexicographically first bijective module hom a -> b as a mapping
     tuple, or None: ``core.search`` with each f(m) outside f(0..m-1)."""

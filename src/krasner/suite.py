@@ -23,6 +23,7 @@ from .hypermodules import (
     find_isomorphism,
     hom_image,
     hom_kernel,
+    induced_isomorphism,
     module_ideal_product,
     annihilator,
     is_simple,
@@ -253,14 +254,21 @@ def check_first_isomorphism(ctx):
     for m in ctx.lattice.maximal_right:
         targets.append(quotient_module(reg, reg.from_mask(m.members.mask)).module)
     tried = 0
-    for target in targets:
+    seen = set()
+    for t, target in enumerate(targets):
         for hom in enumerate_module_homs(reg, target):
             tried += 1
             ker = hom_kernel(hom)
             img = hom_image(hom)
-            quot = quotient_module(reg, ker).module
+            # homs with one kernel and image compare the same two modules
+            if (t, ker.mask, img.mask) in seen:
+                continue
+            seen.add((t, ker.mask, img.mask))
+            quot = quotient_module(reg, ker)
             image_mod = submodule(target, img)
-            if find_isomorphism(quot, image_mod) is None:
+            # the induced map [m] -> f(m) first; the search only when it fails
+            if (induced_isomorphism(hom, quot, image_mod) is None
+                    and find_isomorphism(quot.module, image_mod) is None):
                 return _fail(cid, f"M/ker not isomorphic to image for mapping {hom.mapping}")
     return _pass(cid, f"checked {tried} homs")
 

@@ -10,15 +10,19 @@ from krasner.core import (
     CarrierMismatchError,
     HyperRing,
     NotValidatedError,
+    VerificationReport,
     bits,
     find_unit,
+    hypergroup_checks,
     hypersum,
     mask_of,
     neg_set,
     verify_hyperring,
 )
+from krasner.corpus import enumerate_hypergroups
 from krasner.hypermodules import is_subhypermodule, regular_module
 from krasner.ideals import ENUMERATION_BOUND, IdealLattice, is_hyperideal
+from krasner.suite import run_ring_checks
 
 
 def ring_tables(ring):
@@ -119,6 +123,56 @@ def test_structural_layers_require_validation(z6):
     raw.validate()
     raw.require_validated()
     IdealLattice.build(raw)
+
+
+def test_a_broken_table_fails_the_same_way_every_time(z4):
+    # one hypergroup report per table is kept; the gate is decided afresh
+    add, neg, mul = ring_tables(cyclic_ring(3))
+    add[1][1] = [2, 0]
+    broken = HyperRing(add=add, neg=neg, mul=mul)
+    first = broken.validate()
+    assert not first.ok and not first.hypergroup.ok
+    assert broken.validate() == first and not broken.validated
+    twin = HyperRing(add=add, neg=neg, mul=mul)
+    assert twin.validate() == first
+    with pytest.raises(NotValidatedError):
+        twin.require_validated()
+    # z4's additive table passes, but its multiplication is still verified
+    add, neg, mul = ring_tables(z4)
+    mul[2][2] = 1
+    for _ in range(2):
+        bad_mul = HyperRing(add=add, neg=neg, mul=mul, unit=1)
+        report = bad_mul.validate()
+        assert report.hypergroup == z4.validate().hypergroup
+        assert not report.table.ok and not bad_mul.validated
+
+
+def test_kept_hypergroup_reports_match_a_fresh_check(corpus3, monkeypatch):
+    answers = {}
+    real = core._hypergroup_report
+
+    def spy(add_masks, neg_table):
+        report = real(add_masks, neg_table)
+        answers.setdefault((add_masks, neg_table), []).append(report)
+        return report
+
+    monkeypatch.setattr(core, "_hypergroup_report", spy)
+    for entry in corpus3:
+        run_ring_checks(entry.ring)
+    # the sweep validates far more structures than there are tables
+    assert sum(len(reports) for reports in answers.values()) > 2 * len(answers)
+    for (add, neg), reports in answers.items():
+        fresh = VerificationReport(tuple(hypergroup_checks(len(neg), add, neg)))
+        assert all(report == fresh for report in reports)
+
+
+def test_the_hypergroup_memo_is_bounded():
+    tables = enumerate_hypergroups(4)
+    assert len(tables) > 64
+    for add, neg in tables:
+        core._hypergroup_report(add, neg)
+    info = core._hypergroup_report.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64
 
 
 def test_validate_is_idempotent(z4):

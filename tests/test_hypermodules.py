@@ -15,6 +15,7 @@ from krasner.hypermodules import (
     find_isomorphism,
     hom_image,
     hom_kernel,
+    induced_isomorphism,
     is_simple,
     is_subhypermodule,
     module_ideal_product,
@@ -203,6 +204,38 @@ def test_first_isomorphism(z4):
     domain_mod = quotient_module(reg, hom_kernel(proj).members).module
     image_mod = submodule(quot.module, hom_image(proj).members)
     assert find_isomorphism(domain_mod, image_mod) is not None
+
+
+def test_induced_isomorphism_reads_the_cosets(z4):
+    # Z4 -> Z4/{0,2}: the cosets {0,2}, {1,3} go to 0 and 1 of the image
+    reg = regular_module(z4)
+    proj = quotient_module(reg, [0, 2]).projection
+    quot = quotient_module(reg, hom_kernel(proj).members)
+    image_mod = submodule(proj.target, hom_image(proj).members)
+    iso = induced_isomorphism(proj, quot, image_mod)
+    assert iso == (0, 1)
+    assert iso == find_isomorphism(quot.module, image_mod)
+    assert verify_module_hom(ModuleHom(quot.module, image_mod, iso)).ok
+
+
+def test_induced_isomorphism_refuses_a_map_that_is_not_one(z4):
+    reg = regular_module(z4)
+    proj = quotient_module(reg, [0, 2]).projection
+    image_mod = submodule(proj.target, hom_image(proj).members)
+    # a quotient by less than the kernel: four cosets onto two elements
+    too_fine = quotient_module(reg, [0])
+    assert induced_isomorphism(proj, too_fine, image_mod) is None
+    # a quotient by more than the kernel: one coset for two elements
+    too_coarse = quotient_module(reg, reg.full_set())
+    assert induced_isomorphism(proj, too_coarse, image_mod) is None
+    # a bijection onto a two element module with zero action is no hom
+    quot = quotient_module(reg, [0, 2])
+    still = HyperModule(z4, [[[0], [1]], [[1], [0]]], [0, 1], [[0] * 4, [0] * 4])
+    still.checked("zero action module failed validation")
+    assert induced_isomorphism(proj, quot, still) is None
+    other = quotient_module(regular_module(cyclic_ring(2)), [0])
+    with pytest.raises(ValueError, match="source"):
+        induced_isomorphism(proj, other, image_mod)
 
 
 def test_no_isomorphism_across_sizes(z4):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from krasner import corpus, primitivity
 from krasner.core import TheoremViolationError
 from krasner.hypermodules import annihilator, is_simple
 from krasner.ideals import IdealLattice, quotient_ring
@@ -119,6 +120,39 @@ def test_enumerated_simple_modules_agree_with_prim(z4):
     mods = enumerate_simple_modules(z4, max_order=3)
     assert len(mods) == 1
     assert annihilator(mods[0]).members.members == (0, 2)
+
+
+def counted_hypergroups(monkeypatch):
+    # start from an empty memo and record each order the corpus is asked for
+    monkeypatch.setattr(primitivity, "_HYPERGROUPS", {})
+    calls = []
+    real = corpus.enumerate_hypergroups
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "enumerate_hypergroups", counting)
+    return calls
+
+
+def test_simple_module_search_enumerates_each_order_once(z2, z4, monkeypatch):
+    calls = counted_hypergroups(monkeypatch)
+    first = [m.encoding() for m in enumerate_simple_modules(z4, max_order=3)]
+    assert calls == [2, 3]
+    enumerate_simple_modules(z2, max_order=3)
+    assert calls == [2, 3]
+    assert [m.encoding() for m in enumerate_simple_modules(z4, max_order=3)] == first
+    assert calls == [2, 3]
+
+
+def test_orders_past_the_corpus_cap_are_not_kept(monkeypatch):
+    calls = counted_hypergroups(monkeypatch)
+    monkeypatch.setattr(corpus, "HARD_ORDER_CAP", 2)
+    primitivity._hypergroups(3)
+    primitivity._hypergroups(3)
+    assert calls == [3, 3]
+    assert primitivity._HYPERGROUPS == {}
 
 
 def test_no_rogue_annihilators(z2, z4, kfield):

@@ -6,7 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from krasner import suite
 from krasner.catalog import cyclic_ring
+from krasner.hypermodules import ModuleHom, find_isomorphism, verify_module_hom
 from krasner.ideals import IdealLattice
 from krasner.suite import (
     CHECK_IDS,
@@ -162,3 +164,44 @@ def test_product_inside_intersection_reads_the_product_table(monkeypatch):
     bad = check_product_inside_intersection(SimpleNamespace(ring=ring, lattice=damaged))
     assert bad.status == "fail"
     assert bad.detail == "{0} * {0,2} = {0,2} escapes the intersection"
+
+
+def first_isomorphism(ring):
+    return run_ring_checks(ring, ["first-isomorphism"])[0]
+
+
+def test_every_induced_map_the_check_builds_is_an_isomorphism(corpus4, monkeypatch):
+    # oracle: the search finds an isomorphism on each pair the induced map settled
+    built = []
+
+    def spy(hom, quot, image_mod):
+        iso = real(hom, quot, image_mod)
+        built.append((quot.module, image_mod, iso))
+        return iso
+
+    real = suite.induced_isomorphism
+    monkeypatch.setattr(suite, "induced_isomorphism", spy)
+    # every corpus4 ring is within the check's hom bound
+    for entry in corpus4:
+        assert first_isomorphism(entry.ring).status == "pass"
+    assert built
+    for quot, image_mod, iso in built:
+        assert iso is not None
+        assert sorted(iso) == list(range(image_mod.order)) == list(range(quot.order))
+        assert verify_module_hom(ModuleHom(quot, image_mod, iso)).ok
+        assert find_isomorphism(quot, image_mod) is not None
+
+
+def test_first_isomorphism_falls_back_to_the_search(corpus4, monkeypatch):
+    rings = [e.ring for e in corpus4]
+    expected = [first_isomorphism(ring) for ring in rings]
+    monkeypatch.setattr(suite, "induced_isomorphism", lambda *args: None)
+    assert [first_isomorphism(ring) for ring in rings] == expected
+
+
+def test_first_isomorphism_fails_when_neither_route_finds_a_map(monkeypatch):
+    monkeypatch.setattr(suite, "induced_isomorphism", lambda *args: None)
+    monkeypatch.setattr(suite, "find_isomorphism", lambda a, b: None)
+    result = first_isomorphism(cyclic_ring(4))
+    assert (result.status, result.detail) == (
+        "fail", "M/ker not isomorphic to image for mapping (0, 0, 0, 0)")
