@@ -16,8 +16,18 @@ instance as soon as the entries it reads are filled.
 
 Everything is deterministic: fixed enumeration orders, no hashing of
 anything but canonical encodings.  Rings are deduplicated up to
-relabelings fixing 0, and the canonical form is the minimum encoding
-over those relabelings.
+relabelings fixing 0 without trying every relabeling of every table
+(after B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26, 1998).  A hypergroup's class key is the sorted signature of an
+isomorphism invariant of its nonzero elements together with the least
+encoding over only the relabelings that list those elements in
+invariant order; the first table found in a class represents it.  One
+pass over all (n-1)! relabelings of each representative gives its sort
+key, the least encoding over them all, so the classes come out in the
+order of that full minimum.  Products on one representative are told
+apart by their least relabeled form over the representative's
+automorphisms; products on different representatives are never
+isomorphic, because the additive hypergroup is an invariant.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .core import (
     BoundExceededError,
@@ -34,7 +44,6 @@ from .core import (
     bits,
     find_unit,
     hypergroup_checks,
-    mask_of,
     search,
     sum_rule,
 )
@@ -119,7 +128,8 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
     """All canonical hypergroups on {0..n-1} as (add_masks, neg) pairs.
 
     With dedupe, one representative per relabeling class (permutations
-    fixing 0), sorted by canonical encoding.
+    fixing 0): the first table found with its class key, sorted by the
+    least encoding over every relabeling.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -164,25 +174,69 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
 
     if not dedupe:
         return tuple(sorted(found))
-    canon = {}
+    relabelings = _relabelings(n)
+    images = {order: image for order, _, image in relabelings}
+    classes = {}
     for add, nu in found:
-        key = min(_relabel_add(n, add, perm)
-                  for perm in _zero_fixing_perms(n))
-        canon.setdefault(key, (add, nu))
-    return tuple(canon[k] for k in sorted(canon))
+        classes.setdefault(_class_key(add, nu, images), (add, nu))
+    return tuple(sorted(classes.values(), key=lambda rep: _full_min(rep[0], relabelings)))
 
 
-def _zero_fixing_perms(n: int):
+def _relabelings(n: int) -> list:
+    """Every relabeling of {0..n-1} fixing 0 as (order, perm, image): order
+    lists the elements by their new labels, perm[x] is the new label of x,
+    and image[m] is the relabeled member mask m."""
+    out = []
     for rest in itertools.permutations(range(1, n)):
-        yield (0,) + rest
+        order = (0,) + rest
+        perm = [0] * n
+        for i, x in enumerate(order):
+            perm[x] = i
+        image = [0]
+        for x in range(n):
+            image += [m | 1 << perm[x] for m in image]
+        out.append((order, tuple(perm), tuple(image)))
+    return out
 
 
-def _relabel_add(n: int, add, perm) -> tuple:
-    out = [[0] * n for _ in range(n)]
-    for p in range(n):
-        for q in range(n):
-            out[perm[p]][perm[q]] = mask_of(perm[r] for r in bits(add[p][q]))
-    return tuple(tuple(row) for row in out)
+def _relabel(add, order, image) -> tuple:
+    rows = [add[p] for p in order]
+    return tuple(tuple([image[row[q]] for q in order]) for row in rows)
+
+
+def _class_key(add, nu, images) -> tuple:
+    """Isomorphism class key of a hypergroup: the sorted invariants of its
+    nonzero elements, and the least encoding over the relabelings fixing 0
+    that list those elements in invariant order, ties in every order.  The
+    invariant of a is (a is its own negative, |a + a|, sorted sizes of row a)."""
+    n = len(add)
+    inv = [(nu[a] == a, add[a][a].bit_count(), tuple(sorted(m.bit_count() for m in add[a])))
+           for a in range(n)]
+    ranked = sorted(range(1, n), key=inv.__getitem__)
+    runs = [itertools.permutations(run)
+            for _, run in itertools.groupby(ranked, key=inv.__getitem__)]
+    orders = ((0,) + tuple(itertools.chain.from_iterable(p)) for p in itertools.product(*runs))
+    return (tuple(inv[a] for a in ranked),
+            min(_relabel(add, order, images[order]) for order in orders))
+
+
+def _full_min(add, relabelings) -> tuple:
+    """The least encoding of a table over every relabeling fixing 0: the
+    key the classes are sorted by."""
+    return min(_relabel(add, order, image) for order, _, image in relabelings)
+
+
+def _automorphisms(add, relabelings) -> list:
+    """(order, perm) of every relabeling fixing 0 that gives back the table."""
+    return [(order, perm) for order, perm, image in relabelings
+            if _relabel(add, order, image) == add]
+
+
+def _mul_key(mul, automorphisms) -> tuple:
+    """Least relabeled multiplication over the additive automorphisms:
+    two products on one hypergroup are isomorphic exactly when it agrees."""
+    return min(tuple(perm[mul[p][q]] for p in order for q in order)
+               for order, perm in automorphisms)
 
 
 def mult_tables(n: int, add) -> tuple:
@@ -219,26 +273,21 @@ class CorpusEntry:
 
 
 def ring_canonical_key(ring: HyperRing) -> tuple:
-    """Minimum encoding over relabelings fixing 0; equal keys mean
-    isomorphic rings."""
+    """Minimum encoding over every relabeling fixing 0; equal keys mean
+    isomorphic rings.
+
+    This is the public full-min key that the demos and the tests read.
+    ``generate_corpus`` does not call it: it tells the products on one
+    hypergroup apart by their least relabeled form over that hypergroup's
+    automorphisms, which is cheaper and says the same.
+    """
     n = ring.order
-    best = None
-    for perm in _zero_fixing_perms(n):
-        add = _relabel_add(n, ring.add_masks, perm)
-        neg = [0] * n
-        mul = [[0] * n for _ in range(n)]
-        for a in range(n):
-            neg[perm[a]] = perm[ring.neg_table[a]]
-            for b in range(n):
-                mul[perm[a]][perm[b]] = perm[ring.mul_table[a][b]]
-        key = (tuple(x for row in add for x in row), tuple(neg),
-               tuple(v for row in mul for v in row))
-        if best is None or key < best:
-            best = key
-    return (n,) + best
-
-
-_CACHE = {}
+    add, neg, mul = ring.add_masks, ring.neg_table, ring.mul_table
+    return (n,) + min(
+        (tuple(image[add[p][q]] for p in order for q in order),
+         tuple(perm[neg[p]] for p in order),
+         tuple(perm[mul[p][q]] for p in order for q in order))
+        for order, perm, image in _relabelings(n))
 
 
 def generate_corpus(max_order: int = HARD_ORDER_CAP, dedupe: bool = True,
@@ -247,29 +296,37 @@ def generate_corpus(max_order: int = HARD_ORDER_CAP, dedupe: bool = True,
 
     per_order_limit keeps only the first so many rings of each order in
     canonical order, which is how big sweeps stay bounded without losing
-    reproducibility.
+    reproducibility.  The few most recent corpora are kept, so a repeated
+    call returns the same tuple.
     """
     if max_order > HARD_ORDER_CAP:
         raise BoundExceededError(
             f"generation is exhaustive and grows savagely; {max_order} is past "
             f"the supported cap {HARD_ORDER_CAP}"
         )
-    key = (max_order, dedupe, per_order_limit)
-    if key in _CACHE:
-        return _CACHE[key]
+    # positional, so every spelling of one request shares a cache entry
+    return _corpus(max_order, dedupe, per_order_limit)
+
+
+@lru_cache(maxsize=8)
+def _corpus(max_order: int, dedupe: bool, per_order_limit: int | None) -> tuple:
     entries = []
     for n in range(1, max_order + 1):
+        relabelings = _relabelings(n)
         rings = []
-        seen = set()
         for add, nu in enumerate_hypergroups(n, dedupe=dedupe):
             members = [[list(bits(m)) for m in row] for row in add]
-            for mul in mult_tables(n, add):
+            muls = mult_tables(n, add)
+            if dedupe:
+                # an isomorphism of two rings is an automorphism of their
+                # shared hypergroup, and distinct classes never meet
+                automorphisms = _automorphisms(add, relabelings)
+                kept = {}
+                for mul in muls:
+                    kept.setdefault(_mul_key(mul, automorphisms), mul)
+                muls = kept.values()
+            for mul in muls:
                 ring = HyperRing(members, nu, mul, unit=find_unit(n, mul))
-                if dedupe:
-                    ck = ring_canonical_key(ring)
-                    if ck in seen:
-                        continue
-                    seen.add(ck)
                 rings.append(ring.checked("generator produced an invalid ring"))
         rings.sort(key=lambda r: r.encoding())
         if per_order_limit is not None:
@@ -277,9 +334,7 @@ def generate_corpus(max_order: int = HARD_ORDER_CAP, dedupe: bool = True,
         for i, ring in enumerate(rings):
             ring.name = f"r{n}_{i}"
             entries.append(CorpusEntry(name=ring.name, ring=ring))
-    result = tuple(entries)
-    _CACHE[key] = result
-    return result
+    return tuple(entries)
 
 
 def corpus_fingerprint(entries, max_order: int, dedupe: bool = True,

@@ -666,8 +666,9 @@ def run_ring_checks(ring, check_ids=None) -> tuple:
         if wanted is not None and cid not in wanted:
             continue
         results.append(fn(ctx))
-    # corpus rings live on in corpus._CACHE; drop what the checks kept on
-    # this one, or the lattices, quotients and spaces pile up over a sweep
+    # generate_corpus keeps its few most recent corpora, so corpus rings
+    # live on; drop what the checks kept on this one, or the lattices,
+    # quotients and spaces pile up over a sweep
     ring._derived.clear()
     return tuple(results)
 

@@ -12,6 +12,7 @@ labelled counts by the orbit-stabilizer identity over the classes.
 
 import itertools
 import math
+from functools import lru_cache
 
 import pytest
 
@@ -211,6 +212,64 @@ def test_labelled_count_is_the_orbit_sum_over_classes(n, labelled):
     assert total == labelled == len(enumerate_hypergroups(n, dedupe=False))
 
 
+def relabel_neg(nu, perm):
+    out = [0] * len(nu)
+    for a, b in enumerate(nu):
+        out[perm[a]] = perm[b]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_key_ignores_relabeling_and_separates_classes(n):
+    images = {order: image for order, _, image in corpus._relabelings(n)}
+    key_of_class = {}
+    for add, nu in enumerate_hypergroups(n, dedupe=False):
+        key = corpus._class_key(add, nu, images)
+        for perm in zero_fixing(n):
+            moved = corpus._class_key(relabel(add, perm), relabel_neg(nu, perm), images)
+            assert moved == key
+        full = min(relabel(add, perm) for perm in zero_fixing(n))
+        assert key_of_class.setdefault(full, key) == key
+    assert len(set(key_of_class.values())) == len(key_of_class)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_automorphism_key_partitions_products_like_the_full_key(n, corpus4):
+    relabelings = corpus._relabelings(n)
+    firsts = set()
+    for add, nu in enumerate_hypergroups(n):
+        automorphisms = corpus._automorphisms(add, relabelings)
+        assert sorted(perm for _, perm in automorphisms) == \
+            [perm for perm in zero_fixing(n) if relabel(add, perm) == add]
+        members = [[list(bits(m)) for m in row] for row in add]
+        by_aut, by_full = {}, {}
+        for mul in mult_tables(n, add):
+            by_aut.setdefault(corpus._mul_key(mul, automorphisms), []).append(mul)
+            ring = HyperRing(members, nu, mul)
+            by_full.setdefault(ring_canonical_key(ring), []).append(mul)
+        assert sorted(by_aut.values()) == sorted(by_full.values())
+        firsts |= {(add, group[0]) for group in by_full.values()}
+    # the corpus keeps the first product of each class in mult_tables order
+    assert firsts == {(e.ring.add_masks, e.ring.mul_table)
+                      for e in corpus4 if e.ring.order == n}
+
+
+def test_full_passes_run_once_per_class(monkeypatch):
+    calls = {"_full_min": 0, "_automorphisms": 0}
+    for name in calls:
+        def counting(*args, real=getattr(corpus, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(corpus, name, counting)
+    # an uncached build of corpus4
+    entries = corpus._corpus.__wrapped__(4, True, None)
+    counted = dict(calls)
+    classes = sum(len(enumerate_hypergroups(n)) for n in range(1, 5))
+    labelled = sum(len(enumerate_hypergroups(n, dedupe=False)) for n in range(1, 5))
+    assert len(entries) == 163 and (classes, labelled) == (110, 408)
+    assert counted == {"_full_min": classes, "_automorphisms": classes}
+
+
 def test_a_rule_no_free_orbit_reads_is_tested_before_the_search(monkeypatch):
     # no free orbit and a base that leaves 1 + 1 empty: the search has no
     # cell to watch, so the nonempty rule is decided up front
@@ -312,6 +371,41 @@ def test_fingerprint_tracks_parameters(corpus3, corpus4):
 def test_corpus4_fingerprint_is_pinned(corpus4):
     assert corpus_fingerprint(corpus4, 4) == (
         "95e8cb16b81dfda457236a8aaa5374a66302edb08ec81f39abd87e38e9e77d11")
+
+
+def test_corpus_cache_keeps_the_most_recent_keys(monkeypatch):
+    bound = corpus._corpus.cache_parameters()["maxsize"]
+    # an empty cache of the same bound, so the session's corpora stay cached
+    monkeypatch.setattr(corpus, "_corpus", lru_cache(maxsize=bound)(corpus._corpus.__wrapped__))
+    keys = [dict(max_order=2, per_order_limit=100 + i) for i in range(bound + 1)]
+    built = [generate_corpus(**k) for k in keys[:bound]]
+    assert generate_corpus(2, True, 100) is built[0]
+    generate_corpus(**keys[bound])
+    # one key past the bound evicts the least recently used, keys[1]
+    rebuilt = generate_corpus(**keys[1])
+    assert rebuilt is not built[1]
+    assert [e.ring.encoding() for e in rebuilt] == [e.ring.encoding() for e in built[1]]
+    assert generate_corpus(**keys[0]) is built[0]
+
+
+@pytest.mark.slow
+def test_order_five_referee(monkeypatch):
+    # minutes long, so opt-in: python -m pytest -m slow
+    monkeypatch.setattr(corpus, "HARD_ORDER_CAP", 5)
+    labelled = enumerate_hypergroups(5, dedupe=False)
+    classes = enumerate_hypergroups(5)
+    assert len(classes) == 3776
+    assert len(labelled) == 72112 == sum(
+        24 // sum(1 for perm in zero_fixing(5) if relabel(add, perm) == add)
+        for add, _ in classes)
+    relabelings = corpus._relabelings(5)
+    images = {order: image for order, _, image in relabelings}
+    pairs = {(corpus._class_key(add, nu, images), corpus._full_min(add, relabelings))
+             for add, nu in labelled}
+    assert len(pairs) == len({k for k, _ in pairs}) == len({f for _, f in pairs}) == 3776
+    entries = generate_corpus(5)
+    assert len(entries) == 4581
+    assert corpus_fingerprint(entries, 5).startswith("7481adac5f4065f5")
 
 
 def test_order_cap():
