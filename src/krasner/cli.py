@@ -209,7 +209,7 @@ def cmd_check(args) -> int:
 def cmd_gen(args) -> int:
     entries = generate_corpus(max_order=args.max_order,
                               per_order_limit=args.per_order_limit)
-    fp = corpus_fingerprint(entries, args.max_order, True, args.per_order_limit)
+    fp = corpus_fingerprint(entries, args.max_order, args.per_order_limit)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -296,6 +296,13 @@ def cmd_hom(args) -> int:
     return code
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="khr",
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the theorem suite")
     p.add_argument("files", nargs="*", help="ring files; omitted means the generated corpus")
     p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--per-order-limit", type=int, default=None)
+    p.add_argument("--per-order-limit", type=_nonnegative_int, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for interface stability; runs are deterministic")
@@ -344,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate the corpus")
     p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--per-order-limit", type=int, default=None)
+    p.add_argument("--per-order-limit", type=_nonnegative_int, default=None)
     p.add_argument("--out", help="directory for one .khr file per ring")
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.set_defaults(fn=cmd_gen)
@@ -353,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("prime-not-primitive", "primitive-not-maximal",
                                     "t1-failure", "rogue-simple-module"))
     p.add_argument("--max-order", type=int, default=3)
-    p.add_argument("--per-order-limit", type=int, default=None)
+    p.add_argument("--per-order-limit", type=_nonnegative_int, default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for interface stability; runs are deterministic")
     p.add_argument("--format", choices=("text", "json"), default="text")

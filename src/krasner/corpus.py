@@ -8,7 +8,7 @@ some orbits in, rule some out, and kill a negation table outright when
 one orbit is pinned both ways.  Each free orbit is then an in-or-out cell
 of ``core.search``, whose rules keep every cell of the table nonempty and
 every associativity instance true as soon as the orbits they read are
-decided; a table it finds that fails the hypergroup validator raises.
+decided; a table it returns that fails the hypergroup validator raises.
 
 Multiplication tables come from ``core.search`` too: it fills the nonzero
 entries one at a time and checks each associativity and distributivity
@@ -124,16 +124,30 @@ def _associative(n: int, a: int, c: int, t: int) -> bool:
     return True
 
 
+def check_order(order: int) -> None:
+    """Refuse an order past HARD_ORDER_CAP: every search here is exhaustive."""
+    if order > HARD_ORDER_CAP:
+        raise BoundExceededError(f"generation is exhaustive and grows savagely; {order} "
+                                 f"is past the supported cap {HARD_ORDER_CAP}")
+
+
 def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
     """All canonical hypergroups on {0..n-1} as (add_masks, neg) pairs.
 
     With dedupe, one representative per relabeling class (permutations
     fixing 0): the first table found with its class key, sorted by the
-    least encoding over every relabeling.
+    least encoding over every relabeling.  The few most recent answers
+    are kept, so a repeated call returns the same tuple.
     """
     if n < 1:
         raise ValueError("order must be positive")
+    check_order(n)
+    # positional, so every spelling of one request shares a cache entry
+    return _hypergroups(n, dedupe)
 
+
+@lru_cache(maxsize=8)
+def _hypergroups(n: int, dedupe: bool) -> tuple:
     full = (1 << n) - 1
     row = (1 << n * n) - 1
     found = []
@@ -164,22 +178,27 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
         else:
             for v in search([2] * len(orbits), rules):
                 t = table(v, range(len(orbits)))
-                add = tuple(tuple(t >> (p * n + q) * n & full for q in range(n))
-                            for p in range(n))
-                failed = [c.axiom for c in hypergroup_checks(n, add, nu) if not c.ok]
-                if failed:
-                    raise TheoremViolationError(
-                        "orbit construction produced a bad table; " + "; ".join(failed))
-                found.append((add, nu))
+                found.append((tuple(tuple(t >> (p * n + q) * n & full for q in range(n))
+                                    for p in range(n)), nu))
 
-    if not dedupe:
-        return tuple(sorted(found))
-    relabelings = _relabelings(n)
-    images = {order: image for order, _, image in relabelings}
-    classes = {}
+    if dedupe:
+        relabelings = _relabelings(n)
+        images = {order: image for order, _, image in relabelings}
+        classes = {}
+        for add, nu in found:
+            classes.setdefault(_class_key(add, nu, images), (add, nu))
+        found = sorted(classes.values(), key=lambda rep: _full_min(rep[0], relabelings))
+    else:
+        found.sort()
+    # a class holds relabelings fixing 0 of one addition table, which fixes
+    # the negation (0 in a + b exactly when b = -a), and every axiom survives
+    # them: a class holds a bad table only if its representative is one
     for add, nu in found:
-        classes.setdefault(_class_key(add, nu, images), (add, nu))
-    return tuple(sorted(classes.values(), key=lambda rep: _full_min(rep[0], relabelings)))
+        failed = [c.axiom for c in hypergroup_checks(n, add, nu) if not c.ok]
+        if failed:
+            raise TheoremViolationError(
+                "orbit construction produced a bad table; " + "; ".join(failed))
+    return tuple(found)
 
 
 def _relabelings(n: int) -> list:
@@ -290,7 +309,7 @@ def ring_canonical_key(ring: HyperRing) -> tuple:
         for order, perm, image in _relabelings(n))
 
 
-def generate_corpus(max_order: int = HARD_ORDER_CAP, dedupe: bool = True,
+def generate_corpus(max_order: int = HARD_ORDER_CAP,
                     per_order_limit: int | None = None) -> tuple:
     """Every hyperring up to max_order as named validated entries.
 
@@ -299,33 +318,28 @@ def generate_corpus(max_order: int = HARD_ORDER_CAP, dedupe: bool = True,
     reproducibility.  The few most recent corpora are kept, so a repeated
     call returns the same tuple.
     """
-    if max_order > HARD_ORDER_CAP:
-        raise BoundExceededError(
-            f"generation is exhaustive and grows savagely; {max_order} is past "
-            f"the supported cap {HARD_ORDER_CAP}"
-        )
+    check_order(max_order)
+    if per_order_limit is not None and per_order_limit < 0:
+        raise ValueError(f"per_order_limit must be non-negative, not {per_order_limit}")
     # positional, so every spelling of one request shares a cache entry
-    return _corpus(max_order, dedupe, per_order_limit)
+    return _corpus(max_order, per_order_limit)
 
 
 @lru_cache(maxsize=8)
-def _corpus(max_order: int, dedupe: bool, per_order_limit: int | None) -> tuple:
+def _corpus(max_order: int, per_order_limit: int | None) -> tuple:
     entries = []
     for n in range(1, max_order + 1):
         relabelings = _relabelings(n)
         rings = []
-        for add, nu in enumerate_hypergroups(n, dedupe=dedupe):
+        for add, nu in enumerate_hypergroups(n):
             members = [[list(bits(m)) for m in row] for row in add]
-            muls = mult_tables(n, add)
-            if dedupe:
-                # an isomorphism of two rings is an automorphism of their
-                # shared hypergroup, and distinct classes never meet
-                automorphisms = _automorphisms(add, relabelings)
-                kept = {}
-                for mul in muls:
-                    kept.setdefault(_mul_key(mul, automorphisms), mul)
-                muls = kept.values()
-            for mul in muls:
+            # an isomorphism of two rings is an automorphism of their
+            # shared hypergroup, and distinct classes never meet
+            automorphisms = _automorphisms(add, relabelings)
+            kept = {}
+            for mul in mult_tables(n, add):
+                kept.setdefault(_mul_key(mul, automorphisms), mul)
+            for mul in kept.values():
                 ring = HyperRing(members, nu, mul, unit=find_unit(n, mul))
                 rings.append(ring.checked("generator produced an invalid ring"))
         rings.sort(key=lambda r: r.encoding())
@@ -337,11 +351,11 @@ def _corpus(max_order: int, dedupe: bool, per_order_limit: int | None) -> tuple:
     return tuple(entries)
 
 
-def corpus_fingerprint(entries, max_order: int, dedupe: bool = True,
-                       per_order_limit: int | None = None) -> str:
+def corpus_fingerprint(entries, max_order: int, per_order_limit: int | None = None) -> str:
     """Stable digest of the generation parameters and every table."""
     h = hashlib.sha256()
-    h.update(repr((max_order, dedupe, per_order_limit)).encode())
+    # True is the value of a removed dedupe flag, kept so recorded fingerprints hold
+    h.update(repr((max_order, True, per_order_limit)).encode())
     for e in entries:
         h.update(e.name.encode())
         h.update(repr(e.ring.encoding()).encode())

@@ -158,31 +158,19 @@ def _action_rules(ring: HyperRing, n: int, madd) -> list:
     return rules
 
 
-# order -> corpus.enumerate_hypergroups(order), for orders up to
-# corpus.HARD_ORDER_CAP; the answer depends on the order alone, and every
-# ring's simple-module search asks for the same few orders
-_HYPERGROUPS = {}
-
-
-def _hypergroups(n: int) -> tuple:
-    if n > corpus.HARD_ORDER_CAP:
-        return corpus.enumerate_hypergroups(n)
-    if n not in _HYPERGROUPS:
-        _HYPERGROUPS[n] = corpus.enumerate_hypergroups(n)
-    return _HYPERGROUPS[n]
-
-
 def enumerate_simple_modules(ring: HyperRing, max_order: int = 3) -> tuple:
     """Every simple right hypermodule on a carrier of at most max_order
     elements.  For each canonical hypergroup, ``core.search`` fills the
     action table (row 0 and column 0 zero); each table it returns is
-    validated and kept when simple.  Meant for small bounds only."""
+    validated and kept when simple.  A max_order past the corpus cap
+    raises ``BoundExceededError`` before any search."""
     ring.require_validated()
+    corpus.check_order(max_order)
     nr = ring.order
     found = []
     for n in range(2, max_order + 1):
         sizes = [1 if m == 0 or r == 0 else n for m in range(n) for r in range(nr)]
-        for add_masks, neg in _hypergroups(n):
+        for add_masks, neg in corpus.enumerate_hypergroups(n):
             members = [[list(bits(cell)) for cell in row] for row in add_masks]
             for values in search(sizes, _action_rules(ring, n, add_masks)):
                 act = [values[m * nr:(m + 1) * nr] for m in range(n)]

@@ -691,10 +691,9 @@ def run_theorem_suite(entries=None, max_order=3, per_order_limit=None,
               "checks": sorted(check_ids) if check_ids else "all"}
     if entries is None:
         entries = generate_corpus(max_order=max_order, per_order_limit=per_order_limit)
-        fp = corpus_fingerprint(entries, max_order, True, per_order_limit)
     else:
         entries = tuple(entries)
-        fp = corpus_fingerprint(entries, max_order, True, per_order_limit)
+    fp = corpus_fingerprint(entries, max_order, per_order_limit)
 
     rows = tuple(RingReportRow(name=e.name, order=e.ring.order,
                                results=run_ring_checks(e.ring, check_ids))

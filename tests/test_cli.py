@@ -292,6 +292,14 @@ def test_usage_error_exits_two():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["gen", "check", "search t1-failure"])
+def test_negative_per_order_limit_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(command.split() + ["--max-order", "2", "--per-order-limit", "-1"])
+    assert info.value.code == 2
+    assert "--per-order-limit: must be non-negative, not -1" in capsys.readouterr().err
+
+
 def test_internal_value_error_is_not_reported_as_invalid_input(monkeypatch):
     # a ValueError from inside a command is a bug, not a refusal of input:
     # it must surface instead of becoming "error: ..." with exit code 2

@@ -254,7 +254,16 @@ def test_automorphism_key_partitions_products_like_the_full_key(n, corpus4):
                       for e in corpus4 if e.ring.order == n}
 
 
+def fresh_hypergroups(monkeypatch):
+    # an empty cache of the same bound, so the session's hypergroups stay
+    # cached and nothing a patched search returns outlives the test
+    bound = corpus._hypergroups.cache_parameters()["maxsize"]
+    monkeypatch.setattr(corpus, "_hypergroups",
+                        lru_cache(maxsize=bound)(corpus._hypergroups.__wrapped__))
+
+
 def test_full_passes_run_once_per_class(monkeypatch):
+    fresh_hypergroups(monkeypatch)
     calls = {"_full_min": 0, "_automorphisms": 0}
     for name in calls:
         def counting(*args, real=getattr(corpus, name), name=name):
@@ -262,7 +271,7 @@ def test_full_passes_run_once_per_class(monkeypatch):
             return real(*args)
         monkeypatch.setattr(corpus, name, counting)
     # an uncached build of corpus4
-    entries = corpus._corpus.__wrapped__(4, True, None)
+    entries = corpus._corpus.__wrapped__(4, None)
     counted = dict(calls)
     classes = sum(len(enumerate_hypergroups(n)) for n in range(1, 5))
     labelled = sum(len(enumerate_hypergroups(n, dedupe=False)) for n in range(1, 5))
@@ -271,11 +280,39 @@ def test_full_passes_run_once_per_class(monkeypatch):
 
 
 def test_a_rule_no_free_orbit_reads_is_tested_before_the_search(monkeypatch):
+    fresh_hypergroups(monkeypatch)
     # no free orbit and a base that leaves 1 + 1 empty: the search has no
     # cell to watch, so the nonempty rule is decided up front
     base = sum(1 << (p * 2 + q) * 2 + r for p, q, r in [(0, 0, 0), (0, 1, 1), (1, 0, 1)])
     monkeypatch.setattr(corpus, "_orbit_splits", lambda n: iter([((0, 1), base, [])]))
     assert enumerate_hypergroups(2, dedupe=False) == ()
+
+
+@pytest.mark.parametrize("dedupe", [False, True])
+def test_a_bad_returned_table_raises(monkeypatch, dedupe):
+    fresh_hypergroups(monkeypatch)
+    # a full base with no free orbit: 1 + 1 = {1} has no 0, so 1 has no negative
+    base = sum(1 << (p * 2 + q) * 2 + r
+               for p, q, r in [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
+    monkeypatch.setattr(corpus, "_orbit_splits", lambda n: iter([((0, 1), base, [])]))
+    with pytest.raises(TheoremViolationError, match="orbit construction produced a bad table"):
+        enumerate_hypergroups(2, dedupe=dedupe)
+
+
+def test_corpus_reuses_the_kept_hypergroups(monkeypatch):
+    fresh_hypergroups(monkeypatch)
+    monkeypatch.setattr(corpus, "_corpus", lru_cache(maxsize=8)(corpus._corpus.__wrapped__))
+    searched = []
+    real = corpus._orbit_splits
+
+    def counting(n):
+        searched.append(n)
+        return real(n)
+
+    monkeypatch.setattr(corpus, "_orbit_splits", counting)
+    enumerate_hypergroups(4)
+    generate_corpus(4)
+    assert searched == [4, 1, 2, 3]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -379,7 +416,7 @@ def test_corpus_cache_keeps_the_most_recent_keys(monkeypatch):
     monkeypatch.setattr(corpus, "_corpus", lru_cache(maxsize=bound)(corpus._corpus.__wrapped__))
     keys = [dict(max_order=2, per_order_limit=100 + i) for i in range(bound + 1)]
     built = [generate_corpus(**k) for k in keys[:bound]]
-    assert generate_corpus(2, True, 100) is built[0]
+    assert generate_corpus(2, 100) is built[0]
     generate_corpus(**keys[bound])
     # one key past the bound evicts the least recently used, keys[1]
     rebuilt = generate_corpus(**keys[1])
@@ -411,6 +448,15 @@ def test_order_five_referee(monkeypatch):
 def test_order_cap():
     with pytest.raises(ValueError):
         generate_corpus(max_order=HARD_ORDER_CAP + 1)
+
+
+def test_negative_per_order_limit_is_refused(monkeypatch):
+    def build(*args):
+        raise AssertionError("generated a corpus for a negative limit")
+
+    monkeypatch.setattr(corpus, "_corpus", build)
+    with pytest.raises(ValueError, match="non-negative"):
+        generate_corpus(2, per_order_limit=-1)
 
 
 def test_unit_detection_in_corpus(corpus3):

@@ -1,9 +1,11 @@
 """Primitive hyperideals via annihilators of simple quotients."""
 
+from functools import lru_cache
+
 import pytest
 
-from krasner import corpus, primitivity
-from krasner.core import TheoremViolationError
+from krasner import corpus
+from krasner.core import BoundExceededError, TheoremViolationError
 from krasner.hypermodules import annihilator, is_simple
 from krasner.ideals import IdealLattice, quotient_ring
 from krasner.primitivity import (
@@ -123,16 +125,16 @@ def test_enumerated_simple_modules_agree_with_prim(z4):
 
 
 def counted_hypergroups(monkeypatch):
-    # start from an empty memo and record each order the corpus is asked for
-    monkeypatch.setattr(primitivity, "_HYPERGROUPS", {})
+    # start from an empty cache and record each order the corpus searches
     calls = []
-    real = corpus.enumerate_hypergroups
+    search = corpus._hypergroups.__wrapped__
 
-    def counting(n, *args, **kwargs):
+    def counting(n, dedupe):
         calls.append(n)
-        return real(n, *args, **kwargs)
+        return search(n, dedupe)
 
-    monkeypatch.setattr(corpus, "enumerate_hypergroups", counting)
+    bound = corpus._hypergroups.cache_parameters()["maxsize"]
+    monkeypatch.setattr(corpus, "_hypergroups", lru_cache(maxsize=bound)(counting))
     return calls
 
 
@@ -146,13 +148,19 @@ def test_simple_module_search_enumerates_each_order_once(z2, z4, monkeypatch):
     assert calls == [2, 3]
 
 
-def test_orders_past_the_corpus_cap_are_not_kept(monkeypatch):
+def test_orders_past_the_corpus_cap_raise_before_any_search(z2, monkeypatch):
     calls = counted_hypergroups(monkeypatch)
-    monkeypatch.setattr(corpus, "HARD_ORDER_CAP", 2)
-    primitivity._hypergroups(3)
-    primitivity._hypergroups(3)
-    assert calls == [3, 3]
-    assert primitivity._HYPERGROUPS == {}
+
+    def search(n):
+        raise AssertionError(f"searched order {n}")
+
+    monkeypatch.setattr(corpus, "_orbit_splits", search)
+    past = corpus.HARD_ORDER_CAP + 1
+    with pytest.raises(BoundExceededError):
+        corpus.enumerate_hypergroups(past)
+    with pytest.raises(BoundExceededError):
+        enumerate_simple_modules(z2, max_order=past)
+    assert calls == []
 
 
 def test_no_rogue_annihilators(z2, z4, kfield):
