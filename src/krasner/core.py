@@ -198,15 +198,17 @@ def _normalize_value_table(n: int, columns: int, table, what: str) -> tuple:
 
 
 class Structure:
-    """What a hyperring and a right hypermodule share: the elements
-    {0, .., order-1} read off the hypergroup tables, the subsets of them
-    (``ElementSet``), a name, the validation gate and the objects derived
-    from the structure once it is validated (``derived``)."""
+    """What a hyperring and a right hypermodule share: the hypergroup
+    tables (``add_masks``, n x n masks, and ``neg_table``), the elements
+    {0, .., order-1} they span, the subsets of them (``ElementSet``), a
+    name, the validation gate and the objects derived from the structure
+    once it is validated (``derived``)."""
 
-    __slots__ = ("order", "full_mask", "name", "_checked", "_derived")
+    __slots__ = ("order", "full_mask", "add_masks", "neg_table", "name",
+                 "_checked", "_derived")
 
-    def _hypergroup(self, add, neg, name) -> tuple:
-        # start unchecked on the elements neg spans; the add table as
+    def _hypergroup(self, add, neg, name):
+        # start unchecked on the elements neg spans, with the add table as
         # masks and the neg table, both range checked
         neg_t = tuple(int(v) for v in neg)
         n = len(neg_t)
@@ -214,18 +216,18 @@ class Structure:
             raise ValueError("carrier needs at least the zero element")
         self.order = n
         self.full_mask = (1 << n) - 1
-        add_masks = _normalize_set_table(n, add)
+        self.add_masks = _normalize_set_table(n, add)
         for v in neg_t:
             self.check_element(v)
+        self.neg_table = neg_t
         self.name = name
         self._checked = False
         self._derived = {}
-        return add_masks, neg_t
 
-    def _settle(self, add_masks, neg_table, verify_table) -> ValidationReport:
+    def _settle(self, verify_table) -> ValidationReport:
         # the hypergroup checks (one report per distinct table pair), then
         # verify_table(self) on every call; usable once both pass
-        report = ValidationReport(_hypergroup_report(add_masks, neg_table),
+        report = ValidationReport(_hypergroup_report(self.add_masks, self.neg_table),
                                   verify_table(self))
         if report.ok:
             self._checked = True
@@ -296,10 +298,10 @@ class HyperRing(Structure):
     ``require_validated()`` first.
     """
 
-    __slots__ = ("add_masks", "neg_table", "mul_table", "unit")
+    __slots__ = ("mul_table", "unit")
 
     def __init__(self, add, neg, mul, unit=None, name=None):
-        self.add_masks, self.neg_table = self._hypergroup(add, neg, name)
+        self._hypergroup(add, neg, name)
         n = self.order
         self.mul_table = _normalize_value_table(n, n, mul, "mul")
         self.unit = None if unit is None else self.check_element(int(unit))
@@ -319,7 +321,7 @@ class HyperRing(Structure):
 
     def validate(self) -> ValidationReport:
         """Run both verification passes and mark the ring usable on success."""
-        return self._settle(self.add_masks, self.neg_table, verify_hyperring)
+        return self._settle(verify_hyperring)
 
     def encoding(self) -> tuple:
         """Canonical tuple encoding of the tables (used for ordering,
@@ -625,18 +627,51 @@ def sum_rule(x: int, y: int, parts, add) -> tuple:
     return ((max(x, y, *parts),), test)
 
 
-def strong_addition_rules(add, target_add) -> list:
-    """Search rules for maps f (cell a holds f(a)): the image of each
-    hypersum a + b is the target hypersum f(a) + f(b)."""
-    return [sum_rule(a, b, bits(ab), target_add)
-            for a, row in enumerate(add) for b, ab in enumerate(row)]
+def require_hom_bound(source: Structure, target: Structure, bound: int):
+    """Refuse a hom search whose source or target order exceeds bound."""
+    if source.order > bound or target.order > bound:
+        raise BoundExceededError(
+            f"hom search is exhaustive over {target.order}^{source.order - 1} maps; "
+            f"orders ({source.order}, {target.order}) exceed the bound {bound}"
+        )
 
 
-def strong_addition_check(f, add, target_add) -> AxiomCheck:
-    """Whether the map f (f[a] is the image of a) sends each hypersum
-    a + b onto exactly f(a) + f(b); the witness is the first failing
-    (a, b).  Shared by ring and module homs."""
-    for a, row in enumerate(add):
+@dataclass(frozen=True)
+class StrongHom:
+    """Map between two structures given by a value table on the source:
+    what ring homs and module homs share."""
+
+    source: Structure
+    target: Structure
+    mapping: tuple
+    name: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
+        if len(self.mapping) != self.source.order:
+            raise ValueError("mapping must cover the source carrier")
+        for v in self.mapping:
+            self.target.check_element(v)
+
+    def image_mask(self) -> int:
+        return mask_of(self.mapping)
+
+    def is_surjective(self) -> bool:
+        return self.image_mask() == self.target.full_mask
+
+    def is_injective(self) -> bool:
+        return len(set(self.mapping)) == len(self.mapping)
+
+
+def strong_hom_checks(hom: StrongHom) -> list:
+    """The checks every strong hom starts with: 0 maps to 0, and f sends
+    each hypersum a + b onto exactly f(a) + f(b), the witness being the
+    first failing (a, b)."""
+    f = hom.mapping
+    ok = f[0] == 0
+    checks = [AxiomCheck("zero", ok, () if ok else (0,), "" if ok else "0 must map to 0")]
+    target_add = hom.target.add_masks
+    for a, row in enumerate(hom.source.add_masks):
         for b, ab in enumerate(row):
             image = mask_of(f[t] for t in bits(ab))
             expected = target_add[f[a]][f[b]]
@@ -645,5 +680,26 @@ def strong_addition_check(f, add, target_add) -> AxiomCheck:
                           "(a weak hom, not a strong one)"
                           if image & ~expected == 0 else
                           "image escapes the target hypersum")
-                return AxiomCheck("strong-addition", False, (a, b), detail)
-    return AxiomCheck("strong-addition", True)
+                checks.append(AxiomCheck("strong-addition", False, (a, b), detail))
+                return checks
+    checks.append(AxiomCheck("strong-addition", True))
+    return checks
+
+
+def hom_search(cls, source: Structure, target: Structure, rules, verify, what: str) -> tuple:
+    """Every cls(source, target, f) for the maps f fixing 0 that send each
+    hypersum a + b onto f(a) + f(b) and pass rules, lexicographic, by
+    ``search`` (cell a holds f(a)).  Each is re-verified by verify, and
+    one that fails raises "<what> produced ...".  Callers bound the
+    orders first (``require_hom_bound``) where the search must stay small."""
+    target_add = target.add_masks
+    rules = [sum_rule(a, b, bits(ab), target_add)
+             for a, row in enumerate(source.add_masks) for b, ab in enumerate(row)] + rules
+    homs = tuple(cls(source, target, f)
+                 for f in search([1] + [target.order] * (source.order - 1), rules))
+    for hom in homs:
+        report = verify(hom)
+        if not report.ok:
+            raise TheoremViolationError(
+                f"{what} produced {hom.mapping}, which fails {report.failures}")
+    return homs

@@ -147,7 +147,10 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _hypergroups(n: int, dedupe: bool) -> tuple:
+def _labelled(n: int) -> tuple:
+    """Every labelled hypergroup table on {0..n-1} as (add_masks, neg), in
+    search order and not yet checked: the search runs once per order,
+    whichever ``_hypergroups`` entries ask for it."""
     full = (1 << n) - 1
     row = (1 << n * n) - 1
     found = []
@@ -180,7 +183,12 @@ def _hypergroups(n: int, dedupe: bool) -> tuple:
                 t = table(v, range(len(orbits)))
                 found.append((tuple(tuple(t >> (p * n + q) * n & full for q in range(n))
                                     for p in range(n)), nu))
+    return tuple(found)
 
+
+@lru_cache(maxsize=8)
+def _hypergroups(n: int, dedupe: bool) -> tuple:
+    found = _labelled(n)
     if dedupe:
         relabelings = _relabelings(n)
         images = {order: image for order, _, image in relabelings}
@@ -189,7 +197,7 @@ def _hypergroups(n: int, dedupe: bool) -> tuple:
             classes.setdefault(_class_key(add, nu, images), (add, nu))
         found = sorted(classes.values(), key=lambda rep: _full_min(rep[0], relabelings))
     else:
-        found.sort()
+        found = sorted(found)
     # a class holds relabelings fixing 0 of one addition table, which fixes
     # the negation (0 in a + b exactly when b = -a), and every axiom survives
     # them: a class holds a bad table only if its representative is one

@@ -458,7 +458,7 @@ def emit_module(module: HyperModule, name: str | None = None,
         raise ValueError("module and ring both need names to be written down")
     return _table_text(f"module {label} over {rlabel}", MODULE_KEYS,
                        "  unital" if module.unital else None,
-                       module.madd_masks, module.mneg_table, module.act_table)
+                       module.add_masks, module.neg_table, module.act_table)
 
 
 def emit_hom(hom: RingHom, name: str | None = None,

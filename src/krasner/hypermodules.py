@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from .core import (
     HOM_SEARCH_BOUND,
     AxiomCheck,
-    BoundExceededError,
     ElementSet,
     HyperRing,
+    StrongHom,
     Structure,
     TheoremViolationError,
     ValidationReport,
@@ -28,10 +28,10 @@ from .core import (
     _normalize_value_table,
     bits,
     derived,
+    hom_search,
     mask_of,
-    search,
-    strong_addition_check,
-    strong_addition_rules,
+    require_hom_bound,
+    strong_hom_checks,
 )
 from .ideals import (
     ENUMERATION_BOUND,
@@ -40,10 +40,10 @@ from .ideals import (
     closed_subsets,
     closure,
     closure_check,
-    coset_partition,
-    induced_set_table,
     induced_value_table,
     is_hyperideal,
+    quotient_hypergroup,
+    require_scan_bound,
     sum_of_products_closure,
 )
 
@@ -54,15 +54,18 @@ class HyperModule(Structure):
     madd : n x n table of nonempty subsets of the module carrier
     mneg : length n negation table
     act  : n x |R| table, act[m][r] is the single element m * r
+
+    madd and mneg are kept as a ring keeps add and neg, in the
+    ``Structure`` slots ``add_masks`` and ``neg_table``.
     """
 
-    __slots__ = ("ring", "madd_masks", "mneg_table", "act_table", "unital")
+    __slots__ = ("ring", "act_table", "unital")
 
     def __init__(self, ring: HyperRing, madd, mneg, act, unital=False, name=None):
         # construction stays permissive so broken fixtures can be built
         # and then interrogated; validate() is the gate
         self.ring = ring
-        self.madd_masks, self.mneg_table = self._hypergroup(madd, mneg, name)
+        self._hypergroup(madd, mneg, name)
         self.act_table = _normalize_value_table(self.order, ring.order, act, "act")
         self.unital = bool(unital)
 
@@ -71,13 +74,13 @@ class HyperModule(Structure):
 
     def validate(self) -> ValidationReport:
         self.ring.require_validated()
-        return self._settle(self.madd_masks, self.mneg_table, verify_hypermodule)
+        return self._settle(verify_hypermodule)
 
     def encoding(self) -> tuple:
         return (
             self.order,
-            tuple(m for row in self.madd_masks for m in row),
-            self.mneg_table,
+            tuple(m for row in self.add_masks for m in row),
+            self.neg_table,
             tuple(v for row in self.act_table for v in row),
         )
 
@@ -92,7 +95,7 @@ def verify_hypermodule(module: HyperModule) -> VerificationReport:
     ring = module.ring
     n = module.order
     nr = ring.order
-    madd = module.madd_masks
+    madd = module.add_masks
     act = module.act_table
     checks = []
 
@@ -202,18 +205,13 @@ def is_subhypermodule(module: HyperModule, members) -> IdealCheck:
     """Closure of a subset under madd, mneg and the ring action, by
     ``ideals.closure_check``."""
     module.require_validated()
-    return closure_check(module.members_mask(members), module.madd_masks,
-                         module.mneg_table, _action(module))
+    return closure_check(module.members_mask(members), module.add_masks,
+                         module.neg_table, _action(module))
 
 
 def enumerate_subhypermodules(module: HyperModule, bound: int = ENUMERATION_BOUND) -> tuple:
-    module.require_validated()
-    if module.order > bound:
-        raise BoundExceededError(
-            f"submodule enumeration scans 2^{module.order - 1} subsets; "
-            f"order {module.order} exceeds the bound {bound}"
-        )
-    masks = closed_subsets(module.madd_masks, module.mneg_table, _action(module))
+    require_scan_bound(module, bound, "submodule")
+    masks = closed_subsets(module.add_masks, module.neg_table, _action(module))
     return tuple(module.from_mask(mask) for mask in masks)
 
 
@@ -229,9 +227,9 @@ def submodule(module: HyperModule, members) -> HyperModule:
             raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
         elems = bits(s)
         index = {e: i for i, e in enumerate(elems)}
-        madd = [[[index[t] for t in bits(module.madd_masks[a][b])] for b in elems]
+        madd = [[[index[t] for t in bits(module.add_masks[a][b])] for b in elems]
                 for a in elems]
-        mneg = [index[module.mneg_table[a]] for a in elems]
+        mneg = [index[module.neg_table[a]] for a in elems]
         act = [[index[module.act_table[a][r]] for r in range(module.ring.order)]
                for a in elems]
         sub = HyperModule(module.ring, madd, mneg, act, unital=module.unital,
@@ -244,7 +242,7 @@ def cyclic_submodule(module: HyperModule, m: int) -> ElementSet:
     """Smallest subhypermodule containing m."""
     module.require_validated()
     module.check_element(m)
-    mask = closure(1 << m, module.madd_masks, module.mneg_table, _action(module))
+    mask = closure(1 << m, module.add_masks, module.neg_table, _action(module))
     return module.from_mask(mask)
 
 
@@ -270,7 +268,7 @@ def module_ideal_product(module: HyperModule, ideal: HyperIdeal) -> ElementSet:
         row = module.act_table[m]
         for a in bits(ideal.members.mask):
             products |= 1 << row[a]
-    closed = sum_of_products_closure(module.madd_masks, products)
+    closed = sum_of_products_closure(module.add_masks, products)
     out = module.from_mask(closed)
     check = is_subhypermodule(module, out)
     if not check:
@@ -315,12 +313,9 @@ def quotient_module(module: HyperModule, members) -> ModuleQuotient:
         check = is_subhypermodule(module, k)
         if not check:
             raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
-        cosets, coset_of = coset_partition(module.madd_masks, k.mask)
-        madd = induced_set_table(module.madd_masks, cosets, coset_of)
+        cosets, coset_of, madd, mneg = quotient_hypergroup(module, k.mask)
         ring_elements = [1 << r for r in range(module.ring.order)]
         act = induced_value_table(module.act_table, cosets, coset_of, ring_elements)
-        negs = induced_value_table([(v,) for v in module.mneg_table], cosets, coset_of, (1,))
-        mneg = [row[0] for row in negs]
 
         out = HyperModule(module.ring, madd, mneg, act, unital=module.unital,
                           name=f"{module.name or 'M'}/{k!r}")
@@ -331,34 +326,19 @@ def quotient_module(module: HyperModule, members) -> ModuleQuotient:
 
 
 @dataclass(frozen=True)
-class ModuleHom:
+class ModuleHom(StrongHom):
     """Map between right hypermodules over one ring, given by a value table."""
 
-    source: HyperModule
-    target: HyperModule
-    mapping: tuple
-    name: str | None = None
-
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        if len(self.mapping) != self.source.order:
-            raise ValueError("mapping must cover the source carrier")
-        for v in self.mapping:
-            self.target.check_element(v)
+        super().__post_init__()
         if self.source.ring is not self.target.ring:
             raise ValueError("module homs need a common base ring")
-
 
 
 def verify_module_hom(hom: ModuleHom) -> VerificationReport:
     """Strong additivity (set equality) plus action equivariance."""
     src, dst, f = hom.source, hom.target, hom.mapping
-    checks = []
-    checks.append(AxiomCheck(
-        "zero", f[0] == 0, () if f[0] == 0 else (0,),
-        "" if f[0] == 0 else "0 must map to 0"))
-
-    checks.append(strong_addition_check(f, src.madd_masks, dst.madd_masks))
+    checks = strong_hom_checks(hom)
 
     bad = None
     for a in range(src.order):
@@ -387,40 +367,26 @@ def hom_kernel(hom: ModuleHom) -> ElementSet:
 
 def hom_image(hom: ModuleHom) -> ElementSet:
     """Range; asserted to be a subhypermodule of the target."""
-    mask = mask_of(hom.mapping)
-    out = hom.target.from_mask(mask)
+    out = hom.target.from_mask(hom.image_mask())
     check = is_subhypermodule(hom.target, out)
     if not check:
         raise TheoremViolationError(f"image failed {check.clause} at {check.witness}")
     return out
 
 
-def _module_homs(source: HyperModule, target: HyperModule, extra_rules=()) -> tuple:
-    # module homs fixing 0 that also pass extra_rules, each re-verified
+def _equivariance(source: HyperModule, target: HyperModule) -> list:
+    # search rules: f(a r) = f(a) r for every a and r
     tact = target.act_table
-    rules = strong_addition_rules(source.madd_masks, target.madd_masks) + list(extra_rules)
-    for a, row in enumerate(source.act_table):
-        for r, ar in enumerate(row):
-            rules.append(((max(a, ar),), lambda f, i, a=a, r=r, ar=ar: f[ar] == tact[f[a]][r]))
-    homs = tuple(ModuleHom(source, target, f)
-                 for f in search([1] + [target.order] * (source.order - 1), rules))
-    for hom in homs:
-        report = verify_module_hom(hom)
-        if not report.ok:
-            raise TheoremViolationError(
-                f"module hom search produced {hom.mapping}, which fails {report.failures}")
-    return homs
+    return [((max(a, ar),), lambda f, i, a=a, r=r, ar=ar: f[ar] == tact[f[a]][r])
+            for a, row in enumerate(source.act_table) for r, ar in enumerate(row)]
 
 
 def enumerate_module_homs(source: HyperModule, target: HyperModule,
                           bound: int = HOM_SEARCH_BOUND) -> tuple:
-    """All verified module homs fixing 0, lexicographic, by ``core.search``."""
-    if source.order > bound or target.order > bound:
-        raise BoundExceededError(
-            f"hom search is exhaustive over {target.order}^{source.order - 1} maps; "
-            f"orders ({source.order}, {target.order}) exceed the bound {bound}"
-        )
-    return _module_homs(source, target)
+    """All verified module homs fixing 0, lexicographic, by ``core.hom_search``."""
+    require_hom_bound(source, target, bound)
+    return hom_search(ModuleHom, source, target, _equivariance(source, target),
+                      verify_module_hom, "module hom search")
 
 
 def induced_isomorphism(hom: ModuleHom, quotient: ModuleQuotient,
@@ -436,7 +402,7 @@ def induced_isomorphism(hom: ModuleHom, quotient: ModuleQuotient,
     if quotient.source is not hom.source:
         raise ValueError("quotient is not a quotient of the hom's source")
     f = hom.mapping
-    index = {e: i for i, e in enumerate(bits(mask_of(f)))}
+    index = {e: i for i, e in enumerate(bits(hom.image_mask()))}
     mapping = [0] * quotient.module.order
     for m, c in enumerate(quotient.coset_of):
         mapping[c] = index[f[m]]
@@ -448,10 +414,12 @@ def induced_isomorphism(hom: ModuleHom, quotient: ModuleQuotient,
 
 def find_isomorphism(a: HyperModule, b: HyperModule) -> tuple | None:
     """The lexicographically first bijective module hom a -> b as a mapping
-    tuple, or None: ``core.search`` with each f(m) outside f(0..m-1)."""
+    tuple, or None: ``core.hom_search`` with each f(m) outside f(0..m-1)."""
     if a.ring is not b.ring or a.order != b.order:
         return None
-    isos = _module_homs(a, b, [(range(1, a.order), lambda f, i: f[i] not in f[:i])])
+    injective = (range(1, a.order), lambda f, i: f[i] not in f[:i])
+    isos = hom_search(ModuleHom, a, b, [injective] + _equivariance(a, b),
+                      verify_module_hom, "module hom search")
     return isos[0].mapping if isos else None
 
 
@@ -463,8 +431,8 @@ def restrict_scalars(module: HyperModule, hom) -> HyperModule:
     act = [[module.act_table[m][hom.mapping[r]] for r in range(hom.source.order)]
            for m in range(module.order)]
     out = HyperModule(hom.source,
-                      madd=[[list(bits(x)) for x in row] for row in module.madd_masks],
-                      mneg=module.mneg_table,
+                      madd=[[list(bits(x)) for x in row] for row in module.add_masks],
+                      mneg=module.neg_table,
                       act=act,
                       unital=False,
                       name=f"{module.name or 'M'} via {hom.name or 'hom'}")

@@ -23,6 +23,7 @@ from .core import (
     BoundExceededError,
     ElementSet,
     HyperRing,
+    Structure,
     TheoremViolationError,
     bits,
     derived,
@@ -131,15 +132,22 @@ class HyperIdeal:
         return f"<{self.sidedness} ideal {self.members!r} of {self.ring.name or 'ring'}>"
 
 
+def require_scan_bound(structure: Structure, bound: int, noun: str):
+    """Refuse an unvalidated structure, or a scan of its 2^(n-1) subsets
+    holding 0 when its order n exceeds bound; noun names what is scanned
+    for.  Runs before the scan builds anything."""
+    structure.require_validated()
+    if structure.order > bound:
+        raise BoundExceededError(
+            f"{noun} enumeration scans 2^{structure.order - 1} subsets; "
+            f"order {structure.order} exceeds the bound {bound}"
+        )
+
+
 def enumerate_ideals(ring: HyperRing, sidedness: str = "two-sided",
                      bound: int = ENUMERATION_BOUND) -> tuple:
     """All hyperideals of the given sidedness, ordered by member mask."""
-    ring.require_validated()
-    if ring.order > bound:
-        raise BoundExceededError(
-            f"ideal enumeration scans 2^{ring.order - 1} subsets; "
-            f"order {ring.order} exceeds the bound {bound}"
-        )
+    require_scan_bound(ring, bound, "ideal")
     masks = closed_subsets(ring.add_masks, ring.neg_table, _absorption(ring, sidedness))
     return tuple(HyperIdeal._trusted(ring, mask, sidedness) for mask in masks)
 
@@ -418,6 +426,17 @@ def induced_set_table(add, cosets, coset_of) -> list:
     return out
 
 
+def quotient_hypergroup(structure: Structure, k: int) -> tuple:
+    """(cosets, coset_of, add, neg) of the quotient of a ring's or a
+    module's hypergroup by the closed mask k: ``coset_partition``, the
+    induced hyperaddition (``induced_set_table``) and the induced
+    negation table, each coset's negative."""
+    cosets, coset_of = coset_partition(structure.add_masks, k)
+    add = induced_set_table(structure.add_masks, cosets, coset_of)
+    negs = induced_value_table([(v,) for v in structure.neg_table], cosets, coset_of, (1,))
+    return cosets, coset_of, add, [row[0] for row in negs]
+
+
 def induced_value_table(table, cosets, coset_of, columns) -> list:
     """Quotient of a single valued table: entry (i, j) is the coset of
     table[a][b] for a in coset i and b in the column mask columns[j],
@@ -651,11 +670,8 @@ def quotient_ring(ring: HyperRing, ideal: HyperIdeal) -> Quotient:
         raise ValueError("quotients need a two sided hyperideal")
 
     def build():
-        cosets, coset_of = coset_partition(ring.add_masks, ideal.members.mask)
-        add = induced_set_table(ring.add_masks, cosets, coset_of)
+        cosets, coset_of, add, neg = quotient_hypergroup(ring, ideal.members.mask)
         mul = induced_value_table(ring.mul_table, cosets, coset_of, cosets)
-        negs = induced_value_table([(v,) for v in ring.neg_table], cosets, coset_of, (1,))
-        neg = [row[0] for row in negs]
 
         unit = None if ring.unit is None else coset_of[ring.unit]
         label = f"{ring.name or 'R'}/{ideal.members!r}"

@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 from .core import (
     HOM_SEARCH_BOUND,
     AxiomCheck,
-    BoundExceededError,
     HyperRing,
+    StrongHom,
     TheoremViolationError,
     VerificationReport,
     bits,
+    hom_search,
     mask_of,
-    search,
-    strong_addition_check,
-    strong_addition_rules,
+    require_hom_bound,
+    strong_hom_checks,
 )
 from .ideals import (
     HyperIdeal,
@@ -36,42 +36,20 @@ from .spectrum import SpectrumSpace
 
 
 @dataclass(frozen=True)
-class RingHom:
+class RingHom(StrongHom):
     """Map between hyperrings given by a value table on the source."""
 
-    source: HyperRing
-    target: HyperRing
-    mapping: tuple
-    name: str | None = None
     unit_preserving: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        if len(self.mapping) != self.source.order:
-            raise ValueError("mapping must cover the source carrier")
-        for v in self.mapping:
-            self.target.check_element(v)
+        super().__post_init__()
         if self.unit_preserving and (self.source.unit is None or self.target.unit is None):
             raise ValueError("unit preservation needs units on both sides")
-
-    def image_mask(self) -> int:
-        return mask_of(self.mapping)
-
-    def is_surjective(self) -> bool:
-        return self.image_mask() == self.target.full_mask
-
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
 
 
 def verify_strong_hom(hom: RingHom) -> VerificationReport:
     src, dst, f = hom.source, hom.target, hom.mapping
-    checks = []
-    checks.append(AxiomCheck(
-        "zero", f[0] == 0, () if f[0] == 0 else (0,),
-        "" if f[0] == 0 else "0 must map to 0"))
-
-    checks.append(strong_addition_check(f, src.add_masks, dst.add_masks))
+    checks = strong_hom_checks(hom)
 
     bad = None
     for a in range(src.order):
@@ -145,29 +123,19 @@ def identity_hom(ring: HyperRing) -> RingHom:
 def enumerate_ring_homs(source: HyperRing, target: HyperRing,
                         bound: int = HOM_SEARCH_BOUND,
                         surjective_only: bool = False) -> tuple:
-    """All verified strong homs fixing 0, lexicographic, by ``core.search``."""
-    if source.order > bound or target.order > bound:
-        raise BoundExceededError(
-            f"hom search is exhaustive over {target.order}^{source.order - 1} maps; "
-            f"orders ({source.order}, {target.order}) exceed the bound {bound}"
-        )
+    """All verified strong homs fixing 0, lexicographic, by ``core.hom_search``."""
+    require_hom_bound(source, target, bound)
     if surjective_only and source.order < target.order:
         return ()
     tneg, tmul = target.neg_table, target.mul_table
-    rules = strong_addition_rules(source.add_masks, target.add_masks)
+    rules = []
     for a, na in enumerate(source.neg_table):
         rules.append(((max(a, na),), lambda f, i, a=a, na=na: f[na] == tneg[f[a]]))
     for a, row in enumerate(source.mul_table):
         for b, ab in enumerate(row):
             rules.append(((max(a, b, ab),),
                           lambda f, i, a=a, b=b, ab=ab: f[ab] == tmul[f[a]][f[b]]))
-    homs = [RingHom(source, target, f)
-            for f in search([1] + [target.order] * (source.order - 1), rules)]
-    for hom in homs:
-        report = verify_strong_hom(hom)
-        if not report.ok:
-            raise TheoremViolationError(
-                f"hom search produced {hom.mapping}, which fails {report.failures}")
+    homs = hom_search(RingHom, source, target, rules, verify_strong_hom, "hom search")
     return tuple(hom for hom in homs if not surjective_only or hom.is_surjective())
 
 

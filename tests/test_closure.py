@@ -104,9 +104,9 @@ def old_cross_check_generated(ring, mask, lattice):
 def old_is_subhypermodule(module, s):
     if not s & 1:
         return False
-    madd = module.madd_masks
+    madd = module.add_masks
     for a in bits(s):
-        if not (1 << module.mneg_table[a]) & s:
+        if not (1 << module.neg_table[a]) & s:
             return False
         for b in bits(s):
             if madd[a][b] & ~s:
@@ -119,11 +119,11 @@ def old_is_subhypermodule(module, s):
 
 def old_cyclic_submodule(module, m):
     mask = 1 | 1 << m
-    madd = module.madd_masks
+    madd = module.add_masks
     while True:
         grown = mask
         for a in bits(mask):
-            grown |= 1 << module.mneg_table[a]
+            grown |= 1 << module.neg_table[a]
             for b in bits(mask):
                 grown |= madd[a][b]
             for r in range(module.ring.order):
@@ -183,7 +183,7 @@ def old_quotient_ring(ring, k):
 
 
 def old_quotient_module(module, k):
-    cosets, coset_of = old_cosets(module.madd_masks, k)
+    cosets, coset_of = old_cosets(module.add_masks, k)
     q = len(cosets)
     nr = module.ring.order
     madd = [[None] * q for _ in range(q)]
@@ -192,7 +192,7 @@ def old_quotient_module(module, k):
             seen = None
             for a in bits(cosets[i]):
                 for b in bits(cosets[j]):
-                    s = frozenset(coset_of[t] for t in bits(module.madd_masks[a][b]))
+                    s = frozenset(coset_of[t] for t in bits(module.add_masks[a][b]))
                     if seen is None:
                         seen = s
                     assert s == seen
@@ -205,7 +205,7 @@ def old_quotient_module(module, k):
             act[i][r] = images.pop()
     mneg = []
     for i in range(q):
-        images = {coset_of[module.mneg_table[a]] for a in bits(cosets[i])}
+        images = {coset_of[module.neg_table[a]] for a in bits(cosets[i])}
         assert len(images) == 1
         mneg.append(images.pop())
     out = HyperModule(module.ring, madd, mneg, act, unital=module.unital)
@@ -365,7 +365,7 @@ def test_closed_subsets_matches_the_checked_scan(corpus3, corpus4):
             cases.append((ring.add_masks, ring.neg_table, ideals._absorption(ring, sidedness)))
     for ring in (e.ring for e in corpus3):
         for module in regular_and_quotients(ring, IdealLattice.build(ring)):
-            cases.append((module.madd_masks, module.mneg_table, hypermodules._action(module)))
+            cases.append((module.add_masks, module.neg_table, hypermodules._action(module)))
     proper = 0
     for add, neg, actions in cases:
         expected = scan_oracle(add, neg, actions)

@@ -255,11 +255,12 @@ def test_automorphism_key_partitions_products_like_the_full_key(n, corpus4):
 
 
 def fresh_hypergroups(monkeypatch):
-    # an empty cache of the same bound, so the session's hypergroups stay
+    # empty caches of the same bounds, so the session's hypergroups stay
     # cached and nothing a patched search returns outlives the test
-    bound = corpus._hypergroups.cache_parameters()["maxsize"]
-    monkeypatch.setattr(corpus, "_hypergroups",
-                        lru_cache(maxsize=bound)(corpus._hypergroups.__wrapped__))
+    for name in ("_labelled", "_hypergroups"):
+        cached = getattr(corpus, name)
+        bound = cached.cache_parameters()["maxsize"]
+        monkeypatch.setattr(corpus, name, lru_cache(maxsize=bound)(cached.__wrapped__))
 
 
 def test_full_passes_run_once_per_class(monkeypatch):
@@ -310,8 +311,10 @@ def test_corpus_reuses_the_kept_hypergroups(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(corpus, "_orbit_splits", counting)
+    enumerate_hypergroups(4, dedupe=False)
     enumerate_hypergroups(4)
     generate_corpus(4)
+    # one labelled search per order, shared by both dedupe settings
     assert searched == [4, 1, 2, 3]
 
 

@@ -122,8 +122,8 @@ def test_a_kept_submodule_is_not_checked_again(monkeypatch):
     assert len(reg._derived) == 2
 
     # an unvalidated module refuses before it looks at the set
-    raw = HyperModule(ring, [[list(bits(m)) for m in row] for row in reg.madd_masks],
-                      reg.mneg_table, reg.act_table)
+    raw = HyperModule(ring, [[list(bits(m)) for m in row] for row in reg.add_masks],
+                      reg.neg_table, reg.act_table)
     for build in (quotient_module, submodule):
         for members in ([0, 3], regular_module(cyclic_ring(6)).subset([0, 3])):
             with pytest.raises(NotValidatedError):

@@ -1,9 +1,14 @@
 """Text format: parsing, diagnostics, emission, round trips."""
 
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from krasner.catalog import cyclic_ring, hyperfield_k, standard_rings
+from krasner.corpus import generate_corpus
 from krasner.dsl import (
+    Document,
     ParseError,
     emit_document,
     emit_hom,
@@ -14,7 +19,7 @@ from krasner.dsl import (
 )
 from krasner.hypermodules import quotient_module, regular_module
 from krasner.ideals import IdealLattice
-from krasner.morphisms import RingHom
+from krasner.morphisms import RingHom, identity_hom
 
 RING2 = """ring r
   order 2
@@ -246,3 +251,56 @@ def test_emit_rejects_nonstandard_identity(z4):
 def test_order_zero_is_rejected():
     msg = err("ring r\n  order 0\nend\n")
     assert "order" in msg
+
+
+@lru_cache(maxsize=1)
+def emitted_documents() -> tuple:
+    # each corpus3 ring, its regular module and its identity hom
+    return tuple(emit_ring(e.ring) + emit_module(regular_module(e.ring), "m")
+                 + emit_hom(identity_hom(e.ring), "h")
+                 for e in generate_corpus(3))
+
+
+TOKENS = ("0", "1", "3", "-1", "99999999999", "1" * 5000, "x", "²", "{}", "{0}",
+          "{1,2}", "{9}", "{,}", "{x}", "{", "}", "#", ":", "->", "order", "unit",
+          "symmetric", "add", "neg", "mul", "madd", "mneg", "act", "unital", "map",
+          "unit_preserving", "ring", "module", "over", "hom", "end", "r", "m", "h")
+
+
+@st.composite
+def mutated_documents(draw):
+    lines = draw(st.sampled_from(emitted_documents())).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split()
+        j = draw(st.integers(0, len(toks)))
+        token = draw(st.sampled_from(TOKENS))
+        kind = draw(st.sampled_from(["drop line", "copy line", "move line", "new line",
+                                     "replace token", "insert token", "drop token"]))
+        if kind == "drop line":
+            del lines[i]
+        elif kind == "copy line":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif kind == "move line":
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(i))
+        elif kind == "new line":
+            lines.insert(i, " ".join(draw(st.lists(st.sampled_from(TOKENS), max_size=4))))
+        elif kind == "insert token":
+            lines[i] = " ".join(toks[:j] + [token] + toks[j:])
+        elif toks and j < len(toks):
+            lines[i] = " ".join(toks[:j] + ([token] if kind == "replace token" else [])
+                                + toks[j + 1:])
+        if not lines:
+            lines = [""]
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(mutated_documents())
+def test_mutated_documents_parse_or_raise_a_located_error(text):
+    try:
+        doc = parse_text(text)
+    except ParseError as e:
+        assert e.line >= 1 and e.col >= 1
+    else:
+        assert isinstance(doc, Document)

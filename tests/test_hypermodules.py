@@ -30,8 +30,8 @@ from krasner.morphisms import RingHom
 
 
 def module_tables(mod):
-    madd = [[list(bits(m)) for m in row] for row in mod.madd_masks]
-    return madd, list(mod.mneg_table), [list(row) for row in mod.act_table]
+    madd = [[list(bits(m)) for m in row] for row in mod.add_masks]
+    return madd, list(mod.neg_table), [list(row) for row in mod.act_table]
 
 
 def test_regular_modules_validate():
@@ -169,7 +169,7 @@ def test_module_hom_enumeration(z4):
 
 
 def test_module_hom_enumeration_bound(monkeypatch):
-    import krasner.hypermodules as hypermodules
+    from krasner import core
     from krasner.core import HOM_SEARCH_BOUND, BoundExceededError
 
     big = regular_module(cyclic_ring(HOM_SEARCH_BOUND + 1))
@@ -178,7 +178,7 @@ def test_module_hom_enumeration_bound(monkeypatch):
         raise AssertionError("searched past the bound")
 
     with monkeypatch.context() as m:
-        m.setattr(hypermodules, "search", refuse)
+        m.setattr(core, "search", refuse)
         with pytest.raises(BoundExceededError):
             enumerate_module_homs(big, big)
     assert len(enumerate_module_homs(big, big, bound=HOM_SEARCH_BOUND + 1)) == HOM_SEARCH_BOUND + 1

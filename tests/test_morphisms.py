@@ -100,12 +100,21 @@ def test_enumerate_homs_surjective_only(z4, z2):
     assert enumerate_ring_homs(z2, z4, surjective_only=True) == ()
 
 
-def test_enumeration_bound(z4):
-    from krasner.core import BoundExceededError
+def test_enumeration_bound(monkeypatch):
+    from krasner import core
+    from krasner.core import HOM_SEARCH_BOUND, BoundExceededError
 
-    with pytest.raises(BoundExceededError):
-        enumerate_ring_homs(cyclic_ring(7), cyclic_ring(7))
-    enumerate_ring_homs(cyclic_ring(7), cyclic_ring(7), bound=7)
+    big = cyclic_ring(HOM_SEARCH_BOUND + 1)
+
+    def refuse(sizes, rules):
+        raise AssertionError("searched past the bound")
+
+    # the bound is refused before any search runs
+    with monkeypatch.context() as m:
+        m.setattr(core, "search", refuse)
+        with pytest.raises(BoundExceededError):
+            enumerate_ring_homs(big, big)
+    enumerate_ring_homs(big, big, bound=HOM_SEARCH_BOUND + 1)
 
 
 def test_induced_map_of_identity(z6):

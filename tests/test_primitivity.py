@@ -125,8 +125,11 @@ def test_enumerated_simple_modules_agree_with_prim(z4):
 
 
 def counted_hypergroups(monkeypatch):
-    # start from an empty cache and record each order the corpus searches
+    # start from empty caches and record each order the corpus searches
     calls = []
+    labelled = corpus._labelled
+    monkeypatch.setattr(corpus, "_labelled", lru_cache(
+        maxsize=labelled.cache_parameters()["maxsize"])(labelled.__wrapped__))
     search = corpus._hypergroups.__wrapped__
 
     def counting(n, dedupe):

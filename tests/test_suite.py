@@ -8,6 +8,7 @@ import pytest
 
 from krasner import suite
 from krasner.catalog import cyclic_ring
+from krasner.core import TheoremViolationError
 from krasner.hypermodules import ModuleHom, find_isomorphism, verify_module_hom
 from krasner.ideals import IdealLattice
 from krasner.suite import (
@@ -205,3 +206,19 @@ def test_first_isomorphism_fails_when_neither_route_finds_a_map(monkeypatch):
     result = first_isomorphism(cyclic_ring(4))
     assert (result.status, result.detail) == (
         "fail", "M/ker not isomorphic to image for mapping (0, 0, 0, 0)")
+
+
+def test_a_broken_theorem_fails_its_check_and_the_sweep_goes_on(monkeypatch):
+    def broken(ring, ideal):
+        raise TheoremViolationError(f"no simple quotient above {ideal.members!r}")
+
+    monkeypatch.setattr(suite, "prim_from_maximal_right", broken)
+    ring = cyclic_ring(4)
+    results = run_ring_checks(ring)
+    assert ring.is_unital and len(results) == 32
+    by_id = {r.id: r for r in results}
+    for cid in ("simple-quotient-by-maximal-right", "maximal-right-contains-primitive"):
+        assert (by_id[cid].status, by_id[cid].detail) == (
+            "fail", "no simple quotient above {0,2}")
+    assert [r.id for r in results if r.status == "fail"] == [
+        "simple-quotient-by-maximal-right", "maximal-right-contains-primitive"]
