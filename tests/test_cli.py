@@ -1,6 +1,7 @@
 """Command line behavior, driven in process through main()."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,30 @@ def test_verify_reports_unital_module_over_ring_without_unit(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == [f"{path}: r: ok", f"{path}: m: FAIL",
                    "  unit-action: witness () (declared unital, but r has no unit)"]
+
+
+# khr verify on the two fixtures under tests/fixtures, byte for byte: the
+# first witness of each action axiom, found in each verifier's scan order
+VERIFY_GOLDEN = {
+    "skewed_ring.khr": (
+        "{path}: skewed: FAIL\n"
+        "  mul-associativity: witness (1, 3, 2) ((a * b) * c != a * (b * c) at (1, 3, 2))\n"
+        "  left-distributivity: witness (1, 1, 2) (a * (b + c) != a*b + a*c at (1, 1, 2))\n"
+        "  right-distributivity: witness (1, 2, 1) ((a + b) * c != a*c + b*c at (1, 2, 1))\n"),
+    "twisted_module.khr": (
+        "{path}: base: ok\n"
+        "{path}: twisted: FAIL\n"
+        "  sum-action: witness (1, 1, 2) ((m + m') r != mr + m'r at (1, 1, 2))\n"
+        "  action-sum: witness (1, 1, 2) (m (r + s) != mr + ms at (1, 1, 2))\n"
+        "  action-associativity: witness (1, 1, 2) (m (r s) != (m r) s at (1, 1, 2))\n"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(VERIFY_GOLDEN))
+def test_verify_golden_text(fixture, capsys):
+    path = str(Path(__file__).parent / "fixtures" / fixture)
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr().out == VERIFY_GOLDEN[fixture].format(path=path)
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
