@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from operator import itemgetter
 
 
 class CarrierMismatchError(ValueError):
@@ -131,6 +133,12 @@ class AxiomCheck:
     ok: bool
     witness: tuple = ()
     detail: str = ""
+
+
+def axiom_check(axiom: str, bad, claim: str) -> AxiomCheck:
+    """The check of axiom whose first failing instance is bad (None when
+    it holds), described as "<claim> at <bad>"."""
+    return AxiomCheck(axiom, bad is None, bad or (), "" if bad is None else f"{claim} at {bad}")
 
 
 @dataclass(frozen=True)
@@ -486,7 +494,10 @@ def _hypergroup_report(add_masks: tuple, neg_table: tuple) -> VerificationReport
 
 
 def verify_hyperring(ring: HyperRing) -> VerificationReport:
-    """Check the multiplicative axioms.
+    """Check the multiplicative axioms: those of the ring acting on itself
+    from the right (mul-associativity is action-associativity, left and
+    right distributivity are action-sum and sum-action), absorption and
+    the unit.
 
     Meaningful on top of a passing hypergroup check; run ``validate()``
     to get both in the right order.
@@ -494,23 +505,8 @@ def verify_hyperring(ring: HyperRing) -> VerificationReport:
     n = ring.order
     add = ring.add_masks
     mul = ring.mul_table
-    checks = []
-
-    bad = None
-    for a in range(n):
-        for b in range(n):
-            ab = mul[a][b]
-            for c in range(n):
-                if mul[ab][c] != mul[a][mul[b][c]]:
-                    bad = (a, b, c)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "mul-associativity", bad is None, bad or (),
-        "" if bad is None else "(a * b) * c != a * (b * c) at " + str(bad)))
+    assoc = action_associativity_failure(mul, mul, product(range(n), repeat=3))
+    checks = [axiom_check("mul-associativity", assoc, "(a * b) * c != a * (b * c)")]
 
     bad = None
     for a in range(n):
@@ -521,42 +517,11 @@ def verify_hyperring(ring: HyperRing) -> VerificationReport:
         "absorption", bad is None, bad or (),
         "" if bad is None else f"products of {bad[0]} with 0 are not 0"))
 
-    bad = None
-    for a in range(n):
-        row = mul[a]
-        for b in range(n):
-            for c in range(n):
-                image = 0
-                for t in bits(add[b][c]):
-                    image |= 1 << row[t]
-                if image != add[row[b]][row[c]]:
-                    bad = (a, b, c)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "left-distributivity", bad is None, bad or (),
-        "" if bad is None else "a * (b + c) != a*b + a*c at " + str(bad)))
-
-    bad = None
-    for c in range(n):
-        for a in range(n):
-            for b in range(n):
-                image = 0
-                for t in bits(add[a][b]):
-                    image |= 1 << mul[t][c]
-                if image != add[mul[a][c]][mul[b][c]]:
-                    bad = (a, b, c)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "right-distributivity", bad is None, bad or (),
-        "" if bad is None else "(a + b) * c != a*c + b*c at " + str(bad)))
+    left = action_sum_failure(add, add, mul, product(range(n), repeat=3))
+    checks.append(axiom_check("left-distributivity", left, "a * (b + c) != a*b + a*c"))
+    # (a, b, c) with c outermost: product gives (c, a, b)
+    right = sum_action_failure(add, mul, map(itemgetter(1, 2, 0), product(range(n), repeat=3)))
+    checks.append(axiom_check("right-distributivity", right, "(a + b) * c != a*c + b*c"))
 
     if ring.unit is not None:
         u = ring.unit
@@ -625,6 +590,96 @@ def sum_rule(x: int, y: int, parts, add) -> tuple:
         return image == add[values[x]][values[y]]
 
     return ((max(x, y, *parts),), test)
+
+
+# The three axioms that tie a single-valued action act (act[m][r] is m r)
+# of a right module with hypergroup madd to a ring with addition radd and
+# product rmul.  A ring is a right module over itself, so (add, add, mul,
+# mul) turns them into right distributivity, left distributivity and
+# mul-associativity.  Each checker returns the first failing instance of
+# the scan order it is given, or None.
+
+def sum_action_failure(madd, act, instances):
+    """The first (a, b, r) in instances with (a + b) r != a r + b r."""
+    for a, b, r in instances:
+        image = 0
+        for t in bits(madd[a][b]):
+            image |= 1 << act[t][r]
+        if image != madd[act[a][r]][act[b][r]]:
+            return (a, b, r)
+    return None
+
+
+def action_sum_failure(madd, radd, act, instances):
+    """The first (m, r, s) in instances with m (r + s) != m r + m s."""
+    for m, r, s in instances:
+        row = act[m]
+        image = 0
+        for t in bits(radd[r][s]):
+            image |= 1 << row[t]
+        if image != madd[row[r]][row[s]]:
+            return (m, r, s)
+    return None
+
+
+def action_associativity_failure(rmul, act, instances):
+    """The first (m, r, s) in instances with m (r s) != (m r) s."""
+    for m, r, s in instances:
+        row = act[m]
+        if row[rmul[r][s]] != act[row[r]][s]:
+            return (m, r, s)
+    return None
+
+
+def action_tables(madd, radd, rmul=None) -> list:
+    """Every action table of a module with hypergroup madd over a ring with
+    addition radd and product rmul that passes the three axioms above and
+    kills 0 from both sides, as n x |R| rows in lexicographic order, by
+    ``search`` over cells m * |R| + r.  With rmul None the table searched
+    is the ring's own product (madd is radd): the multiplications that
+    make the hypergroup a hyperring.  Instances with a 0 hold once row 0
+    and column 0 are 0, so only nonzero ones become rules."""
+    n, nr = len(madd), len(radd)
+    rules = []
+    for m in range(1, n):
+        for r in range(1, nr):
+            mr = m * nr + r
+            for b in range(m, n):
+                # sum-action: (m + b) r = m r + b r
+                rules.append(sum_rule(mr, b * nr + r,
+                                      [t * nr + r for t in bits(madd[m][b])], madd))
+            for s in range(r, nr):
+                # action-sum: m (r + s) = m r + m s
+                rules.append(sum_rule(mr, m * nr + s,
+                                      [m * nr + t for t in bits(radd[r][s])], madd))
+            for s in range(1, nr):
+                # action-associativity: (m r) s = m (r s) reads cells chosen
+                # by values, so it watches column s, and row m too when r s
+                # is itself a searched cell
+                column = range(s, n * nr, nr)
+                if rmul is None:
+                    rs = r * nr + s
+
+                    def associativity(v, i, mr=mr, rs=rs, row=m * nr, s=s):
+                        if mr > i or rs > i:
+                            return True
+                        p, q = v[mr] * nr + s, row + v[rs]
+                        return p > i or q > i or v[p] == v[q]
+
+                    watch = (mr, rs, *range(m * nr, m * nr + nr), *column)
+                else:
+                    mrs = m * nr + rmul[r][s]
+
+                    def associativity(v, i, mr=mr, mrs=mrs, s=s):
+                        if mr > i or mrs > i:
+                            return True
+                        p = v[mr] * nr + s
+                        return p > i or v[mrs] == v[p]
+
+                    watch = (mr, mrs, *column)
+                rules.append((watch, associativity))
+    sizes = [1 if m == 0 or r == 0 else n for m in range(n) for r in range(nr)]
+    return [tuple(v[m * nr:m * nr + nr] for m in range(n)) for v in search(sizes, rules)]
 
 
 def require_hom_bound(source: Structure, target: Structure, bound: int):

@@ -10,9 +10,11 @@ of ``core.search``, whose rules keep every cell of the table nonempty and
 every associativity instance true as soon as the orbits they read are
 decided; a table it returns that fails the hypergroup validator raises.
 
-Multiplication tables come from ``core.search`` too: it fills the nonzero
-entries one at a time and checks each associativity and distributivity
-instance as soon as the entries it reads are filled.
+Multiplication tables are the actions of the ring on itself: the search
+of ``core.action_tables`` fills the nonzero entries one at a time and
+checks each instance of the three action axioms of ``core``, which on
+the regular module are mul-associativity and the two distributivities,
+as soon as the entries it reads are filled.
 
 Everything is deterministic: fixed enumeration orders, no hashing of
 anything but canonical encodings.  Rings are deduplicated up to
@@ -41,11 +43,11 @@ from .core import (
     BoundExceededError,
     HyperRing,
     TheoremViolationError,
+    action_tables,
     bits,
     find_unit,
     hypergroup_checks,
     search,
-    sum_rule,
 )
 
 HARD_ORDER_CAP = 4
@@ -267,30 +269,11 @@ def _mul_key(mul, automorphisms) -> tuple:
 
 
 def mult_tables(n: int, add) -> tuple:
-    """Every multiplication making the hypergroup a hyperring, as full
-    n x n tuples in lexicographic order, from ``core.search`` over cells
-    a * n + b.  Row 0 and column 0 are 0, which satisfies every
-    distributivity and associativity instance with a zero element."""
-    rules = []
-    for a in range(1, n):
-        for b in range(1, n):
-            for c in range(b, n):
-                terms = bits(add[b][c])
-                # a (b + c) = ab + ac and (b + c) a = ba + ca
-                rules.append(sum_rule(a * n + b, a * n + c, [a * n + t for t in terms], add))
-                rules.append(sum_rule(b * n + a, c * n + a, [t * n + a for t in terms], add))
-            for c in range(1, n):
-                # (ab) c = a (bc) reads cells chosen by values: watch row a, column c
-                def associativity(v, i, ab=a * n + b, bc=b * n + c, a=a, c=c):
-                    if ab > i or bc > i:
-                        return True
-                    p, q = v[ab] * n + c, a * n + v[bc]
-                    return p > i or q > i or v[p] == v[q]
-
-                watch = (a * n + b, b * n + c, *range(a * n, a * n + n), *range(c, n * n, n))
-                rules.append((watch, associativity))
-    sizes = [1 if a == 0 or b == 0 else n for a in range(n) for b in range(n)]
-    return tuple(tuple(v[a * n:a * n + n] for a in range(n)) for v in search(sizes, rules))
+    """Every multiplication making the hypergroup add on {0..n-1} a
+    hyperring, as full n x n tuples in lexicographic order: the actions of
+    the ring on itself that ``core.action_tables`` finds, with row 0 and
+    column 0 zero."""
+    return tuple(action_tables(add, add))
 
 
 @dataclass(frozen=True)

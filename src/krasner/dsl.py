@@ -86,18 +86,20 @@ def _tokenize(raw: str, source: str, lineno: int) -> list:
     return toks
 
 
-def _int(tok: _Tok, source, lineno) -> int:
+def _int(text: str, source, lineno, col) -> int:
+    # ASCII digits only: int() would also read '+1', '0_0' and '٢'
     try:
-        return int(tok.text)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {tok.text!r}",
-                         source, lineno, tok.col) from None
+        if text.isascii() and text.isdigit():
+            return int(text)
+    except ValueError:  # past int()'s digit limit
+        pass
+    raise ParseError(f"expected an integer, got {text!r}", source, lineno, col)
 
 
 def _value_set(tok: _Tok, source, lineno) -> list:
     """A {a,b,c} set or a bare integer as a singleton."""
     if not tok.text.startswith("{"):
-        return [_int(tok, source, lineno)]
+        return [_int(tok.text, source, lineno, tok.col)]
     inner = tok.text[1:-1].strip()
     if not inner:
         raise ParseError("hypersum must be nonempty", source, lineno, tok.col)
@@ -106,11 +108,7 @@ def _value_set(tok: _Tok, source, lineno) -> list:
         piece = piece.strip()
         if not piece:
             raise ParseError("empty element in set", source, lineno, tok.col)
-        try:
-            out.append(int(piece))
-        except ValueError:
-            raise ParseError(f"expected an integer, got {piece!r}",
-                             source, lineno, tok.col) from None
+        out.append(_int(piece, source, lineno, tok.col))
     return out
 
 
@@ -241,7 +239,7 @@ class _Parser:
                        lineno, toks[0].col)
 
     def element(self, tok, order, lineno, what="element"):
-        v = _int(tok, self.source, lineno)
+        v = _int(tok.text, self.source, lineno, tok.col)
         if not 0 <= v < order:
             self.error(f"{what} {v} out of range for order {order}", lineno, tok.col)
         return v
@@ -273,7 +271,7 @@ class _Parser:
                 self.arity(toks, 1, lineno)
                 if order is not None:
                     self.error("duplicate entry for order", lineno, toks[0].col)
-                order = _int(toks[1], self.source, lineno)
+                order = _int(toks[1].text, self.source, lineno, toks[1].col)
                 if order < 1:
                     self.error("order must be positive", lineno, toks[1].col)
                 continue

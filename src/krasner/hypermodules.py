@@ -14,6 +14,7 @@ equals the hypersum of the images as sets, not merely a subset of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import (
     HOM_SEARCH_BOUND,
@@ -26,12 +27,16 @@ from .core import (
     ValidationReport,
     VerificationReport,
     _normalize_value_table,
+    action_associativity_failure,
+    action_sum_failure,
+    axiom_check,
     bits,
     derived,
     hom_search,
     mask_of,
     require_hom_bound,
     strong_hom_checks,
+    sum_action_failure,
 )
 from .ideals import (
     ENUMERATION_BOUND,
@@ -93,66 +98,22 @@ def verify_hypermodule(module: HyperModule) -> VerificationReport:
     """The four action axioms, plus the unit action when declared; a
     module declared unital over a ring without a unit fails it."""
     ring = module.ring
-    n = module.order
-    nr = ring.order
+    n, nr = module.order, ring.order
     madd = module.add_masks
     act = module.act_table
-    checks = []
-
-    bad = None
-    for a in range(n):
-        for b in range(n):
-            for r in range(nr):
-                image = 0
-                for t in bits(madd[a][b]):
-                    image |= 1 << act[t][r]
-                if image != madd[act[a][r]][act[b][r]]:
-                    bad = (a, b, r)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "sum-action", bad is None, bad or (),
-        "" if bad is None else "(m + m') r != mr + m'r at " + str(bad)))
-
-    bad = None
-    radd = ring.add_masks
-    for a in range(n):
-        row = act[a]
-        for r in range(nr):
-            for s in range(nr):
-                image = 0
-                for t in bits(radd[r][s]):
-                    image |= 1 << row[t]
-                if image != madd[row[r]][row[s]]:
-                    bad = (a, r, s)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "action-sum", bad is None, bad or (),
-        "" if bad is None else "m (r + s) != mr + ms at " + str(bad)))
-
-    bad = None
-    mul = ring.mul_table
-    for a in range(n):
-        row = act[a]
-        for r in range(nr):
-            for s in range(nr):
-                if row[mul[r][s]] != act[row[r]][s]:
-                    bad = (a, r, s)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "action-associativity", bad is None, bad or (),
-        "" if bad is None else "m (r s) != (m r) s at " + str(bad)))
+    checks = [
+        axiom_check("sum-action",
+                    sum_action_failure(madd, act, product(range(n), range(n), range(nr))),
+                    "(m + m') r != mr + m'r"),
+        axiom_check("action-sum",
+                    action_sum_failure(madd, ring.add_masks, act,
+                                       product(range(n), range(nr), range(nr))),
+                    "m (r + s) != mr + ms"),
+        axiom_check("action-associativity",
+                    action_associativity_failure(ring.mul_table, act,
+                                                 product(range(n), range(nr), range(nr))),
+                    "m (r s) != (m r) s"),
+    ]
 
     bad = None
     for a in range(n):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import corpus
-from .core import HyperRing, TheoremViolationError, bits, derived, mask_of, search, sum_rule
+from .core import HyperRing, TheoremViolationError, action_tables, bits, derived, mask_of
 from .hypermodules import (
     HyperModule,
     annihilator,
@@ -132,48 +132,20 @@ def check_primitive_iff_quotient_primitive(ring: HyperRing) -> BiconditionalRepo
     return BiconditionalReport(ok=not mismatches, mismatches=tuple(mismatches))
 
 
-def _action_rules(ring: HyperRing, n: int, madd) -> list:
-    # sum-action, action-sum and action-associativity on nonzero elements
-    # for search over act tables (cell m * |R| + r holds m r)
-    nr = ring.order
-    rules = []
-    for m in range(1, n):
-        for r in range(1, nr):
-            for b in range(m, n):
-                parts = [t * nr + r for t in bits(madd[m][b])]
-                rules.append(sum_rule(m * nr + r, b * nr + r, parts, madd))
-            for s in range(r, nr):
-                parts = [m * nr + t for t in bits(ring.add_masks[r][s])]
-                rules.append(sum_rule(m * nr + r, m * nr + s, parts, madd))
-            for s in range(1, nr):
-                # m (r s) = (m r) s reads cell (m r, s), chosen by a value: watch column s
-                def associativity(v, i, mr=m * nr + r, mrs=m * nr + ring.mul_table[r][s], s=s):
-                    if mr > i or mrs > i:
-                        return True
-                    c = v[mr] * nr + s
-                    return c > i or v[mrs] == v[c]
-
-                rules.append(((m * nr + r, m * nr + ring.mul_table[r][s], *range(s, n * nr, nr)),
-                              associativity))
-    return rules
-
-
 def enumerate_simple_modules(ring: HyperRing, max_order: int = 3) -> tuple:
     """Every simple right hypermodule on a carrier of at most max_order
-    elements.  For each canonical hypergroup, ``core.search`` fills the
-    action table (row 0 and column 0 zero); each table it returns is
-    validated and kept when simple.  A max_order past the corpus cap
-    raises ``BoundExceededError`` before any search."""
+    elements.  For each canonical hypergroup, ``core.action_tables``
+    finds the action tables (row 0 and column 0 zero) that pass the three
+    action axioms against the ring's tables; each is validated and kept
+    when simple.  A max_order past the corpus cap raises
+    ``BoundExceededError`` before any search."""
     ring.require_validated()
     corpus.check_order(max_order)
-    nr = ring.order
     found = []
     for n in range(2, max_order + 1):
-        sizes = [1 if m == 0 or r == 0 else n for m in range(n) for r in range(nr)]
         for add_masks, neg in corpus.enumerate_hypergroups(n):
             members = [[list(bits(cell)) for cell in row] for row in add_masks]
-            for values in search(sizes, _action_rules(ring, n, add_masks)):
-                act = [values[m * nr:(m + 1) * nr] for m in range(n)]
+            for act in action_tables(add_masks, ring.add_masks, ring.mul_table):
                 module = HyperModule(ring, members, neg, act).checked(
                     "module table search produced an invalid module")
                 if is_simple(module):

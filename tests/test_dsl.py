@@ -168,6 +168,18 @@ def test_diagnostic_positions():
         assert err(text) == expected
 
 
+def test_numbers_are_ascii_digits():
+    # int() reads each of these tokens as a number; the format does not
+    table = [
+        ("ring r\n  order \u0662\nend\n", "t.khr:2:9: expected an integer, got '\u0662'"),
+        ("ring r\n  order 2\n  unit +1\nend\n", "t.khr:3:8: expected an integer, got '+1'"),
+        ("ring r\n  order 2\n  add 1 1 {0_0}\nend\n",
+         "t.khr:3:11: expected an integer, got '0_0'"),
+    ]
+    for text, expected in table:
+        assert err(text) == expected
+
+
 def test_module_diagnostic_positions():
     # the module block's own keys, and each block refusing the other's
     def module(order, body):
