@@ -62,8 +62,8 @@ def test_verify_reports_unital_module_over_ring_without_unit(tmp_path, capsys):
                    "  unit-action: witness () (declared unital, but r has no unit)"]
 
 
-# khr verify on the two fixtures under tests/fixtures, byte for byte: the
-# first witness of each action axiom, found in each verifier's scan order
+# khr verify on the fixtures under tests/fixtures, byte for byte: the first
+# witness of each failing axiom, found in each verifier's scan order
 VERIFY_GOLDEN = {
     "skewed_ring.khr": (
         "{path}: skewed: FAIL\n"
@@ -76,6 +76,24 @@ VERIFY_GOLDEN = {
         "  sum-action: witness (1, 1, 2) ((m + m') r != mr + m'r at (1, 1, 2))\n"
         "  action-sum: witness (1, 1, 2) (m (r + s) != mr + ms at (1, 1, 2))\n"
         "  action-associativity: witness (1, 1, 2) (m (r s) != (m r) s at (1, 1, 2))\n"),
+    "lopsided_ring.khr": (
+        "{path}: lopsided: FAIL\n"
+        "  commutativity: witness (1, 2) (1 + 2 differs from 2 + 1)\n"
+        "  associativity: witness (1, 1, 2) ((a + b) + c != a + (b + c) at (1, 1, 2))\n"
+        "  reversibility: witness (1, 1, 2) (2 not in -1 + 1)\n"
+        "  absorption: witness (0,) (products of 0 with 0 are not 0)\n"
+        "  unit: witness (0,) (1 does not act as identity on 0)\n"),
+    "stuck_module.khr": (
+        "{path}: base: ok\n"
+        "{path}: stuck: FAIL\n"
+        "  zero-action: witness (0,) (0 * 0 != 0)\n"
+        "  unit-action: witness (0,) (0 * 1 != 0)\n"),
+    "folded_hom.khr": (
+        "{path}: base: ok\n"
+        "{path}: folded: FAIL\n"
+        "  strong-addition: witness (1, 2) (image escapes the target hypersum)\n"
+        "  negation: witness (1,) (f(-1) != -f(1))\n"
+        "  multiplication: witness (2, 2) (f(a b) != f(a) f(b) at (2, 2))\n"),
 }
 
 
