@@ -303,6 +303,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="khr",
@@ -338,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the theorem suite")
     p.add_argument("files", nargs="*", help="ring files; omitted means the generated corpus")
-    p.add_argument("--max-order", type=int, default=3)
+    p.add_argument("--max-order", type=_positive_int, default=3)
     p.add_argument("--per-order-limit", type=_nonnegative_int, default=None)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0,
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("gen", help="generate the corpus")
-    p.add_argument("--max-order", type=int, default=3)
+    p.add_argument("--max-order", type=_positive_int, default=3)
     p.add_argument("--per-order-limit", type=_nonnegative_int, default=None)
     p.add_argument("--out", help="directory for one .khr file per ring")
     p.add_argument("--format", choices=("text", "json"), default="json")
@@ -359,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="hunt for interesting configurations")
     p.add_argument("kind", choices=("prime-not-primitive", "primitive-not-maximal",
                                     "t1-failure", "rogue-simple-module"))
-    p.add_argument("--max-order", type=int, default=3)
+    p.add_argument("--max-order", type=_positive_int, default=3)
     p.add_argument("--per-order-limit", type=_nonnegative_int, default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for interface stability; runs are deterministic")

@@ -137,8 +137,11 @@ class AxiomCheck:
 
 def axiom_check(axiom: str, bad, claim: str) -> AxiomCheck:
     """The check of axiom whose first failing instance is bad (None when
-    it holds), described as "<claim> at <bad>"."""
-    return AxiomCheck(axiom, bad is None, bad or (), "" if bad is None else f"{claim} at {bad}")
+    it holds), described by claim formatted over bad: {0}, {1}, .. are
+    its entries and {w} the whole instance."""
+    if bad is None:
+        return AxiomCheck(axiom, True)
+    return AxiomCheck(axiom, False, bad, claim.format(*bad, w=bad))
 
 
 @dataclass(frozen=True)
@@ -383,103 +386,39 @@ def hypergroup_checks(n: int, add, neg) -> list:
     Shared by rings and modules; returns a list of AxiomCheck.  Witnesses
     are the smallest offending tuples in scan order.
     """
-    checks = []
-
-    bad = None
-    for a in range(n):
-        for b in range(n):
-            if not add[a][b]:
-                bad = (a, b)
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "totality", bad is None, bad or (),
-        "" if bad is None else f"{bad[0]} + {bad[1]} is empty"))
-    if bad is not None:
+    E = range(n)
+    empty = next(((a, b) for a in E for b in E if not add[a][b]), None)
+    checks = [axiom_check("totality", empty, "{0} + {1} is empty")]
+    if empty is not None:
         # the remaining checks assume nonempty entries
         return checks
+    checks.append(axiom_check(
+        "commutativity",
+        next(((a, b) for a in E for b in range(a + 1, n) if add[a][b] != add[b][a]), None),
+        "{0} + {1} differs from {1} + {0}"))
+    checks.append(axiom_check(
+        "associativity", hypergroup_associativity_failure(add, product(E, repeat=3)),
+        "(a + b) + c != a + (b + c) at {w}"))
+    checks.append(axiom_check(
+        "identity", next(((a,) for a in E if add[a][0] != 1 << a), None),
+        "{0} + 0 != {{{0}}}"))
 
-    bad = None
-    for a in range(n):
-        for b in range(a + 1, n):
-            if add[a][b] != add[b][a]:
-                bad = (a, b)
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "commutativity", bad is None, bad or (),
-        "" if bad is None else f"{bad[0]} + {bad[1]} differs from {bad[1]} + {bad[0]}"))
+    inverses = [[b for b in E if add[a][b] & 1] for a in E]
+    bad = next(((a,) for a in E if inverses[a] != [neg[a]]), None)
+    found = inverses[bad[0]] if bad else []
+    checks.append(axiom_check(
+        "negation", bad,
+        f"neg table says -{{0}} = {neg[bad[0]]} but 0 lies in {{0}} + {found[0]}"
+        if len(found) == 1 else f"element {{0}} has {len(found)} additive inverses"))
 
-    bad = None
-    for a in range(n):
-        row_a = add[a]
-        for b in range(n):
-            ab = row_a[b]
-            for c in range(n):
-                lhs = 0
-                for t in bits(ab):
-                    lhs |= add[t][c]
-                rhs = 0
-                for u in bits(add[b][c]):
-                    rhs |= row_a[u]
-                if lhs != rhs:
-                    bad = (a, b, c)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "associativity", bad is None, bad or (),
-        "" if bad is None else "(a + b) + c != a + (b + c) at " + str(bad)))
-
-    bad = None
-    for a in range(n):
-        if add[a][0] != 1 << a:
-            bad = (a,)
-            break
-    checks.append(AxiomCheck(
-        "identity", bad is None, bad or (),
-        "" if bad is None else f"{bad[0]} + 0 != {{{bad[0]}}}"))
-
-    bad = None
-    detail = ""
-    for a in range(n):
-        candidates = [b for b in range(n) if add[a][b] & 1]
-        if len(candidates) != 1:
-            bad = (a,)
-            detail = f"element {a} has {len(candidates)} additive inverses"
-            break
-        if candidates[0] != neg[a]:
-            bad = (a,)
-            detail = f"neg table says -{a} = {neg[a]} but 0 lies in {a} + {candidates[0]}"
-            break
-    checks.append(AxiomCheck("negation", bad is None, bad or (), detail))
-
-    # reversibility is stated relative to the declared neg table, so it is
-    # still checkable when the negation axiom itself failed
-    bad = None
-    detail = ""
-    for b in range(n):
-        nb = neg[b]
-        for c in range(n):
-            nc = neg[c]
-            for a in bits(add[b][c]):
-                # a in b + c forces c in -b + a and b in a - c
-                if not add[nb][a] >> c & 1:
-                    bad, detail = (a, b, c), f"{c} not in -{b} + {a}"
-                    break
-                if not add[a][nc] >> b & 1:
-                    bad, detail = (a, b, c), f"{b} not in {a} - {c}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck("reversibility", bad is None, bad or (), detail))
-
+    # a in b + c forces c in -b + a, then b in a - c; stated against the
+    # declared neg table, so it is still checkable when negation failed
+    bad = next(((a, b, c) for b in E for c in E for a in bits(add[b][c])
+                if not (add[neg[b]][a] >> c & 1 and add[a][neg[c]] >> b & 1)), None)
+    checks.append(axiom_check(
+        "reversibility", bad,
+        "{2} not in -{1} + {0}" if bad and not add[neg[bad[1]]][bad[0]] >> bad[2] & 1
+        else "{1} not in {0} - {2}"))
     return checks
 
 
@@ -502,37 +441,26 @@ def verify_hyperring(ring: HyperRing) -> VerificationReport:
     Meaningful on top of a passing hypergroup check; run ``validate()``
     to get both in the right order.
     """
-    n = ring.order
     add = ring.add_masks
     mul = ring.mul_table
-    assoc = action_associativity_failure(mul, mul, product(range(n), repeat=3))
-    checks = [axiom_check("mul-associativity", assoc, "(a * b) * c != a * (b * c)")]
-
-    bad = None
-    for a in range(n):
-        if mul[a][0] != 0 or mul[0][a] != 0:
-            bad = (a,)
-            break
-    checks.append(AxiomCheck(
-        "absorption", bad is None, bad or (),
-        "" if bad is None else f"products of {bad[0]} with 0 are not 0"))
-
-    left = action_sum_failure(add, add, mul, product(range(n), repeat=3))
-    checks.append(axiom_check("left-distributivity", left, "a * (b + c) != a*b + a*c"))
-    # (a, b, c) with c outermost: product gives (c, a, b)
-    right = sum_action_failure(add, mul, map(itemgetter(1, 2, 0), product(range(n), repeat=3)))
-    checks.append(axiom_check("right-distributivity", right, "(a + b) * c != a*c + b*c"))
-
-    if ring.unit is not None:
-        u = ring.unit
-        bad = None
-        for a in range(n):
-            if mul[a][u] != a or mul[u][a] != a:
-                bad = (a,)
-                break
-        checks.append(AxiomCheck(
-            "unit", bad is None, bad or (),
-            "" if bad is None else f"{u} does not act as identity on {bad[0]}"))
+    E = range(ring.order)
+    checks = [
+        axiom_check("mul-associativity", action_associativity_failure(mul, mul, product(E, repeat=3)),
+                    "(a * b) * c != a * (b * c) at {w}"),
+        axiom_check("absorption", next(((a,) for a in E if mul[a][0] != 0 or mul[0][a] != 0), None),
+                    "products of {0} with 0 are not 0"),
+        axiom_check("left-distributivity", action_sum_failure(add, add, mul, product(E, repeat=3)),
+                    "a * (b + c) != a*b + a*c at {w}"),
+        # (a, b, c) with c outermost: product gives (c, a, b)
+        axiom_check("right-distributivity",
+                    sum_action_failure(add, mul, map(itemgetter(1, 2, 0), product(E, repeat=3))),
+                    "(a + b) * c != a*c + b*c at {w}"),
+    ]
+    u = ring.unit
+    if u is not None:
+        checks.append(axiom_check(
+            "unit", next(((a,) for a in E if mul[a][u] != a or mul[u][a] != a), None),
+            f"{u} does not act as identity on {{0}}"))
 
     return VerificationReport(tuple(checks))
 
@@ -590,6 +518,21 @@ def sum_rule(x: int, y: int, parts, add) -> tuple:
         return image == add[values[x]][values[y]]
 
     return ((max(x, y, *parts),), test)
+
+
+def hypergroup_associativity_failure(add, instances):
+    """The first (a, b, c) in instances with (a + b) + c != a + (b + c)."""
+    for a, b, c in instances:
+        row_a = add[a]
+        lhs = 0
+        for t in bits(row_a[b]):
+            lhs |= add[t][c]
+        rhs = 0
+        for u in bits(add[b][c]):
+            rhs |= row_a[u]
+        if lhs != rhs:
+            return (a, b, c)
+    return None
 
 
 # The three axioms that tie a single-valued action act (act[m][r] is m r)
@@ -723,22 +666,17 @@ def strong_hom_checks(hom: StrongHom) -> list:
     each hypersum a + b onto exactly f(a) + f(b), the witness being the
     first failing (a, b)."""
     f = hom.mapping
-    ok = f[0] == 0
-    checks = [AxiomCheck("zero", ok, () if ok else (0,), "" if ok else "0 must map to 0")]
-    target_add = hom.target.add_masks
-    for a, row in enumerate(hom.source.add_masks):
-        for b, ab in enumerate(row):
-            image = mask_of(f[t] for t in bits(ab))
-            expected = target_add[f[a]][f[b]]
-            if image != expected:
-                detail = ("image only covers part of the target hypersum "
-                          "(a weak hom, not a strong one)"
-                          if image & ~expected == 0 else
-                          "image escapes the target hypersum")
-                checks.append(AxiomCheck("strong-addition", False, (a, b), detail))
-                return checks
-    checks.append(AxiomCheck("strong-addition", True))
-    return checks
+    source_add, target_add = hom.source.add_masks, hom.target.add_masks
+    bad = next(((a, b) for a, row in enumerate(source_add) for b, ab in enumerate(row)
+                if mask_of(f[t] for t in bits(ab)) != target_add[f[a]][f[b]]), None)
+    claim = "image escapes the target hypersum"
+    if bad is not None:
+        a, b = bad
+        if not mask_of(f[t] for t in bits(source_add[a][b])) & ~target_add[f[a]][f[b]]:
+            claim = ("image only covers part of the target hypersum "
+                     "(a weak hom, not a strong one)")
+    return [axiom_check("zero", None if f[0] == 0 else (0,), "0 must map to 0"),
+            axiom_check("strong-addition", bad, claim)]
 
 
 def hom_search(cls, source: Structure, target: Structure, rules, verify, what: str) -> tuple:

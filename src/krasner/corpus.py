@@ -309,6 +309,8 @@ def generate_corpus(max_order: int = HARD_ORDER_CAP,
     reproducibility.  The few most recent corpora are kept, so a repeated
     call returns the same tuple.
     """
+    if max_order < 1:
+        raise ValueError(f"max_order must be positive, not {max_order}")
     check_order(max_order)
     if per_order_limit is not None and per_order_limit < 0:
         raise ValueError(f"per_order_limit must be non-negative, not {per_order_limit}")

@@ -104,41 +104,28 @@ def verify_hypermodule(module: HyperModule) -> VerificationReport:
     checks = [
         axiom_check("sum-action",
                     sum_action_failure(madd, act, product(range(n), range(n), range(nr))),
-                    "(m + m') r != mr + m'r"),
+                    "(m + m') r != mr + m'r at {w}"),
         axiom_check("action-sum",
                     action_sum_failure(madd, ring.add_masks, act,
                                        product(range(n), range(nr), range(nr))),
-                    "m (r + s) != mr + ms"),
+                    "m (r + s) != mr + ms at {w}"),
         axiom_check("action-associativity",
                     action_associativity_failure(ring.mul_table, act,
                                                  product(range(n), range(nr), range(nr))),
-                    "m (r s) != (m r) s"),
+                    "m (r s) != (m r) s at {w}"),
+        axiom_check("zero-action", next(((a,) for a in range(n) if act[a][0] != 0), None),
+                    "{0} * 0 != 0"),
     ]
-
-    bad = None
-    for a in range(n):
-        if act[a][0] != 0:
-            bad = (a,)
-            break
-    checks.append(AxiomCheck(
-        "zero-action", bad is None, bad or (),
-        "" if bad is None else f"{bad[0]} * 0 != 0"))
-
-    if module.unital and ring.unit is None:
+    u = ring.unit
+    if module.unital and u is None:
+        # no unit, so no instance to scan
         checks.append(AxiomCheck(
             "unit-action", False, (),
             f"declared unital, but {ring.name or 'the ring'} has no unit"))
     elif module.unital:
-        u = ring.unit
-        bad = None
-        for a in range(n):
-            if act[a][u] != a:
-                bad = (a,)
-                break
-        checks.append(AxiomCheck(
-            "unit-action", bad is None, bad or (),
-            "" if bad is None else f"{bad[0]} * 1 != {bad[0]}"))
-
+        checks.append(axiom_check(
+            "unit-action", next(((a,) for a in range(n) if act[a][u] != a), None),
+            "{0} * 1 != {0}"))
     return VerificationReport(tuple(checks))
 
 
@@ -299,21 +286,11 @@ class ModuleHom(StrongHom):
 def verify_module_hom(hom: ModuleHom) -> VerificationReport:
     """Strong additivity (set equality) plus action equivariance."""
     src, dst, f = hom.source, hom.target, hom.mapping
-    checks = strong_hom_checks(hom)
-
-    bad = None
-    for a in range(src.order):
-        for r in range(src.ring.order):
-            if f[src.act_table[a][r]] != dst.act_table[f[a]][r]:
-                bad = (a, r)
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "action", bad is None, bad or (),
-        "" if bad is None else "f(m r) != f(m) r at " + str(bad)))
-
-    return VerificationReport(tuple(checks))
+    target_act = dst.act_table
+    bad = next(((a, r) for a, row in enumerate(src.act_table) for r, ar in enumerate(row)
+                if f[ar] != target_act[f[a]][r]), None)
+    return VerificationReport(tuple(strong_hom_checks(hom) + [
+        axiom_check("action", bad, "f(m r) != f(m) r at {w}")]))
 
 
 def hom_kernel(hom: ModuleHom) -> ElementSet:

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 from .core import (
     HOM_SEARCH_BOUND,
-    AxiomCheck,
     HyperRing,
     StrongHom,
     TheoremViolationError,
     VerificationReport,
+    axiom_check,
     bits,
     hom_search,
     mask_of,
@@ -49,35 +49,20 @@ class RingHom(StrongHom):
 
 def verify_strong_hom(hom: RingHom) -> VerificationReport:
     src, dst, f = hom.source, hom.target, hom.mapping
-    checks = strong_hom_checks(hom)
-
-    bad = None
-    for a in range(src.order):
-        if f[src.neg_table[a]] != dst.neg_table[f[a]]:
-            bad = (a,)
-            break
-    checks.append(AxiomCheck(
-        "negation", bad is None, bad or (),
-        "" if bad is None else f"f(-{bad[0]}) != -f({bad[0]})"))
-
-    bad = None
-    for a in range(src.order):
-        for b in range(src.order):
-            if f[src.mul_table[a][b]] != dst.mul_table[f[a]][f[b]]:
-                bad = (a, b)
-                break
-        if bad:
-            break
-    checks.append(AxiomCheck(
-        "multiplication", bad is None, bad or (),
-        "" if bad is None else "f(a b) != f(a) f(b) at " + str(bad)))
-
+    target_neg, target_mul = dst.neg_table, dst.mul_table
+    checks = strong_hom_checks(hom) + [
+        axiom_check("negation",
+                    next(((a,) for a, na in enumerate(src.neg_table)
+                          if f[na] != target_neg[f[a]]), None),
+                    "f(-{0}) != -f({0})"),
+        axiom_check("multiplication",
+                    next(((a, b) for a, row in enumerate(src.mul_table) for b, ab in enumerate(row)
+                          if f[ab] != target_mul[f[a]][f[b]]), None),
+                    "f(a b) != f(a) f(b) at {w}"),
+    ]
     if hom.unit_preserving:
-        ok = f[src.unit] == dst.unit
-        checks.append(AxiomCheck(
-            "unit", ok, () if ok else (src.unit,),
-            "" if ok else "declared unit preserving but f(1) != 1"))
-
+        checks.append(axiom_check("unit", None if f[src.unit] == dst.unit else (src.unit,),
+                                  "declared unit preserving but f(1) != 1"))
     return VerificationReport(tuple(checks))
 
 

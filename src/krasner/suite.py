@@ -73,6 +73,13 @@ from .spectrum import (
 
 SCHEMA = "krasner-suite/1"
 
+# the largest ring order that the four hom-based checks (first-isomorphism,
+# endo-hom-kernels, induced-map-continuity, surjection-embedding) search,
+# and that the rogue simple-module hunt (rogue-simple-modules and the
+# rogue-simple-module search) runs on; larger rings skip them
+HOM_CHECK_ORDER = 4
+ROGUE_CHECK_ORDER = 3
+
 
 class RingContext:
     """One ring as the checks see it.  The builders keep each derived
@@ -225,7 +232,7 @@ def check_module_ideal_product_submodule(ctx):
 
 def check_first_isomorphism(ctx):
     cid = "first-isomorphism"
-    if ctx.ring.order > 4:
+    if ctx.ring.order > HOM_CHECK_ORDER:
         return _skip(cid, "hom enumeration bounded to small rings")
     reg = ctx.regular
     targets = [reg]
@@ -438,7 +445,7 @@ def check_noetherian_space(ctx):
 
 def check_endo_hom_kernels(ctx):
     cid = "endo-hom-kernels"
-    if ctx.ring.order > 4:
+    if ctx.ring.order > HOM_CHECK_ORDER:
         return _skip(cid, "hom enumeration bounded to small rings")
     homs = enumerate_ring_homs(ctx.ring, ctx.ring)
     for hom in homs:
@@ -448,7 +455,7 @@ def check_endo_hom_kernels(ctx):
 
 def check_induced_map_continuity(ctx):
     cid = "induced-map-continuity"
-    if ctx.ring.order > 4:
+    if ctx.ring.order > HOM_CHECK_ORDER:
         return _skip(cid, "hom enumeration bounded to small rings")
     total_maps = 0
     partial = 0
@@ -477,7 +484,7 @@ def check_radical_quotient_homeomorphism(ctx):
 
 def check_surjection_embedding(ctx):
     cid = "surjection-embedding"
-    if ctx.ring.order > 4:
+    if ctx.ring.order > HOM_CHECK_ORDER:
         return _skip(cid, "hom enumeration bounded to small rings")
     checked = 0
     for a in ctx.lattice.two_sided:
@@ -515,7 +522,7 @@ def check_nil_radical_vs_nilpotents(ctx):
 
 def check_rogue_simple_modules(ctx):
     cid = "rogue-simple-modules"
-    if ctx.ring.order > 3:
+    if ctx.ring.order > ROGUE_CHECK_ORDER:
         return _skip(cid, "module table search bounded to very small rings")
     rogues = rogue_annihilators(ctx.ring, max_order=3)
     if not rogues:
@@ -713,7 +720,7 @@ def counterexample_search(kind, max_order=3, per_order_limit=None) -> SearchResu
             if result.status in ("fail", "info"):
                 found.append((entry.name, result.detail))
         else:
-            if entry.ring.order <= 3:
+            if entry.ring.order <= ROGUE_CHECK_ORDER:
                 for p, module in rogue_annihilators(entry.ring):
                     found.append((entry.name,
                                   f"annihilator {p.members!r} from a module "

@@ -343,6 +343,15 @@ def test_negative_per_order_limit_is_a_usage_error(command, capsys):
     assert "--per-order-limit: must be non-negative, not -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen", "check", "search t1-failure"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_non_positive_max_order_is_a_usage_error(command, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(command.split() + ["--max-order", value])
+    assert info.value.code == 2
+    assert f"--max-order: must be positive, not {value}" in capsys.readouterr().err
+
+
 def test_internal_value_error_is_not_reported_as_invalid_input(monkeypatch):
     # a ValueError from inside a command is a bug, not a refusal of input:
     # it must surface instead of becoming "error: ..." with exit code 2

@@ -462,6 +462,16 @@ def test_negative_per_order_limit_is_refused(monkeypatch):
         generate_corpus(2, per_order_limit=-1)
 
 
+@pytest.mark.parametrize("max_order", [0, -2])
+def test_non_positive_max_order_is_refused(monkeypatch, max_order):
+    def build(*args):
+        raise AssertionError("generated a corpus for a non-positive order")
+
+    monkeypatch.setattr(corpus, "_corpus", build)
+    with pytest.raises(ValueError, match="must be positive"):
+        generate_corpus(max_order)
+
+
 def test_unit_detection_in_corpus(corpus3):
     # units get picked up during generation; spot check both kinds
     unital = [e for e in corpus3 if e.ring.is_unital]
