@@ -445,11 +445,14 @@ def verify_hyperring(ring: HyperRing) -> VerificationReport:
     mul = ring.mul_table
     E = range(ring.order)
     checks = [
-        axiom_check("mul-associativity", action_associativity_failure(mul, mul, product(E, repeat=3)),
+        axiom_check("mul-associativity",
+                    action_associativity_failure(mul, mul, product(E, repeat=3)),
                     "(a * b) * c != a * (b * c) at {w}"),
-        axiom_check("absorption", next(((a,) for a in E if mul[a][0] != 0 or mul[0][a] != 0), None),
+        axiom_check("absorption",
+                    next(((a,) for a in E if mul[a][0] != 0 or mul[0][a] != 0), None),
                     "products of {0} with 0 are not 0"),
-        axiom_check("left-distributivity", action_sum_failure(add, add, mul, product(E, repeat=3)),
+        axiom_check("left-distributivity",
+                    action_sum_failure(add, add, mul, product(E, repeat=3)),
                     "a * (b + c) != a*b + a*c at {w}"),
         # (a, b, c) with c outermost: product gives (c, a, b)
         axiom_check("right-distributivity",

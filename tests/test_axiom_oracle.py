@@ -5,8 +5,8 @@ scan order.  The oracle here restates every axiom with frozensets and
 explicit quantifiers, shares no code with ``krasner.core``, and names the
 first failing instance in each validator's scan order: the six
 hypergroup axioms, the ring and module table axioms, and the checks of
-ring homs and module homs.  ``hypothesis`` changes corpus-3 rings and
-their regular and quotient modules (add cells, emptied ones included,
+ring homs and module homs.  ``hypothesis`` changes corpus-3 and bundled
+rings and their regular and quotient modules (add cells, emptied ones included,
 single-valued table cells, negation entries and the declared unit) and
 the maps of real homs between them, and every reported
 ``(axiom, ok, witness, detail)`` must equal the oracle's.
@@ -14,9 +14,10 @@ the maps of real homs between them, and every reported
 
 from functools import lru_cache
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from krasner.catalog import cyclic_ring, standard_rings
 from krasner.core import HyperRing
 from krasner.corpus import generate_corpus
 from krasner.hypermodules import (
@@ -227,25 +228,40 @@ def reported(report):
 
 @lru_cache(maxsize=1)
 def structures() -> tuple:
-    """Each corpus-3 ring, its regular module and its quotient modules."""
+    """Each corpus-3 ring and bundled ring, its regular module and its
+    quotient modules.  Z/6 is there because some scan orders part only
+    from order 5 up: (1, 4) comes before (2, 3) with a outermost, after
+    it with b outermost."""
     out = []
-    for e in generate_corpus(3):
-        reg = regular_module(e.ring)
-        out += [e.ring, reg]
+    for ring in [e.ring for e in generate_corpus(3)] + list(standard_rings()):
+        reg = regular_module(ring)
+        out += [ring, reg]
         out += [quotient_module(reg, sub).module for sub in enumerate_subhypermodules(reg)]
     return tuple(out)
 
 
 @lru_cache(maxsize=1)
 def homs() -> tuple:
-    """Every strong hom between two corpus-3 rings and every module hom
-    between two modules over one ring in ``structures()``."""
+    """Every strong hom between two rings, then every module hom between
+    two modules over one ring, in ``structures()``."""
     rings = [s for s in structures() if isinstance(s, HyperRing)]
     modules = [s for s in structures() if isinstance(s, HyperModule)]
-    out = [h for s in rings for t in rings for h in enumerate_ring_homs(s, t)]
-    out += [h for m in modules for n in modules if m.ring is n.ring
-            for h in enumerate_module_homs(m, n)]
-    return tuple(out)
+    return (tuple(h for s in rings for t in rings for h in enumerate_ring_homs(s, t)),
+            tuple(h for m in modules for n in modules if m.ring is n.ring
+                  for h in enumerate_module_homs(m, n)))
+
+
+def members(add):
+    """A table of member masks as a table of member lists."""
+    return [[[i for i in range(len(add)) if m >> i & 1] for m in row] for row in add]
+
+
+def with_zero_in(ring, cells):
+    """ring rebuilt unchecked with 0 put into the sum a + b of each (a, b)
+    in cells."""
+    add = [[m | 1 if (a, b) in cells else m for b, m in enumerate(row)]
+           for a, row in enumerate(ring.add_masks)]
+    return HyperRing(members(add), ring.neg_table, ring.mul_table, unit=ring.unit)
 
 
 @st.composite
@@ -276,17 +292,17 @@ def changed(draw):
             unit = draw(st.none() | st.integers(0, n - 1))
         else:
             unit = not unit
-    members = [[[i for i in range(n) if m >> i & 1] for m in row] for row in add]
     if ring:
-        return HyperRing(members, neg, table, unit=unit)
-    return HyperModule(s.ring, members, neg, table, unital=unit)
+        return HyperRing(members(add), neg, table, unit=unit)
+    return HyperModule(s.ring, members(add), neg, table, unital=unit)
 
 
 @st.composite
 def changed_hom(draw):
-    """A hom from ``homs()`` with none to two entries of its map changed;
-    a ring hom between unital rings may also be declared unit preserving."""
-    h = draw(st.sampled_from(homs()))
+    """A ring hom or a module hom, even odds, from ``homs()`` with none to
+    two entries of its map changed; a ring hom between unital rings may
+    also be declared unit preserving."""
+    h = draw(st.sampled_from(draw(st.sampled_from(homs()))))
     f = list(h.mapping)
     for _ in range(draw(st.integers(0, 2))):
         f[draw(st.integers(0, len(f) - 1))] = draw(st.integers(0, h.target.order - 1))
@@ -298,6 +314,9 @@ def changed_hom(draw):
 
 @settings(derandomize=True, deadline=None, max_examples=600)
 @given(changed())
+# commutativity fails at (1, 4) and (2, 3), which a outermost meets in
+# this order and b outermost in the other
+@example(with_zero_in(cyclic_ring(6), {(1, 4), (2, 3)}))
 def test_first_witness_matches_the_oracle(s):
     report = s.validate()
     table = ring_oracle(s) if isinstance(s, HyperRing) else module_oracle(s)
@@ -318,6 +337,6 @@ def test_unchanged_structures_pass_the_oracle():
     for s in structures():
         oracle = ring_oracle(s) if isinstance(s, HyperRing) else module_oracle(s)
         assert all(ok for _, ok, _, _ in hypergroup_oracle(s) + oracle)
-    for h in homs():
+    for h in homs()[0] + homs()[1]:
         oracle = module_hom_oracle(h) if isinstance(h, ModuleHom) else ring_hom_oracle(h)
         assert all(ok for _, ok, _, _ in oracle)
