@@ -10,6 +10,7 @@ from krasner.core import (
     CarrierMismatchError,
     HyperRing,
     NotValidatedError,
+    ValidationReport,
     VerificationReport,
     bits,
     find_unit,
@@ -20,7 +21,12 @@ from krasner.core import (
     verify_hyperring,
 )
 from krasner.corpus import enumerate_hypergroups
-from krasner.hypermodules import is_subhypermodule, regular_module
+from krasner.hypermodules import (
+    HyperModule,
+    is_subhypermodule,
+    regular_module,
+    verify_hypermodule,
+)
 from krasner.ideals import ENUMERATION_BOUND, IdealLattice, is_hyperideal
 from krasner.suite import run_ring_checks
 
@@ -173,6 +179,107 @@ def test_the_hypergroup_memo_is_bounded():
         core._hypergroup_report(add, neg)
     info = core._hypergroup_report.cache_info()
     assert info.maxsize == 64 and info.currsize <= 64
+
+
+# validate() may keep verdicts, but every one must equal a check from
+# scratch; the structures below agree in all but one value a report reads,
+# so a verdict kept under a key that leaves that value out shows here
+
+def fresh_report(s):
+    verify = verify_hyperring if isinstance(s, HyperRing) else verify_hypermodule
+    return ValidationReport(
+        VerificationReport(tuple(hypergroup_checks(s.order, s.add_masks, s.neg_table))),
+        verify(s))
+
+
+def module_over(ring, like, unital=None):
+    """A module with the tables of like, built unchecked over ring."""
+    return HyperModule(ring, [[list(bits(m)) for m in row] for row in like.add_masks],
+                       like.neg_table, like.act_table,
+                       unital=like.unital if unital is None else unital)
+
+
+def test_unit_action_names_its_own_ring():
+    left, right = zero_mul_ring(2, name="left"), zero_mul_ring(2, name="right")
+    assert left.encoding() == right.encoding()
+    for _ in range(2):
+        for ring in (left, right):
+            module = module_over(ring, regular_module(ring), unital=True)
+            report = module.validate()
+            assert report == fresh_report(module)
+            assert [c.detail for c in report.failures] == [
+                f"declared unital, but {ring.name} has no unit"]
+    # the name is read when the module is validated, not when it is built
+    module = module_over(left, regular_module(left), unital=True)
+    left.name = None
+    assert module.validate().failures[0].detail == "declared unital, but the ring has no unit"
+
+
+def test_rings_that_differ_only_in_their_unit(z4):
+    add, neg, mul = ring_tables(z4)
+    rings = [HyperRing(add, neg, mul, unit=u, name="z") for u in (1, None, 2, 3, 1)]
+    verdicts = []
+    for ring in rings + rings[::-1]:
+        report = ring.validate()
+        assert report == fresh_report(ring)
+        verdicts.append(report.ok)
+    assert verdicts == [True, True, False, False, True, True, False, False, True, True]
+    # a unital module reads the unit of its ring, named alike here
+    with_unit, without = rings[0], rings[1]
+    for ring, ok in ((with_unit, True), (without, False), (with_unit, True)):
+        module = module_over(ring, regular_module(z4), unital=True)
+        report = module.validate()
+        assert report == fresh_report(module) and report.ok == ok
+
+
+def test_a_one_cell_twin_gets_its_own_verdict(corpus3):
+    rings = [entry.ring for entry in corpus3]
+    failed = 0
+    for ring in rings:
+        n = ring.order
+        add, neg, mul = ring_tables(ring)
+        reg = regular_module(ring)
+        twins = []
+        for a in range(n):
+            for b in range(n):
+                cell = [row[:] for row in mul]
+                cell[a][b] = (cell[a][b] + 1) % n
+                twins.append(HyperRing(add, neg, cell, unit=ring.unit))
+                twins.append(HyperModule(ring, add, neg, cell, unital=reg.unital))
+                cell = [row[:] for row in add]
+                cell[a][b] = list(bits(ring.add_masks[a][b] ^ 1 << (a + b) % n))
+                twins.append(HyperRing(cell, neg, mul, unit=ring.unit))
+                twins.append(HyperModule(ring, cell, neg, mul, unital=reg.unital))
+        for twin in twins:
+            for s in (ring, reg):
+                assert s.validate().ok
+            report = twin.validate()
+            assert report == fresh_report(twin)
+            failed += not report.ok
+    assert failed > len(rings)
+
+
+def test_one_module_over_rings_that_differ_in_one_table(corpus4):
+    # the regular module of each ring with a nonzero product (a zero action
+    # passes over every ring), over each ring of its order and unit whose
+    # add or mul table, not both, differs; the rings are unnamed copies, so
+    # only their tables tell them apart
+    rings = [HyperRing(*ring_tables(e.ring), unit=e.ring.unit).checked("copy")
+             for e in corpus4]
+    failed = 0
+    for ring in rings:
+        if not any(map(any, ring.mul_table)):
+            continue
+        reg = regular_module(ring)
+        for other in rings:
+            if (other.order == ring.order and other.unit == ring.unit
+                    and (other.add_masks == ring.add_masks) != (other.mul_table == ring.mul_table)):
+                twin = module_over(other, reg)
+                for s in (reg, twin):
+                    report = s.validate()
+                    assert report == fresh_report(s)
+                failed += not report.ok
+    assert failed > 100
 
 
 def test_validate_is_idempotent(z4):
