@@ -21,6 +21,7 @@ from a checked structure on it (``derived``).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -175,7 +176,15 @@ class ValidationReport:
         return self.hypergroup.failures + self.table.failures
 
 
+class _MaskTable(tuple):
+    """A set table whose cells are member masks already.  The builders of
+    derived structures hand their tables over in it, so the structure
+    keeps the rows rather than packing member lists back into masks; the
+    public constructors take member lists only."""
+
+
 def _normalize_set_table(n: int, table) -> tuple:
+    masks = isinstance(table, _MaskTable)
     rows = tuple(table)
     if len(rows) != n:
         raise ValueError(f"set table must have {n} rows, got {len(rows)}")
@@ -184,7 +193,7 @@ def _normalize_set_table(n: int, table) -> tuple:
         cells = tuple(row)
         if len(cells) != n:
             raise ValueError(f"set table rows must have {n} cells, got {len(cells)}")
-        out.append(tuple(mask_of(int(i) for i in cell) for cell in cells))
+        out.append(cells if masks else tuple(mask_of(int(i) for i in cell) for cell in cells))
     for row in out:
         for m in row:
             if m >> n:
@@ -235,11 +244,12 @@ class Structure:
         self._checked = False
         self._derived = {}
 
-    def _settle(self, verify_table) -> ValidationReport:
-        # the hypergroup checks (one report per distinct table pair), then
-        # verify_table(self) on every call; usable once both pass
+    def _settle(self, verify_table, key: tuple) -> ValidationReport:
+        # the hypergroup checks and verify_table(self), each reported once
+        # per distinct value of what it reads (key, for verify_table);
+        # usable once both pass
         report = ValidationReport(_hypergroup_report(self.add_masks, self.neg_table),
-                                  verify_table(self))
+                                  _table_report(key, verify_table, self))
         if report.ok:
             self._checked = True
         return report
@@ -332,7 +342,11 @@ class HyperRing(Structure):
 
     def validate(self) -> ValidationReport:
         """Run both verification passes and mark the ring usable on success."""
-        return self._settle(verify_hyperring)
+        return self._settle(verify_hyperring, self._key())
+
+    def _key(self) -> tuple:
+        # every value verify_hyperring reads
+        return (self.add_masks, self.neg_table, self.mul_table, self.unit)
 
     def encoding(self) -> tuple:
         """Canonical tuple encoding of the tables (used for ordering,
@@ -422,7 +436,11 @@ def hypergroup_checks(n: int, add, neg) -> list:
     return checks
 
 
-@lru_cache(maxsize=64)
+# how many verdicts each validation memo keeps
+_VERDICTS_KEPT = 64
+
+
+@lru_cache(maxsize=_VERDICTS_KEPT)
 def _hypergroup_report(add_masks: tuple, neg_table: tuple) -> VerificationReport:
     # the verdict of hypergroup_checks depends on the two tables alone, and
     # a sweep validates many structures over few additive tables; the call
@@ -430,6 +448,26 @@ def _hypergroup_report(add_masks: tuple, neg_table: tuple) -> VerificationReport
     # every miss
     return VerificationReport(
         tuple(hypergroup_checks(len(neg_table), add_masks, neg_table)))
+
+
+_TABLE_REPORTS = OrderedDict()
+
+
+def _table_report(key: tuple, verify, structure) -> VerificationReport:
+    # verify(structure), kept for the last distinct keys as
+    # _hypergroup_report keeps its verdicts: key holds every value the
+    # report reads, as tables and never a structure, so nothing kept pins
+    # a ring or what is derived from it; a miss calls the verifier passed
+    # in, so a wrapped verifier sees every miss
+    reports = _TABLE_REPORTS
+    report = reports.get(key)
+    if report is None:
+        report = reports[key] = verify(structure)
+        if len(reports) > _VERDICTS_KEPT:
+            reports.popitem(last=False)
+    else:
+        reports.move_to_end(key)
+    return report
 
 
 def verify_hyperring(ring: HyperRing) -> VerificationReport:

@@ -43,6 +43,7 @@ from .core import (
     BoundExceededError,
     HyperRing,
     TheoremViolationError,
+    _MaskTable,
     action_tables,
     bits,
     find_unit,
@@ -325,7 +326,7 @@ def _corpus(max_order: int, per_order_limit: int | None) -> tuple:
         relabelings = _relabelings(n)
         rings = []
         for add, nu in enumerate_hypergroups(n):
-            members = [[list(bits(m)) for m in row] for row in add]
+            masks = _MaskTable(add)
             # an isomorphism of two rings is an automorphism of their
             # shared hypergroup, and distinct classes never meet
             automorphisms = _automorphisms(add, relabelings)
@@ -333,7 +334,7 @@ def _corpus(max_order: int, per_order_limit: int | None) -> tuple:
             for mul in mult_tables(n, add):
                 kept.setdefault(_mul_key(mul, automorphisms), mul)
             for mul in kept.values():
-                ring = HyperRing(members, nu, mul, unit=find_unit(n, mul))
+                ring = HyperRing(masks, nu, mul, unit=find_unit(n, mul))
                 rings.append(ring.checked("generator produced an invalid ring"))
         rings.sort(key=lambda r: r.encoding())
         if per_order_limit is not None:

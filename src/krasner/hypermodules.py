@@ -26,6 +26,7 @@ from .core import (
     TheoremViolationError,
     ValidationReport,
     VerificationReport,
+    _MaskTable,
     _normalize_value_table,
     action_associativity_failure,
     action_sum_failure,
@@ -78,8 +79,12 @@ class HyperModule(Structure):
         return self.act_table[m][r]
 
     def validate(self) -> ValidationReport:
-        self.ring.require_validated()
-        return self._settle(verify_hypermodule)
+        ring = self.ring
+        ring.require_validated()
+        # every value verify_hypermodule reads, the ring's name among them
+        return self._settle(verify_hypermodule,
+                            (ring._key(), ring.name, self.add_masks, self.neg_table,
+                             self.act_table, self.unital))
 
     def encoding(self) -> tuple:
         return (
@@ -134,9 +139,9 @@ def regular_module(ring: HyperRing) -> HyperModule:
     def build():
         mod = HyperModule(
             ring,
-            madd=[[list(bits(m)) for m in row] for row in ring.add_masks],
+            madd=_MaskTable(ring.add_masks),
             mneg=ring.neg_table,
-            act=[list(row) for row in ring.mul_table],
+            act=ring.mul_table,
             unital=ring.is_unital,
             name=f"{ring.name or 'R'} as module",
         )
@@ -175,8 +180,8 @@ def submodule(module: HyperModule, members) -> HyperModule:
             raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
         elems = bits(s)
         index = {e: i for i, e in enumerate(elems)}
-        madd = [[[index[t] for t in bits(module.add_masks[a][b])] for b in elems]
-                for a in elems]
+        madd = _MaskTable([mask_of(index[t] for t in bits(module.add_masks[a][b]))
+                           for b in elems] for a in elems)
         mneg = [index[module.neg_table[a]] for a in elems]
         act = [[index[module.act_table[a][r]] for r in range(module.ring.order)]
                for a in elems]
@@ -369,7 +374,7 @@ def restrict_scalars(module: HyperModule, hom) -> HyperModule:
     act = [[module.act_table[m][hom.mapping[r]] for r in range(hom.source.order)]
            for m in range(module.order)]
     out = HyperModule(hom.source,
-                      madd=[[list(bits(x)) for x in row] for row in module.add_masks],
+                      madd=_MaskTable(module.add_masks),
                       mneg=module.neg_table,
                       act=act,
                       unital=False,

@@ -25,6 +25,7 @@ from .core import (
     HyperRing,
     Structure,
     TheoremViolationError,
+    _MaskTable,
     bits,
     derived,
     hypersum,
@@ -408,10 +409,10 @@ def coset_partition(add, k: int) -> tuple:
     return tuple(cosets), tuple(index[m] for m in coset_mask)
 
 
-def induced_set_table(add, cosets, coset_of) -> list:
-    """Quotient hyperaddition: entry (i, j) lists, ascending, the cosets
-    met by a + b for a in coset i and b in coset j, which must not depend
-    on the choice of a and b."""
+def induced_set_table(add, cosets, coset_of) -> _MaskTable:
+    """Quotient hyperaddition as a mask table: entry (i, j) is the mask of
+    the cosets met by a + b for a in coset i and b in coset j, which must
+    not depend on the choice of a and b."""
     out = []
     for i, ci in enumerate(cosets):
         row = []
@@ -421,9 +422,9 @@ def induced_set_table(add, cosets, coset_of) -> list:
             if len(images) != 1:
                 raise TheoremViolationError(
                     f"coset tables depend on representatives at ({i}, {j})")
-            row.append(list(bits(images.pop())))
+            row.append(images.pop())
         out.append(row)
-    return out
+    return _MaskTable(out)
 
 
 def quotient_hypergroup(structure: Structure, k: int) -> tuple:

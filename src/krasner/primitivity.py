@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import corpus
-from .core import HyperRing, TheoremViolationError, action_tables, bits, derived, mask_of
+from .core import (
+    HyperRing,
+    TheoremViolationError,
+    _MaskTable,
+    action_tables,
+    derived,
+    mask_of,
+)
 from .hypermodules import (
     HyperModule,
     annihilator,
@@ -144,9 +151,9 @@ def enumerate_simple_modules(ring: HyperRing, max_order: int = 3) -> tuple:
     found = []
     for n in range(2, max_order + 1):
         for add_masks, neg in corpus.enumerate_hypergroups(n):
-            members = [[list(bits(cell)) for cell in row] for row in add_masks]
+            masks = _MaskTable(add_masks)
             for act in action_tables(add_masks, ring.add_masks, ring.mul_table):
-                module = HyperModule(ring, members, neg, act).checked(
+                module = HyperModule(ring, masks, neg, act).checked(
                     "module table search produced an invalid module")
                 if is_simple(module):
                     found.append(module)

@@ -15,7 +15,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .core import TheoremViolationError
+from .core import TheoremViolationError, derived
 from .corpus import corpus_fingerprint, generate_corpus
 from .hypermodules import (
     cyclic_submodule,
@@ -94,6 +94,8 @@ class RingContext:
     space = property(lambda self: SpectrumSpace.build(self.ring))
     regular = property(lambda self: regular_module(self.ring))
     unital = property(lambda self: self.ring.is_unital)
+    endomorphisms = property(lambda self: derived(
+        self.ring, "endomorphisms", lambda: enumerate_ring_homs(self.ring, self.ring)))
 
 
 @dataclass(frozen=True)
@@ -447,7 +449,7 @@ def check_endo_hom_kernels(ctx):
     cid = "endo-hom-kernels"
     if ctx.ring.order > HOM_CHECK_ORDER:
         return _skip(cid, "hom enumeration bounded to small rings")
-    homs = enumerate_ring_homs(ctx.ring, ctx.ring)
+    homs = ctx.endomorphisms
     for hom in homs:
         kernel_ideal(hom)
     return _pass(cid, f"{len(homs)} endomorphisms")
@@ -459,7 +461,7 @@ def check_induced_map_continuity(ctx):
         return _skip(cid, "hom enumeration bounded to small rings")
     total_maps = 0
     partial = 0
-    for hom in enumerate_ring_homs(ctx.ring, ctx.ring):
+    for hom in ctx.endomorphisms:
         imap = induced_map(hom)
         if not imap.total:
             partial += 1

@@ -12,6 +12,7 @@ from krasner.core import (
     NotValidatedError,
     ValidationReport,
     VerificationReport,
+    _MaskTable,
     bits,
     find_unit,
     hypergroup_checks,
@@ -20,7 +21,7 @@ from krasner.core import (
     neg_set,
     verify_hyperring,
 )
-from krasner.corpus import enumerate_hypergroups
+from krasner.corpus import enumerate_hypergroups, generate_corpus
 from krasner.hypermodules import (
     HyperModule,
     is_subhypermodule,
@@ -179,6 +180,13 @@ def test_the_hypergroup_memo_is_bounded():
         core._hypergroup_report(add, neg)
     info = core._hypergroup_report.cache_info()
     assert info.maxsize == 64 and info.currsize <= 64
+    # the ring and module verdicts are kept the same way
+    rings = [HyperRing(*ring_tables(e.ring), unit=e.ring.unit) for e in generate_corpus(4)]
+    assert len({ring.encoding() for ring in rings}) > 64
+    for ring in rings:
+        assert ring.validate().ok
+        assert len(core._TABLE_REPORTS) <= 64
+    assert len(core._TABLE_REPORTS) == 64
 
 
 # validate() may keep verdicts, but every one must equal a check from
@@ -280,6 +288,32 @@ def test_one_module_over_rings_that_differ_in_one_table(corpus4):
                     assert report == fresh_report(s)
                 failed += not report.ok
     assert failed > 100
+
+
+def test_mask_tables_build_what_member_lists_build(corpus3):
+    for entry in corpus3:
+        ring = entry.ring
+        add, neg, mul = ring_tables(ring)
+        masks = _MaskTable(ring.add_masks)
+        assert (HyperRing(add, neg, mul, unit=ring.unit).encoding()
+                == HyperRing(masks, neg, mul, unit=ring.unit).encoding() == ring.encoding())
+        assert (HyperModule(ring, add, neg, mul, unital=ring.is_unital).encoding()
+                == HyperModule(ring, masks, neg, mul, unital=ring.is_unital).encoding()
+                == regular_module(ring).encoding())
+
+
+def test_mask_tables_keep_the_shape_and_range_checks(z2):
+    neg, mul = [0, 1], [[0, 0], [0, 1]]
+    for bad in ([[1, 2], [2, 4]], [[1, 2], [2, -1]], [[1, 2]], [[1, 2], [2]]):
+        with pytest.raises(ValueError):
+            HyperRing(_MaskTable(bad), neg, mul)
+        with pytest.raises(ValueError):
+            HyperModule(z2, _MaskTable(bad), neg, mul)
+    # the public form takes member lists, and an int cell is no list
+    with pytest.raises(TypeError):
+        HyperRing([[1, 2], [2, 1]], neg, mul)
+    with pytest.raises(TypeError):
+        HyperModule(z2, [[1, 2], [2, 1]], neg, mul)
 
 
 def test_validate_is_idempotent(z4):

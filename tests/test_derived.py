@@ -7,13 +7,14 @@ kept objects hold; the copy shares no cache with the original.
 import pytest
 
 import krasner.hypermodules
+import krasner.suite
 from krasner.catalog import cyclic_ring
 from krasner.core import BoundExceededError, HyperRing, NotValidatedError, bits
 from krasner.hypermodules import HyperModule, quotient_module, regular_module, submodule
 from krasner.ideals import ENUMERATION_BOUND, IdealLattice, quotient_ring
 from krasner.primitivity import prim_certificates
 from krasner.spectrum import SpectrumSpace
-from krasner.suite import run_ring_checks, run_theorem_suite
+from krasner.suite import HOM_CHECK_ORDER, RingContext, run_ring_checks, run_theorem_suite
 
 
 def table_copy(ring):
@@ -44,8 +45,9 @@ def derived_view(ring):
         module_quotients.append((q.cosets, q.coset_of, q.module.name, q.module.encoding()))
         sub = submodule(reg, reg.from_mask(ideal.key))
         submodules.append((sub.name, sub.unital, sub.encoding()))
+    endomorphisms = tuple(hom.mapping for hom in RingContext(ring).endomorphisms)
     return (families, certs, reg.encoding(), SpectrumSpace.build(ring).point_masks,
-            tuple(quotients), tuple(module_quotients), tuple(submodules))
+            tuple(quotients), tuple(module_quotients), tuple(submodules), endomorphisms)
 
 
 def test_builders_return_the_kept_object():
@@ -56,6 +58,7 @@ def test_builders_return_the_kept_object():
     assert regular_module(ring) is reg
     assert prim_certificates(ring) is prim_certificates(ring)
     assert SpectrumSpace.build(ring) is SpectrumSpace.build(ring)
+    assert RingContext(ring).endomorphisms is RingContext(ring).endomorphisms
     three = next(i for i in lattice.two_sided if i.members.members == (0, 3))
     assert quotient_ring(ring, three) is quotient_ring(ring, three)
     k = reg.subset([0, 3])
@@ -143,6 +146,21 @@ def test_ring_checks_release_what_they_built():
     ring = cyclic_ring(4)
     run_ring_checks(ring)
     assert ring._derived == {}
+
+
+def test_ring_checks_enumerate_the_endomorphisms_once(monkeypatch):
+    searched = []
+    original = krasner.suite.enumerate_ring_homs
+
+    def counting(source, target, *args, **kwargs):
+        searched.append(source.order)
+        return original(source, target, *args, **kwargs)
+
+    monkeypatch.setattr(krasner.suite, "enumerate_ring_homs", counting)
+    # both hom checks read them below the bound, and neither above it
+    for n in (HOM_CHECK_ORDER, HOM_CHECK_ORDER + 1):
+        run_ring_checks(cyclic_ring(n))
+    assert searched == [HOM_CHECK_ORDER]
 
 
 def test_a_corpus_sweep_validates_each_quotient_once(corpus4, monkeypatch):
