@@ -459,14 +459,12 @@ def _table_report(key: tuple, verify, structure) -> VerificationReport:
     # report reads, as tables and never a structure, so nothing kept pins
     # a ring or what is derived from it; a miss calls the verifier passed
     # in, so a wrapped verifier sees every miss
-    reports = _TABLE_REPORTS
-    report = reports.get(key)
+    report = _TABLE_REPORTS.pop(key, None)
     if report is None:
-        report = reports[key] = verify(structure)
-        if len(reports) > _VERDICTS_KEPT:
-            reports.popitem(last=False)
-    else:
-        reports.move_to_end(key)
+        report = verify(structure)
+    _TABLE_REPORTS[key] = report
+    if len(_TABLE_REPORTS) > _VERDICTS_KEPT:
+        _TABLE_REPORTS.popitem(last=False)
     return report
 
 

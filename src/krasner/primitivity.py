@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import corpus
-from .core import (
-    HyperRing,
-    TheoremViolationError,
-    _MaskTable,
-    action_tables,
-    derived,
-    mask_of,
-)
+from .core import HyperRing, TheoremViolationError, _MaskTable, action_tables, derived, mask_of
 from .hypermodules import (
     HyperModule,
     annihilator,
