@@ -1,5 +1,6 @@
 """Text format: parsing, diagnostics, emission, round trips."""
 
+import string
 from functools import lru_cache
 
 import pytest
@@ -10,6 +11,7 @@ from krasner.corpus import generate_corpus
 from krasner.dsl import (
     Document,
     ParseError,
+    _tokenize,
     emit_document,
     emit_hom,
     emit_module,
@@ -166,6 +168,85 @@ def test_diagnostic_positions():
     ]
     for text, expected in table:
         assert err(text) == expected
+
+
+def test_tokenizer_edge_cases():
+    ring = "ring r\n  order 2\n"
+    table = [
+        # a brace set runs to the next '}', so a '#' inside it is no comment
+        (ring + "  add 1 1 {0,#}\nend\n", "t.khr:3:11: expected an integer, got '#'"),
+        # a '#' ends the word before it and the line
+        (ring + "  add 1 1 {0}\n  neg 1#x\nend\n", "t.khr:4:3: 'neg' takes 2 argument(s)"),
+        # '\x1c' is whitespace within a line, but splitlines() breaks lines there
+        (ring + "  add 1 1 {0}\n  neg 1 1\n  mul\x1c1 1 0\nend\n",
+         "t.khr:5:3: 'mul' takes 3 argument(s)"),
+        (ring + "  add 1 1 {0\nend\n", "t.khr:3:11: unclosed '{'"),
+        (ring + "  add 1 1{0\nend\n", "t.khr:3:10: unclosed '{'"),
+        (ring + "  add 1 1 {\nend\n", "t.khr:3:11: unclosed '{'"),
+        # the unclosed brace is found before the line's arity is read
+        (ring + "  add 1 1} {0\nend\n", "t.khr:3:12: unclosed '{'"),
+        # a stray '}' is part of a word
+        (ring + "  add 1 1 0}\nend\n", "t.khr:3:11: expected an integer, got '0}'"),
+        (ring + "  }\nend\n", "t.khr:3:3: unknown key '}'"),
+    ]
+    for text, expected in table:
+        assert err(text) == expected
+
+    z2 = parse_text("ring r\n  order 2\n  add 1 1 {0}\n  neg 1 1\n  mul 1 1 0\nend\n").rings["r"]
+    for text in ("ring r\n  order 2\n  add 1 1 0#x\n  neg 1 1#\n  mul 1 1 0#{\nend#\n",
+                 "ring\tr\n\torder\t2\n  add\u30001 1\u3000{0}\n  neg 1 1\n  mul 1 1 0\nend\n",
+                 "ring r\x1c  order 2\x1c  add 1 1 {0}\x1c  neg 1 1\x1c  mul 1 1 0\x1cend\x1c"):
+        assert parse_text(text).rings["r"].encoding() == z2.encoding()
+
+    def tokens(raw):
+        return [(t.text, t.col) for t in _tokenize(raw, "t.khr", 1)]
+
+    assert tokens("a\tb\u3000c\x1cd") == [("a", 1), ("b", 3), ("c", 5), ("d", 7)]
+    assert tokens("x{y # z}w}#{") == [("x", 1), ("{y # z}", 2), ("w}", 9)]
+    assert tokens("  {0,#}") == [("{0,#}", 3)]
+    assert tokens("1#x") == [("1", 1)]
+    assert tokens("") == tokens("   ") == tokens("# {") == []
+
+
+def reference_tokens(raw: str, source: str, lineno: int) -> list:
+    # the character loop the tokenizer replaced, kept as its oracle
+    toks = []
+    i = 0
+    n = len(raw)
+    while i < n:
+        ch = raw[i]
+        if ch == "#":
+            break
+        if ch.isspace():
+            i += 1
+            continue
+        start = i
+        if ch == "{":
+            j = raw.find("}", i)
+            if j < 0:
+                raise ParseError("unclosed '{'", source, lineno, i + 1)
+            toks.append((raw[i:j + 1], start + 1))
+            i = j + 1
+            continue
+        while i < n and not raw[i].isspace() and raw[i] not in "#{":
+            i += 1
+        toks.append((raw[start:i], start + 1))
+    return toks
+
+
+def outcome(tokens):
+    try:
+        return tokens()
+    except ParseError as e:
+        return str(e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=2000)
+@given(st.text(alphabet="#{}," + string.digits + string.ascii_letters + " \t\u3000\x1c",
+               max_size=40))
+def test_tokenizer_matches_character_loop(raw):
+    assert (outcome(lambda: [(t.text, t.col) for t in _tokenize(raw, "t.khr", 7)])
+            == outcome(lambda: reference_tokens(raw, "t.khr", 7)))
 
 
 def test_numbers_are_ascii_digits():
