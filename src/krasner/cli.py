@@ -15,6 +15,7 @@ Exit codes: 0 clean, 1 a theorem check failed, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -310,7 +311,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parsing keeps no
+    state in it, and help text reads the terminal width only when printed."""
     top = argparse.ArgumentParser(
         prog="khr",
         description="finite Krasner hyperrings: validation, hyperideals, "

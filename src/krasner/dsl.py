@@ -33,6 +33,7 @@ Parsing builds structures without validating them; run their validators
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .core import AxiomCheck, HyperRing, bits
@@ -55,61 +56,26 @@ class ParseError(Exception):
         super().__init__(f"{source}:{line}:{col}: {message}")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    col: int  # 1 based
+# a comment mark, a brace set (unclosed when it runs to the end of the
+# line) or a word; \s matches the characters str.isspace() accepts
+_TOKEN = re.compile(r"#|\{[^}]*\}?|[^\s#{]+")
 
 
 def _tokenize(raw: str, source: str, lineno: int) -> list:
-    toks = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch == "#":
-            break
-        if ch.isspace():
-            i += 1
-            continue
-        start = i
-        if ch == "{":
-            j = raw.find("}", i)
-            if j < 0:
-                raise ParseError("unclosed '{'", source, lineno, i + 1)
-            toks.append(_Tok(raw[i:j + 1], start + 1))
-            i = j + 1
-            continue
-        while i < n and not raw[i].isspace() and raw[i] not in "#{":
-            i += 1
-        toks.append(_Tok(raw[start:i], start + 1))
+    """The tokens of one line, as strings; `_columns` finds where they
+    start, which only a diagnostic needs."""
+    toks = _TOKEN.findall(raw)
+    if "#" in toks:
+        del toks[toks.index("#"):]
+    # an unclosed set swallows the rest of the line, so it can only be last
+    if toks and toks[-1][0] == "{" and toks[-1][-1] != "}":
+        raise ParseError("unclosed '{'", source, lineno, _columns(raw)[len(toks) - 1])
     return toks
 
 
-def _int(text: str, source, lineno, col) -> int:
-    # ASCII digits only: int() would also read '+1', '0_0' and '٢'
-    try:
-        if text.isascii() and text.isdigit():
-            return int(text)
-    except ValueError:  # past int()'s digit limit
-        pass
-    raise ParseError(f"expected an integer, got {text!r}", source, lineno, col)
-
-
-def _value_set(tok: _Tok, source, lineno) -> list:
-    """A {a,b,c} set or a bare integer as a singleton."""
-    if not tok.text.startswith("{"):
-        return [_int(tok.text, source, lineno, tok.col)]
-    inner = tok.text[1:-1].strip()
-    if not inner:
-        raise ParseError("hypersum must be nonempty", source, lineno, tok.col)
-    out = []
-    for piece in inner.split(","):
-        piece = piece.strip()
-        if not piece:
-            raise ParseError("empty element in set", source, lineno, tok.col)
-        out.append(_int(piece, source, lineno, tok.col))
-    return out
+def _columns(raw: str) -> list:
+    """The 1 based column of each token of a line, in `_tokenize`'s order."""
+    return [m.start() + 1 for m in _TOKEN.finditer(raw)]
 
 
 @dataclass(frozen=True)
@@ -165,6 +131,10 @@ class _Parser:
     def error(self, message, lineno, col=1):
         raise ParseError(message, self.source, lineno, col)
 
+    def error_at(self, message, lineno, k):
+        """Raise at the k-th token of line lineno."""
+        self.error(message, lineno, _columns(self.lines[lineno - 1])[k])
+
     def parse(self) -> Document:
         order = []
         i = 0
@@ -175,45 +145,46 @@ class _Parser:
                 i += 1
                 continue
             head = toks[0]
-            if head.text == "ring":
+            if head == "ring":
                 if len(toks) != 2:
-                    self.error("expected 'ring NAME'", lineno, head.col)
-                name = toks[1].text
-                self.claim(name, lineno, toks[1].col)
+                    self.error_at("expected 'ring NAME'", lineno, 0)
+                name = toks[1]
+                self.claim(name, lineno)
                 i = self.table_block(name, i + 1, RING_KEYS)
                 order.append(("ring", name))
-            elif head.text == "module":
-                if len(toks) != 4 or toks[2].text != "over":
-                    self.error("expected 'module NAME over RING'", lineno, head.col)
-                name = toks[1].text
-                self.claim(name, lineno, toks[1].col)
-                ring_name = toks[3].text
+            elif head == "module":
+                if len(toks) != 4 or toks[2] != "over":
+                    self.error_at("expected 'module NAME over RING'", lineno, 0)
+                name = toks[1]
+                self.claim(name, lineno)
+                ring_name = toks[3]
                 if ring_name not in self.doc.rings:
-                    self.error(f"undeclared ring {ring_name!r}", lineno, toks[3].col)
+                    self.error_at(f"undeclared ring {ring_name!r}", lineno, 3)
                 i = self.table_block(name, i + 1, MODULE_KEYS,
                                      self.doc.rings[ring_name])
                 order.append(("module", name))
-            elif head.text == "hom":
-                if (len(toks) != 6 or toks[2].text != ":" or toks[4].text != "->"):
-                    self.error("expected 'hom NAME : SOURCE -> TARGET'", lineno, head.col)
-                name = toks[1].text
-                self.claim(name, lineno, toks[1].col)
-                for t in (toks[3], toks[5]):
-                    if t.text not in self.doc.rings:
-                        self.error(f"undeclared ring {t.text!r}", lineno, t.col)
-                i = self.hom_block(name, self.doc.rings[toks[3].text],
-                                   self.doc.rings[toks[5].text], i + 1)
+            elif head == "hom":
+                if (len(toks) != 6 or toks[2] != ":" or toks[4] != "->"):
+                    self.error_at("expected 'hom NAME : SOURCE -> TARGET'", lineno, 0)
+                name = toks[1]
+                self.claim(name, lineno)
+                for k in (3, 5):
+                    if toks[k] not in self.doc.rings:
+                        self.error_at(f"undeclared ring {toks[k]!r}", lineno, k)
+                i = self.hom_block(name, self.doc.rings[toks[3]],
+                                   self.doc.rings[toks[5]], i + 1)
                 order.append(("hom", name))
-            elif head.text == "end":
-                self.error("'end' outside a block", lineno, head.col)
+            elif head == "end":
+                self.error_at("'end' outside a block", lineno, 0)
             else:
-                self.error(f"unknown directive {head.text!r}", lineno, head.col)
+                self.error_at(f"unknown directive {head!r}", lineno, 0)
         self.doc.order = tuple(order)
         return self.doc
 
-    def claim(self, name, lineno, col):
+    def claim(self, name, lineno):
+        # the name is the second token of its header line
         if name in self.names:
-            self.error(f"duplicate name {name!r}", lineno, col)
+            self.error_at(f"duplicate name {name!r}", lineno, 1)
         self.names.add(name)
 
     def block_lines(self, i, keys):
@@ -224,29 +195,54 @@ class _Parser:
             if not toks:
                 i += 1
                 continue
-            if toks[0].text == "end":
+            if toks[0] == "end":
                 if len(toks) != 1:
-                    self.error("nothing may follow 'end'", lineno, toks[1].col)
+                    self.error_at("nothing may follow 'end'", lineno, 1)
                 return i + 1, None, None
-            if toks[0].text not in keys:
-                self.error(f"unknown key {toks[0].text!r}", lineno, toks[0].col)
+            if toks[0] not in keys:
+                self.error_at(f"unknown key {toks[0]!r}", lineno, 0)
             return i + 1, lineno, toks
         self.error("block never closed with 'end'", len(self.lines), 1)
 
     def arity(self, toks, count, lineno):
         if len(toks) != count + 1:
-            self.error(f"'{toks[0].text}' takes {count} argument(s)",
-                       lineno, toks[0].col)
+            self.error_at(f"'{toks[0]}' takes {count} argument(s)", lineno, 0)
 
-    def element(self, tok, order, lineno, what="element"):
-        v = _int(tok.text, self.source, lineno, tok.col)
+    def number(self, text, lineno, k):
+        """text, the k-th token or a piece of it, as an int."""
+        # ASCII digits only: int() would also read '+1', '0_0' and '٢'
+        try:
+            if text.isascii() and text.isdigit():
+                return int(text)
+        except ValueError:  # past int()'s digit limit
+            pass
+        self.error_at(f"expected an integer, got {text!r}", lineno, k)
+
+    def element(self, toks, k, order, lineno, what="element"):
+        v = self.number(toks[k], lineno, k)
         if not 0 <= v < order:
-            self.error(f"{what} {v} out of range for order {order}", lineno, tok.col)
+            self.error_at(f"{what} {v} out of range for order {order}", lineno, k)
         return v
 
-    def need_order(self, order, lineno, col):
+    def values(self, toks, k, lineno):
+        """The k-th token, a {a,b,c} set or a bare integer as a singleton."""
+        text = toks[k]
+        if not text.startswith("{"):
+            return [self.number(text, lineno, k)]
+        inner = text[1:-1].strip()
+        if not inner:
+            self.error_at("hypersum must be nonempty", lineno, k)
+        out = []
+        for piece in inner.split(","):
+            piece = piece.strip()
+            if not piece:
+                self.error_at("empty element in set", lineno, k)
+            out.append(self.number(piece, lineno, k))
+        return out
+
+    def need_order(self, order, lineno):
         if order is None:
-            self.error("'order' must come first in the block", lineno, col)
+            self.error_at("'order' must come first in the block", lineno, 0)
 
     def table_block(self, name, i, keys, ring=None):
         """A ring block (ring None) or a module block over ring: `order`,
@@ -266,65 +262,63 @@ class _Parser:
             i, lineno, toks = self.block_lines(i, ("order", "symmetric") + keys)
             if toks is None:
                 break
-            key = toks[0].text
+            key = toks[0]
             if key == "order":
                 self.arity(toks, 1, lineno)
                 if order is not None:
-                    self.error("duplicate entry for order", lineno, toks[0].col)
-                order = _int(toks[1].text, self.source, lineno, toks[1].col)
+                    self.error_at("duplicate entry for order", lineno, 0)
+                order = self.number(toks[1], lineno, 1)
                 if order < 1:
-                    self.error("order must be positive", lineno, toks[1].col)
+                    self.error_at("order must be positive", lineno, 1)
                 continue
-            self.need_order(order, lineno, toks[0].col)
+            self.need_order(order, lineno)
             if key == unit_key:
                 self.arity(toks, 1 if ring is None else 0, lineno)
                 if unit is not None:
-                    self.error(f"duplicate entry for {key}", lineno, toks[0].col)
-                unit = True if ring is not None else self.element(toks[1], order, lineno)
+                    self.error_at(f"duplicate entry for {key}", lineno, 0)
+                unit = True if ring is not None else self.element(toks, 1, order, lineno)
             elif key == "symmetric":
                 self.arity(toks, 0, lineno)
                 if symmetric:
-                    self.error("duplicate entry for symmetric", lineno, toks[0].col)
+                    self.error_at("duplicate entry for symmetric", lineno, 0)
                 symmetric = True
             elif key == add_key:
                 self.arity(toks, 3, lineno)
-                a = self.element(toks[1], order, lineno)
-                b = self.element(toks[2], order, lineno)
-                vals = _value_set(toks[3], self.source, lineno)
+                a = self.element(toks, 1, order, lineno)
+                b = self.element(toks, 2, order, lineno)
+                vals = self.values(toks, 3, lineno)
                 for v in vals:
                     if not 0 <= v < order:
-                        self.error(f"element {v} out of range for order {order}",
-                                   lineno, toks[3].col)
+                        self.error_at(f"element {v} out of range for order {order}",
+                                      lineno, 3)
                 if (a == 0 or b == 0) and set(vals) != {b if a == 0 else a}:
-                    self.error("element 0 must be the additive identity",
-                               lineno, toks[3].col)
-                self.put(add, (a, b), sorted(set(vals)), lineno, toks[0].col, add_key)
+                    self.error_at("element 0 must be the additive identity", lineno, 3)
+                self.put(add, (a, b), sorted(set(vals)), lineno, add_key)
                 if symmetric and a != b:
-                    self.put(add, (b, a), sorted(set(vals)), lineno, toks[0].col, add_key)
+                    self.put(add, (b, a), sorted(set(vals)), lineno, add_key)
             elif key == neg_key:
                 self.arity(toks, 2, lineno)
-                a = self.element(toks[1], order, lineno)
-                v = self.element(toks[2], order, lineno)
+                a = self.element(toks, 1, order, lineno)
+                v = self.element(toks, 2, order, lineno)
                 if a == 0 and v != 0:
-                    self.error("element 0 must be the additive identity",
-                               lineno, toks[2].col)
-                self.put(neg, a, v, lineno, toks[0].col, neg_key)
+                    self.error_at("element 0 must be the additive identity", lineno, 2)
+                self.put(neg, a, v, lineno, neg_key)
             else:
                 self.arity(toks, 3, lineno)
-                a = self.element(toks[1], order, lineno)
+                a = self.element(toks, 1, order, lineno)
                 if ring is None:
-                    b = self.element(toks[2], order, lineno)
+                    b = self.element(toks, 2, order, lineno)
                 else:
-                    b = self.element(toks[2], ring.order, lineno, what="ring element")
-                vals = _value_set(toks[3], self.source, lineno)
+                    b = self.element(toks, 2, ring.order, lineno, what="ring element")
+                vals = self.values(toks, 3, lineno)
                 if len(vals) != 1:
-                    self.error(("multiplication" if ring is None else "action")
-                               + " must be single-valued", lineno, toks[3].col)
+                    self.error_at(("multiplication" if ring is None else "action")
+                                  + " must be single-valued", lineno, 3)
                 v = vals[0]
                 if not 0 <= v < order:
-                    self.error(f"element {v} out of range for order {order}",
-                               lineno, toks[3].col)
-                self.put(table, (a, b), v, lineno, toks[0].col, table_key)
+                    self.error_at(f"element {v} out of range for order {order}",
+                                  lineno, 3)
+                self.put(table, (a, b), v, lineno, table_key)
         if order is None:
             self.error("missing order", first, 1)
 
@@ -359,9 +353,10 @@ class _Parser:
                                                  unital=bool(unit), name=name)
         return i
 
-    def put(self, store, key, value, lineno, col, label):
+    def put(self, store, key, value, lineno, label):
+        # an entry's line starts with its key
         if key in store:
-            self.error(f"duplicate entry for {label} {key}", lineno, col)
+            self.error_at(f"duplicate entry for {label} {key}", lineno, 0)
         store[key] = value
 
     def hom_block(self, name, source_ring, target_ring, i):
@@ -374,16 +369,16 @@ class _Parser:
             i, lineno, toks = self.block_lines(i, keys)
             if toks is None:
                 break
-            key = toks[0].text
+            key = toks[0]
             if key == "map":
                 self.arity(toks, 2, lineno)
-                a = self.element(toks[1], source_ring.order, lineno)
-                v = self.element(toks[2], target_ring.order, lineno)
-                self.put(mapping, a, v, lineno, toks[0].col, "map")
+                a = self.element(toks, 1, source_ring.order, lineno)
+                v = self.element(toks, 2, target_ring.order, lineno)
+                self.put(mapping, a, v, lineno, "map")
             else:
                 self.arity(toks, 0, lineno)
                 if unit_preserving:
-                    self.error("duplicate entry for unit_preserving", lineno, toks[0].col)
+                    self.error_at("duplicate entry for unit_preserving", lineno, 0)
                 unit_preserving = True
                 flag_line = lineno
         for a in range(source_ring.order):
@@ -402,8 +397,16 @@ def parse_text(text: str, source: str = "<string>") -> Document:
 
 
 def parse_file(path) -> Document:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # the line and column the parser would give the first bad byte;
+        # the "x" stands in for it, so a break just before it counts
+        lines = (data[:e.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(f"invalid UTF-8: byte 0x{data[e.start]:02x} ({e.reason})",
+                         str(path), len(lines), len(lines[-1])) from None
     return parse_text(text, source=str(path))
 
 

@@ -1,11 +1,15 @@
 """Command line behavior, driven in process through main()."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from krasner.cli import main
+import krasner
+from krasner.cli import build_parser, main
 from krasner.corpus import corpus_fingerprint
 from krasner.dsl import emit_hom, emit_ring, parse_file
 from krasner.morphisms import RingHom
@@ -112,6 +116,48 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["verify", str(path)]) == 2
     err = capsys.readouterr().err
     assert "broken.khr" in err and "never closed" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "ideals", "prim", "spectrum", "hom", "check"])
+def test_non_utf8_file_is_invalid_input(tmp_path, command, capsys):
+    path = tmp_path / "latin1.khr"
+    path.write_bytes(b"ring r\n  order 1\n\xff\nend\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}:3:1: invalid UTF-8: byte 0xff (invalid start byte)\n"
+
+
+SRC = str(Path(krasner.__file__).resolve().parents[1])
+
+
+def fresh_process(argv, columns):
+    env = dict(os.environ, COLUMNS=str(columns),
+               PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", "krasner.cli", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_shared_parser_keeps_no_state(monkeypatch, capsys):
+    # the parser is built once per process; every call must behave as the
+    # first call of a fresh `khr` does, whatever calls came before it
+    assert build_parser() is build_parser()
+    fixture = str(Path(__file__).parent / "fixtures" / "skewed_ring.khr")
+    calls = [(["check", "--max-order", "0"], 80),
+             (["check", "--max-order", "2"], 80),
+             (["check"], 80),  # the default order 3, not the 2 before it
+             (["--help"], 40),
+             (["--help"], 120),
+             (["verify", fixture], 80)]
+    for argv, columns in calls:
+        monkeypatch.setenv("COLUMNS", str(columns))
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse printing help or a usage error
+            code = e.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == fresh_process(argv, columns), argv
 
 
 def test_ideals_text(ring_file, capsys):

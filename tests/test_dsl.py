@@ -11,6 +11,7 @@ from krasner.corpus import generate_corpus
 from krasner.dsl import (
     Document,
     ParseError,
+    _columns,
     _tokenize,
     emit_document,
     emit_hom,
@@ -199,7 +200,7 @@ def test_tokenizer_edge_cases():
         assert parse_text(text).rings["r"].encoding() == z2.encoding()
 
     def tokens(raw):
-        return [(t.text, t.col) for t in _tokenize(raw, "t.khr", 1)]
+        return list(zip(_tokenize(raw, "t.khr", 1), _columns(raw)))
 
     assert tokens("a\tb\u3000c\x1cd") == [("a", 1), ("b", 3), ("c", 5), ("d", 7)]
     assert tokens("x{y # z}w}#{") == [("x", 1), ("{y # z}", 2), ("w}", 9)]
@@ -245,7 +246,8 @@ def outcome(tokens):
 @given(st.text(alphabet="#{}," + string.digits + string.ascii_letters + " \t\u3000\x1c",
                max_size=40))
 def test_tokenizer_matches_character_loop(raw):
-    assert (outcome(lambda: [(t.text, t.col) for t in _tokenize(raw, "t.khr", 7)])
+    # _columns also counts the tokens after a comment, which zip drops
+    assert (outcome(lambda: list(zip(_tokenize(raw, "t.khr", 7), _columns(raw))))
             == outcome(lambda: reference_tokens(raw, "t.khr", 7)))
 
 
@@ -316,6 +318,26 @@ def test_parse_file(tmp_path, z6):
         bad.write_text("ring r\n  order 0\nend\n", encoding="utf-8")
         parse_file(bad)
     assert str(info.value).startswith(str(bad))
+
+
+def test_parse_file_locates_the_first_non_utf8_byte(tmp_path):
+    # the line and column the parser would have given that character
+    table = [
+        (b"ring r\n  order 1\n\xff\nend\n", "3:1: invalid UTF-8: byte 0xff (invalid start byte)"),
+        (b"\x80", "1:1: invalid UTF-8: byte 0x80 (invalid start byte)"),
+        (b"ring r\n  order 1 # caf\xc3\xa9 \xe2\x82\n",
+         "2:18: invalid UTF-8: byte 0xe2 (invalid continuation byte)"),
+        (b"ring r\r\n  order 2\r\n\xe2\x82",
+         "3:1: invalid UTF-8: byte 0xe2 (unexpected end of data)"),
+        (b"ring r\x1c  order 1\n  \xc3\xa9\xc3\xa9 \xc3",
+         "3:6: invalid UTF-8: byte 0xc3 (unexpected end of data)"),
+    ]
+    path = tmp_path / "bad.khr"
+    for data, expected in table:
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            parse_file(path)
+        assert str(info.value) == f"{path}:{expected}"
 
 
 def test_emit_needs_names(z4):
