@@ -132,8 +132,8 @@ SRC = str(Path(krasner.__file__).resolve().parents[1])
 
 
 def fresh_process(argv, columns):
-    env = dict(os.environ, COLUMNS=str(columns),
-               PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, COLUMNS=str(columns), PYTHONPATH=path)
     done = subprocess.run([sys.executable, "-m", "krasner.cli", *argv], env=env,
                           capture_output=True, text=True, check=False)
     return done.returncode, done.stdout, done.stderr
