@@ -34,7 +34,7 @@ from .morphisms import (
 )
 from .primitivity import prim_certificates
 from .spectrum import SpectrumSpace, dot_graph, space_as_dict
-from .suite import CHECK_IDS, counterexample_search, run_theorem_suite
+from .suite import CHECK_IDS, SEARCH_KINDS, counterexample_search, run_theorem_suite
 
 
 def _dump(obj) -> str:
@@ -195,11 +195,11 @@ def cmd_check(args) -> int:
                 print(_failures(report), file=sys.stderr)
         report = run_theorem_suite(entries=entries, max_order=args.max_order,
                                    per_order_limit=args.per_order_limit,
-                                   check_ids=check_ids, threads=args.threads)
+                                   check_ids=check_ids)
     else:
         report = run_theorem_suite(max_order=args.max_order,
                                    per_order_limit=args.per_order_limit,
-                                   check_ids=check_ids, threads=args.threads)
+                                   check_ids=check_ids)
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:
@@ -351,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="*", help="ring files; omitted means the generated corpus")
     p.add_argument("--max-order", type=_positive_int, default=3)
     p.add_argument("--per-order-limit", type=_nonnegative_int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for interface stability; runs use one thread")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for interface stability; runs are deterministic")
     p.add_argument("--checks", help="comma separated check ids")
@@ -368,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("search", help="hunt for interesting configurations")
-    p.add_argument("kind", choices=("prime-not-primitive", "primitive-not-maximal",
-                                    "t1-failure", "rogue-simple-module"))
+    p.add_argument("kind", choices=SEARCH_KINDS)
     p.add_argument("--max-order", type=_positive_int, default=3)
     p.add_argument("--per-order-limit", type=_nonnegative_int, default=None)
     p.add_argument("--seed", type=int, default=0,

@@ -64,10 +64,13 @@ def _bits_table(width: int) -> tuple:
     return tuple(table)
 
 
-# the answer of ``bits`` for every mask over at most 12 elements, the
-# widest carrier the ideal and submodule scans accept
-# (ideals.ENUMERATION_BOUND); 4096 tuples, built once at import
-_BITS = _bits_table(12)
+# the most elements whose subsets a scan visits (``require_scan_bound``,
+# spectrum.compactness_witness)
+ENUMERATION_BOUND = 12
+
+# the answer of ``bits`` for every mask a scan meets; 4096 tuples, built
+# once at import
+_BITS = _bits_table(ENUMERATION_BOUND)
 
 
 def bits(mask: int) -> tuple:
@@ -106,10 +109,6 @@ class ElementSet:
         if not isinstance(other, ElementSet):
             return NotImplemented
         return self.structure is other.structure and self.mask == other.mask
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __iter__(self):
         return iter(bits(self.mask))
@@ -664,12 +663,25 @@ def action_tables(madd, radd, rmul=None) -> list:
     return [tuple(v[m * nr:m * nr + nr] for m in range(n)) for v in search(sizes, rules)]
 
 
-def require_hom_bound(source: Structure, target: Structure, bound: int):
-    """Refuse a hom search whose source or target order exceeds bound."""
-    if source.order > bound or target.order > bound:
+def require_hom_bound(source: Structure, target: Structure):
+    """Refuse a hom search whose source or target order exceeds
+    HOM_SEARCH_BOUND."""
+    if source.order > HOM_SEARCH_BOUND or target.order > HOM_SEARCH_BOUND:
         raise BoundExceededError(
             f"hom search is exhaustive over {target.order}^{source.order - 1} maps; "
-            f"orders ({source.order}, {target.order}) exceed the bound {bound}"
+            f"orders ({source.order}, {target.order}) exceed the bound {HOM_SEARCH_BOUND}"
+        )
+
+
+def require_scan_bound(structure: Structure, noun: str):
+    """Refuse an unvalidated structure, or a scan of its 2^(n-1) subsets
+    holding 0 when its order n exceeds ENUMERATION_BOUND; noun names what
+    is scanned for.  Runs before the scan builds anything."""
+    structure.require_validated()
+    if structure.order > ENUMERATION_BOUND:
+        raise BoundExceededError(
+            f"{noun} enumeration scans 2^{structure.order - 1} subsets; "
+            f"order {structure.order} exceeds the bound {ENUMERATION_BOUND}"
         )
 
 

@@ -56,6 +56,17 @@ class ParseError(Exception):
         super().__init__(f"{source}:{line}:{col}: {message}")
 
 
+# the line breaks an editor counts; str.splitlines() also breaks at
+# \v \f \x1c \x1d \x1e \x85 \u2028 \u2029, which _TOKEN reads as whitespace
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+def _lines(text: str) -> list:
+    """The lines of text as an editor counts them; a final break starts no line."""
+    lines = _LINE_BREAK.split(text)
+    return lines if lines[-1] else lines[:-1]
+
+
 # a comment mark, a brace set (unclosed when it runs to the end of the
 # line) or a word; \s matches the characters str.isspace() accepts
 _TOKEN = re.compile(r"#|\{[^}]*\}?|[^\s#{]+")
@@ -123,7 +134,7 @@ class Document:
 
 class _Parser:
     def __init__(self, text: str, source: str):
-        self.lines = text.splitlines()
+        self.lines = _lines(text)
         self.source = source
         self.doc = Document()
         self.names = set()
@@ -404,7 +415,7 @@ def parse_file(path) -> Document:
     except UnicodeDecodeError as e:
         # the line and column the parser would give the first bad byte;
         # the "x" stands in for it, so a break just before it counts
-        lines = (data[:e.start].decode("utf-8") + "x").splitlines()
+        lines = _lines(data[:e.start].decode("utf-8") + "x")
         raise ParseError(f"invalid UTF-8: byte 0x{data[e.start]:02x} ({e.reason})",
                          str(path), len(lines), len(lines[-1])) from None
     return parse_text(text, source=str(path))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import (
-    HOM_SEARCH_BOUND,
     AxiomCheck,
     ElementSet,
     HyperRing,
@@ -36,11 +35,11 @@ from .core import (
     hom_search,
     mask_of,
     require_hom_bound,
+    require_scan_bound,
     strong_hom_checks,
     sum_action_failure,
 )
 from .ideals import (
-    ENUMERATION_BOUND,
     HyperIdeal,
     IdealCheck,
     closed_subsets,
@@ -49,7 +48,6 @@ from .ideals import (
     induced_value_table,
     is_hyperideal,
     quotient_hypergroup,
-    require_scan_bound,
     sum_of_products_closure,
 )
 
@@ -162,8 +160,8 @@ def is_subhypermodule(module: HyperModule, members) -> IdealCheck:
                          module.neg_table, _action(module))
 
 
-def enumerate_subhypermodules(module: HyperModule, bound: int = ENUMERATION_BOUND) -> tuple:
-    require_scan_bound(module, bound, "submodule")
+def enumerate_subhypermodules(module: HyperModule) -> tuple:
+    require_scan_bound(module, "submodule")
     masks = closed_subsets(module.add_masks, module.neg_table, _action(module))
     return tuple(module.from_mask(mask) for mask in masks)
 
@@ -203,11 +201,11 @@ def action_is_zero(module: HyperModule) -> bool:
     return all(v == 0 for row in module.act_table for v in row)
 
 
-def is_simple(module: HyperModule, bound: int = ENUMERATION_BOUND) -> bool:
+def is_simple(module: HyperModule) -> bool:
     """Nonzero action and exactly two subhypermodules."""
     if action_is_zero(module):
         return False
-    return len(enumerate_subhypermodules(module, bound)) == 2
+    return len(enumerate_subhypermodules(module)) == 2
 
 
 def module_ideal_product(module: HyperModule, ideal: HyperIdeal) -> ElementSet:
@@ -324,10 +322,9 @@ def _equivariance(source: HyperModule, target: HyperModule) -> list:
             for a, row in enumerate(source.act_table) for r, ar in enumerate(row)]
 
 
-def enumerate_module_homs(source: HyperModule, target: HyperModule,
-                          bound: int = HOM_SEARCH_BOUND) -> tuple:
+def enumerate_module_homs(source: HyperModule, target: HyperModule) -> tuple:
     """All verified module homs fixing 0, lexicographic, by ``core.hom_search``."""
-    require_hom_bound(source, target, bound)
+    require_hom_bound(source, target)
     return hom_search(ModuleHom, source, target, _equivariance(source, target),
                       verify_module_hom, "module hom search")
 

@@ -3,10 +3,10 @@
 A hyperideal is an additive subhypergroup that absorbs multiplication on
 the requested sides.  Everything here is exhaustive: the carrier is small
 enough that the ideal lattice is enumerated by scanning the subsets that
-contain 0, with an explicit refusal above the configured bound.  The scan
-asks each subset a yes/no question; only ``is_hyperideal`` builds a
-witness.  Generated ideals come from ``closure``, a second route that
-shares no code with the scan, and are cross-checked against the lattice,
+contain 0, with an explicit refusal above ``core.ENUMERATION_BOUND``.
+The scan asks each subset a yes/no question; only ``is_hyperideal``
+builds a witness.  Generated ideals come from ``closure``, a second route
+that shares no code with the scan, and are cross-checked against the lattice,
 one set at a time or over every generating set with each distinct seed
 closed once.  The lattice also keeps the product of every ordered pair
 of its two sided ideals, each closed once and validated by membership,
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
-    BoundExceededError,
     ElementSet,
     HyperRing,
     Structure,
@@ -30,9 +29,8 @@ from .core import (
     derived,
     hypersum,
     mask_of,
+    require_scan_bound,
 )
-
-ENUMERATION_BOUND = 12
 
 SIDEDNESS = ("left", "right", "two-sided")
 
@@ -125,30 +123,16 @@ class HyperIdeal:
             return NotImplemented
         return self.ring is other.ring and self.members.mask == other.members.mask
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+    def __hash__(self):
+        return hash(self.members.mask)
 
     def __repr__(self):
         return f"<{self.sidedness} ideal {self.members!r} of {self.ring.name or 'ring'}>"
 
 
-def require_scan_bound(structure: Structure, bound: int, noun: str):
-    """Refuse an unvalidated structure, or a scan of its 2^(n-1) subsets
-    holding 0 when its order n exceeds bound; noun names what is scanned
-    for.  Runs before the scan builds anything."""
-    structure.require_validated()
-    if structure.order > bound:
-        raise BoundExceededError(
-            f"{noun} enumeration scans 2^{structure.order - 1} subsets; "
-            f"order {structure.order} exceeds the bound {bound}"
-        )
-
-
-def enumerate_ideals(ring: HyperRing, sidedness: str = "two-sided",
-                     bound: int = ENUMERATION_BOUND) -> tuple:
+def enumerate_ideals(ring: HyperRing, sidedness: str = "two-sided") -> tuple:
     """All hyperideals of the given sidedness, ordered by member mask."""
-    require_scan_bound(ring, bound, "ideal")
+    require_scan_bound(ring, "ideal")
     masks = closed_subsets(ring.add_masks, ring.neg_table, _absorption(ring, sidedness))
     return tuple(HyperIdeal._trusted(ring, mask, sidedness) for mask in masks)
 

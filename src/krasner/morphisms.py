@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
-    HOM_SEARCH_BOUND,
     HyperRing,
     StrongHom,
     TheoremViolationError,
@@ -105,13 +104,9 @@ def identity_hom(ring: HyperRing) -> RingHom:
                    unit_preserving=ring.is_unital)
 
 
-def enumerate_ring_homs(source: HyperRing, target: HyperRing,
-                        bound: int = HOM_SEARCH_BOUND,
-                        surjective_only: bool = False) -> tuple:
+def enumerate_ring_homs(source: HyperRing, target: HyperRing) -> tuple:
     """All verified strong homs fixing 0, lexicographic, by ``core.hom_search``."""
-    require_hom_bound(source, target, bound)
-    if surjective_only and source.order < target.order:
-        return ()
+    require_hom_bound(source, target)
     tneg, tmul = target.neg_table, target.mul_table
     rules = []
     for a, na in enumerate(source.neg_table):
@@ -120,8 +115,7 @@ def enumerate_ring_homs(source: HyperRing, target: HyperRing,
         for b, ab in enumerate(row):
             rules.append(((max(a, b, ab),),
                           lambda f, i, a=a, b=b, ab=ab: f[ab] == tmul[f[a]][f[b]]))
-    homs = hom_search(RingHom, source, target, rules, verify_strong_hom, "hom search")
-    return tuple(hom for hom in homs if not surjective_only or hom.is_surjective())
+    return hom_search(RingHom, source, target, rules, verify_strong_hom, "hom search")
 
 
 @dataclass(frozen=True)

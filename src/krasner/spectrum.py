@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
+from . import core
 from .core import BoundExceededError, ElementSet, HyperRing, bits, derived
 from .ideals import HyperIdeal, ideal_sum
 from .primitivity import prim_certificates
@@ -150,13 +151,13 @@ class KuratowskiReport:
     detail: str = ""
 
 
-def verify_kuratowski(space: SpectrumSpace, seed: int = 0,
-                      samples: int = KURATOWSKI_SAMPLES) -> KuratowskiReport:
+def verify_kuratowski(space: SpectrumSpace) -> KuratowskiReport:
     """The four closure laws: empty set fixed, extensivity, idempotence,
     and union distribution.
 
     The union law needs subset pairs, 4^size of them; past the full sweep
-    bound a deterministic sample is drawn instead and the report says so.
+    bound KURATOWSKI_SAMPLES pairs seeded with 0 are drawn instead and the
+    report says so.
     """
     n = space.size
     total = 1 << n
@@ -171,9 +172,9 @@ def verify_kuratowski(space: SpectrumSpace, seed: int = 0,
 
     sampled = n > FULL_KURATOWSKI_BOUND
     if sampled:
-        rng = random.Random(seed)
-        pairs = ((rng.randrange(total), rng.randrange(total)) for _ in range(samples))
-        count = samples
+        rng = random.Random(0)
+        pairs = ((rng.randrange(total), rng.randrange(total)) for _ in range(KURATOWSKI_SAMPLES))
+        count = KURATOWSKI_SAMPLES
     else:
         pairs = itertools.product(range(total), repeat=2)
         count = total * total
@@ -249,14 +250,16 @@ def is_noetherian_space(space: SpectrumSpace) -> bool:
     return len(chain) <= len(space.closed_sets())
 
 
-def compactness_witness(space: SpectrumSpace, ideals, bound: int = 12) -> tuple:
+def compactness_witness(space: SpectrumSpace, ideals) -> tuple:
     """Indices of a smallest subfamily whose vanishing sets already have
     empty intersection, given a family for which the full intersection is
-    empty (so the complements form an open cover)."""
+    empty (so the complements form an open cover).  A family of more than
+    ``core.ENUMERATION_BOUND`` ideals is refused."""
     ideals = tuple(ideals)
-    if len(ideals) > bound:
+    if len(ideals) > core.ENUMERATION_BOUND:
         raise BoundExceededError(
-            f"witness search scans subsets of {len(ideals)} ideals; bound is {bound}"
+            f"witness search scans subsets of {len(ideals)} ideals; "
+            f"bound is {core.ENUMERATION_BOUND}"
         )
     vs = [space.vanishing_set(a) for a in ideals]
     full = space.full_pmask

@@ -526,7 +526,7 @@ def check_rogue_simple_modules(ctx):
     cid = "rogue-simple-modules"
     if ctx.ring.order > ROGUE_CHECK_ORDER:
         return _skip(cid, "module table search bounded to very small rings")
-    rogues = rogue_annihilators(ctx.ring, max_order=3)
+    rogues = rogue_annihilators(ctx.ring)
     if not rogues:
         return _pass(cid, "no simple module hides from the maximal right ideals")
     names = ", ".join(repr(p.members) for p, _ in rogues)
@@ -659,19 +659,15 @@ def run_ring_checks(ring, check_ids=None) -> tuple:
 
 
 def run_theorem_suite(entries=None, max_order=3, per_order_limit=None,
-                      check_ids=None, threads=1) -> SuiteReport:
+                      check_ids=None) -> SuiteReport:
     """Run the registry over a corpus (or explicit entries) and report.
 
-    Rings run one after another in corpus order.  ``threads`` is accepted
-    and ignored, like ``--seed``: the checks are pure Python, which the
-    interpreter lock keeps on one core whatever the thread count.
+    Rings run one after another in corpus order.
     """
     if check_ids:
         unknown = sorted(set(check_ids) - set(CHECK_IDS))
         if unknown:
             raise ValueError(f"unknown check ids: {', '.join(unknown)}")
-    # thread count is an execution detail; keeping it out of the report
-    # lets runs with different parallelism compare byte for byte
     params = {"max_order": max_order, "per_order_limit": per_order_limit,
               "checks": sorted(check_ids) if check_ids else "all"}
     if entries is None:
@@ -695,13 +691,15 @@ class SearchResult:
     found: tuple  # (ring name, description)
 
 
+SEARCH_KINDS = ("prime-not-primitive", "primitive-not-maximal",
+                "t1-failure", "rogue-simple-module")
+
+
 def counterexample_search(kind, max_order=3, per_order_limit=None) -> SearchResult:
     """Sweep the corpus for interesting configurations.  Findings are
     observations, not failures."""
-    kinds = ("prime-not-primitive", "primitive-not-maximal",
-             "t1-failure", "rogue-simple-module")
-    if kind not in kinds:
-        raise ValueError(f"unknown search {kind!r}; pick one of {', '.join(kinds)}")
+    if kind not in SEARCH_KINDS:
+        raise ValueError(f"unknown search {kind!r}; pick one of {', '.join(SEARCH_KINDS)}")
     entries = generate_corpus(max_order=max_order, per_order_limit=per_order_limit)
     found = []
     for entry in entries:

@@ -29,7 +29,7 @@ from krasner.hypermodules import (
     quotient_module,
     regular_module,
 )
-from krasner import hypermodules, ideals
+from krasner import core, hypermodules, ideals
 from krasner.ideals import (
     SIDEDNESS,
     IdealCheck,
@@ -425,7 +425,8 @@ def test_the_scan_bound_fires_before_any_work(z4, monkeypatch):
 
     monkeypatch.setattr(ideals, "closed_subsets", refuse)
     monkeypatch.setattr(hypermodules, "closed_subsets", refuse)
+    monkeypatch.setattr(core, "ENUMERATION_BOUND", 3)
     with pytest.raises(BoundExceededError):
-        enumerate_ideals(z4, "two-sided", bound=3)
+        enumerate_ideals(z4, "two-sided")
     with pytest.raises(BoundExceededError):
-        enumerate_subhypermodules(regular_module(z4), bound=3)
+        enumerate_subhypermodules(regular_module(z4))

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 import krasner
 from krasner.catalog import cyclic_ring, hyperfield_k, standard_rings, zero_mul_ring
-from krasner import core
+from krasner import core, hypermodules, ideals
 from krasner.core import (
+    BoundExceededError,
     CarrierMismatchError,
     HyperRing,
     NotValidatedError,
@@ -24,11 +25,16 @@ from krasner.core import (
 from krasner.corpus import enumerate_hypergroups, generate_corpus
 from krasner.hypermodules import (
     HyperModule,
+    enumerate_module_homs,
+    enumerate_subhypermodules,
+    is_simple,
     is_subhypermodule,
     regular_module,
     verify_hypermodule,
 )
-from krasner.ideals import ENUMERATION_BOUND, IdealLattice, is_hyperideal
+from krasner.ideals import IdealLattice, enumerate_ideals, is_hyperideal
+from krasner.morphisms import enumerate_ring_homs
+from krasner.spectrum import SpectrumSpace, compactness_witness
 from krasner.suite import run_ring_checks
 
 
@@ -388,7 +394,37 @@ def test_bits_matches_the_old_generator():
 def test_the_bits_table_covers_every_ideal_scan():
     # the ideal and submodule scans refuse carriers above the bound, so
     # every mask they walk is inside the table
-    assert len(core._BITS) == 1 << ENUMERATION_BOUND
+    assert len(core._BITS) == 1 << core.ENUMERATION_BOUND
+
+
+def test_each_search_bound_is_one_constant(z4, z6, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched past the bound")
+
+    reg = regular_module(z4)
+    space = SpectrumSpace.build(z6)
+    family = IdealLattice.build(z6).two_sided
+    with monkeypatch.context() as m:
+        # lowered once, the scan bound refuses all four scans before any work
+        m.setattr(core, "ENUMERATION_BOUND", len(family) - 1)
+        m.setattr(ideals, "closed_subsets", refuse)
+        m.setattr(hypermodules, "closed_subsets", refuse)
+        m.setattr(SpectrumSpace, "vanishing_set", refuse)
+        for scan in (lambda: enumerate_ideals(z4), lambda: enumerate_subhypermodules(reg),
+                     lambda: is_simple(reg), lambda: compactness_witness(space, family)):
+            with pytest.raises(BoundExceededError):
+                scan()
+
+    z7 = cyclic_ring(7)
+    reg7 = regular_module(z7)
+    with pytest.raises(BoundExceededError):
+        enumerate_ring_homs(z7, z7)
+    with pytest.raises(BoundExceededError):
+        enumerate_module_homs(reg7, reg7)
+    # raised once, the hom bound lets both hom searches run at order 7
+    monkeypatch.setattr(core, "HOM_SEARCH_BOUND", 7)
+    assert [h.mapping for h in enumerate_ring_homs(z7, z7)] == [(0,) * 7, tuple(range(7))]
+    assert len(enumerate_module_homs(reg7, reg7)) == 7
 
 
 def test_a_ring_wider_than_the_bits_table_still_validates():

@@ -9,9 +9,9 @@ import pytest
 import krasner.hypermodules
 import krasner.suite
 from krasner.catalog import cyclic_ring
-from krasner.core import BoundExceededError, HyperRing, NotValidatedError, bits
+from krasner.core import ENUMERATION_BOUND, BoundExceededError, HyperRing, NotValidatedError, bits
 from krasner.hypermodules import HyperModule, quotient_module, regular_module, submodule
-from krasner.ideals import ENUMERATION_BOUND, IdealLattice, quotient_ring
+from krasner.ideals import IdealLattice, quotient_ring
 from krasner.primitivity import prim_certificates
 from krasner.spectrum import SpectrumSpace
 from krasner.suite import HOM_CHECK_ORDER, RingContext, run_ring_checks, run_theorem_suite

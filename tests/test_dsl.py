@@ -178,9 +178,10 @@ def test_tokenizer_edge_cases():
         (ring + "  add 1 1 {0,#}\nend\n", "t.khr:3:11: expected an integer, got '#'"),
         # a '#' ends the word before it and the line
         (ring + "  add 1 1 {0}\n  neg 1#x\nend\n", "t.khr:4:3: 'neg' takes 2 argument(s)"),
-        # '\x1c' is whitespace within a line, but splitlines() breaks lines there
-        (ring + "  add 1 1 {0}\n  neg 1 1\n  mul\x1c1 1 0\nend\n",
+        # '\x1c' and '\v' are whitespace within a line and break no line
+        (ring + "  add 1 1 {0}\n  neg 1 1\x1c\n  mul\x1c1 1\nend\n",
          "t.khr:5:3: 'mul' takes 3 argument(s)"),
+        ("ring r\n  order 1\x0b\nend\nfoo\n", "t.khr:4:1: unknown directive 'foo'"),
         (ring + "  add 1 1 {0\nend\n", "t.khr:3:11: unclosed '{'"),
         (ring + "  add 1 1{0\nend\n", "t.khr:3:10: unclosed '{'"),
         (ring + "  add 1 1 {\nend\n", "t.khr:3:11: unclosed '{'"),
@@ -196,7 +197,7 @@ def test_tokenizer_edge_cases():
     z2 = parse_text("ring r\n  order 2\n  add 1 1 {0}\n  neg 1 1\n  mul 1 1 0\nend\n").rings["r"]
     for text in ("ring r\n  order 2\n  add 1 1 0#x\n  neg 1 1#\n  mul 1 1 0#{\nend#\n",
                  "ring\tr\n\torder\t2\n  add\u30001 1\u3000{0}\n  neg 1 1\n  mul 1 1 0\nend\n",
-                 "ring r\x1c  order 2\x1c  add 1 1 {0}\x1c  neg 1 1\x1c  mul 1 1 0\x1cend\x1c"):
+                 "ring r\r\n  order 2\r  add 1 1 {0}\x1c\n  neg\x1c1 1\x85\n  mul 1 1 0\nend\n"):
         assert parse_text(text).rings["r"].encoding() == z2.encoding()
 
     def tokens(raw):
@@ -330,7 +331,7 @@ def test_parse_file_locates_the_first_non_utf8_byte(tmp_path):
         (b"ring r\r\n  order 2\r\n\xe2\x82",
          "3:1: invalid UTF-8: byte 0xe2 (unexpected end of data)"),
         (b"ring r\x1c  order 1\n  \xc3\xa9\xc3\xa9 \xc3",
-         "3:6: invalid UTF-8: byte 0xc3 (unexpected end of data)"),
+         "2:6: invalid UTF-8: byte 0xc3 (unexpected end of data)"),
     ]
     path = tmp_path / "bad.khr"
     for data, expected in table:

@@ -5,13 +5,14 @@ dZ_n for d | n, so the lattice, the maximal and the prime layer can all be
 recomputed from plain integer arithmetic and compared.
 """
 
+import dataclasses
+
 import pytest
 
 from krasner import ideals
 from krasner.catalog import cyclic_ring, zero_mul_ring
-from krasner.core import BoundExceededError, TheoremViolationError
+from krasner.core import ENUMERATION_BOUND, BoundExceededError, TheoremViolationError
 from krasner.ideals import (
-    ENUMERATION_BOUND,
     HyperIdeal,
     IdealLattice,
     cross_check_generated,
@@ -395,3 +396,8 @@ def test_ideals_are_hashable_by_key(z6):
     lattice = IdealLattice.build(z6)
     keys = {i.key for i in lattice.two_sided}
     assert len(keys) == len(lattice.two_sided)
+    # a right ideal equals the two sided one with its members, so the
+    # set keeps one ideal per mask; lattices hash by their families
+    both = {*lattice.two_sided, *lattice.right}
+    assert sorted(i.key for i in both) == sorted({i.key for i in lattice.right} | keys)
+    assert hash(dataclasses.replace(lattice, products={})) == hash(lattice)

@@ -144,7 +144,8 @@ def test_ring_homs_match_brute_force(corpus4, surjective_only):
     pairs += [(e.ring, e.ring) for e in corpus4 if e.ring.order == 4]
     found = 0
     for source, target in pairs:
-        homs = enumerate_ring_homs(source, target, surjective_only=surjective_only)
+        homs = [h for h in enumerate_ring_homs(source, target)
+                if not surjective_only or h.is_surjective()]
         assert [h.mapping for h in homs] == brute_ring_homs(source, target, surjective_only)
         found += len(homs)
     assert found

@@ -2,6 +2,7 @@
 
 import pytest
 
+from krasner import core
 from krasner.catalog import cyclic_ring
 from krasner.core import BoundExceededError
 from krasner.ideals import IdealLattice
@@ -85,13 +86,14 @@ def test_kuratowski_sampled_mode(z6, monkeypatch):
     import krasner.spectrum as spectrum
 
     monkeypatch.setattr(spectrum, "FULL_KURATOWSKI_BOUND", 1)
+    monkeypatch.setattr(spectrum, "KURATOWSKI_SAMPLES", 64)
     space = SpectrumSpace.build(z6)
-    report = verify_kuratowski(space, seed=0, samples=64)
+    report = verify_kuratowski(space)
     assert report.ok
     assert report.sampled
     assert report.pairs_checked <= 64
-    # same seed, same pairs
-    again = verify_kuratowski(space, seed=0, samples=64)
+    # a fixed seed, the same pairs
+    again = verify_kuratowski(space)
     assert again.pairs_checked == report.pairs_checked
 
 
@@ -160,12 +162,13 @@ def test_compactness_witness_rejects_covered_space(z6):
         compactness_witness(space, small)
 
 
-def test_compactness_witness_bound(z6):
+def test_compactness_witness_bound(z6, monkeypatch):
     space = SpectrumSpace.build(z6)
     lattice = IdealLattice.build(z6)
     family = [i for i in lattice.two_sided if i.proper]
+    monkeypatch.setattr(core, "ENUMERATION_BOUND", 2)
     with pytest.raises(BoundExceededError):
-        compactness_witness(space, family, bound=2)
+        compactness_witness(space, family)
 
 
 def test_materialize_bound(monkeypatch):
