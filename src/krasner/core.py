@@ -64,11 +64,11 @@ def _bits_table(width: int) -> tuple:
     return tuple(table)
 
 
-# the most elements whose subsets a scan visits (``require_scan_bound``,
-# spectrum.compactness_witness)
+# the most elements whose subsets a search may visit in the worst case
+# (``require_scan_bound``, spectrum.compactness_witness)
 ENUMERATION_BOUND = 12
 
-# the answer of ``bits`` for every mask a scan meets; 4096 tuples, built
+# the answer of ``bits`` for every mask a search meets; 4096 tuples, built
 # once at import
 _BITS = _bits_table(ENUMERATION_BOUND)
 
@@ -513,6 +513,10 @@ def find_unit(n: int, mul) -> int | None:
 
 HOM_SEARCH_BOUND = 6
 
+# the largest carrier of the simple-module search
+# (primitivity.enumerate_simple_modules)
+SIMPLE_MODULE_ORDER = 3
+
 
 def search(sizes, rules) -> list:
     """Every tuple v with 0 <= v[i] < sizes[i] that passes all rules, in
@@ -674,9 +678,9 @@ def require_hom_bound(source: Structure, target: Structure):
 
 
 def require_scan_bound(structure: Structure, noun: str):
-    """Refuse an unvalidated structure, or a scan of its 2^(n-1) subsets
-    holding 0 when its order n exceeds ENUMERATION_BOUND; noun names what
-    is scanned for.  Runs before the scan builds anything."""
+    """Refuse an unvalidated structure, or a closed-subset search whose
+    worst case, the 2^(n-1) subsets holding 0, has n past ENUMERATION_BOUND;
+    noun names what is searched for.  Runs before the search builds anything."""
     structure.require_validated()
     if structure.order > ENUMERATION_BOUND:
         raise BoundExceededError(

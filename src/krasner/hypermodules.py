@@ -4,8 +4,9 @@ A right hypermodule is a canonical hypergroup (M, +, -, 0) with a single
 valued action M x R -> M that distributes over both hyperadditions, is
 associative against the ring multiplication and kills 0.  The ring acting
 on itself gives the regular module; right hyperideals are exactly its
-subhypermodules, so the closure checks, closures, subset scans and
-quotients here run the helpers in ``ideals`` on the module tables.
+subhypermodules, so the closure checks, closures, closed subset
+searches and quotients here run the helpers in ``ideals`` on the module
+tables.
 
 Module homomorphisms here are the strong kind: the image of a hypersum
 equals the hypersum of the images as sets, not merely a subset of it.

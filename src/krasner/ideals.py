@@ -2,15 +2,15 @@
 
 A hyperideal is an additive subhypergroup that absorbs multiplication on
 the requested sides.  Everything here is exhaustive: the carrier is small
-enough that the ideal lattice is enumerated by scanning the subsets that
-contain 0, with an explicit refusal above ``core.ENUMERATION_BOUND``.
-The scan asks each subset a yes/no question; only ``is_hyperideal``
-builds a witness.  Generated ideals come from ``closure``, a second route
-that shares no code with the scan, and are cross-checked against the lattice,
-one set at a time or over every generating set with each distinct seed
-closed once.  The lattice also keeps the product of every ordered pair
-of its two sided ideals, each closed once and validated by membership,
-and primality reads that table.
+enough that the ideal lattice is enumerated by a pruned search over the
+subsets that contain 0 (``closed_subsets``), with an explicit refusal
+above ``core.ENUMERATION_BOUND``.  The search answers yes or no; only
+``is_hyperideal`` builds a witness.  Generated ideals come from
+``closure``, a second route that shares no code with the search, and are
+cross-checked against the lattice, one set at a time or over every
+generating set with each distinct seed closed once.  The lattice also
+keeps the product of every ordered pair of its two sided ideals, each
+closed once and validated by membership, and primality reads that table.
 
 Canonical order everywhere is the integer value of the member bit mask.
 """
@@ -170,10 +170,10 @@ class IdealLattice:
 
 
 def _product_table(ring: HyperRing, two_sided) -> dict:
-    # ideal_product for every ordered pair, closed once each.  The scan
-    # already tested every mask holding 0, so a product is a two sided
-    # ideal exactly when it is in the family; on a miss ideal_product
-    # reports the failed clause, or the product is missing from the scan
+    # ideal_product for every ordered pair, closed once each.  The family
+    # holds every closed mask, so a product is a two sided ideal exactly
+    # when it is in the family; on a miss ideal_product reports the
+    # failed clause, or the product is missing from the enumeration
     mul, add = ring.mul_table, ring.add_masks
     family = {a.key for a in two_sided}
     table = {}
@@ -335,38 +335,43 @@ def closure(mask: int, add, neg, actions) -> int:
 
 
 def closed_subsets(add, neg, actions) -> list:
-    """Every mask that ``closure_check`` accepts, ascending.  Scans the
-    2^(n-1) masks holding 0, so callers bound n first.
+    """Every mask that ``closure_check`` accepts, ascending.
 
-    A yes/no test that shares no code with ``closure``: need[a] is what
-    a forces into a closed set, its negative and every action image, so
-    s is kept when each member's need and each sum add[a][b] of members
-    lies inside s.  No witness is built for a rejected mask."""
+    A backtracking search that shares no code with ``closure``.  Elements
+    are decided from n - 1 down to 1, left out before taken in, so the
+    masks come out ascending; 0 is always in.  req is what the members
+    taken so far force in: each one's negative and action images
+    (need[a]) and its sums with every member, in both orders so that no
+    commutativity is assumed.  Leaving k out fails when req holds k;
+    taking k in fails when the grown req holds an element left out above
+    k.  The cost follows the closed sets and the dead ends; the 2^(n-1)
+    masks holding 0 stay the worst case, so callers bound n first.  No
+    witness is built for a rejected branch."""
     need = []
     for a in range(len(neg)):
-        m = 1 << neg[a]
+        m = 1 << neg[a] | add[a][a]
         for _, table in actions:
             for v in table[a]:
                 m |= 1 << v
         need.append(m)
     out = []
-    for s in range(1, 1 << len(neg), 2):
-        outside = ~s
-        members = bits(s)
-        for a in members:
-            if need[a] & outside:
-                break
-        else:
-            for a in members:
-                row = add[a]
-                for b in members:
-                    if row[b] & outside:
-                        break
-                else:
-                    continue
-                break
-            else:
-                out.append(s)
+    # (next element to decide, taken mask, req, left-out mask)
+    stack = [(len(neg) - 1, 1, need[0], 0)]
+    while stack:
+        k, s, req, left_out = stack.pop()
+        if not k:
+            out.append(s)
+            continue
+        bit = 1 << k
+        grown = req | need[k]
+        row = add[k]
+        for b in bits(s):
+            grown |= row[b] | add[b][k]
+        # pushed in reverse, so the left-out branch is searched first
+        if not grown & left_out:
+            stack.append((k - 1, s | bit, grown, left_out))
+        if not req & bit:
+            stack.append((k - 1, s, req, left_out | bit))
     return out
 
 
@@ -510,9 +515,9 @@ def generated_ideal(ring: HyperRing, members, sidedness: str = "two-sided") -> H
 def cross_check_generated(ring: HyperRing, members, lattice: IdealLattice) -> HyperIdeal:
     """Lattice route for ``generated_ideal``: the meet of the two sided
     ideals containing the set must equal its two sided closure.  Lattice
-    membership is the validation: the lattice scan already tested every
-    mask holding 0 for closure, so the closure is an ideal exactly when
-    it is in ``lattice.two_sided``.  Returns that lattice ideal; raises
+    membership is the validation: the lattice holds every closed mask,
+    so the closure is an ideal exactly when it is in
+    ``lattice.two_sided``.  Returns that lattice ideal; raises
     if the routes disagree or the closure is not in it.
     ``cross_check_all_generated`` runs the same comparison on every set."""
     if lattice.ring is not ring:

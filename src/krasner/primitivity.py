@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import corpus
+from . import core, corpus
 from .core import HyperRing, TheoremViolationError, _MaskTable, action_tables, derived, mask_of
 from .hypermodules import (
     HyperModule,
@@ -132,14 +132,15 @@ def check_primitive_iff_quotient_primitive(ring: HyperRing) -> BiconditionalRepo
     return BiconditionalReport(ok=not mismatches, mismatches=tuple(mismatches))
 
 
-def enumerate_simple_modules(ring: HyperRing, max_order: int = 3) -> tuple:
-    """Every simple right hypermodule on a carrier of at most max_order
-    elements.  For each canonical hypergroup, ``core.action_tables``
-    finds the action tables (row 0 and column 0 zero) that pass the three
-    action axioms against the ring's tables; each is validated and kept
-    when simple.  A max_order past the corpus cap raises
-    ``BoundExceededError`` before any search."""
+def enumerate_simple_modules(ring: HyperRing) -> tuple:
+    """Every simple right hypermodule on a carrier of at most
+    ``core.SIMPLE_MODULE_ORDER`` elements.  For each canonical hypergroup,
+    ``core.action_tables`` finds the action tables (row 0 and column 0
+    zero) that pass the three action axioms against the ring's tables;
+    each is validated and kept when simple.  An order past the corpus cap
+    raises ``BoundExceededError`` before any search."""
     ring.require_validated()
+    max_order = core.SIMPLE_MODULE_ORDER
     corpus.check_order(max_order)
     found = []
     for n in range(2, max_order + 1):
@@ -153,13 +154,13 @@ def enumerate_simple_modules(ring: HyperRing, max_order: int = 3) -> tuple:
     return tuple(found)
 
 
-def rogue_annihilators(ring: HyperRing, max_order: int = 3) -> tuple:
+def rogue_annihilators(ring: HyperRing) -> tuple:
     """Annihilators of small simple modules that the maximal right ideal
     hunt did not produce.  Expected empty; returned as (ideal, module)
     pairs rather than asserted, so sweeps can report them."""
     known = {p.key for p in prim_set(ring)}
     rogues = {}
-    for module in enumerate_simple_modules(ring, max_order):
+    for module in enumerate_simple_modules(ring):
         p = annihilator(module)
         if p.key not in known and p.key not in rogues:
             rogues[p.key] = (p, module)

@@ -12,15 +12,18 @@ The lattice cross-check of generated ideals is refereed the same way, by
 the route it replaced: ``generated_ideal`` and ``ideal_intersection``,
 each building a checked ideal, compared on masks.  The sweep over every
 generating set is refereed by the single-set cross-check, mask by mask,
-and the yes/no subset scan by ``closure_check`` run on every mask.
+and the closed-subset search by the scan it replaced, ``closure_check``
+run on every mask holding 0: on corpus rings, on direct products of
+orders 6 to 12, on modules, and on raw tables that satisfy no axiom.
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from krasner.catalog import cyclic_ring
-from krasner.core import BoundExceededError, HyperRing, TheoremViolationError, bits
+from krasner.core import BoundExceededError, HyperRing, TheoremViolationError, bits, mask_of
 from krasner.hypermodules import (
     HyperModule,
     cyclic_submodule,
@@ -355,16 +358,55 @@ def regular_and_quotients(ring, lattice):
 
 
 def scan_oracle(add, neg, actions):
+    # the enumeration closed_subsets replaced: every mask holding 0,
+    # each asked closure_check
     return [s for s in range(1, 1 << len(neg), 2) if closure_check(s, add, neg, actions)]
 
 
-def test_closed_subsets_matches_the_checked_scan(corpus3, corpus4):
+def direct_product(r, s):
+    # componentwise tables; the pair (a, b) is a * |s| + b, so 0 stays 0
+    m, n = s.order, r.order * s.order
+    add = [[[x * m + y for x in bits(r.add_masks[a // m][b // m])
+             for y in bits(s.add_masks[a % m][b % m])] for b in range(n)] for a in range(n)]
+    neg = [r.neg_table[a // m] * m + s.neg_table[a % m] for a in range(n)]
+    mul = [[r.mul_table[a // m][b // m] * m + s.mul_table[a % m][b % m] for b in range(n)]
+           for a in range(n)]
+    return HyperRing(add, neg, mul).checked("direct product")
+
+
+def products_of_orders_6_to_12(corpus4):
+    # every 2 x 3 product; 2 x 4, 3 x 3 and 3 x 4 products over a few
+    # unital, non-commutative and non-unital factors of each order
+    by_order = {n: [e.ring for e in corpus4 if e.ring.order == n] for n in (2, 3, 4)}
+
+    def commutes(r):
+        return all(r.mul_table[a][b] == r.mul_table[b][a]
+                   for a in range(r.order) for b in range(r.order))
+
+    def some(n):
+        rings = by_order[n]
+        return ([r for r in rings if r.is_unital][:3]
+                + [r for r in rings if not commutes(r)]
+                + [r for r in rings if not r.is_unital][:2])
+
+    pairs = [(r, s) for r in by_order[2] for s in by_order[3]]
+    pairs += [(r, s) for r in by_order[2] for s in some(4)]
+    pairs += [(r, s) for r in some(3) for s in some(3) + some(4)]
+    return [direct_product(r, s) for r, s in pairs]
+
+
+def test_closed_subsets_matches_the_checked_scan(corpus4):
+    rings = corpus4_and_z12(corpus4) + products_of_orders_6_to_12(corpus4)
+    assert {ring.order for ring in rings} >= {6, 8, 9, 12}
     cases = []
-    for ring in corpus4_and_z12(corpus4):
+    for ring in rings:
         for sidedness in SIDEDNESS:
             cases.append((ring.add_masks, ring.neg_table, ideals._absorption(ring, sidedness)))
-    for ring in (e.ring for e in corpus3):
-        for module in regular_and_quotients(ring, IdealLattice.build(ring)):
+    for ring in (e.ring for e in corpus4):
+        reg = regular_module(ring)
+        modules = [reg] + [quotient_module(reg, reg.from_mask(ideal.key)).module
+                           for ideal in IdealLattice.build(ring).right]
+        for module in modules:
             cases.append((module.add_masks, module.neg_table, hypermodules._action(module)))
     proper = 0
     for add, neg, actions in cases:
@@ -372,6 +414,31 @@ def test_closed_subsets_matches_the_checked_scan(corpus3, corpus4):
         assert closed_subsets(add, neg, actions) == expected
         proper += len(expected) > 2
     assert proper
+
+
+@st.composite
+def raw_tables(draw):
+    # tables that need not satisfy any hypergroup or ring axiom: any add
+    # masks, any negation and up to two actions of any width, each entry
+    # leaning towards what forces little, so that many sets are closed
+    n = draw(st.integers(min_value=1, max_value=7))
+    element = st.integers(min_value=0, max_value=n - 1)
+    entry = st.one_of(st.just(0), st.sets(element, max_size=2).map(mask_of),
+                      st.integers(min_value=0, max_value=(1 << n) - 1))
+    add = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    neg = [draw(st.one_of(st.just(a), element)) for a in range(n)]
+    actions = []
+    for i in range(draw(st.integers(min_value=0, max_value=2))):
+        width = draw(st.integers(min_value=1, max_value=n))
+        value = st.one_of(st.just(0), element)
+        actions.append((f"action-{i}", [[draw(value) for _ in range(width)] for _ in range(n)]))
+    return add, neg, actions
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(raw_tables())
+def test_closed_subsets_assumes_no_axiom(tables):
+    assert closed_subsets(*tables) == scan_oracle(*tables)
 
 
 def test_closed_subsets_never_builds_a_witness(corpus3, monkeypatch):

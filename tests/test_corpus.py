@@ -7,7 +7,9 @@ product space. Counts and the tables themselves must agree exactly.
 
 At order 4 the generator's rule search over the free triple orbits is
 refereed by a plain loop over every subset of those orbits, and the
-labelled counts by the orbit-stabilizer identity over the classes.
+labelled counts by the orbit-stabilizer identity over the classes.  The
+opt-in order-5 referees also run the closed-subset search against the
+scan it replaced on every order-5 ring.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from functools import lru_cache
 
 import pytest
 
-from krasner import corpus
+from krasner import corpus, ideals
 from krasner.corpus import (
     HARD_ORDER_CAP,
     _orbit_splits,
@@ -27,6 +29,7 @@ from krasner.corpus import (
     ring_canonical_key,
 )
 from krasner.core import HyperRing, TheoremViolationError, bits, hypergroup_checks
+from krasner.ideals import SIDEDNESS, closed_subsets
 
 
 # oracle: canonical hypergroups as {(a, b): frozenset} dictionaries
@@ -446,6 +449,22 @@ def test_order_five_referee(monkeypatch):
     entries = generate_corpus(5)
     assert len(entries) == 4581
     assert corpus_fingerprint(entries, 5).startswith("7481adac5f4065f5")
+
+
+@pytest.mark.slow
+def test_order_five_closed_subsets_referee(monkeypatch):
+    # the closed-subset search against the scan it replaced, on every
+    # order-5 ring and every sidedness; opt-in with the referee above
+    from test_closure import scan_oracle
+
+    monkeypatch.setattr(corpus, "HARD_ORDER_CAP", 5)
+    rings = [e.ring for e in generate_corpus(5) if e.ring.order == 5]
+    assert len(rings) == 4418
+    for ring in rings:
+        for sidedness in SIDEDNESS:
+            actions = ideals._absorption(ring, sidedness)
+            assert closed_subsets(ring.add_masks, ring.neg_table, actions) == \
+                scan_oracle(ring.add_masks, ring.neg_table, actions)
 
 
 def test_order_cap():

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from krasner import corpus
+from krasner import core, corpus
 from krasner.core import BoundExceededError, TheoremViolationError
 from krasner.hypermodules import annihilator, is_simple
 from krasner.ideals import IdealLattice, quotient_ring
@@ -119,7 +119,7 @@ def test_simple_quotients_by_maximal_right(z4, z6):
 
 
 def test_enumerated_simple_modules_agree_with_prim(z4):
-    mods = enumerate_simple_modules(z4, max_order=3)
+    mods = enumerate_simple_modules(z4)
     assert len(mods) == 1
     assert annihilator(mods[0]).members.members == (0, 2)
 
@@ -143,11 +143,11 @@ def counted_hypergroups(monkeypatch):
 
 def test_simple_module_search_enumerates_each_order_once(z2, z4, monkeypatch):
     calls = counted_hypergroups(monkeypatch)
-    first = [m.encoding() for m in enumerate_simple_modules(z4, max_order=3)]
+    first = [m.encoding() for m in enumerate_simple_modules(z4)]
     assert calls == [2, 3]
-    enumerate_simple_modules(z2, max_order=3)
+    enumerate_simple_modules(z2)
     assert calls == [2, 3]
-    assert [m.encoding() for m in enumerate_simple_modules(z4, max_order=3)] == first
+    assert [m.encoding() for m in enumerate_simple_modules(z4)] == first
     assert calls == [2, 3]
 
 
@@ -161,8 +161,9 @@ def test_orders_past_the_corpus_cap_raise_before_any_search(z2, monkeypatch):
     past = corpus.HARD_ORDER_CAP + 1
     with pytest.raises(BoundExceededError):
         corpus.enumerate_hypergroups(past)
+    monkeypatch.setattr(core, "SIMPLE_MODULE_ORDER", past)
     with pytest.raises(BoundExceededError):
-        enumerate_simple_modules(z2, max_order=past)
+        enumerate_simple_modules(z2)
     assert calls == []
 
 
@@ -170,11 +171,12 @@ def test_no_rogue_annihilators(z2, z4, kfield):
     # simple modules found by brute force never produce annihilators
     # outside the certified primitive set
     for ring in (z2, z4, kfield):
-        assert rogue_annihilators(ring, max_order=3) == ()
+        assert rogue_annihilators(ring) == ()
 
 
-def test_no_rogue_annihilators_z6_small(z6):
-    assert rogue_annihilators(z6, max_order=2) == ()
+def test_no_rogue_annihilators_z6_small(z6, monkeypatch):
+    monkeypatch.setattr(core, "SIMPLE_MODULE_ORDER", 2)
+    assert rogue_annihilators(z6) == ()
 
 
 def test_certificates_deduplicate(z6):
