@@ -1,5 +1,6 @@
 """Theorem suite: registry behavior, report determinism, searches."""
 
+import collections
 import dataclasses
 import json
 from types import SimpleNamespace
@@ -7,12 +8,14 @@ from types import SimpleNamespace
 import pytest
 
 from krasner import suite
-from krasner.catalog import cyclic_ring
+from krasner.catalog import cyclic_ring, zero_mul_ring
 from krasner.core import TheoremViolationError
 from krasner.hypermodules import ModuleHom, find_isomorphism, verify_module_hom
 from krasner.ideals import IdealLattice
 from krasner.suite import (
     CHECK_IDS,
+    HOM_CHECK_ORDER,
+    ROGUE_CHECK_ORDER,
     SCHEMA,
     check_ideal_product_closed,
     check_product_inside_intersection,
@@ -122,6 +125,20 @@ def test_separating_searches_are_empty_at_small_orders(kind):
     assert result.found == ()
 
 
+def test_search_findings_at_order_4():
+    # no ring of order 4 separates prime, primitive and maximal; t1 fails
+    # on the 133 rings that the suite's t1 check flags, ring by ring
+    report = run_theorem_suite(max_order=4, check_ids=["t1-iff-prim-equals-max"])
+    t1 = tuple((row.name, r.detail) for row in report.rows
+               for r in row.results if r.status in ("fail", "info"))
+    assert len(t1) == 133
+    expected = {"prime-not-primitive": (163, ()), "primitive-not-maximal": (163, ()),
+                "t1-failure": (163, t1), "rogue-simple-module": (163, ())}
+    for kind, (scanned, found) in expected.items():
+        result = counterexample_search(kind, max_order=4)
+        assert (result.scanned, result.found) == (scanned, found), kind
+
+
 def test_unknown_search_kind():
     with pytest.raises(ValueError) as err:
         counterexample_search("haunted-lattice")
@@ -223,3 +240,68 @@ def test_a_broken_theorem_fails_its_check_and_the_sweep_goes_on(monkeypatch):
             "fail", "no simple quotient above {0,2}")
     assert [r.id for r in results if r.status == "fail"] == [
         "simple-quotient-by-maximal-right", "maximal-right-contains-primitive"]
+
+
+UNIT_CHECKS = ("maximal-implies-primitive", "maximal-right-contains-primitive",
+               "compactness-kernel-sum")
+HOM_CHECKS = ("first-isomorphism", "endo-hom-kernels", "induced-map-continuity",
+              "surjection-embedding")
+
+
+def expected_skip(ring, result):
+    """Why result should skip on ring, or None where its hypothesis holds."""
+    if result.id in UNIT_CHECKS and not ring.is_unital:
+        return "needs a unit"
+    if result.id in HOM_CHECKS and ring.order > HOM_CHECK_ORDER:
+        return "hom enumeration bounded to small rings"
+    if result.id == "rogue-simple-modules" and ring.order > ROGUE_CHECK_ORDER:
+        return "module table search bounded to very small rings"
+    if result.id == "compactness-kernel-sum" and result.status == "skip":
+        # a unital ring whose space no family of proper ideals uncovers
+        return "no family of proper ideals uncovers the space"
+    return None
+
+
+def test_checks_skip_exactly_where_their_hypothesis_fails(corpus4):
+    skips = collections.Counter()
+    for ring in [e.ring for e in corpus4] + [cyclic_ring(5), cyclic_ring(6)]:
+        for r in run_ring_checks(ring):
+            reason = expected_skip(ring, r)
+            assert (r.status == "skip") == (reason is not None), (ring.name, r)
+            if reason is not None:
+                assert r.detail == reason, (ring.name, r)
+                if ring.order <= 4:
+                    skips[r.id, r.detail] += 1
+    assert skips == {
+        ("maximal-implies-primitive", "needs a unit"): 135,
+        ("maximal-right-contains-primitive", "needs a unit"): 135,
+        ("compactness-kernel-sum", "needs a unit"): 135,
+        ("compactness-kernel-sum", "no family of proper ideals uncovers the space"): 25,
+        ("rogue-simple-modules", "module table search bounded to very small rings"): 139,
+    }
+    assert sum(skips.values()) == 569
+
+
+def test_a_wrapped_registry_sees_one_call_per_check_per_ring(monkeypatch):
+    # the benchmark tracer rebinds suite.CHECKS to wrapped callables and
+    # times each check by its calls, so the hypothesis gates sit inside
+    # the registered callable: a ring that skips still calls every check
+    calls = []
+
+    def wrap(cid, check):
+        def traced(ctx):
+            calls.append(cid)
+            return check(ctx)
+        return traced
+
+    monkeypatch.setattr(suite, "CHECKS",
+                        tuple((cid, wrap(cid, check)) for cid, check in suite.CHECKS))
+    skipped = set()
+    # no unit; past the rogue bound; past the hom bound
+    for ring in (zero_mul_ring(2), cyclic_ring(4), cyclic_ring(5)):
+        calls.clear()
+        results = run_ring_checks(ring)
+        assert calls == list(CHECK_IDS)
+        assert tuple(r.id for r in results) == CHECK_IDS
+        skipped |= {r.id for r in results if r.status == "skip"}
+    assert skipped >= set(UNIT_CHECKS) | set(HOM_CHECKS) | {"rogue-simple-modules"}
