@@ -245,9 +245,10 @@ def longest_closed_chain(space: SpectrumSpace) -> tuple:
 
 def is_noetherian_space(space: SpectrumSpace) -> bool:
     """Descending chains of closed sets stabilize.  Finite spaces cannot
-    do otherwise, but the longest chain is computed rather than assumed."""
+    do otherwise, but the longest chain is computed and checked, not assumed."""
     chain = longest_closed_chain(space)
-    return len(chain) <= len(space.closed_sets())
+    return (len(chain) <= space.size + 1 and set(chain) <= set(space.closed_sets())
+            and all(b != a and b & ~a == 0 for a, b in zip(chain, chain[1:])))
 
 
 def compactness_witness(space: SpectrumSpace, ideals) -> tuple:

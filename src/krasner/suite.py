@@ -1,19 +1,24 @@
 """Theorem sweeps over generated rings.
 
-Each check interrogates one ring and reports pass, fail, skip or info.
-Skips are for hypotheses that do not apply (mostly missing units); info
-is for observations worth surfacing that are not promised to hold, and a
-fail always carries a concrete witness in its detail.  Reports serialize
+Each check interrogates one ring and returns a verdict (pass, fail, skip
+or info, and a detail); the registry `CHECKS` holds its id.  Skips are
+for hypotheses that do not apply, each one gate on the checks needing
+it; info is for observations worth surfacing that are not promised to
+hold, and a fail always carries a concrete witness in its detail.
+`SEARCHES` states each search's kind and scope once.  Reports serialize
 deterministically: the timestamp is the only field that varies between
 identical runs, which is what the determinism tests pin down.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
+import functools
 import itertools
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import TheoremViolationError, derived
 from .corpus import corpus_fingerprint, generate_corpus
@@ -73,12 +78,13 @@ from .spectrum import (
 
 SCHEMA = "krasner-suite/1"
 
-# the largest ring order that the four hom-based checks (first-isomorphism,
-# endo-hom-kernels, induced-map-continuity, surjection-embedding) search,
-# and that the rogue simple-module hunt (rogue-simple-modules and the
-# rogue-simple-module search) runs on; larger rings skip them
+# the largest ring order that the hom-based checks search, and that the
+# rogue simple-module check and search run on; larger rings skip them
 HOM_CHECK_ORDER = 4
 ROGUE_CHECK_ORDER = 3
+# the most closed sets on which irreducible-sets-are-point-closures also
+# runs the slow referee reducible_split, a sweep over pairs of closed sets
+SPLIT_REFEREE_CLOSED_SETS = 64
 
 
 class RingContext:
@@ -93,7 +99,6 @@ class RingContext:
     certs = property(lambda self: prim_certificates(self.ring))
     space = property(lambda self: SpectrumSpace.build(self.ring))
     regular = property(lambda self: regular_module(self.ring))
-    unital = property(lambda self: self.ring.is_unital)
     endomorphisms = property(lambda self: derived(
         self.ring, "endomorphisms", lambda: enumerate_ring_homs(self.ring, self.ring)))
 
@@ -105,96 +110,105 @@ class CheckResult:
     detail: str = ""
 
 
-def _pass(cid, detail=""):
-    return CheckResult(cid, "pass", detail)
+class Verdict(NamedTuple):
+    """What a check returns; `run_ring_checks` adds the registry id."""
+    status: str
+    detail: str = ""
 
 
-def _fail(cid, detail):
-    return CheckResult(cid, "fail", detail)
+_pass = functools.partial(Verdict, "pass")
+_fail = functools.partial(Verdict, "fail")
+_skip = functools.partial(Verdict, "skip")
+_info = functools.partial(Verdict, "info")
 
 
-def _skip(cid, detail):
-    return CheckResult(cid, "skip", detail)
+def _gate(holds, reason):
+    """A decorator that makes a check skip, with reason, every ring on
+    which holds(ring) is false.  The gate runs inside the registered
+    callable, so a skipped ring still calls each check once."""
+    def decorate(check):
+        @functools.wraps(check)
+        def gated(ctx):
+            return check(ctx) if holds(ctx.ring) else _skip(reason)
+        return gated
+    return decorate
 
 
-def _info(cid, detail):
-    return CheckResult(cid, "info", detail)
+def _rogue_sized(ring):
+    return ring.order <= ROGUE_CHECK_ORDER
+
+
+_needs_unit = _gate(lambda ring: ring.is_unital, "needs a unit")
+_hom_sized = _gate(lambda ring: ring.order <= HOM_CHECK_ORDER,
+                   "hom enumeration bounded to small rings")
 
 
 def check_ideal_intersection_closed(ctx):
-    cid = "ideal-intersection-closed"
     for a, b in itertools.combinations_with_replacement(ctx.lattice.two_sided, 2):
         meet = a.members.mask & b.members.mask
         verdict = is_hyperideal(ctx.ring, ctx.ring.from_mask(meet), "two-sided")
         if not verdict:
-            return _fail(cid, f"{a.members!r} meet {b.members!r} fails "
-                              f"{verdict.clause} at {verdict.witness}")
-    return _pass(cid)
+            return _fail(f"{a.members!r} meet {b.members!r} fails "
+                         f"{verdict.clause} at {verdict.witness}")
+    return _pass()
 
 
 def check_ideal_sum_closed(ctx):
-    cid = "ideal-sum-closed"
     for a, b in itertools.combinations_with_replacement(ctx.lattice.two_sided, 2):
         s = ideal_sum([a, b])
         if a.members.mask & ~s.members.mask or b.members.mask & ~s.members.mask:
-            return _fail(cid, f"{a.members!r} + {b.members!r} does not contain a summand")
-    return _pass(cid)
+            return _fail(f"{a.members!r} + {b.members!r} does not contain a summand")
+    return _pass()
 
 
 def check_ideal_product_closed(ctx):
     # ideal_product is the slow route that referees the lattice's table
-    cid = "ideal-product-closed"
     lattice = ctx.lattice
     for a, b in itertools.product(lattice.two_sided, repeat=2):
         prod = ideal_product(a, b)
         table = lattice.products.get((a.key, b.key))
         if prod.key != table:
-            return _fail(cid, f"{a.members!r} * {b.members!r} has mask {prod.key}, "
-                              f"the lattice's product table {table}")
-    return _pass(cid)
+            return _fail(f"{a.members!r} * {b.members!r} has mask {prod.key}, "
+                         f"the lattice's product table {table}")
+    return _pass()
 
 
 def check_product_inside_intersection(ctx):
     # reads the product table that ideal-product-closed referees
-    cid = "product-inside-intersection"
     lattice = ctx.lattice
     for a, b in itertools.product(lattice.two_sided, repeat=2):
         prod = ctx.ring.from_mask(lattice.products[a.key, b.key])
         if prod.mask & ~(a.key & b.key):
-            return _fail(cid, f"{a.members!r} * {b.members!r} = {prod!r} "
-                              "escapes the intersection")
-    return _pass(cid)
+            return _fail(f"{a.members!r} * {b.members!r} = {prod!r} "
+                         "escapes the intersection")
+    return _pass()
 
 
 def check_generated_ideal_cross_oracle(ctx):
-    cid = "generated-ideal-cross-oracle"
     count = cross_check_all_generated(ctx.ring, ctx.lattice)
-    return _pass(cid, f"agreed on all {count} generating sets")
+    return _pass(f"agreed on all {count} generating sets")
 
 
 def check_maximal_above_exists(ctx):
-    cid = "maximal-above-exists"
     for a in ctx.lattice.two_sided:
         if not a.proper:
             continue
         m = maximal_above(a, ctx.lattice)
         if a.members.mask & ~m.members.mask:
-            return _fail(cid, f"maximal_above({a.members!r}) = {m.members!r} "
-                              "does not contain its input")
-    return _pass(cid)
+            return _fail(f"maximal_above({a.members!r}) = {m.members!r} "
+                         "does not contain its input")
+    return _pass()
 
 
 def check_quotient_ring_valid(ctx):
-    cid = "quotient-ring-valid"
     for a in ctx.lattice.two_sided:
         quot = quotient_ring(ctx.ring, a)
         if len(quot.cosets) != quot.ring.order:
-            return _fail(cid, f"coset bookkeeping off for {a.members!r}")
-    return _pass(cid)
+            return _fail(f"coset bookkeeping off for {a.members!r}")
+    return _pass()
 
 
 def check_simple_iff_cyclic(ctx):
-    cid = "simple-iff-cyclic"
     modules = [ctx.regular]
     for m in ctx.lattice.right:
         modules.append(quotient_module(ctx.regular,
@@ -204,38 +218,33 @@ def check_simple_iff_cyclic(ctx):
         all_cyclic = (mod.order > 1 and
                       all(cyclic_submodule(mod, m).is_full() for m in range(1, mod.order)))
         if is_simple(mod) != (nonzero_action and all_cyclic):
-            return _fail(cid, f"{mod!r}: simplicity and cyclic generation disagree")
-    return _pass(cid, f"checked {len(modules)} modules")
+            return _fail(f"{mod!r}: simplicity and cyclic generation disagree")
+    return _pass(f"checked {len(modules)} modules")
 
 
 def check_module_neg_compat(ctx):
-    cid = "module-neg-compat"
     mod = ctx.regular
     for m in range(mod.order):
         for r in range(ctx.ring.order):
             if mod.act_table[m][ctx.ring.neg_table[r]] != mod.neg_table[mod.act_table[m][r]]:
-                return _fail(cid, f"m(-r) != -(mr) at ({m}, {r})")
-    return _pass(cid)
+                return _fail(f"m(-r) != -(mr) at ({m}, {r})")
+    return _pass()
 
 
 def check_annihilator_is_ideal(ctx):
-    cid = "annihilator-is-ideal"
     for mod in [ctx.regular] + [c.module for c in ctx.certs]:
         annihilator(mod)
-    return _pass(cid)
+    return _pass()
 
 
 def check_module_ideal_product_submodule(ctx):
-    cid = "module-ideal-product-submodule"
     for a in ctx.lattice.two_sided:
         module_ideal_product(ctx.regular, a)
-    return _pass(cid)
+    return _pass()
 
 
+@_hom_sized
 def check_first_isomorphism(ctx):
-    cid = "first-isomorphism"
-    if ctx.ring.order > HOM_CHECK_ORDER:
-        return _skip(cid, "hom enumeration bounded to small rings")
     reg = ctx.regular
     targets = [reg]
     for m in ctx.lattice.maximal_right:
@@ -256,118 +265,105 @@ def check_first_isomorphism(ctx):
             # the induced map [m] -> f(m) first; the search only when it fails
             if (induced_isomorphism(hom, quot, image_mod) is None
                     and find_isomorphism(quot.module, image_mod) is None):
-                return _fail(cid, f"M/ker not isomorphic to image for mapping {hom.mapping}")
-    return _pass(cid, f"checked {tried} homs")
+                return _fail(f"M/ker not isomorphic to image for mapping {hom.mapping}")
+    return _pass(f"checked {tried} homs")
 
 
 def check_primitive_implies_prime(ctx):
-    cid = "primitive-implies-prime"
     for c in ctx.certs:
         verdict = is_prime(c.ideal, ctx.lattice)
         if not verdict.ok:
-            return _fail(cid, f"primitive {c.ideal.members!r} is not prime, "
-                              f"witness pair {verdict.witness}")
+            return _fail(f"primitive {c.ideal.members!r} is not prime, "
+                         f"witness pair {verdict.witness}")
     if not ctx.certs:
-        return _pass(cid, "no primitive ideals")
-    return _pass(cid)
+        return _pass("no primitive ideals")
+    return _pass()
 
 
+@_needs_unit
 def check_maximal_implies_primitive(ctx):
-    cid = "maximal-implies-primitive"
-    if not ctx.unital:
-        return _skip(cid, "needs a unit")
     prim_keys = {c.ideal.key for c in ctx.certs}
     for m in ctx.lattice.maximal:
         if m.key not in prim_keys:
-            return _fail(cid, f"maximal {m.members!r} is not primitive")
-    return _pass(cid)
+            return _fail(f"maximal {m.members!r} is not primitive")
+    return _pass()
 
 
 def check_primitive_iff_quotient_primitive(ctx):
-    cid = "primitive-iff-quotient-primitive"
     report = quotient_primitivity_report(ctx.ring)
     if report.ok:
-        return _pass(cid)
+        return _pass()
     p, left, right = report.mismatches[0]
-    return _fail(cid, f"{p.members!r}: in the primitive set {left}, "
-                      f"quotient ring primitive {right}")
+    return _fail(f"{p.members!r}: in the primitive set {left}, "
+                 f"quotient ring primitive {right}")
 
 
 def check_prim_certificate_cross_check(ctx):
-    cid = "prim-certificate-cross-check"
     for c in ctx.certs:
         if not is_simple(c.module):
-            return _fail(cid, f"witness module for {c.ideal.members!r} is not simple")
+            return _fail(f"witness module for {c.ideal.members!r} is not simple")
         if annihilator(c.module).key != c.ideal.key:
-            return _fail(cid, f"certificate ideal for {c.ideal.members!r} "
-                              "does not match its module")
-    return _pass(cid, f"{len(ctx.certs)} certificates")
+            return _fail(f"certificate ideal for {c.ideal.members!r} "
+                         "does not match its module")
+    return _pass(f"{len(ctx.certs)} certificates")
 
 
 def check_simple_quotient_by_maximal_right(ctx):
-    cid = "simple-quotient-by-maximal-right"
     tried = 0
     for m in ctx.lattice.maximal_right:
         if prim_from_maximal_right(ctx.ring, m) is not None:
             tried += 1
     if tried == 0:
-        return _pass(cid, "every maximal right ideal swallows all products")
-    return _pass(cid, f"{tried} simple quotients")
+        return _pass("every maximal right ideal swallows all products")
+    return _pass(f"{tried} simple quotients")
 
 
+@_needs_unit
 def check_maximal_right_contains_primitive(ctx):
-    cid = "maximal-right-contains-primitive"
-    if not ctx.unital:
-        return _skip(cid, "needs a unit")
     for m in ctx.lattice.maximal_right:
         cert = prim_from_maximal_right(ctx.ring, m)
         if cert is None:
-            return _fail(cid, f"maximal right {m.members!r} swallows all products "
-                              "despite the unit")
+            return _fail(f"maximal right {m.members!r} swallows all products "
+                         "despite the unit")
         if cert.ideal.members.mask & ~m.members.mask:
-            return _fail(cid, f"primitive {cert.ideal.members!r} escapes "
-                              f"its maximal right {m.members!r}")
-    return _pass(cid)
+            return _fail(f"primitive {cert.ideal.members!r} escapes "
+                         f"its maximal right {m.members!r}")
+    return _pass()
 
 
 def check_kuratowski_closure(ctx):
-    cid = "kuratowski-closure"
     report = verify_kuratowski(ctx.space)
     if not report.ok:
-        return _fail(cid, f"{report.detail}, witness {report.failure}")
+        return _fail(f"{report.detail}, witness {report.failure}")
     mode = "sampled" if report.sampled else "all"
-    return _pass(cid, f"{mode} {report.pairs_checked} union pairs")
+    return _pass(f"{mode} {report.pairs_checked} union pairs")
 
 
 def check_t0(ctx):
-    cid = "t0"
     if ctx.space.is_t0():
-        return _pass(cid)
-    return _fail(cid, "two points share a closure")
+        return _pass()
+    return _fail("two points share a closure")
 
 
 def check_t1_iff_prim_equals_max(ctx):
-    cid = "t1-iff-prim-equals-max"
     prim_keys = {c.ideal.key for c in ctx.certs}
     max_keys = {m.key for m in ctx.lattice.maximal}
     t1 = ctx.space.is_t1()
     agree = t1 == (prim_keys == max_keys)
-    if ctx.unital:
+    if ctx.ring.is_unital:
         if agree:
-            return _pass(cid)
-        return _fail(cid, f"t1 is {t1} but the primitive and maximal sets "
-                          f"{'match' if prim_keys == max_keys else 'differ'}")
+            return _pass()
+        return _fail(f"t1 is {t1} but the primitive and maximal sets "
+                     f"{'match' if prim_keys == max_keys else 'differ'}")
     if agree:
-        return _pass(cid, "holds without a unit here")
-    return _info(cid, f"no unit and the equivalence fails: t1 is {t1}, "
-                      f"primitive set {'equals' if prim_keys == max_keys else 'differs from'} "
-                      "maximal set")
+        return _pass("holds without a unit here")
+    return _info(f"no unit and the equivalence fails: t1 is {t1}, "
+                 f"primitive set {'equals' if prim_keys == max_keys else 'differs from'} "
+                 "maximal set")
 
 
+@_needs_unit
 def check_compactness_kernel_sum(ctx):
-    cid = "compactness-kernel-sum"
-    if not ctx.unital:
-        return _skip(cid, "needs a unit")
     proper = [a for a in ctx.lattice.two_sided if a.proper]
     families = []
     full = ctx.space.full_pmask
@@ -383,43 +379,40 @@ def check_compactness_kernel_sum(ctx):
     if acc == 0 and len(proper) > 2:
         families.append(tuple(proper))
     if not families:
-        return _skip(cid, "no family of proper ideals uncovers the space")
+        return _skip("no family of proper ideals uncovers the space")
     for family in families:
         combo = compactness_witness(ctx.space, family)
         total = witness_kernel_sum(ctx.space, family, combo)
         if not total.is_full():
-            return _fail(cid, f"minimal subfamily {combo} sums to {total!r}, not the ring")
-    return _pass(cid, f"{len(families)} covering families")
+            return _fail(f"minimal subfamily {combo} sums to {total!r}, not the ring")
+    return _pass(f"{len(families)} covering families")
 
 
 def check_irreducible_sets_are_point_closures(ctx):
-    cid = "irreducible-sets-are-point-closures"
     closed = ctx.space.closed_sets()
     closures = {ctx.space.closure(1 << i) for i in range(ctx.space.size)}
     for c in closed:
         fast = is_irreducible(ctx.space, c)
-        if len(closed) <= 64:
+        if len(closed) <= SPLIT_REFEREE_CLOSED_SETS:
             slow = c != 0 and reducible_split(ctx.space, c) is None
             if fast != slow:
-                return _fail(cid, f"irreducibility routes disagree on {bin(c)}")
+                return _fail(f"irreducibility routes disagree on {bin(c)}")
         if fast and c not in closures:
-            return _fail(cid, f"irreducible {bin(c)} is no point closure")
+            return _fail(f"irreducible {bin(c)} is no point closure")
         if not fast and c != 0 and c in closures:
-            return _fail(cid, f"point closure {bin(c)} judged reducible")
-    return _pass(cid, f"{len(closed)} closed sets")
+            return _fail(f"point closure {bin(c)} judged reducible")
+    return _pass(f"{len(closed)} closed sets")
 
 
 def check_generic_point_unique(ctx):
-    cid = "generic-point-unique"
     for c in irreducible_closed_sets(ctx.space):
         g = generic_points(ctx.space, c)
         if len(g) != 1:
-            return _fail(cid, f"{bin(c)} has {len(g)} generic points")
-    return _pass(cid)
+            return _fail(f"{bin(c)} has {len(g)} generic points")
+    return _pass()
 
 
 def check_components_are_minimal_point_closures(ctx):
-    cid = "components-are-minimal-point-closures"
     space = ctx.space
     comps = set(irreducible_components(space))
     minimal = []
@@ -429,36 +422,31 @@ def check_components_are_minimal_point_closures(ctx):
             minimal.append(i)
     expected = {space.closure(1 << i) for i in minimal}
     if comps != expected:
-        return _fail(cid, "components differ from the closures of the minimal points")
+        return _fail("components differ from the closures of the minimal points")
     covered = 0
     for c in comps:
         covered |= c
     if covered != space.full_pmask:
-        return _fail(cid, "components fail to cover the space")
-    return _pass(cid, f"{len(comps)} components")
+        return _fail("components fail to cover the space")
+    return _pass(f"{len(comps)} components")
 
 
 def check_noetherian_space(ctx):
-    cid = "noetherian-space"
     if is_noetherian_space(ctx.space):
-        return _pass(cid)
-    return _fail(cid, "a descending chain refused to stabilize")
+        return _pass()
+    return _fail("a descending chain refused to stabilize")
 
 
+@_hom_sized
 def check_endo_hom_kernels(ctx):
-    cid = "endo-hom-kernels"
-    if ctx.ring.order > HOM_CHECK_ORDER:
-        return _skip(cid, "hom enumeration bounded to small rings")
     homs = ctx.endomorphisms
     for hom in homs:
         kernel_ideal(hom)
-    return _pass(cid, f"{len(homs)} endomorphisms")
+    return _pass(f"{len(homs)} endomorphisms")
 
 
+@_hom_sized
 def check_induced_map_continuity(ctx):
-    cid = "induced-map-continuity"
-    if ctx.ring.order > HOM_CHECK_ORDER:
-        return _skip(cid, "hom enumeration bounded to small rings")
     total_maps = 0
     partial = 0
     for hom in ctx.endomorphisms:
@@ -468,69 +456,63 @@ def check_induced_map_continuity(ctx):
             continue
         total_maps += 1
         if not is_continuous(imap):
-            return _fail(cid, f"pullback of {hom.mapping} is discontinuous")
+            return _fail(f"pullback of {hom.mapping} is discontinuous")
     detail = f"{total_maps} total maps"
     if partial:
         detail += f", {partial} with points pulled outside the space"
-    return _pass(cid, detail)
+    return _pass(detail)
 
 
 def check_radical_quotient_homeomorphism(ctx):
-    cid = "radical-quotient-homeomorphism"
     report = check_radical_homeomorphism(ctx.ring)
     if report.ok:
-        return _pass(cid)
-    return _fail(cid, f"total={report.total} bijective={report.bijective} "
-                      f"closed_sets={report.closed_sets_correspond}")
+        return _pass()
+    return _fail(f"total={report.total} bijective={report.bijective} "
+                 f"closed_sets={report.closed_sets_correspond}")
 
 
+@_hom_sized
 def check_surjection_embedding(ctx):
-    cid = "surjection-embedding"
-    if ctx.ring.order > HOM_CHECK_ORDER:
-        return _skip(cid, "hom enumeration bounded to small rings")
     checked = 0
     for a in ctx.lattice.two_sided:
         quot = quotient_ring(ctx.ring, a)
         imap = induced_map(quot.projection)
         if not imap.total:
-            return _fail(cid, f"projection mod {a.members!r} pulls a primitive "
-                              "outside the space")
+            return _fail(f"projection mod {a.members!r} pulls a primitive "
+                         "outside the space")
         report = check_closed_embedding(imap)
         if not report.ok:
-            return _fail(cid, f"projection mod {a.members!r}: "
-                              f"injective={report.injective} "
-                              f"image={report.image_is_kernel_vanishing} "
-                              f"closed={report.closed_sets_correspond}")
+            return _fail(f"projection mod {a.members!r}: "
+                         f"injective={report.injective} "
+                         f"image={report.image_is_kernel_vanishing} "
+                         f"closed={report.closed_sets_correspond}")
         density = check_density(imap)
         if not density.agree:
-            return _fail(cid, f"projection mod {a.members!r}: dense={density.dense} "
-                              f"kernel in radical={density.kernel_in_radical}")
+            return _fail(f"projection mod {a.members!r}: dense={density.dense} "
+                         f"kernel in radical={density.kernel_in_radical}")
         checked += 1
-    return _pass(cid, f"{checked} projections")
+    return _pass(f"{checked} projections")
 
 
 def check_nil_radical_vs_nilpotents(ctx):
-    cid = "nil-radical-vs-nilpotents"
     rad = nil_radical(ctx.ring, ctx.lattice)
     nil = nilpotent_elements(ctx.ring)
     if rad.members.mask == nil.mask:
-        return _info(cid, "prime intersection equals the nilpotent set")
+        return _info("prime intersection equals the nilpotent set")
     if nil.mask & ~rad.members.mask == 0:
-        return _info(cid, f"nilpotents {nil!r} sit strictly inside "
-                          f"the prime intersection {rad.members!r}")
-    return _info(cid, f"a nilpotent escapes the prime intersection: "
-                      f"{nil!r} vs {rad.members!r}")
+        return _info(f"nilpotents {nil!r} sit strictly inside "
+                     f"the prime intersection {rad.members!r}")
+    return _info(f"a nilpotent escapes the prime intersection: "
+                 f"{nil!r} vs {rad.members!r}")
 
 
+@_gate(_rogue_sized, "module table search bounded to very small rings")
 def check_rogue_simple_modules(ctx):
-    cid = "rogue-simple-modules"
-    if ctx.ring.order > ROGUE_CHECK_ORDER:
-        return _skip(cid, "module table search bounded to very small rings")
     rogues = rogue_annihilators(ctx.ring)
     if not rogues:
-        return _pass(cid, "no simple module hides from the maximal right ideals")
+        return _pass("no simple module hides from the maximal right ideals")
     names = ", ".join(repr(p.members) for p, _ in rogues)
-    return _info(cid, f"annihilators found only by brute force: {names}")
+    return _info(f"annihilators found only by brute force: {names}")
 
 
 CHECKS = (
@@ -638,23 +620,28 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
+@contextlib.contextmanager
+def _ring_context(ring):
+    """The RingContext of one ring.  Corpus rings outlive a sweep in
+    generate_corpus's cache, so drop what the work kept on the ring."""
+    try:
+        yield RingContext(ring)
+    finally:
+        ring._derived.clear()
+
+
 def run_ring_checks(ring, check_ids=None) -> tuple:
     """The checks on one ring, in registry order.  A check that breaks a
     theorem on the way (``TheoremViolationError``) fails with its message."""
-    ctx = RingContext(ring)
-    wanted = set(check_ids) if check_ids else None
     results = []
-    for cid, fn in CHECKS:
-        if wanted is not None and cid not in wanted:
-            continue
-        try:
-            results.append(fn(ctx))
-        except TheoremViolationError as e:
-            results.append(_fail(cid, str(e)))
-    # generate_corpus keeps its few most recent corpora, so corpus rings
-    # live on; drop what the checks kept on this one, or the lattices,
-    # quotients and spaces pile up over a sweep
-    ring._derived.clear()
+    with _ring_context(ring) as ctx:
+        for cid, check in CHECKS:
+            if check_ids and cid not in check_ids:
+                continue
+            try:
+                results.append(CheckResult(cid, *check(ctx)))
+            except TheoremViolationError as e:
+                results.append(CheckResult(cid, "fail", str(e)))
     return tuple(results)
 
 
@@ -691,39 +678,50 @@ class SearchResult:
     found: tuple  # (ring name, description)
 
 
-SEARCH_KINDS = ("prime-not-primitive", "primitive-not-maximal",
-                "t1-failure", "rogue-simple-module")
+def _prime_not_primitive(ctx):
+    prim_keys = {c.ideal.key for c in ctx.certs}
+    return [f"prime {p.members!r} is not primitive"
+            for p in ctx.lattice.prime if p.key not in prim_keys]
+
+
+def _primitive_not_maximal(ctx):
+    max_keys = {m.key for m in ctx.lattice.maximal}
+    return [f"primitive {c.ideal.members!r} is not maximal"
+            for c in ctx.certs if c.ideal.key not in max_keys]
+
+
+def _t1_failure(ctx):
+    status, detail = check_t1_iff_prim_equals_max(ctx)
+    return [detail] if status in ("fail", "info") else []
+
+
+def _rogue_simple_module(ctx):
+    return [f"annihilator {p.members!r} from a module of order {module.order}"
+            for p, module in rogue_annihilators(ctx.ring)]
+
+
+# each search kind: the finder that lists one ring's findings, and the
+# rings it runs on (None: every ring), which are the rings it scans
+SEARCHES = {
+    "prime-not-primitive": (_prime_not_primitive, None),
+    "primitive-not-maximal": (_primitive_not_maximal, None),
+    "t1-failure": (_t1_failure, None),
+    "rogue-simple-module": (_rogue_simple_module, _rogue_sized),
+}
+
+SEARCH_KINDS = tuple(SEARCHES)
 
 
 def counterexample_search(kind, max_order=3, per_order_limit=None) -> SearchResult:
     """Sweep the corpus for interesting configurations.  Findings are
     observations, not failures."""
-    if kind not in SEARCH_KINDS:
+    if kind not in SEARCHES:
         raise ValueError(f"unknown search {kind!r}; pick one of {', '.join(SEARCH_KINDS)}")
-    entries = generate_corpus(max_order=max_order, per_order_limit=per_order_limit)
+    finder, runs_on = SEARCHES[kind]
+    entries = [e for e in generate_corpus(max_order=max_order, per_order_limit=per_order_limit)
+               if runs_on is None or runs_on(e.ring)]
     found = []
     for entry in entries:
-        ctx = RingContext(entry.ring)
-        if kind == "prime-not-primitive":
-            prim_keys = {c.ideal.key for c in ctx.certs}
-            for p in ctx.lattice.prime:
-                if p.key not in prim_keys:
-                    found.append((entry.name, f"prime {p.members!r} is not primitive"))
-        elif kind == "primitive-not-maximal":
-            max_keys = {m.key for m in ctx.lattice.maximal}
-            for c in ctx.certs:
-                if c.ideal.key not in max_keys:
-                    found.append((entry.name,
-                                  f"primitive {c.ideal.members!r} is not maximal"))
-        elif kind == "t1-failure":
-            result = check_t1_iff_prim_equals_max(ctx)
-            if result.status in ("fail", "info"):
-                found.append((entry.name, result.detail))
-        else:
-            if entry.ring.order <= ROGUE_CHECK_ORDER:
-                for p, module in rogue_annihilators(entry.ring):
-                    found.append((entry.name,
-                                  f"annihilator {p.members!r} from a module "
-                                  f"of order {module.order}"))
-        entry.ring._derived.clear()  # as in run_ring_checks
+        with _ring_context(entry.ring) as ctx:
+            found.extend((entry.name, detail) for detail in finder(ctx))
     return SearchResult(kind=kind, scanned=len(entries), found=tuple(found))

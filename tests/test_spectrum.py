@@ -144,6 +144,16 @@ def test_chains_and_noetherian(z6):
     assert is_noetherian_space(space)
 
 
+@pytest.mark.parametrize("chain", [
+    (0b111, 0b11, 0),  # 0b111 holds a point the space lacks, so is not closed
+    (0b11, 0b11, 0),   # not strictly descending
+    (0b01, 0b10, 0),   # 0b10 is not inside 0b01
+])
+def test_noetherian_check_refuses_a_broken_chain(z6, chain, monkeypatch):
+    monkeypatch.setattr("krasner.spectrum.longest_closed_chain", lambda space: chain)
+    assert not is_noetherian_space(SpectrumSpace.build(z6))
+
+
 def test_compactness_witness_z6(z6):
     space = SpectrumSpace.build(z6)
     lattice = IdealLattice.build(z6)
