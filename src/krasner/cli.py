@@ -34,7 +34,7 @@ from .morphisms import (
 )
 from .primitivity import prim_certificates
 from .spectrum import SpectrumSpace, dot_graph, space_as_dict
-from .suite import CHECK_IDS, SEARCH_KINDS, counterexample_search, run_theorem_suite
+from .suite import SEARCH_KINDS, counterexample_search, require_known_checks, run_theorem_suite
 
 
 def _dump(obj) -> str:
@@ -174,9 +174,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_check(args) -> int:
     check_ids = args.checks.split(",") if args.checks else None
-    unknown = sorted(set(check_ids or ()) - set(CHECK_IDS))
-    if unknown:
-        raise InputError(f"error: unknown check ids: {', '.join(unknown)}")
+    try:
+        require_known_checks(check_ids)
+    except ValueError as e:
+        raise InputError(f"error: {e}") from None
     if args.files:
         entries = []
         for path in args.files:

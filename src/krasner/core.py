@@ -386,6 +386,17 @@ def hypersum(ring: HyperRing, x: ElementSet, y: ElementSet) -> ElementSet:
     return ElementSet(ring, out)
 
 
+def set_product(table, xs: int, ys: int) -> int:
+    """Mask of table[x][y] over x in the mask xs and y in the mask ys,
+    for a single valued table: a ring's products or a module's action."""
+    out = 0
+    for x in bits(xs):
+        row = table[x]
+        for y in bits(ys):
+            out |= 1 << row[y]
+    return out
+
+
 def neg_set(ring: HyperRing, x: ElementSet) -> ElementSet:
     """Elementwise additive inverse of a subset."""
     if x.structure is not ring:
@@ -511,6 +522,8 @@ def find_unit(n: int, mul) -> int | None:
     return None
 
 
+# the largest source or target carrier of a hom search
+# (``require_hom_bound``)
 HOM_SEARCH_BOUND = 6
 
 # the largest carrier of the simple-module search

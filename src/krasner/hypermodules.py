@@ -23,7 +23,6 @@ from .core import (
     HyperRing,
     StrongHom,
     Structure,
-    TheoremViolationError,
     ValidationReport,
     VerificationReport,
     _MaskTable,
@@ -37,6 +36,7 @@ from .core import (
     mask_of,
     require_hom_bound,
     require_scan_bound,
+    set_product,
     strong_hom_checks,
     sum_action_failure,
 )
@@ -174,9 +174,7 @@ def submodule(module: HyperModule, members) -> HyperModule:
     s = module.members_mask(members)
 
     def build():
-        check = is_subhypermodule(module, module.from_mask(s))
-        if not check:
-            raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
+        is_subhypermodule(module, module.from_mask(s)).required("subhypermodule")
         elems = bits(s)
         index = {e: i for i, e in enumerate(elems)}
         madd = _MaskTable([mask_of(index[t] for t in bits(module.add_masks[a][b]))
@@ -215,18 +213,9 @@ def module_ideal_product(module: HyperModule, ideal: HyperIdeal) -> ElementSet:
     module.require_validated()
     if ideal.ring is not module.ring:
         raise ValueError("ideal belongs to a different ring")
-    products = 0
-    for m in range(module.order):
-        row = module.act_table[m]
-        for a in bits(ideal.members.mask):
-            products |= 1 << row[a]
-    closed = sum_of_products_closure(module.add_masks, products)
-    out = module.from_mask(closed)
-    check = is_subhypermodule(module, out)
-    if not check:
-        raise TheoremViolationError(
-            f"M * ideal failed {check.clause} at {check.witness}"
-        )
+    products = set_product(module.act_table, module.full_mask, ideal.key)
+    out = module.from_mask(sum_of_products_closure(module.add_masks, products))
+    is_subhypermodule(module, out).asserted("M * ideal")
     return out
 
 
@@ -237,11 +226,7 @@ def annihilator(module: HyperModule) -> HyperIdeal:
     act = module.act_table
     n = module.order
     good = [r for r in range(module.ring.order) if all(act[m][r] == 0 for m in range(n))]
-    check = is_hyperideal(module.ring, good, "two-sided")
-    if not check:
-        raise TheoremViolationError(
-            f"annihilator failed {check.clause} at {check.witness}"
-        )
+    is_hyperideal(module.ring, good, "two-sided").asserted("annihilator")
     return HyperIdeal._trusted(module.ring, mask_of(good), "two-sided")
 
 
@@ -262,9 +247,7 @@ def quotient_module(module: HyperModule, members) -> ModuleQuotient:
     k = module.from_mask(module.members_mask(members))
 
     def build():
-        check = is_subhypermodule(module, k)
-        if not check:
-            raise ValueError(f"not a subhypermodule: {check.clause} fails at {check.witness}")
+        is_subhypermodule(module, k).required("subhypermodule")
         cosets, coset_of, madd, mneg = quotient_hypergroup(module, k.mask)
         ring_elements = [1 << r for r in range(module.ring.order)]
         act = induced_value_table(module.act_table, cosets, coset_of, ring_elements)
@@ -301,18 +284,14 @@ def hom_kernel(hom: ModuleHom) -> ElementSet:
     """Preimage of 0; asserted to be a subhypermodule of the source."""
     mask = mask_of(m for m, v in enumerate(hom.mapping) if v == 0)
     out = hom.source.from_mask(mask)
-    check = is_subhypermodule(hom.source, out)
-    if not check:
-        raise TheoremViolationError(f"kernel failed {check.clause} at {check.witness}")
+    is_subhypermodule(hom.source, out).asserted("kernel")
     return out
 
 
 def hom_image(hom: ModuleHom) -> ElementSet:
     """Range; asserted to be a subhypermodule of the target."""
     out = hom.target.from_mask(hom.image_mask())
-    check = is_subhypermodule(hom.target, out)
-    if not check:
-        raise TheoremViolationError(f"image failed {check.clause} at {check.witness}")
+    is_subhypermodule(hom.target, out).asserted("image")
     return out
 
 

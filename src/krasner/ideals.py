@@ -30,6 +30,7 @@ from .core import (
     hypersum,
     mask_of,
     require_scan_bound,
+    set_product,
 )
 
 SIDEDNESS = ("left", "right", "two-sided")
@@ -44,6 +45,20 @@ class IdealCheck:
 
     def __bool__(self):
         return self.ok
+
+    def asserted(self, what: str):
+        """Raise unless the check passed: ``what``, a derived set that a
+        theorem says is closed, is not, and ``TheoremViolationError``
+        names the failed clause and its witness."""
+        if not self.ok:
+            raise TheoremViolationError(f"{what} failed {self.clause} at {self.witness}")
+
+    def required(self, noun: str):
+        """Raise unless the check passed: the set handed in is not a
+        ``noun``, and ``ValueError`` names the failed clause and its
+        witness."""
+        if not self.ok:
+            raise ValueError(f"not a {noun}: {self.clause} fails at {self.witness}")
 
 
 def _as_mask(ring: HyperRing, members) -> int:
@@ -90,11 +105,7 @@ class HyperIdeal:
     __slots__ = ("ring", "members", "sidedness")
 
     def __init__(self, ring: HyperRing, members, sidedness: str = "two-sided"):
-        check = is_hyperideal(ring, members, sidedness)
-        if not check:
-            raise ValueError(
-                f"not a {sidedness} hyperideal: {check.clause} fails at {check.witness}"
-            )
+        is_hyperideal(ring, members, sidedness).required(f"{sidedness} hyperideal")
         self.ring = ring
         self.members = ring.from_mask(_as_mask(ring, members))
         self.sidedness = sidedness
@@ -178,13 +189,8 @@ def _product_table(ring: HyperRing, two_sided) -> dict:
     family = {a.key for a in two_sided}
     table = {}
     for a in two_sided:
-        rows = [mul[x] for x in bits(a.key)]
         for b in two_sided:
-            products = 0
-            for row in rows:
-                for y in bits(b.key):
-                    products |= 1 << row[y]
-            closed = sum_of_products_closure(add, products)
+            closed = sum_of_products_closure(add, set_product(mul, a.key, b.key))
             if closed not in family:
                 ideal_product(a, b)
                 raise TheoremViolationError(
@@ -262,11 +268,7 @@ def ideal_sum(ideals) -> HyperIdeal:
     acc = ideals[0].members
     for i in ideals[1:]:
         acc = hypersum(ring, acc, i.members)
-    check = is_hyperideal(ring, acc, sided)
-    if not check:
-        raise TheoremViolationError(
-            f"sum of {sided} ideals failed {check.clause} at {check.witness}"
-        )
+    is_hyperideal(ring, acc, sided).asserted(f"sum of {sided} ideals")
     return HyperIdeal._trusted(ring, acc.mask, sided)
 
 
@@ -457,46 +459,28 @@ def _product_sidedness(a: HyperIdeal, b: HyperIdeal) -> str | None:
     return "right" if right else None
 
 
-def ideal_product(a, b, ring: HyperRing | None = None):
-    """Product: all elements lying in finite sums of pairwise products.
+def ideal_product(a: HyperIdeal, b: HyperIdeal):
+    """Product of two hyperideals over one ring: all elements lying in
+    finite sums of pairwise products.
 
-    Accepts hyperideals or plain element sets over the same ring.  When
-    both inputs are hyperideals, the product absorbs on the left when a
-    does (left or two sided) and on the right when b does (right or two
-    sided); it is asserted to be a hyperideal of that sidedness and is
-    returned as such.  A right ideal times a left ideal has no side, and
-    then, as for plain element sets, the raw element set comes back.
+    The product absorbs on the left when a does (left or two sided) and
+    on the right when b does (right or two sided); it is asserted to be
+    a hyperideal of that sidedness and is returned as such.  A right
+    ideal times a left ideal has no side, and then the raw element set
+    comes back.
     """
-    a_ideal = isinstance(a, HyperIdeal)
-    b_ideal = isinstance(b, HyperIdeal)
-    if a_ideal:
-        ring = a.ring
-    elif b_ideal:
-        ring = b.ring
-    elif ring is None:
-        raise ValueError("pass the ring when neither operand is a HyperIdeal")
+    if not (isinstance(a, HyperIdeal) and isinstance(b, HyperIdeal)):
+        raise TypeError("ideal_product takes two HyperIdeals")
+    if a.ring is not b.ring:
+        raise ValueError("operands must live over the same ring")
+    ring = a.ring
     ring.require_validated()
-    a_set = a.members if a_ideal else a
-    b_set = b.members if b_ideal else b
-    for s in (a_set, b_set):
-        if not isinstance(s, ElementSet) or s.structure is not ring:
-            raise ValueError("operands must live over the same ring")
-    mul = ring.mul_table
-    products = 0
-    for x in bits(a_set.mask):
-        row = mul[x]
-        for y in bits(b_set.mask):
-            products |= 1 << row[y]
-    closed = sum_of_products_closure(ring.add_masks, products)
-    sided = _product_sidedness(a, b) if a_ideal and b_ideal else None
-    if sided is not None:
-        check = is_hyperideal(ring, ring.from_mask(closed), sided)
-        if not check:
-            raise TheoremViolationError(
-                f"product of {sided} ideals failed {check.clause} at {check.witness}"
-            )
-        return HyperIdeal._trusted(ring, closed, sided)
-    return ring.from_mask(closed)
+    closed = sum_of_products_closure(ring.add_masks, set_product(ring.mul_table, a.key, b.key))
+    sided = _product_sidedness(a, b)
+    if sided is None:
+        return ring.from_mask(closed)
+    is_hyperideal(ring, ring.from_mask(closed), sided).asserted(f"product of {sided} ideals")
+    return HyperIdeal._trusted(ring, closed, sided)
 
 
 def generated_ideal(ring: HyperRing, members, sidedness: str = "two-sided") -> HyperIdeal:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .core import (
     HyperRing,
     StrongHom,
-    TheoremViolationError,
     VerificationReport,
     axiom_check,
     bits,
@@ -68,11 +67,7 @@ def verify_strong_hom(hom: RingHom) -> VerificationReport:
 def kernel_ideal(hom: RingHom) -> HyperIdeal:
     """Preimage of 0, asserted to be a two sided hyperideal."""
     members = [a for a, v in enumerate(hom.mapping) if v == 0]
-    check = is_hyperideal(hom.source, members, "two-sided")
-    if not check:
-        raise TheoremViolationError(
-            f"kernel of a strong hom failed {check.clause} at {check.witness}"
-        )
+    is_hyperideal(hom.source, members, "two-sided").asserted("kernel of a strong hom")
     return HyperIdeal._trusted(hom.source, mask_of(members), "two-sided")
 
 
@@ -82,12 +77,8 @@ def preimage_ideal(hom: RingHom, ideal: HyperIdeal) -> HyperIdeal:
     if ideal.ring is not hom.target:
         raise ValueError("ideal must live in the hom's target")
     members = [a for a, v in enumerate(hom.mapping) if 1 << v & ideal.members.mask]
-    check = is_hyperideal(hom.source, members, ideal.sidedness)
-    if not check:
-        raise TheoremViolationError(
-            f"preimage of a {ideal.sidedness} hyperideal failed "
-            f"{check.clause} at {check.witness}"
-        )
+    is_hyperideal(hom.source, members, ideal.sidedness).asserted(
+        f"preimage of a {ideal.sidedness} hyperideal")
     return HyperIdeal._trusted(hom.source, mask_of(members), ideal.sidedness)
 
 

@@ -40,11 +40,7 @@ class PrimitiveCertificate:
 
 def product_mask(ring: HyperRing) -> int:
     # the raw set {a b}, not its ideal closure
-    out = 0
-    for row in ring.mul_table:
-        for v in row:
-            out |= 1 << v
-    return out
+    return core.set_product(ring.mul_table, ring.full_mask, ring.full_mask)
 
 
 def prim_from_maximal_right(ring: HyperRing, m: HyperIdeal) -> PrimitiveCertificate | None:

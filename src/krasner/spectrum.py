@@ -70,15 +70,18 @@ class SpectrumSpace:
             out &= self.point_masks[i]
         return out
 
-    def closure(self, pmask: int) -> int:
-        if pmask == 0:
-            return 0
-        k = self.kernel_of(pmask)
+    def _points_containing(self, k: int) -> int:
+        # pmask of the points whose ideal contains the element mask k
         out = 0
         for i, m in enumerate(self.point_masks):
             if k & ~m == 0:
                 out |= 1 << i
         return out
+
+    def closure(self, pmask: int) -> int:
+        if pmask == 0:
+            return 0
+        return self._points_containing(self.kernel_of(pmask))
 
     def is_closed(self, pmask: int) -> bool:
         return self.closure(pmask) == pmask
@@ -100,12 +103,7 @@ class SpectrumSpace:
         for s in range(1, 1 << n):
             low = s & -s
             kern[s] = kern[s ^ low] & self.point_masks[low.bit_length() - 1]
-            k = kern[s]
-            cl = 0
-            for i, m in enumerate(self.point_masks):
-                if k & ~m == 0:
-                    cl |= 1 << i
-            if cl == s:
+            if self._points_containing(kern[s]) == s:
                 closed.append(s)
         self._closed = (0,) + tuple(closed)
         return self._closed
@@ -118,11 +116,7 @@ class SpectrumSpace:
         """Points containing the ideal."""
         m = ideal.members.mask if isinstance(ideal, HyperIdeal) else (
             ideal.mask if isinstance(ideal, ElementSet) else int(ideal))
-        out = 0
-        for i, pm in enumerate(self.point_masks):
-            if m & ~pm == 0:
-                out |= 1 << i
-        return out
+        return self._points_containing(m)
 
     def is_t0(self) -> bool:
         """Distinct points have distinct closures."""

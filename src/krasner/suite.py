@@ -553,6 +553,13 @@ CHECKS = (
 CHECK_IDS = tuple(cid for cid, _ in CHECKS)
 
 
+def require_known_checks(check_ids):
+    """Refuse, naming them, the check ids that the registry lacks."""
+    unknown = sorted(set(check_ids or ()) - set(CHECK_IDS))
+    if unknown:
+        raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+
+
 @dataclass(frozen=True)
 class RingReportRow:
     name: str
@@ -631,8 +638,10 @@ def _ring_context(ring):
 
 
 def run_ring_checks(ring, check_ids=None) -> tuple:
-    """The checks on one ring, in registry order.  A check that breaks a
-    theorem on the way (``TheoremViolationError``) fails with its message."""
+    """The checks on one ring, in registry order, all of them when
+    check_ids is empty.  A check that breaks a theorem on the way
+    (``TheoremViolationError``) fails with its message."""
+    require_known_checks(check_ids)
     results = []
     with _ring_context(ring) as ctx:
         for cid, check in CHECKS:
@@ -651,10 +660,7 @@ def run_theorem_suite(entries=None, max_order=3, per_order_limit=None,
 
     Rings run one after another in corpus order.
     """
-    if check_ids:
-        unknown = sorted(set(check_ids) - set(CHECK_IDS))
-        if unknown:
-            raise ValueError(f"unknown check ids: {', '.join(unknown)}")
+    require_known_checks(check_ids)
     params = {"max_order": max_order, "per_order_limit": per_order_limit,
               "checks": sorted(check_ids) if check_ids else "all"}
     if entries is None:

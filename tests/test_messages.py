@@ -7,7 +7,8 @@ the failed clause and its witness when the check says otherwise; the
 check is replaced by one that always fails, so each message is read
 without a broken ring.  A set the caller hands in that is not closed
 raises ``ValueError`` with the same clause and witness.  These messages
-are what a user reads, so they are pinned byte for byte.
+are what a user reads, so they are pinned byte for byte.  ``ideal_product``
+takes two hyperideals over one ring and refuses anything else.
 """
 
 import hashlib
@@ -110,6 +111,17 @@ def test_a_set_handed_in_that_is_not_closed_is_refused(call, message):
         call(cyclic_ring(4))
     assert type(raised.value) is ValueError
     assert str(raised.value) == message
+
+
+def test_ideal_product_takes_two_ideals_of_one_ring():
+    ring = cyclic_ring(4)
+    two = HyperIdeal(ring, [0, 2])
+    for a, b in ((two.members, two), (two, two.members), (two.members, two.members)):
+        with pytest.raises(TypeError, match="two HyperIdeals"):
+            ideal_product(a, b)
+    other = HyperIdeal(cyclic_ring(4), [0, 2])
+    with pytest.raises(ValueError, match="operands must live over the same ring"):
+        ideal_product(two, other)
 
 
 # the full report of ``khr check --max-order 4``: the text, and the JSON

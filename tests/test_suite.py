@@ -50,10 +50,18 @@ def test_ring_checks_filter(z4):
     assert all(r.status == "pass" for r in results)
 
 
-def test_unknown_check_id_is_rejected():
-    with pytest.raises(ValueError) as err:
-        run_theorem_suite(max_order=2, check_ids=["t0", "no-such-check"])
-    assert "no-such-check" in str(err.value)
+def test_unknown_check_id_is_rejected(monkeypatch):
+    # the suite refuses before it generates a corpus, and one ring's
+    # checks refuse rather than run none
+    def refuse(**kwargs):
+        raise AssertionError("corpus generated")
+
+    monkeypatch.setattr("krasner.suite.generate_corpus", refuse)
+    for run in (lambda ids: run_theorem_suite(max_order=2, check_ids=ids),
+                lambda ids: run_ring_checks(cyclic_ring(4), ids)):
+        with pytest.raises(ValueError) as err:
+            run(["t0 ", "no-such-check", "t0"])
+        assert str(err.value) == "unknown check ids: no-such-check, t0 "
 
 
 def test_report_is_deterministic():
