@@ -629,55 +629,66 @@ def action_associativity_failure(rmul, act, instances):
     return None
 
 
+def strong_addition_rules(source_add, target_add) -> list:
+    """Search rules on cells a holding f(a): f sends each hypersum a + b
+    of source_add onto exactly f(a) + f(b) in target_add."""
+    return [sum_rule(a, b, bits(ab), target_add)
+            for a, row in enumerate(source_add) for b, ab in enumerate(row)]
+
+
 def action_tables(madd, radd, rmul=None) -> list:
     """Every action table of a module with hypergroup madd over a ring with
     addition radd and product rmul that passes the three axioms above and
-    kills 0 from both sides, as n x |R| rows in lexicographic order, by
-    ``search`` over cells m * |R| + r.  With rmul None the table searched
-    is the ring's own product (madd is radd): the multiplications that
-    make the hypergroup a hyperring.  Instances with a 0 hold once row 0
-    and column 0 are 0, so only nonzero ones become rules."""
+    kills 0 from both sides, as n x |R| rows in lexicographic order.  With
+    rmul None the table searched is the ring's own product (madd is radd):
+    the multiplications that make the hypergroup a hyperring.
+
+    Row m is the map r -> m r.  Action-sum says it is a strong hom from
+    radd to madd, and killing 0 says it fixes 0, so ``search`` lists those
+    maps once (the zero map first) and then searches rows whose value is
+    an index into that list, so the tables keep the lexicographic order.
+    Two rules link the rows: sum-action (a + b) r = a r + b r, read from
+    rows a, b and the rows of a + b; and associativity (m r) s = m (r s),
+    which says row m r is row m after s -> r s (row r, for a product).
+    Instances with a 0 hold once row 0 is zero, so only nonzero ones
+    become rules."""
     n, nr = len(madd), len(radd)
+    maps = search([1] + [n] * (nr - 1), strong_addition_rules(radd, madd))
+    columns = range(1, nr)
     rules = []
+    for a in range(1, n):
+        for b in range(a, n):
+            parts = bits(madd[a][b])
+
+            def sum_action(v, i, a=a, b=b, parts=parts):
+                row_a, row_b = maps[v[a]], maps[v[b]]
+                rows = [maps[v[t]] for t in parts]
+                for r in columns:
+                    image = 0
+                    for row in rows:
+                        image |= 1 << row[r]
+                    if image != madd[row_a[r]][row_b[r]]:
+                        return False
+                return True
+
+            rules.append(((max(a, b, *parts),), sum_action))
     for m in range(1, n):
-        for r in range(1, nr):
-            mr = m * nr + r
-            for b in range(m, n):
-                # sum-action: (m + b) r = m r + b r
-                rules.append(sum_rule(mr, b * nr + r,
-                                      [t * nr + r for t in bits(madd[m][b])], madd))
-            for s in range(r, nr):
-                # action-sum: m (r + s) = m r + m s
-                rules.append(sum_rule(mr, m * nr + s,
-                                      [m * nr + t for t in bits(radd[r][s])], madd))
-            for s in range(1, nr):
-                # action-associativity: (m r) s = m (r s) reads cells chosen
-                # by values, so it watches column s, and row m too when r s
-                # is itself a searched cell
-                column = range(s, n * nr, nr)
-                if rmul is None:
-                    rs = r * nr + s
+        for r in columns:
+            # decided at the last of row m, row r (products) and row m r,
+            # so it watches every row from the first two on
+            first = m if rmul is not None else max(m, r)
 
-                    def associativity(v, i, mr=mr, rs=rs, row=m * nr, s=s):
-                        if mr > i or rs > i:
-                            return True
-                        p, q = v[mr] * nr + s, row + v[rs]
-                        return p > i or q > i or v[p] == v[q]
+            def associativity(v, i, m=m, r=r, first=first):
+                row = maps[v[m]]
+                mr = row[r]
+                if max(first, mr) != i:
+                    return True
+                times_r = maps[v[r]] if rmul is None else rmul[r]
+                return maps[v[mr]] == tuple(row[t] for t in times_r)
 
-                    watch = (mr, rs, *range(m * nr, m * nr + nr), *column)
-                else:
-                    mrs = m * nr + rmul[r][s]
-
-                    def associativity(v, i, mr=mr, mrs=mrs, s=s):
-                        if mr > i or mrs > i:
-                            return True
-                        p = v[mr] * nr + s
-                        return p > i or v[mrs] == v[p]
-
-                    watch = (mr, mrs, *column)
-                rules.append((watch, associativity))
-    sizes = [1 if m == 0 or r == 0 else n for m in range(n) for r in range(nr)]
-    return [tuple(v[m * nr:m * nr + nr] for m in range(n)) for v in search(sizes, rules)]
+            rules.append((range(first, n), associativity))
+    sizes = [1] + [len(maps)] * (n - 1)
+    return [tuple(maps[i] for i in v) for v in search(sizes, rules)]
 
 
 def require_hom_bound(source: Structure, target: Structure):
@@ -753,9 +764,7 @@ def hom_search(cls, source: Structure, target: Structure, rules, verify, what: s
     ``search`` (cell a holds f(a)).  Each is re-verified by verify, and
     one that fails raises "<what> produced ...".  Callers bound the
     orders first (``require_hom_bound``) where the search must stay small."""
-    target_add = target.add_masks
-    rules = [sum_rule(a, b, bits(ab), target_add)
-             for a, row in enumerate(source.add_masks) for b, ab in enumerate(row)] + rules
+    rules = strong_addition_rules(source.add_masks, target.add_masks) + rules
     homs = tuple(cls(source, target, f)
                  for f in search([1] + [target.order] * (source.order - 1), rules))
     for hom in homs:

@@ -10,11 +10,13 @@ of ``core.search``, whose rules keep every cell of the table nonempty and
 every associativity instance true as soon as the orbits they read are
 decided; a table it returns that fails the hypergroup validator raises.
 
-Multiplication tables are the actions of the ring on itself: the search
-of ``core.action_tables`` fills the nonzero entries one at a time and
-checks each instance of the three action axioms of ``core``, which on
-the regular module are mul-associativity and the two distributivities,
-as soon as the entries it reads are filled.
+Multiplication tables are the actions of the ring on itself, found by
+``core.action_tables`` one whole row at a time.  Row m, the map r -> m r,
+is a strong endomorphism of the hypergroup by left distributivity, so
+the endomorphisms are listed once and each row is an index into that
+list; right distributivity and mul-associativity, the other two action
+axioms of ``core`` on the regular module, are checked as soon as the
+rows they read are set.
 
 Everything is deterministic: fixed enumeration orders, no hashing of
 anything but canonical encodings.  Rings are deduplicated up to

@@ -132,8 +132,9 @@ def enumerate_simple_modules(ring: HyperRing) -> tuple:
     """Every simple right hypermodule on a carrier of at most
     ``core.SIMPLE_MODULE_ORDER`` elements.  For each canonical hypergroup,
     ``core.action_tables`` finds the action tables (row 0 and column 0
-    zero) that pass the three action axioms against the ring's tables;
-    each is validated and kept when simple.  An order past the corpus cap
+    zero) that pass the three action axioms against the ring's tables,
+    choosing each row among the strong homs from the ring's hypergroup
+    into the module's; each is validated and kept when simple.  An order past the corpus cap
     raises ``BoundExceededError`` before any search."""
     ring.require_validated()
     max_order = core.SIMPLE_MODULE_ORDER

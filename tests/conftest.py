@@ -1,11 +1,18 @@
 import pytest
 
+import krasner
 from krasner.catalog import cyclic_ring, hyperfield_k, zero_mul_ring
 from krasner.corpus import generate_corpus
 
 # one pass/FAIL line per shipped guarantee, filled in by test_acceptance
 # and echoed after the run so the gate is readable at a glance
 ACCEPTANCE_LINES = []
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src first, ahead of
+    # PYTHONPATH, so name the code actually under test
+    return f"krasner imported from {krasner.__file__}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,8 +8,10 @@ product space. Counts and the tables themselves must agree exactly.
 At order 4 the generator's rule search over the free triple orbits is
 refereed by a plain loop over every subset of those orbits, and the
 labelled counts by the orbit-stabilizer identity over the classes.  The
-opt-in order-5 referees also run the closed-subset search against the
-scan it replaced on every order-5 ring.
+opt-in order-5 referees also run the product search against the
+cell-by-cell search it replaced on every order-5 hypergroup class, and
+the closed-subset search against the scan it replaced on every order-5
+ring.
 """
 
 import itertools
@@ -449,6 +451,23 @@ def test_order_five_referee(monkeypatch):
     entries = generate_corpus(5)
     assert len(entries) == 4581
     assert corpus_fingerprint(entries, 5).startswith("7481adac5f4065f5")
+
+
+@pytest.mark.slow
+def test_order_five_products_referee(monkeypatch):
+    # the row search of core.action_tables against the cell-by-cell search
+    # it replaced, on every order-5 hypergroup class; opt-in as above
+    from test_search import cellwise_action_tables
+
+    monkeypatch.setattr(corpus, "HARD_ORDER_CAP", 5)
+    classes = enumerate_hypergroups(5)
+    assert len(classes) == 3776
+    found = 0
+    for add, _ in classes:
+        tables = mult_tables(5, add)
+        assert list(tables) == cellwise_action_tables(add, add)
+        found += len(tables)
+    assert found == 4690
 
 
 @pytest.mark.slow

@@ -4,15 +4,16 @@ replaced.
 Each oracle below tries every table or map in lexicographic order and
 runs the full validator on it, as the searchers did before they became
 rule lists for ``core.search``.  The search must give the same results
-in the same order.
+in the same order.  ``core.action_tables``, which searches whole rows,
+is refereed in the same way by the cell-by-cell search it replaced.
 """
 
 import itertools
 
 import pytest
 
-from krasner.core import search
-from krasner.corpus import enumerate_hypergroups
+from krasner.core import SIMPLE_MODULE_ORDER, action_tables, bits, search, sum_rule
+from krasner.corpus import enumerate_hypergroups, mult_tables
 from krasner.hypermodules import (
     HyperModule,
     ModuleHom,
@@ -79,6 +80,53 @@ def brute_simple_modules(ring, max_order=3):
                 if module.validate().ok and is_simple(module):
                     found.append(module.encoding())
     return found
+
+
+def cellwise_action_tables(madd, radd, rmul=None):
+    """``core.action_tables`` one cell at a time: ``search`` over cells
+    m * |R| + r, each instance of the three action axioms a rule that
+    fails as soon as the cells it reads are filled."""
+    n, nr = len(madd), len(radd)
+    rules = []
+    for m in range(1, n):
+        for r in range(1, nr):
+            mr = m * nr + r
+            for b in range(m, n):
+                # sum-action: (m + b) r = m r + b r
+                rules.append(sum_rule(mr, b * nr + r,
+                                      [t * nr + r for t in bits(madd[m][b])], madd))
+            for s in range(r, nr):
+                # action-sum: m (r + s) = m r + m s
+                rules.append(sum_rule(mr, m * nr + s,
+                                      [m * nr + t for t in bits(radd[r][s])], madd))
+            for s in range(1, nr):
+                # action-associativity: (m r) s = m (r s) reads cells chosen
+                # by values, so it watches column s, and row m too when r s
+                # is itself a searched cell
+                column = range(s, n * nr, nr)
+                if rmul is None:
+                    rs = r * nr + s
+
+                    def associativity(v, i, mr=mr, rs=rs, row=m * nr, s=s):
+                        if mr > i or rs > i:
+                            return True
+                        p, q = v[mr] * nr + s, row + v[rs]
+                        return p > i or q > i or v[p] == v[q]
+
+                    watch = (mr, rs, *range(m * nr, m * nr + nr), *column)
+                else:
+                    mrs = m * nr + rmul[r][s]
+
+                    def associativity(v, i, mr=mr, mrs=mrs, s=s):
+                        if mr > i or mrs > i:
+                            return True
+                        p = v[mr] * nr + s
+                        return p > i or v[mrs] == v[p]
+
+                    watch = (mr, mrs, *column)
+                rules.append((watch, associativity))
+    sizes = [1 if m == 0 or r == 0 else n for m in range(n) for r in range(nr)]
+    return [tuple(v[m * nr:m * nr + nr] for m in range(n)) for v in search(sizes, rules)]
 
 
 # the search itself
@@ -181,3 +229,31 @@ def test_simple_modules_match_brute_force(corpus4):
         assert [m.encoding() for m in mods] == brute_simple_modules(ring)
         found += len(mods)
     assert found
+
+
+def test_products_match_the_cellwise_search():
+    classes = [add for n in range(1, 5) for add, _ in enumerate_hypergroups(n)]
+    assert len(classes) == 110
+    for add in classes:
+        assert action_tables(add, add) == cellwise_action_tables(add, add)
+
+
+def test_module_actions_match_the_cellwise_search(corpus4):
+    rings = [e.ring for e in corpus4]
+    assert min(ring.order for ring in rings) == 1
+    assert sum(ring.mul_table != tuple(zip(*ring.mul_table)) for ring in rings) == 2
+    found = 0
+    for ring in rings:
+        for n in range(2, SIMPLE_MODULE_ORDER + 1):
+            for add, _ in enumerate_hypergroups(n):
+                tables = action_tables(add, ring.add_masks, ring.mul_table)
+                assert tables == cellwise_action_tables(add, ring.add_masks, ring.mul_table)
+                found += len(tables)
+    assert found
+
+
+def test_product_counts_before_dedupe():
+    # the count the benchmark tracer reports as corpus.mult_tables_found
+    counts = [sum(len(mult_tables(n, add)) for add, _ in enumerate_hypergroups(n))
+              for n in range(1, 5)]
+    assert counts == [1, 4, 24, 178]
