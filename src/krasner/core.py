@@ -559,6 +559,9 @@ def search(sizes, rules) -> list:
                 fill(i + 1)
 
     fill(0)
+    # fill refers to itself; break that cycle so the rules and what they
+    # hold go when the search returns, not at a later collection
+    del fill
     return out
 
 

@@ -8,6 +8,7 @@ in the same order.  ``core.action_tables``, which searches whole rows,
 is refereed in the same way by the cell-by-cell search it replaced.
 """
 
+import gc
 import itertools
 
 import pytest
@@ -176,6 +177,19 @@ def test_tests_run_only_at_watched_cells():
     search([2, 2, 2], [((2, 0, 2), record)])
     # once per value at each watched cell, the repeated 2 counted once
     assert sorted(calls) == [0] * 2 + [2] * 8
+
+
+def test_a_returned_search_leaves_no_garbage_cycle():
+    # the rules, and the row list that action_tables' rules hold, go when
+    # the search returns rather than at a later collection
+    gc.collect()
+    gc.disable()
+    try:
+        add = enumerate_hypergroups(3)[-1][0]
+        assert action_tables(add, add)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # the searchers against their oracles
