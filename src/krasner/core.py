@@ -649,7 +649,7 @@ def action_tables(madd, radd, rmul=None) -> list:
     Row m is the map r -> m r.  Action-sum says it is a strong hom from
     radd to madd, and killing 0 says it fixes 0, so ``search`` lists those
     maps once (the zero map first) and then searches rows whose value is
-    an index into that list, so the tables keep the lexicographic order.
+    an index into that list; the tables keep the lexicographic order.
     Two rules link the rows: sum-action (a + b) r = a r + b r, read from
     rows a, b and the rows of a + b; and associativity (m r) s = m (r s),
     which says row m r is row m after s -> r s (row r, for a product).

@@ -134,8 +134,8 @@ def enumerate_simple_modules(ring: HyperRing) -> tuple:
     ``core.action_tables`` finds the action tables (row 0 and column 0
     zero) that pass the three action axioms against the ring's tables,
     choosing each row among the strong homs from the ring's hypergroup
-    into the module's; each is validated and kept when simple.  An order past the corpus cap
-    raises ``BoundExceededError`` before any search."""
+    into the module's; each is validated and kept when simple.  An order
+    past the corpus cap raises ``BoundExceededError`` before any search."""
     ring.require_validated()
     max_order = core.SIMPLE_MODULE_ORDER
     corpus.check_order(max_order)
