@@ -633,10 +633,15 @@ def action_associativity_failure(rmul, act, instances):
 
 
 def strong_addition_rules(source_add, target_add) -> list:
-    """Search rules on cells a holding f(a): f sends each hypersum a + b
-    of source_add onto exactly f(a) + f(b) in target_add."""
-    return [sum_rule(a, b, bits(ab), target_add)
-            for a, row in enumerate(source_add) for b, ab in enumerate(row)]
+    """Search rules on cells a holding f(a), with f(0) = 0: f sends each
+    hypersum a + b of source_add onto exactly f(a) + f(b) in target_add.
+
+    Both tables must be commutative and target_add must have 0 as its
+    identity, as every validated table has.  Then a pair with a 0 holds
+    for any f fixing 0, and (b, a) holds with (a, b), so only the pairs
+    1 <= a <= b become rules."""
+    return [sum_rule(a, b, bits(source_add[a][b]), target_add)
+            for a in range(1, len(source_add)) for b in range(a, len(source_add))]
 
 
 def action_tables(madd, radd, rmul=None) -> list:

@@ -22,16 +22,21 @@ Everything is deterministic: fixed enumeration orders, no hashing of
 anything but canonical encodings.  Rings are deduplicated up to
 relabelings fixing 0 without trying every relabeling of every table
 (after B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms
-26, 1998).  A hypergroup's class key is the sorted signature of an
-isomorphism invariant of its nonzero elements together with the least
-encoding over only the relabelings that list those elements in
-invariant order; the first table found in a class represents it.  One
-pass over all (n-1)! relabelings of each representative gives its sort
-key, the least encoding over them all, so the classes come out in the
-order of that full minimum.  Products on one representative are told
-apart by their least relabeled form over the representative's
-automorphisms; products on different representatives are never
-isomorphic, because the additive hypergroup is an invariant.
+26, 1998, and R. C. Read, "Every one a winner", Ann. Discrete Math. 2,
+1978).  A relabeling carries a table with negation nu to one whose
+negation is a conjugate of nu, and the conjugates of nu are the
+negations with as many transpositions.  So a class is searched under
+the first negation of its conjugacy class alone, where its members are
+one orbit of the relabelings that commute with nu.  Those permute the
+free orbits, and the table kept is the one whose set of included free
+orbits is least over that orbit: the table a search of every negation in
+turn would have found first in its class.  One pass over all (n-1)!
+relabelings of each representative gives its sort key, the least
+encoding over them all, so the classes come out in the order of that
+full minimum.  Products on one representative are told apart by their
+least relabeled form over the representative's automorphisms; products
+on different representatives are never isomorphic, because the additive
+hypergroup is an invariant.
 """
 
 from __future__ import annotations
@@ -46,10 +51,10 @@ from .core import (
     HyperRing,
     TheoremViolationError,
     _MaskTable,
+    _hypergroup_report,
     action_tables,
     bits,
     find_unit,
-    hypergroup_checks,
     search,
 )
 
@@ -140,8 +145,11 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
     """All canonical hypergroups on {0..n-1} as (add_masks, neg) pairs.
 
     With dedupe, one representative per relabeling class (permutations
-    fixing 0): the first table found with its class key, sorted by the
-    least encoding over every relabeling.  The few most recent answers
+    fixing 0): the first table the labelled search finds in the class,
+    found by searching one negation per conjugacy class and keeping the
+    tables that no relabeling commuting with it moves to a smaller set of
+    free orbits, sorted by the least encoding over every relabeling.
+    Without, every labelled table, sorted.  The few most recent answers
     are kept, so a repeated call returns the same tuple.
     """
     if n < 1:
@@ -151,66 +159,102 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
     return _hypergroups(n, dedupe)
 
 
-@lru_cache(maxsize=8)
-def _labelled(n: int) -> tuple:
-    """Every labelled hypergroup table on {0..n-1} as (add_masks, neg), in
-    search order and not yet checked: the search runs once per order,
-    whichever ``_hypergroups`` entries ask for it."""
+# one entry per negation searched: the 18 negations of orders 1 to 5 all fit
+@lru_cache(maxsize=32)
+def _negation_tables(n: int, nu: tuple, base: int, free: tuple) -> tuple:
+    """Every labelled hypergroup table on {0..n-1} with negation nu, from
+    its split (base, free) of ``_orbit_splits``, as (chosen, (add_masks, nu))
+    pairs, where bit i of chosen says the table includes free[i]; in
+    ascending order of chosen and not yet checked.  The search runs once
+    per negation, whichever ``_hypergroups`` entries ask for it."""
     full = (1 << n) - 1
     row = (1 << n * n) - 1
+    # search cell j includes orbit free[k - 1 - j] or leaves it out, so
+    # tables come in ascending order of the included orbits' bit set
+    orbits = free[::-1]
+
+    def table(v, reads):
+        # the orbits are disjoint from one another and from the base
+        return base + sum(orbits[j] for j in reads if v[j])
+
+    # (region, want): no cell is empty, and associativity holds for each
+    # row pair a < c, which covers (c, b, a); (a, b, a) and a = 0 always do
+    wants = [(full << s * n, lambda t, cell=full << s * n: t & cell)
+             for s in range(n * n) if not base >> s * n & full]
+    wants += [(row << a * n * n | row << c * n * n, partial(_associative, n, a, c))
+              for a in range(1, n) for c in range(a + 1, n)]
+    rules = []
+    for region, want in wants:
+        # watch the last cell whose orbit meets the region; with none, test now
+        reads = [j for j, o in enumerate(orbits) if o & region]
+        if reads:
+            rules.append(((reads[-1],), lambda v, i, want=want, reads=reads: want(table(v, reads))))
+        elif not want(base):
+            return ()
     found = []
-    for nu, base, free in _orbit_splits(n):
-        # search cell j includes orbit free[k - 1 - j] or leaves it out, so
-        # tables come in ascending order of the included orbits' bit set
-        orbits = free[::-1]
-
-        def table(v, reads, base=base, orbits=orbits):
-            # the orbits are disjoint from one another and from the base
-            return base + sum(orbits[j] for j in reads if v[j])
-
-        # (region, want): no cell is empty, and associativity holds for each
-        # row pair a < c, which covers (c, b, a); (a, b, a) and a = 0 always do
-        wants = [(full << s * n, lambda t, cell=full << s * n: t & cell)
-                 for s in range(n * n) if not base >> s * n & full]
-        wants += [(row << a * n * n | row << c * n * n, partial(_associative, n, a, c))
-                  for a in range(1, n) for c in range(a + 1, n)]
-        rules = []
-        for region, want in wants:
-            # watch the last cell whose orbit meets the region; with none, test now
-            reads = [j for j, o in enumerate(orbits) if o & region]
-            if reads:
-                rules.append(((reads[-1],),
-                              lambda v, i, want=want, reads=reads: want(table(v, reads))))
-            elif not want(base):
-                break
-        else:
-            for v in search([2] * len(orbits), rules):
-                t = table(v, range(len(orbits)))
-                found.append((tuple(tuple(t >> (p * n + q) * n & full for q in range(n))
-                                    for p in range(n)), nu))
+    for v in search([2] * len(orbits), rules):
+        t = table(v, range(len(orbits)))
+        add = tuple(tuple(t >> (p * n + q) * n & full for q in range(n)) for p in range(n))
+        found.append((sum(bit << i for i, bit in enumerate(reversed(v))), (add, nu)))
     return tuple(found)
+
+
+def _orbit_moves(n: int, nu: tuple, free, relabelings) -> list:
+    """For each relabeling fixing 0 that commutes with nu, the list move
+    with free[i] relabeled onto free[move[i]]: such a relabeling keeps nu,
+    so it maps free orbits onto free orbits.  The identity and nu itself
+    are left out; nu is an automorphism of every table with negation nu,
+    as -(a + b) = -a + -b, so neither moves a table."""
+    moves = []
+    for _, perm, _ in relabelings:
+        if perm in ((*range(n),), nu) or any(perm[nu[x]] != nu[perm[x]] for x in range(n)):
+            continue
+        move = []
+        for omask in free:
+            p, rest = divmod((omask & -omask).bit_length() - 1, n * n)
+            q, r = divmod(rest, n)
+            image = (perm[p] * n + perm[q]) * n + perm[r]
+            move.append(next(j for j, o in enumerate(free) if o >> image & 1))
+        moves.append(move)
+    return moves
 
 
 @lru_cache(maxsize=8)
 def _hypergroups(n: int, dedupe: bool) -> tuple:
-    found = _labelled(n)
+    found = []
     if dedupe:
+        # the labelled members of a class with negation nu are one orbit of
+        # the relabelings commuting with nu, and their negations fill nu's
+        # conjugacy class, fixed by its number of transpositions; so the first
+        # table a labelled search finds in a class has the first negation of
+        # that class and the least bit set of its orbit
         relabelings = _relabelings(n)
-        images = {order: image for order, _, image in relabelings}
-        classes = {}
-        for add, nu in found:
-            classes.setdefault(_class_key(add, nu, images), (add, nu))
-        found = sorted(classes.values(), key=lambda rep: _full_min(rep[0], relabelings))
+        searched = set()
+        for nu, base, free in _orbit_splits(n):
+            swaps = sum(nu[a] > a for a in range(n))
+            if swaps in searched:
+                continue
+            searched.add(swaps)
+            moves = _orbit_moves(n, nu, free, relabelings)
+            found += [table for chosen, table in _negation_tables(n, nu, base, tuple(free))
+                      if all(chosen <= sum(1 << move[i] for i in bits(chosen))
+                             for move in moves)]
+        found.sort(key=lambda rep: _full_min(rep[0], relabelings))
     else:
-        found = sorted(found)
+        for nu, base, free in _orbit_splits(n):
+            found += [table for _, table in _negation_tables(n, nu, base, tuple(free))]
+        found.sort()
     # a class holds relabelings fixing 0 of one addition table, which fixes
     # the negation (0 in a + b exactly when b = -a), and every axiom survives
-    # them: a class holds a bad table only if its representative is one
-    for add, nu in found:
-        failed = [c.axiom for c in hypergroup_checks(n, add, nu) if not c.ok]
-        if failed:
-            raise TheoremViolationError(
-                "orbit construction produced a bad table; " + "; ".join(failed))
+    # them: a class holds a bad table only if its representative is one.
+    # The verdicts go through the memo that validating a ring reads, last
+    # table first, so the memo still holds the first tables when
+    # generate_corpus validates their rings, in order, right after
+    for add, nu in reversed(found):
+        report = _hypergroup_report(add, nu)
+        if not report.ok:
+            raise TheoremViolationError("orbit construction produced a bad table; "
+                                        + "; ".join(c.axiom for c in report.failures))
     return tuple(found)
 
 
@@ -234,22 +278,6 @@ def _relabelings(n: int) -> list:
 def _relabel(add, order, image) -> tuple:
     rows = [add[p] for p in order]
     return tuple(tuple([image[row[q]] for q in order]) for row in rows)
-
-
-def _class_key(add, nu, images) -> tuple:
-    """Isomorphism class key of a hypergroup: the sorted invariants of its
-    nonzero elements, and the least encoding over the relabelings fixing 0
-    that list those elements in invariant order, ties in every order.  The
-    invariant of a is (a is its own negative, |a + a|, sorted sizes of row a)."""
-    n = len(add)
-    inv = [(nu[a] == a, add[a][a].bit_count(), tuple(sorted(m.bit_count() for m in add[a])))
-           for a in range(n)]
-    ranked = sorted(range(1, n), key=inv.__getitem__)
-    runs = [itertools.permutations(run)
-            for _, run in itertools.groupby(ranked, key=inv.__getitem__)]
-    orders = ((0,) + tuple(itertools.chain.from_iterable(p)) for p in itertools.product(*runs))
-    return (tuple(inv[a] for a in ranked),
-            min(_relabel(add, order, images[order]) for order in orders))
 
 
 def _full_min(add, relabelings) -> tuple:

@@ -8,10 +8,11 @@ product space. Counts and the tables themselves must agree exactly.
 At order 4 the generator's rule search over the free triple orbits is
 refereed by a plain loop over every subset of those orbits, and the
 labelled counts by the orbit-stabilizer identity over the classes.  The
-opt-in order-5 referees also run the product search against the
-cell-by-cell search it replaced on every order-5 hypergroup class, and
-the closed-subset search against the scan it replaced on every order-5
-ring.
+classes, searched under one negation per conjugacy class, are refereed
+by a class key computed on every labelled table.  The opt-in order-5
+referees also run the product search against the cell-by-cell search it
+replaced on every order-5 hypergroup class, and the closed-subset search
+against the scan it replaced on every order-5 ring.
 """
 
 import itertools
@@ -224,18 +225,75 @@ def relabel_neg(nu, perm):
     return tuple(out)
 
 
+# referee of the class path: a key on each labelled table, the first table
+# found with each key representing its class
+
+
+def class_key(add, nu, images):
+    """Isomorphism class key of a hypergroup: the sorted invariants of its
+    nonzero elements, and the least encoding over the relabelings fixing 0
+    that list those elements in invariant order, ties in every order.  The
+    invariant of a is (a is its own negative, |a + a|, sorted sizes of row a)."""
+    n = len(add)
+    inv = [(nu[a] == a, add[a][a].bit_count(), tuple(sorted(m.bit_count() for m in add[a])))
+           for a in range(n)]
+    ranked = sorted(range(1, n), key=inv.__getitem__)
+    runs = [itertools.permutations(run)
+            for _, run in itertools.groupby(ranked, key=inv.__getitem__)]
+    orders = ((0,) + tuple(itertools.chain.from_iterable(p)) for p in itertools.product(*runs))
+    return (tuple(inv[a] for a in ranked),
+            min(corpus._relabel(add, order, images[order]) for order in orders))
+
+
+def chosen(add, free):
+    """The bit set of the free orbits that the table includes."""
+    n = len(add)
+    t = sum(1 << (p * n + q) * n + r for p in range(n) for q in range(n) for r in bits(add[p][q]))
+    assert all(t & o in (0, o) for o in free)
+    return sum(1 << i for i, o in enumerate(free) if t & o)
+
+
+def first_of_each_class(n):
+    # the labelled tables in search order: by negation, then by bit set
+    splits = {nu: (i, free) for i, (nu, _, free) in enumerate(_orbit_splits(n))}
+    labelled = sorted(enumerate_hypergroups(n, dedupe=False),
+                      key=lambda t: (splits[t[1]][0], chosen(t[0], splits[t[1]][1])))
+    relabelings = corpus._relabelings(n)
+    images = {order: image for order, _, image in relabelings}
+    classes = {}
+    for add, nu in labelled:
+        classes.setdefault(class_key(add, nu, images), (add, nu))
+    return sorted(classes.values(), key=lambda rep: corpus._full_min(rep[0], relabelings))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_class_key_ignores_relabeling_and_separates_classes(n):
     images = {order: image for order, _, image in corpus._relabelings(n)}
     key_of_class = {}
     for add, nu in enumerate_hypergroups(n, dedupe=False):
-        key = corpus._class_key(add, nu, images)
+        key = class_key(add, nu, images)
         for perm in zero_fixing(n):
-            moved = corpus._class_key(relabel(add, perm), relabel_neg(nu, perm), images)
+            moved = class_key(relabel(add, perm), relabel_neg(nu, perm), images)
             assert moved == key
         full = min(relabel(add, perm) for perm in zero_fixing(n))
         assert key_of_class.setdefault(full, key) == key
     assert len(set(key_of_class.values())) == len(key_of_class)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classes_come_from_the_first_negation_of_each_conjugacy_class(n):
+    splits = list(_orbit_splits(n))
+    first = {}
+    for nu, _, _ in splits:
+        first.setdefault(sum(nu[a] > a for a in range(n)), nu)
+    free_of = {nu: free for nu, _, free in splits}
+    classes = enumerate_hypergroups(n)
+    for add, nu in classes:
+        assert nu == first[sum(nu[a] > a for a in range(n))]
+        for perm in zero_fixing(n):
+            if relabel_neg(nu, perm) == nu:
+                assert chosen(relabel(add, perm), free_of[nu]) >= chosen(add, free_of[nu])
+    assert list(classes) == first_of_each_class(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -262,7 +320,7 @@ def test_automorphism_key_partitions_products_like_the_full_key(n, corpus4):
 def fresh_hypergroups(monkeypatch):
     # empty caches of the same bounds, so the session's hypergroups stay
     # cached and nothing a patched search returns outlives the test
-    for name in ("_labelled", "_hypergroups"):
+    for name in ("_negation_tables", "_hypergroups"):
         cached = getattr(corpus, name)
         bound = cached.cache_parameters()["maxsize"]
         monkeypatch.setattr(corpus, name, lru_cache(maxsize=bound)(cached.__wrapped__))
@@ -309,18 +367,22 @@ def test_corpus_reuses_the_kept_hypergroups(monkeypatch):
     fresh_hypergroups(monkeypatch)
     monkeypatch.setattr(corpus, "_corpus", lru_cache(maxsize=8)(corpus._corpus.__wrapped__))
     searched = []
-    real = corpus._orbit_splits
+    cached = corpus._negation_tables
 
-    def counting(n):
-        searched.append(n)
-        return real(n)
+    def counting(n, nu, base, free):
+        searched.append((n, nu))
+        return cached.__wrapped__(n, nu, base, free)
 
-    monkeypatch.setattr(corpus, "_orbit_splits", counting)
+    bound = cached.cache_parameters()["maxsize"]
+    monkeypatch.setattr(corpus, "_negation_tables", lru_cache(maxsize=bound)(counting))
     enumerate_hypergroups(4, dedupe=False)
     enumerate_hypergroups(4)
     generate_corpus(4)
-    # one labelled search per order, shared by both dedupe settings
-    assert searched == [4, 1, 2, 3]
+    # one search per order and negation, shared by both dedupe settings;
+    # the classes need only the first negation of each conjugacy class
+    assert searched == [(4, (0, 1, 2, 3)), (4, (0, 1, 3, 2)), (4, (0, 2, 1, 3)),
+                        (4, (0, 3, 2, 1)), (1, (0,)), (2, (0, 1)),
+                        (3, (0, 1, 2)), (3, (0, 2, 1))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -445,9 +507,10 @@ def test_order_five_referee(monkeypatch):
         for add, _ in classes)
     relabelings = corpus._relabelings(5)
     images = {order: image for order, _, image in relabelings}
-    pairs = {(corpus._class_key(add, nu, images), corpus._full_min(add, relabelings))
+    pairs = {(class_key(add, nu, images), corpus._full_min(add, relabelings))
              for add, nu in labelled}
     assert len(pairs) == len({k for k, _ in pairs}) == len({f for _, f in pairs}) == 3776
+    assert list(classes) == first_of_each_class(5)
     entries = generate_corpus(5)
     assert len(entries) == 4581
     assert corpus_fingerprint(entries, 5).startswith("7481adac5f4065f5")

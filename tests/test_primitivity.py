@@ -127,9 +127,9 @@ def test_enumerated_simple_modules_agree_with_prim(z4):
 def counted_hypergroups(monkeypatch):
     # start from empty caches and record each order the corpus searches
     calls = []
-    labelled = corpus._labelled
-    monkeypatch.setattr(corpus, "_labelled", lru_cache(
-        maxsize=labelled.cache_parameters()["maxsize"])(labelled.__wrapped__))
+    tables = corpus._negation_tables
+    monkeypatch.setattr(corpus, "_negation_tables", lru_cache(
+        maxsize=tables.cache_parameters()["maxsize"])(tables.__wrapped__))
     search = corpus._hypergroups.__wrapped__
 
     def counting(n, dedupe):

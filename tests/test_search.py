@@ -13,7 +13,15 @@ import itertools
 
 import pytest
 
-from krasner.core import SIMPLE_MODULE_ORDER, action_tables, bits, search, sum_rule
+from krasner import core
+from krasner.core import (
+    SIMPLE_MODULE_ORDER,
+    action_tables,
+    bits,
+    search,
+    strong_addition_rules,
+    sum_rule,
+)
 from krasner.corpus import enumerate_hypergroups, mult_tables
 from krasner.hypermodules import (
     HyperModule,
@@ -190,6 +198,28 @@ def test_a_returned_search_leaves_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def all_pairs_strong_addition_rules(source_add, target_add):
+    # a rule for every ordered pair (a, b), the zero and mirrored pairs too
+    return [sum_rule(a, b, bits(ab), target_add)
+            for a, row in enumerate(source_add) for b, ab in enumerate(row)]
+
+
+def test_strong_addition_rules_find_what_every_ordered_pair_finds(corpus3, monkeypatch):
+    classes = [add for n in range(1, 4) for add, _ in enumerate_hypergroups(n)]
+    found = 0
+    for source in classes:
+        for target in classes:
+            sizes = [1] + [len(target)] * (len(source) - 1)
+            maps = search(sizes, strong_addition_rules(source, target))
+            assert maps == search(sizes, all_pairs_strong_addition_rules(source, target))
+            found += len(maps)
+    assert found > len(classes) ** 2
+    pairs = [(a.ring, b.ring) for a in corpus3 for b in corpus3]
+    homs = [[h.mapping for h in enumerate_ring_homs(s, t)] for s, t in pairs]
+    monkeypatch.setattr(core, "strong_addition_rules", all_pairs_strong_addition_rules)
+    assert [[h.mapping for h in enumerate_ring_homs(s, t)] for s, t in pairs] == homs
 
 
 # the searchers against their oracles
