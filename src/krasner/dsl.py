@@ -29,6 +29,14 @@ validators get written down.
 
 Parsing builds structures without validating them; run their validators
 (or `Document.verify_all`) afterwards.
+
+A table block reads an entry line by lookup first: each element is one
+dict lookup of the plain decimal names below the order (the ring's order
+for an `act` column), at most `_NAMED` of them, and a set whose members
+are all such names becomes its member mask at once.  A line with any
+other token (`07`, `{ 1, 2}`, `{1}` as a product, `x`, `300`) is read
+again by the checked readers, which find the same values or raise the
+same diagnostic at the same place whether or not the lookup ran.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import AxiomCheck, HyperRing, bits
+from .core import AxiomCheck, HyperRing, _MaskTable, bits, mask_of
 from .hypermodules import HyperModule
 from .morphisms import RingHom, verify_strong_hom
 
@@ -75,6 +83,9 @@ _TOKEN = re.compile(r"#|\{[^}]*\}?|[^\s#{]+")
 def _tokenize(raw: str, source: str, lineno: int) -> list:
     """The tokens of one line, as strings; `_columns` finds where they
     start, which only a diagnostic needs."""
+    if "#" not in raw and "{" not in raw:
+        # only words, which str.split() cuts at the same whitespace
+        return raw.split()
     toks = _TOKEN.findall(raw)
     if "#" in toks:
         del toks[toks.index("#"):]
@@ -87,6 +98,28 @@ def _tokenize(raw: str, source: str, lineno: int) -> list:
 def _columns(raw: str) -> list:
     """The 1 based column of each token of a line, in `_tokenize`'s order."""
     return [m.start() + 1 for m in _TOKEN.finditer(raw)]
+
+
+# the most element names a table block looks up; bounds what a block
+# allocates whatever order it declares
+_NAMED = 256
+
+
+def _names(count: int) -> dict:
+    """Element by plain decimal name, for the elements below count and
+    below `_NAMED`."""
+    return {str(v): v for v in range(min(count, _NAMED))}
+
+
+def _set_mask(text: str, names: dict) -> int:
+    """The member mask of a `{a,b,..}` token, or of a bare element as its
+    singleton, whose members are all keys of names; KeyError otherwise."""
+    if text[0] != "{":
+        return 1 << names[text]
+    m = 0
+    for piece in text[1:-1].split(","):
+        m |= 1 << names[piece]
+    return m
 
 
 @dataclass(frozen=True)
@@ -199,21 +232,24 @@ class _Parser:
         self.names.add(name)
 
     def block_lines(self, i, keys):
-        """Yield (lineno, toks) until 'end', dispatch checked against keys."""
-        while i < len(self.lines):
-            lineno = i + 1
-            toks = _tokenize(self.lines[i], self.source, lineno)
+        """Yield (lineno, toks) of each entry line from line i on, dispatch
+        checked against keys, and last (lineno, None) for its 'end'."""
+        lines = self.lines
+        while i < len(lines):
+            raw = lines[i]
+            i += 1  # this line's number, the next line's index
+            toks = _tokenize(raw, self.source, i)
             if not toks:
-                i += 1
                 continue
             if toks[0] == "end":
                 if len(toks) != 1:
-                    self.error_at("nothing may follow 'end'", lineno, 1)
-                return i + 1, None, None
+                    self.error_at("nothing may follow 'end'", i, 1)
+                yield i, None
+                return
             if toks[0] not in keys:
-                self.error_at(f"unknown key {toks[0]!r}", lineno, 0)
-            return i + 1, lineno, toks
-        self.error("block never closed with 'end'", len(self.lines), 1)
+                self.error_at(f"unknown key {toks[0]!r}", i, 0)
+            yield i, toks
+        self.error("block never closed with 'end'", len(lines), 1)
 
     def arity(self, toks, count, lineno):
         if len(toks) != count + 1:
@@ -251,16 +287,49 @@ class _Parser:
             out.append(self.number(piece, lineno, k))
         return out
 
-    def need_order(self, order, lineno):
-        if order is None:
-            self.error_at("'order' must come first in the block", lineno, 0)
+    # the checked readers of the entry lines the lookup missed, token by
+    # token in line order, so their first error is the one to report
+
+    def add_entry(self, toks, order, lineno):
+        """(a, b, member mask) of an add line."""
+        self.arity(toks, 3, lineno)
+        a = self.element(toks, 1, order, lineno)
+        b = self.element(toks, 2, order, lineno)
+        vals = self.values(toks, 3, lineno)
+        for v in vals:
+            if not 0 <= v < order:
+                self.error_at(f"element {v} out of range for order {order}", lineno, 3)
+        return a, b, mask_of(vals)
+
+    def neg_entry(self, toks, order, lineno):
+        """(a, -a) of a neg line."""
+        self.arity(toks, 2, lineno)
+        return self.element(toks, 1, order, lineno), self.element(toks, 2, order, lineno)
+
+    def table_entry(self, toks, order, ring, lineno):
+        """(a, b, value) of a mul line (ring None) or an act line."""
+        self.arity(toks, 3, lineno)
+        a = self.element(toks, 1, order, lineno)
+        if ring is None:
+            b = self.element(toks, 2, order, lineno)
+        else:
+            b = self.element(toks, 2, ring.order, lineno, what="ring element")
+        vals = self.values(toks, 3, lineno)
+        if len(vals) != 1:
+            self.error_at(("multiplication" if ring is None else "action")
+                          + " must be single-valued", lineno, 3)
+        v = vals[0]
+        if not 0 <= v < order:
+            self.error_at(f"element {v} out of range for order {order}", lineno, 3)
+        return a, b, v
 
     def table_block(self, name, i, keys, ring=None):
         """A ring block (ring None) or a module block over ring: `order`,
         `symmetric`, then the hyperaddition, negation, single-valued table
         and unit line named by keys (RING_KEYS or MODULE_KEYS).  A ring's
         table runs over its own elements and its unit line names the unit;
-        a module's runs over the ring's and `unital` is a flag."""
+        a module's runs over the ring's and `unital` is a flag.  An entry
+        line is read by lookup, or by its checked reader on a miss."""
         add_key, neg_key, table_key, unit_key = keys
         order = None
         unit = None
@@ -269,9 +338,9 @@ class _Parser:
         neg = {}
         table = {}
         first = i
-        while True:
-            i, lineno, toks = self.block_lines(i, ("order", "symmetric") + keys)
+        for lineno, toks in self.block_lines(i, ("order", "symmetric") + keys):
             if toks is None:
+                i = lineno
                 break
             key = toks[0]
             if key == "order":
@@ -281,55 +350,48 @@ class _Parser:
                 order = self.number(toks[1], lineno, 1)
                 if order < 1:
                     self.error_at("order must be positive", lineno, 1)
+                names = _names(order)
+                column_names = names if ring is None else _names(ring.order)
                 continue
-            self.need_order(order, lineno)
-            if key == unit_key:
+            if order is None:
+                self.error_at("'order' must come first in the block", lineno, 0)
+            if key == add_key:
+                try:
+                    _, x, y, z = toks
+                    a, b, m = names[x], names[y], _set_mask(z, names)
+                except (ValueError, KeyError):
+                    a, b, m = self.add_entry(toks, order, lineno)
+                if (a == 0 or b == 0) and m != 1 << (b if a == 0 else a):
+                    self.error_at("element 0 must be the additive identity", lineno, 3)
+                self.put(add, (a, b), m, lineno, add_key)
+                if symmetric and a != b:
+                    self.put(add, (b, a), m, lineno, add_key)
+            elif key == table_key:
+                try:
+                    _, x, y, z = toks
+                    a, b, v = names[x], column_names[y], names[z]
+                except (ValueError, KeyError):
+                    a, b, v = self.table_entry(toks, order, ring, lineno)
+                self.put(table, (a, b), v, lineno, table_key)
+            elif key == neg_key:
+                try:
+                    _, x, y = toks
+                    a, v = names[x], names[y]
+                except (ValueError, KeyError):
+                    a, v = self.neg_entry(toks, order, lineno)
+                if a == 0 and v != 0:
+                    self.error_at("element 0 must be the additive identity", lineno, 2)
+                self.put(neg, a, v, lineno, neg_key)
+            elif key == unit_key:
                 self.arity(toks, 1 if ring is None else 0, lineno)
                 if unit is not None:
                     self.error_at(f"duplicate entry for {key}", lineno, 0)
                 unit = True if ring is not None else self.element(toks, 1, order, lineno)
-            elif key == "symmetric":
+            else:
                 self.arity(toks, 0, lineno)
                 if symmetric:
                     self.error_at("duplicate entry for symmetric", lineno, 0)
                 symmetric = True
-            elif key == add_key:
-                self.arity(toks, 3, lineno)
-                a = self.element(toks, 1, order, lineno)
-                b = self.element(toks, 2, order, lineno)
-                vals = self.values(toks, 3, lineno)
-                for v in vals:
-                    if not 0 <= v < order:
-                        self.error_at(f"element {v} out of range for order {order}",
-                                      lineno, 3)
-                if (a == 0 or b == 0) and set(vals) != {b if a == 0 else a}:
-                    self.error_at("element 0 must be the additive identity", lineno, 3)
-                self.put(add, (a, b), sorted(set(vals)), lineno, add_key)
-                if symmetric and a != b:
-                    self.put(add, (b, a), sorted(set(vals)), lineno, add_key)
-            elif key == neg_key:
-                self.arity(toks, 2, lineno)
-                a = self.element(toks, 1, order, lineno)
-                v = self.element(toks, 2, order, lineno)
-                if a == 0 and v != 0:
-                    self.error_at("element 0 must be the additive identity", lineno, 2)
-                self.put(neg, a, v, lineno, neg_key)
-            else:
-                self.arity(toks, 3, lineno)
-                a = self.element(toks, 1, order, lineno)
-                if ring is None:
-                    b = self.element(toks, 2, order, lineno)
-                else:
-                    b = self.element(toks, 2, ring.order, lineno, what="ring element")
-                vals = self.values(toks, 3, lineno)
-                if len(vals) != 1:
-                    self.error_at(("multiplication" if ring is None else "action")
-                                  + " must be single-valued", lineno, 3)
-                v = vals[0]
-                if not 0 <= v < order:
-                    self.error_at(f"element {v} out of range for order {order}",
-                                  lineno, 3)
-                self.put(table, (a, b), v, lineno, table_key)
         if order is None:
             self.error("missing order", first, 1)
 
@@ -344,12 +406,11 @@ class _Parser:
             missing = next((k for k in keys if k not in store), None)
             if missing is not None:
                 self.error(f"missing {label} entry for {missing}", first, 1)
-        add_table = [[None] * order for _ in range(order)]
+        add_table = [[0] * order for _ in range(order)]
         for a in range(order):
-            add_table[a][0] = [a]
-            add_table[0][a] = [a]
-        for (a, b), vals in add.items():
-            add_table[a][b] = vals
+            add_table[a][0] = add_table[0][a] = 1 << a
+        for (a, b), m in add.items():
+            add_table[a][b] = m
         neg_table = [0] * order
         for a in range(1, order):
             neg_table[a] = neg[a]
@@ -357,11 +418,11 @@ class _Parser:
         for (a, b), v in table.items():
             value_table[a][b] = v
         if ring is None:
-            self.doc.rings[name] = HyperRing(add_table, neg_table, value_table,
+            self.doc.rings[name] = HyperRing(_MaskTable(add_table), neg_table, value_table,
                                              unit=unit, name=name)
         else:
-            self.doc.modules[name] = HyperModule(ring, add_table, neg_table, value_table,
-                                                 unital=bool(unit), name=name)
+            self.doc.modules[name] = HyperModule(ring, _MaskTable(add_table), neg_table,
+                                                 value_table, unital=bool(unit), name=name)
         return i
 
     def put(self, store, key, value, lineno, label):
@@ -376,9 +437,9 @@ class _Parser:
         flag_line = None
         keys = {"map", "unit_preserving"}
         first = i
-        while True:
-            i, lineno, toks = self.block_lines(i, keys)
+        for lineno, toks in self.block_lines(i, keys):
             if toks is None:
+                i = lineno
                 break
             key = toks[0]
             if key == "map":

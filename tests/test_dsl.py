@@ -1,5 +1,6 @@
 """Text format: parsing, diagnostics, emission, round trips."""
 
+import random
 import string
 from functools import lru_cache
 
@@ -8,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from krasner.catalog import cyclic_ring, hyperfield_k, standard_rings
 from krasner.corpus import generate_corpus
+from krasner.core import HyperRing
 from krasner.dsl import (
     Document,
     ParseError,
+    _Parser,
     _columns,
     _tokenize,
     emit_document,
@@ -20,9 +23,10 @@ from krasner.dsl import (
     parse_file,
     parse_text,
 )
-from krasner.hypermodules import quotient_module, regular_module
+from krasner.hypermodules import HyperModule, quotient_module, regular_module, restrict_scalars
 from krasner.ideals import IdealLattice
 from krasner.morphisms import RingHom, identity_hom
+from test_closure import direct_product
 
 RING2 = """ring r
   order 2
@@ -69,6 +73,26 @@ def test_round_trip_corpus(corpus3):
         back = parse_text(text).rings[entry.name]
         assert back.encoding() == entry.ring.encoding()
         assert emit_ring(back, entry.name) == text
+
+
+def test_round_trip_shuffled_products(corpus4):
+    # products of orders 6 to 12 name elements 10 and 11 too; any order of
+    # the lines after 'symmetric' parses back to the same tables
+    by_order = {n: [e.ring for e in corpus4 if e.ring.order == n] for n in (2, 3, 4)}
+    pairs = [(r, s) for m, n in ((2, 3), (2, 4), (3, 3), (3, 4), (4, 3))
+             for r in by_order[m][:3] for s in by_order[n][-3:]]
+    rng = random.Random(0)
+    for k, (r, s) in enumerate(pairs):
+        product = direct_product(r, s)
+        lines = emit_ring(product, f"p{k}").splitlines()
+        head = lines.index("  symmetric") + 1
+        body = lines[head:-1]
+        rng.shuffle(body)
+        text = "\n".join(lines[:head] + body + ["end"])
+        assert reading(parse_text, text) == reading(reference_parse, text)
+        back = parse_text(text).rings[f"p{k}"]
+        assert back.encoding() == product.encoding()
+    assert {r.order * s.order for r, s in pairs} == {6, 8, 9, 12}
 
 
 def test_module_and_hom_round_trip(z4):
@@ -138,6 +162,10 @@ def test_diagnostic_positions():
          "t.khr:2:3: 'order' must come first in the block"),
         ("ring r\n  order 2\n  add 0 1 {0}\n  add 1 1 {0}\nend\n",
          "t.khr:3:11: element 0 must be the additive identity"),
+        ("ring r\n  order 2\n  add 1 0 {0}\nend\n",
+         "t.khr:3:11: element 0 must be the additive identity"),
+        ("ring r\n  order 2\n  add 1 1 {0}\n  neg 0 1\nend\n",
+         "t.khr:4:9: element 0 must be the additive identity"),
         ("ring r\n  order 2\n  add 1 2 {0}\nend\n",
          "t.khr:3:9: element 2 out of range for order 2"),
         ("ring r\n  order 2\n  add 1 1 {0}\n  add 1 1 {1}\nend\n",
@@ -236,6 +264,150 @@ def reference_tokens(raw: str, source: str, lineno: int) -> list:
     return toks
 
 
+class ReferenceParser(_Parser):
+    """The token-by-token table block reader the lookup replaced, kept as
+    its oracle: every element through `element`, every set through
+    `values`, each line cut by the character-loop tokenizer above."""
+
+    def entry_line(self, i, keys):
+        # (index of the next line, lineno, toks) of the next entry line,
+        # toks None at 'end'
+        while i < len(self.lines):
+            lineno = i + 1
+            toks = [t for t, _ in reference_tokens(self.lines[i], self.source, lineno)]
+            if not toks:
+                i += 1
+                continue
+            if toks[0] == "end":
+                if len(toks) != 1:
+                    self.error_at("nothing may follow 'end'", lineno, 1)
+                return i + 1, None, None
+            if toks[0] not in keys:
+                self.error_at(f"unknown key {toks[0]!r}", lineno, 0)
+            return i + 1, lineno, toks
+        self.error("block never closed with 'end'", len(self.lines), 1)
+
+    def table_block(self, name, i, keys, ring=None):
+        add_key, neg_key, table_key, unit_key = keys
+        order = None
+        unit = None
+        symmetric = False
+        add = {}
+        neg = {}
+        table = {}
+        first = i
+        while True:
+            i, lineno, toks = self.entry_line(i, ("order", "symmetric") + keys)
+            if toks is None:
+                break
+            key = toks[0]
+            if key == "order":
+                self.arity(toks, 1, lineno)
+                if order is not None:
+                    self.error_at("duplicate entry for order", lineno, 0)
+                order = self.number(toks[1], lineno, 1)
+                if order < 1:
+                    self.error_at("order must be positive", lineno, 1)
+                continue
+            if order is None:
+                self.error_at("'order' must come first in the block", lineno, 0)
+            if key == unit_key:
+                self.arity(toks, 1 if ring is None else 0, lineno)
+                if unit is not None:
+                    self.error_at(f"duplicate entry for {key}", lineno, 0)
+                unit = True if ring is not None else self.element(toks, 1, order, lineno)
+            elif key == "symmetric":
+                self.arity(toks, 0, lineno)
+                if symmetric:
+                    self.error_at("duplicate entry for symmetric", lineno, 0)
+                symmetric = True
+            elif key == add_key:
+                self.arity(toks, 3, lineno)
+                a = self.element(toks, 1, order, lineno)
+                b = self.element(toks, 2, order, lineno)
+                vals = self.values(toks, 3, lineno)
+                for v in vals:
+                    if not 0 <= v < order:
+                        self.error_at(f"element {v} out of range for order {order}",
+                                      lineno, 3)
+                if (a == 0 or b == 0) and set(vals) != {b if a == 0 else a}:
+                    self.error_at("element 0 must be the additive identity", lineno, 3)
+                self.put(add, (a, b), sorted(set(vals)), lineno, add_key)
+                if symmetric and a != b:
+                    self.put(add, (b, a), sorted(set(vals)), lineno, add_key)
+            elif key == neg_key:
+                self.arity(toks, 2, lineno)
+                a = self.element(toks, 1, order, lineno)
+                v = self.element(toks, 2, order, lineno)
+                if a == 0 and v != 0:
+                    self.error_at("element 0 must be the additive identity", lineno, 2)
+                self.put(neg, a, v, lineno, neg_key)
+            else:
+                self.arity(toks, 3, lineno)
+                a = self.element(toks, 1, order, lineno)
+                if ring is None:
+                    b = self.element(toks, 2, order, lineno)
+                else:
+                    b = self.element(toks, 2, ring.order, lineno, what="ring element")
+                vals = self.values(toks, 3, lineno)
+                if len(vals) != 1:
+                    self.error_at(("multiplication" if ring is None else "action")
+                                  + " must be single-valued", lineno, 3)
+                v = vals[0]
+                if not 0 <= v < order:
+                    self.error_at(f"element {v} out of range for order {order}",
+                                  lineno, 3)
+                self.put(table, (a, b), v, lineno, table_key)
+        if order is None:
+            self.error("missing order", first, 1)
+
+        columns = order if ring is None else ring.order
+        for label, store, keys in (
+                (add_key, add, ((a, b) for a in range(1, order) for b in range(1, order))),
+                (neg_key, neg, range(1, order)),
+                (table_key, table, ((a, b) for a in range(1, order) for b in range(1, columns)))):
+            missing = next((k for k in keys if k not in store), None)
+            if missing is not None:
+                self.error(f"missing {label} entry for {missing}", first, 1)
+        add_table = [[None] * order for _ in range(order)]
+        for a in range(order):
+            add_table[a][0] = [a]
+            add_table[0][a] = [a]
+        for (a, b), vals in add.items():
+            add_table[a][b] = vals
+        neg_table = [0] * order
+        for a in range(1, order):
+            neg_table[a] = neg[a]
+        value_table = [[0] * columns for _ in range(order)]
+        for (a, b), v in table.items():
+            value_table[a][b] = v
+        if ring is None:
+            self.doc.rings[name] = HyperRing(add_table, neg_table, value_table,
+                                             unit=unit, name=name)
+        else:
+            self.doc.modules[name] = HyperModule(ring, add_table, neg_table, value_table,
+                                                 unital=bool(unit), name=name)
+        return i
+
+
+def reading(parse, text):
+    """What parse makes of text, in plain values: every table, name and
+    link of the document in order, or the error with its place."""
+    try:
+        doc = parse(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+    return (doc.order,
+            [(n, r.name, r.encoding()) for n, r in doc.rings.items()],
+            [(n, m.name, m.ring.name, m.unital, m.encoding()) for n, m in doc.modules.items()],
+            [(n, h.name, h.source.name, h.target.name, h.mapping, h.unit_preserving)
+             for n, h in doc.homs.items()])
+
+
+def reference_parse(text):
+    return ReferenceParser(text, "<string>").parse()
+
+
 def outcome(tokens):
     try:
         return tokens()
@@ -262,6 +434,57 @@ def test_numbers_are_ascii_digits():
     ]
     for text, expected in table:
         assert err(text) == expected
+
+
+def test_unusual_spellings():
+    # pinned from the token-by-token reader: each line reads to the cells
+    # (add 1 1, neg 1, mul 1 1) or raises the diagnostic given
+    def ring(line):
+        lines = {"add": "  add 1 1 {0}", "neg": "  neg 1 1", "mul": "  mul 1 1 1"}
+        lines[line.split()[0]] = "  " + line
+        return "ring r\n  order 2\n  unit 1\n" + "\n".join(lines.values()) + "\nend\n"
+
+    table = [
+        ("mul 1 1 {1,1}", "t.khr:6:11: multiplication must be single-valued"),
+        ("add 1 300 {0}", "t.khr:4:9: element 300 out of range for order 2"),
+        ("add 1 1 {300}", "t.khr:4:11: element 300 out of range for order 2"),
+        ("add 1 1 {1,}", "t.khr:4:11: empty element in set"),
+        ("neg 1 07", "t.khr:5:9: element 7 out of range for order 2"),
+        ("neg 1 12", "t.khr:5:9: element 12 out of range for order 2"),
+        ("mul 1 12 1", "t.khr:6:9: element 12 out of range for order 2"),
+        ("add 1 1 { 1 , 0 }", (0b11, 1, 1)),
+        ("add 1 1 {1,1,0}", (0b11, 1, 1)),
+        ("add 1 1 0", (0b01, 1, 1)),
+        ("add 01 1 {00}", (0b01, 1, 1)),
+        ("add 1 1 {01}", (0b10, 1, 1)),
+        ("neg 1 01", (0b01, 1, 1)),
+        ("mul 1 1 {1}", (0b01, 1, 1)),
+        ("mul 1 1 00", (0b01, 1, 0)),
+    ]
+    for line, expected in table:
+        if isinstance(expected, str):
+            assert err(ring(line)) == expected, line
+        else:
+            r = parse_text(ring(line)).rings["r"]
+            assert (r.add_masks[1][1], r.neg_table[1], r.mul_table[1][1]) == expected, line
+    # names past the lookup's cap are elements all the same
+    assert (err("ring r\n  order 400\n  add 300 1 {0,299}\n  add 300 1 {0}\nend\n")
+            == "t.khr:4:3: duplicate entry for add (300, 1)")
+
+    # an act column reads the base ring's elements, its value the module's
+    def module(line):
+        return (RING2 + "module m over r\n  order 3\n  madd 1 1 {2}\n  madd 1 2 {0}\n"
+                "  madd 2 1 {0}\n  madd 2 2 {1}\n  mneg 1 2\n  mneg 2 1\n  act 1 1 1\n"
+                f"  {line}\nend\n")
+
+    plain = parse_text(module("act 2 1 2")).modules["m"].encoding()
+    for line in ("act 2 1 02", "act 2 01 {2}"):
+        assert parse_text(module(line)).modules["m"].encoding() == plain, line
+    for line, expected in (
+            ("act 2 2 2", "t.khr:17:9: ring element 2 out of range for order 2"),
+            ("act 2 1 3", "t.khr:17:11: element 3 out of range for order 3"),
+            ("act 2 1 {2,2}", "t.khr:17:11: action must be single-valued")):
+        assert err(module(line)) == expected, line
 
 
 def test_module_diagnostic_positions():
@@ -369,28 +592,41 @@ def test_order_zero_is_rejected():
     assert "order" in msg
 
 
-@lru_cache(maxsize=1)
-def emitted_documents() -> tuple:
-    # each corpus3 ring, its regular module and its identity hom
+@lru_cache(maxsize=2)
+def emitted_documents(max_order: int) -> tuple:
+    # each corpus ring, its regular module, its identity hom, and that
+    # module over the one element ring "o", a module larger than its ring
+    o = HyperRing([[[0]]], [0], [[0]], name="o").checked("the one element ring")
     return tuple(emit_ring(e.ring) + emit_module(regular_module(e.ring), "m")
-                 + emit_hom(identity_hom(e.ring), "h")
-                 for e in generate_corpus(3))
+                 + emit_hom(identity_hom(e.ring), "h") + emit_ring(o)
+                 + emit_module(restrict_scalars(regular_module(e.ring), RingHom(o, e.ring, (0,))),
+                               "n", "o")
+                 for e in generate_corpus(max_order))
 
 
+# the last row holds spellings the lookup misses that still read as
+# elements or sets: leading zeros, spaces and repeats inside a set, names
+# past the order
 TOKENS = ("0", "1", "3", "-1", "99999999999", "1" * 5000, "x", "²", "{}", "{0}",
           "{1,2}", "{9}", "{,}", "{x}", "{", "}", "#", ":", "->", "order", "unit",
           "symmetric", "add", "neg", "mul", "madd", "mneg", "act", "unital", "map",
-          "unit_preserving", "ring", "module", "over", "hom", "end", "r", "m", "h")
+          "unit_preserving", "ring", "module", "over", "hom", "end", "r", "m", "h",
+          "07", "00", "{ 1, 2}", "{2,2,1}", "{01}", "{1,}", "12", "300", "{300}")
+
+
+# element names at and around the orders of the corpus, drawn as often as
+# all of TOKENS, so that entries move to and past the edges of a table
+NUMERALS = ("0", "1", "2", "3", "4")
 
 
 @st.composite
-def mutated_documents(draw):
-    lines = draw(st.sampled_from(emitted_documents())).split("\n")
+def mutated_documents(draw, max_order=3):
+    lines = draw(st.sampled_from(emitted_documents(max_order))).split("\n")
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         toks = lines[i].split()
         j = draw(st.integers(0, len(toks)))
-        token = draw(st.sampled_from(TOKENS))
+        token = draw(st.sampled_from(TOKENS) | st.sampled_from(NUMERALS))
         kind = draw(st.sampled_from(["drop line", "copy line", "move line", "new line",
                                      "replace token", "insert token", "drop token"]))
         if kind == "drop line":
@@ -411,12 +647,19 @@ def mutated_documents(draw):
     return "\n".join(lines)
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=1000)
 @given(mutated_documents())
 def test_mutated_documents_parse_or_raise_a_located_error(text):
-    try:
-        doc = parse_text(text)
-    except ParseError as e:
-        assert e.line >= 1 and e.col >= 1
-    else:
-        assert isinstance(doc, Document)
+    # the lookup reader gives what the token-by-token reader gives: the
+    # same document, or the same error at the same place
+    got = reading(parse_text, text)
+    assert got == reading(reference_parse, text)
+    if isinstance(got[0], str):
+        assert got[1] >= 1 and got[2] >= 1
+
+
+@pytest.mark.slow
+@settings(derandomize=True, deadline=None, max_examples=20000)
+@given(mutated_documents(max_order=4))
+def test_mutated_corpus4_documents_read_as_the_reference_reads_them(text):
+    assert reading(parse_text, text) == reading(reference_parse, text)
