@@ -17,6 +17,10 @@ Structures built from raw tables start out unchecked.  Run ``validate()``
 the lattice, module, or spectrum layers; those layers refuse unchecked
 input rather than silently trusting a table, and keep what they derive
 from a checked structure on it (``derived``).
+
+Checks, reports and the other plain records of the package are
+``typing.NamedTuple``s, so each compares equal to a tuple with the same
+values; ``StrongHom`` stays a dataclass, which checks its table when built.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
+from typing import NamedTuple
 
 
 class CarrierMismatchError(ValueError):
@@ -57,10 +62,10 @@ def mask_of(members) -> int:
 
 
 def _bits_table(width: int) -> tuple:
+    # the masks with top bit top are those below it, each with top added
     table = [()]
-    for m in range(1, 1 << width):
-        top = m.bit_length() - 1
-        table.append(table[m ^ 1 << top] + (top,))
+    for top in range(width):
+        table += [t + (top,) for t in table]
     return tuple(table)
 
 
@@ -127,8 +132,7 @@ class ElementSet:
         return "{" + ",".join(str(i) for i in self) + "}"
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     axiom: str
     ok: bool
     witness: tuple = ()
@@ -144,8 +148,7 @@ def axiom_check(axiom: str, bad, claim: str) -> AxiomCheck:
     return AxiomCheck(axiom, False, bad, claim.format(*bad, w=bad))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple
 
     @property
@@ -157,8 +160,7 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """What ``validate()`` finds on a ring or a module: the hypergroup
     axioms of its addition, then the axioms of its single-valued table
     (the multiplication of a ring, the action of a module)."""
@@ -753,15 +755,23 @@ def strong_hom_checks(hom: StrongHom) -> list:
     each hypersum a + b onto exactly f(a) + f(b), the witness being the
     first failing (a, b)."""
     f = hom.mapping
-    source_add, target_add = hom.source.add_masks, hom.target.add_masks
-    bad = next(((a, b) for a, row in enumerate(source_add) for b, ab in enumerate(row)
-                if mask_of(f[t] for t in bits(ab)) != target_add[f[a]][f[b]]), None)
+    target_add = hom.target.add_masks
+    pw = [1 << v for v in f]
+    bad = None
+    for a, row in enumerate(hom.source.add_masks):
+        for b, ab in enumerate(row):
+            image = 0
+            for t in bits(ab):
+                image |= pw[t]
+            if image != target_add[f[a]][f[b]]:
+                bad = (a, b)
+                break
+        if bad:
+            break
     claim = "image escapes the target hypersum"
-    if bad is not None:
-        a, b = bad
-        if not mask_of(f[t] for t in bits(source_add[a][b])) & ~target_add[f[a]][f[b]]:
-            claim = ("image only covers part of the target hypersum "
-                     "(a weak hom, not a strong one)")
+    if bad and not image & ~target_add[f[a]][f[b]]:
+        claim = ("image only covers part of the target hypersum "
+                 "(a weak hom, not a strong one)")
     return [axiom_check("zero", None if f[0] == 0 else (0,), "0 must map to 0"),
             axiom_check("strong-addition", bad, claim)]
 

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .core import (
     BoundExceededError,
@@ -150,13 +150,24 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
     tables that no relabeling commuting with it moves to a smaller set of
     free orbits, sorted by the least encoding over every relabeling.
     Without, every labelled table, sorted.  The few most recent answers
-    are kept, so a repeated call returns the same tuple.
+    are kept, so a repeated call returns the same tuple, and each call
+    checks every table it returns with the hypergroup validator.
     """
     if n < 1:
         raise ValueError("order must be positive")
     check_order(n)
     # positional, so every spelling of one request shares a cache entry
-    return _hypergroups(n, dedupe)
+    found = _hypergroups(n, dedupe)
+    # a class holds relabelings fixing 0 of one addition table, which fixes
+    # the negation (0 in a + b exactly when b = -a), and every axiom survives
+    # them: a class holds a bad table only if its representative is one.
+    # The verdicts go through the memo that validating a structure reads
+    for add, nu in found:
+        report = _hypergroup_report(add, nu)
+        if not report.ok:
+            raise TheoremViolationError("orbit construction produced a bad table; "
+                                        + "; ".join(c.axiom for c in report.failures))
+    return found
 
 
 # one entry per negation searched: the 18 negations of orders 1 to 5 all fit
@@ -244,17 +255,6 @@ def _hypergroups(n: int, dedupe: bool) -> tuple:
         for nu, base, free in _orbit_splits(n):
             found += [table for _, table in _negation_tables(n, nu, base, tuple(free))]
         found.sort()
-    # a class holds relabelings fixing 0 of one addition table, which fixes
-    # the negation (0 in a + b exactly when b = -a), and every axiom survives
-    # them: a class holds a bad table only if its representative is one.
-    # The verdicts go through the memo that validating a ring reads, last
-    # table first, so the memo still holds the first tables when
-    # generate_corpus validates their rings, in order, right after
-    for add, nu in reversed(found):
-        report = _hypergroup_report(add, nu)
-        if not report.ok:
-            raise TheoremViolationError("orbit construction produced a bad table; "
-                                        + "; ".join(c.axiom for c in report.failures))
     return tuple(found)
 
 
@@ -307,8 +307,7 @@ def mult_tables(n: int, add) -> tuple:
     return tuple(action_tables(add, add))
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     ring: HyperRing
 
@@ -355,7 +354,10 @@ def _corpus(max_order: int, per_order_limit: int | None) -> tuple:
     for n in range(1, max_order + 1):
         relabelings = _relabelings(n)
         rings = []
-        for add, nu in enumerate_hypergroups(n):
+        # unchecked tables: validating a class's first ring checks its table,
+        # and the memo keeps that verdict while the class's other rings follow;
+        # checking all 97 classes of order 4 first would overflow the memo
+        for add, nu in _hypergroups(n, True):
             masks = _MaskTable(add)
             # an isomorphism of two rings is an automorphism of their
             # shared hypergroup, and distinct classes never meet

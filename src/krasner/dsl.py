@@ -42,7 +42,7 @@ same diagnostic at the same place whether or not the lookup ran.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import AxiomCheck, HyperRing, _MaskTable, bits, mask_of
 from .hypermodules import HyperModule
@@ -122,8 +122,7 @@ def _set_mask(text: str, names: dict) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class BlockedReport:
+class BlockedReport(NamedTuple):
     """Stands in for a verification that could not run."""
 
     reason: str
@@ -137,14 +136,13 @@ class BlockedReport:
         return (AxiomCheck("base-ring", False, (), self.reason),)
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
     """Parsed structures in file order."""
 
-    rings: dict = field(default_factory=dict)
-    modules: dict = field(default_factory=dict)
-    homs: dict = field(default_factory=dict)
-    order: tuple = ()
+    rings: dict
+    modules: dict
+    homs: dict
+    order: tuple
 
     def verify_all(self) -> dict:
         """Name to report; structures over broken rings get a blocked
@@ -169,7 +167,7 @@ class _Parser:
     def __init__(self, text: str, source: str):
         self.lines = _lines(text)
         self.source = source
-        self.doc = Document()
+        self.rings, self.modules, self.homs = {}, {}, {}
         self.names = set()
 
     def error(self, message, lineno, col=1):
@@ -202,10 +200,10 @@ class _Parser:
                 name = toks[1]
                 self.claim(name, lineno)
                 ring_name = toks[3]
-                if ring_name not in self.doc.rings:
+                if ring_name not in self.rings:
                     self.error_at(f"undeclared ring {ring_name!r}", lineno, 3)
                 i = self.table_block(name, i + 1, MODULE_KEYS,
-                                     self.doc.rings[ring_name])
+                                     self.rings[ring_name])
                 order.append(("module", name))
             elif head == "hom":
                 if (len(toks) != 6 or toks[2] != ":" or toks[4] != "->"):
@@ -213,17 +211,16 @@ class _Parser:
                 name = toks[1]
                 self.claim(name, lineno)
                 for k in (3, 5):
-                    if toks[k] not in self.doc.rings:
+                    if toks[k] not in self.rings:
                         self.error_at(f"undeclared ring {toks[k]!r}", lineno, k)
-                i = self.hom_block(name, self.doc.rings[toks[3]],
-                                   self.doc.rings[toks[5]], i + 1)
+                i = self.hom_block(name, self.rings[toks[3]],
+                                   self.rings[toks[5]], i + 1)
                 order.append(("hom", name))
             elif head == "end":
                 self.error_at("'end' outside a block", lineno, 0)
             else:
                 self.error_at(f"unknown directive {head!r}", lineno, 0)
-        self.doc.order = tuple(order)
-        return self.doc
+        return Document(self.rings, self.modules, self.homs, tuple(order))
 
     def claim(self, name, lineno):
         # the name is the second token of its header line
@@ -418,10 +415,10 @@ class _Parser:
         for (a, b), v in table.items():
             value_table[a][b] = v
         if ring is None:
-            self.doc.rings[name] = HyperRing(_MaskTable(add_table), neg_table, value_table,
+            self.rings[name] = HyperRing(_MaskTable(add_table), neg_table, value_table,
                                              unit=unit, name=name)
         else:
-            self.doc.modules[name] = HyperModule(ring, _MaskTable(add_table), neg_table,
+            self.modules[name] = HyperModule(ring, _MaskTable(add_table), neg_table,
                                                  value_table, unital=bool(unit), name=name)
         return i
 
@@ -458,7 +455,7 @@ class _Parser:
                 self.error(f"missing map entry for {a}", first, 1)
         if unit_preserving and (source_ring.unit is None or target_ring.unit is None):
             self.error("unit preservation needs units on both sides", flag_line, 1)
-        self.doc.homs[name] = RingHom(source_ring, target_ring,
+        self.homs[name] = RingHom(source_ring, target_ring,
                                       tuple(mapping[a] for a in range(source_ring.order)),
                                       name=name, unit_preserving=unit_preserving)
         return i

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .core import (
     AxiomCheck,
@@ -230,8 +231,7 @@ def annihilator(module: HyperModule) -> HyperIdeal:
     return HyperIdeal._trusted(module.ring, mask_of(good), "two-sided")
 
 
-@dataclass(frozen=True)
-class ModuleQuotient:
+class ModuleQuotient(NamedTuple):
     module: HyperModule
     source: HyperModule
     kernel_members: ElementSet

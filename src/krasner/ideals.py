@@ -18,6 +18,7 @@ Canonical order everywhere is the integer value of the member bit mask.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     ElementSet,
@@ -36,8 +37,7 @@ from .core import (
 SIDEDNESS = ("left", "right", "two-sided")
 
 
-@dataclass(frozen=True)
-class IdealCheck:
+class IdealCheck(NamedTuple):
     ok: bool
     clause: str = ""
     witness: tuple = ()
@@ -59,6 +59,10 @@ class IdealCheck:
         witness."""
         if not self.ok:
             raise ValueError(f"not a {noun}: {self.clause} fails at {self.witness}")
+
+
+# what every passing check returns
+_HOLDS = IdealCheck(True)
 
 
 def _as_mask(ring: HyperRing, members) -> int:
@@ -313,7 +317,7 @@ def closure_check(s: int, add, neg, actions) -> IdealCheck:
             for r, v in enumerate(table[a]):
                 if not s >> v & 1:
                     return IdealCheck(False, clause, (a, r), f"{a} * {r} escapes the set")
-    return IdealCheck(True)
+    return _HOLDS
 
 
 def closure(mask: int, add, neg, actions) -> int:
@@ -585,8 +589,7 @@ def nil_radical(ring: HyperRing, lattice: IdealLattice) -> HyperIdeal:
     return ideal_intersection(lattice.prime)
 
 
-@dataclass(frozen=True)
-class PrimeCheck:
+class PrimeCheck(NamedTuple):
     ok: bool
     witness: tuple = ()
 
@@ -615,8 +618,7 @@ def is_prime(ideal: HyperIdeal, lattice: IdealLattice) -> PrimeCheck:
     return PrimeCheck(w is None, w or ())
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(NamedTuple):
     """Quotient hyperring together with the coset data and projection."""
 
     ring: HyperRing          # the quotient structure

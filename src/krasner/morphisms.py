@@ -10,7 +10,8 @@ so nothing here takes a prebuilt one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     HyperRing,
@@ -109,8 +110,7 @@ def enumerate_ring_homs(source: HyperRing, target: HyperRing) -> tuple:
     return hom_search(RingHom, source, target, rules, verify_strong_hom, "hom search")
 
 
-@dataclass(frozen=True)
-class InducedMap:
+class InducedMap(NamedTuple):
     """The pullback map on primitive ideal spaces.
 
     Goes from the primitives of the hom's target to those of its source.
@@ -123,7 +123,7 @@ class InducedMap:
     domain: SpectrumSpace
     codomain: SpectrumSpace
     point_map: tuple
-    escapes: tuple = field(default=())
+    escapes: tuple = ()
 
     @property
     def total(self) -> bool:
@@ -172,8 +172,7 @@ def is_continuous(imap: InducedMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """How close a pullback map comes to a closed embedding."""
 
     total: bool
@@ -209,8 +208,7 @@ def check_closed_embedding(imap: InducedMap) -> EmbeddingReport:
     )
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     dense: bool
     kernel_in_radical: bool
 
@@ -232,8 +230,7 @@ def check_density(imap: InducedMap) -> DensityReport:
                          kernel_in_radical=ker.members.mask & ~rad.members.mask == 0)
 
 
-@dataclass(frozen=True)
-class RadicalQuotientReport:
+class RadicalQuotientReport(NamedTuple):
     total: bool
     bijective: bool
     closed_sets_correspond: bool

@@ -11,7 +11,7 @@ lattice, so nothing here takes a lattice argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core, corpus
 from .core import HyperRing, TheoremViolationError, _MaskTable, action_tables, derived, mask_of
@@ -25,8 +25,7 @@ from .hypermodules import (
 from .ideals import HyperIdeal, IdealLattice, quotient_ring
 
 
-@dataclass(frozen=True)
-class PrimitiveCertificate:
+class PrimitiveCertificate(NamedTuple):
     """A primitive ideal together with the evidence for it."""
 
     ideal: HyperIdeal
@@ -106,8 +105,7 @@ def is_primitive_ring(ring: HyperRing) -> bool:
     return any(c.ideal.members.mask == 1 for c in prim_certificates(ring))
 
 
-@dataclass(frozen=True)
-class BiconditionalReport:
+class BiconditionalReport(NamedTuple):
     """Outcome of checking `p primitive iff R/p is a primitive ring` over
     every proper two sided ideal."""
 

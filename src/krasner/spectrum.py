@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core
 from .core import BoundExceededError, ElementSet, HyperRing, bits, derived
@@ -136,8 +136,7 @@ class SpectrumSpace:
         return f"<SpectrumSpace of {self.ring.name or 'ring'} with {self.size} points>"
 
 
-@dataclass(frozen=True)
-class KuratowskiReport:
+class KuratowskiReport(NamedTuple):
     ok: bool
     sampled: bool
     pairs_checked: int

@@ -17,7 +17,6 @@ import datetime
 import functools
 import itertools
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import TheoremViolationError, derived
@@ -103,8 +102,7 @@ class RingContext:
         self.ring, "endomorphisms", lambda: enumerate_ring_homs(self.ring, self.ring)))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     status: str  # pass | fail | skip | info
     detail: str = ""
@@ -560,15 +558,13 @@ def require_known_checks(check_ids):
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
 
 
-@dataclass(frozen=True)
-class RingReportRow:
+class RingReportRow(NamedTuple):
     name: str
     order: int
     results: tuple
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     parameters: dict
     fingerprint: str
     rows: tuple
@@ -677,8 +673,7 @@ def run_theorem_suite(entries=None, max_order=3, per_order_limit=None,
                        generated_at=stamp)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     kind: str
     scanned: int
     found: tuple  # (ring name, description)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import pytest
 
-from krasner import corpus, ideals
+from krasner import core, corpus, ideals
 from krasner.corpus import (
     HARD_ORDER_CAP,
     _orbit_splits,
@@ -341,6 +341,27 @@ def test_full_passes_run_once_per_class(monkeypatch):
     labelled = sum(len(enumerate_hypergroups(n, dedupe=False)) for n in range(1, 5))
     assert len(entries) == 163 and (classes, labelled) == (110, 408)
     assert counted == {"_full_min": classes, "_automorphisms": classes}
+
+
+def test_a_cold_corpus_checks_each_hypergroup_class_once(monkeypatch):
+    fresh_hypergroups(monkeypatch)
+    # a fresh verdict memo of the same bound, read by corpus and core alike
+    memo = lru_cache(maxsize=core._VERDICTS_KEPT)(core._hypergroup_report.__wrapped__)
+    for module in (core, corpus):
+        monkeypatch.setattr(module, "_hypergroup_report", memo)
+    orders = []
+    real = core.hypergroup_checks
+
+    def counting(n, add, neg):
+        orders.append(n)
+        return real(n, add, neg)
+
+    monkeypatch.setattr(core, "hypergroup_checks", counting)
+    entries = corpus._corpus.__wrapped__(4, None)
+    assert len(entries) == 163
+    # 97 order-4 classes, more than the memo keeps, each checked once
+    assert [orders.count(n) for n in (1, 2, 3, 4)] == [1, 2, 10, 97]
+    assert len(orders) == 110
 
 
 def test_a_rule_no_free_orbit_reads_is_tested_before_the_search(monkeypatch):

@@ -382,10 +382,10 @@ class ReferenceParser(_Parser):
         for (a, b), v in table.items():
             value_table[a][b] = v
         if ring is None:
-            self.doc.rings[name] = HyperRing(add_table, neg_table, value_table,
+            self.rings[name] = HyperRing(add_table, neg_table, value_table,
                                              unit=unit, name=name)
         else:
-            self.doc.modules[name] = HyperModule(ring, add_table, neg_table, value_table,
+            self.modules[name] = HyperModule(ring, add_table, neg_table, value_table,
                                                  unital=bool(unit), name=name)
         return i
 

@@ -1,8 +1,13 @@
 """Import hygiene: every top-level import of a package module is used in
 that module or re-exported through its ``__all__``, so code that moves
-between modules leaves no stale import behind."""
+between modules leaves no stale import behind; and the package builds no
+dataclass it does not need, since each one is generated code that every
+``khr`` start pays for."""
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -38,3 +43,22 @@ def test_every_top_level_import_is_used(path):
 def test_an_unused_import_is_reported():
     tree = ast.parse("import os\nfrom a import b, c as d\n__all__ = ['b']\nd()\n")
     assert unused_imports(tree) == [(1, "os")]
+
+
+# the dataclasses the package keeps: the lattice compares and hashes
+# without its ``products`` field and is copied with dataclasses.replace,
+# and the homs check their tables when built
+DATACLASSES = {"ideals.IdealLattice", "core.StrongHom", "morphisms.RingHom",
+               "hypermodules.ModuleHom"}
+
+
+def test_only_the_kept_classes_are_dataclasses():
+    found = set()
+    for path in MODULES:
+        stem = path.stem
+        module = krasner if stem == "__init__" else importlib.import_module(f"krasner.{stem}")
+        found |= {f"{stem}.{name}" for name, cls in inspect.getmembers(module, inspect.isclass)
+                  if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)}
+    assert found == DATACLASSES, (
+        "each @dataclass generates its methods when imported, about 1 ms on "
+        "every khr start; make a plain record a typing.NamedTuple")

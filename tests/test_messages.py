@@ -9,17 +9,23 @@ without a broken ring.  A set the caller hands in that is not closed
 raises ``ValueError`` with the same clause and witness.  These messages
 are what a user reads, so they are pinned byte for byte.  ``ideal_product``
 takes two hyperideals over one ring and refuses anything else.
+Two messages embed the repr of a report's failures, so they pin that
+repr too; the records they are built from stay immutable and hash by
+value.
 """
 
+import collections
 import hashlib
+import inspect
 import json
 
 import pytest
 
-from krasner import hypermodules, ideals, morphisms
+from krasner import core, corpus, dsl, hypermodules, ideals, morphisms, primitivity
+from krasner import spectrum, suite
 from krasner.catalog import cyclic_ring
 from krasner.cli import main
-from krasner.core import TheoremViolationError
+from krasner.core import AxiomCheck, TheoremViolationError, VerificationReport
 from krasner.hypermodules import (
     ModuleHom,
     annihilator,
@@ -122,6 +128,61 @@ def test_ideal_product_takes_two_ideals_of_one_ring():
     other = HyperIdeal(cyclic_ring(4), [0, 2])
     with pytest.raises(ValueError, match="operands must live over the same ring"):
         ideal_product(two, other)
+
+
+BROKEN = VerificationReport((AxiomCheck("multiplication", False, (1, 1),
+                                        "f(a b) != f(a) f(b) at (1, 1)"),))
+BROKEN_TEXT = ("(AxiomCheck(axiom='multiplication', ok=False, witness=(1, 1), "
+               "detail='f(a b) != f(a) f(b) at (1, 1)'),)")
+
+
+def test_a_structure_that_fails_validation_names_its_failures(monkeypatch):
+    # a fresh verdict memo, so the replaced verifier is called
+    monkeypatch.setattr(core, "_TABLE_REPORTS", collections.OrderedDict())
+    monkeypatch.setattr(core, "verify_hyperring", lambda ring: BROKEN)
+    with pytest.raises(TheoremViolationError) as raised:
+        cyclic_ring(3)
+    assert str(raised.value) == f"bundled ring failed validation: {BROKEN_TEXT}"
+
+
+def test_a_hom_search_that_finds_a_failing_hom_names_it(monkeypatch):
+    monkeypatch.setattr(morphisms, "verify_strong_hom", lambda hom: BROKEN)
+    z2 = cyclic_ring(2)
+    with pytest.raises(TheoremViolationError) as raised:
+        morphisms.enumerate_ring_homs(z2, z2)
+    assert str(raised.value) == f"hom search produced (0, 0), which fails {BROKEN_TEXT}"
+
+
+RECORDS = [
+    core.AxiomCheck, core.VerificationReport, core.ValidationReport,
+    ideals.IdealCheck, ideals.PrimeCheck, ideals.Quotient,
+    hypermodules.ModuleQuotient,
+    morphisms.InducedMap, morphisms.EmbeddingReport, morphisms.DensityReport,
+    morphisms.RadicalQuotientReport,
+    primitivity.PrimitiveCertificate, primitivity.BiconditionalReport,
+    spectrum.KuratowskiReport,
+    suite.CheckResult, suite.RingReportRow, suite.SuiteReport, suite.SearchResult,
+    corpus.CorpusEntry, dsl.BlockedReport, dsl.Document,
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[r.__name__ for r in RECORDS])
+def test_a_record_is_immutable_and_hashes_by_value(record):
+    fields = list(inspect.signature(record).parameters)
+    one = record(*(f"value of {f}" for f in fields))
+    two = record(*(f"value of {f}" for f in fields))
+    assert one == two and hash(one) == hash(two)
+    assert one != record(*(f"other {f}" for f in fields))
+    with pytest.raises(AttributeError):
+        setattr(one, fields[0], "changed")
+    with pytest.raises(AttributeError):
+        one.extra = "added"
+
+
+def test_a_failed_ideal_check_is_falsy():
+    assert not ideals.IdealCheck(False)
+    assert not FAILED
+    assert ideals.IdealCheck(True)
 
 
 # the full report of ``khr check --max-order 4``: the text, and the JSON
