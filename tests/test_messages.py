@@ -11,7 +11,9 @@ are what a user reads, so they are pinned byte for byte.  ``ideal_product``
 takes two hyperideals over one ring and refuses anything else.
 Two messages embed the repr of a report's failures, so they pin that
 repr too; the records they are built from stay immutable and hash by
-value.
+value.  The homs and the ideal lattice are read-only classes that check
+what they are built from; their constructors, refusals, reprs, equality
+and hashes are pinned as well.
 """
 
 import collections
@@ -23,9 +25,9 @@ import pytest
 
 from krasner import core, corpus, dsl, hypermodules, ideals, morphisms, primitivity
 from krasner import spectrum, suite
-from krasner.catalog import cyclic_ring
+from krasner.catalog import cyclic_ring, zero_mul_ring
 from krasner.cli import main
-from krasner.core import AxiomCheck, TheoremViolationError, VerificationReport
+from krasner.core import AxiomCheck, StrongHom, TheoremViolationError, VerificationReport
 from krasner.hypermodules import (
     ModuleHom,
     annihilator,
@@ -36,8 +38,8 @@ from krasner.hypermodules import (
     regular_module,
     submodule,
 )
-from krasner.ideals import HyperIdeal, IdealCheck, ideal_product, ideal_sum
-from krasner.morphisms import identity_hom, kernel_ideal, preimage_ideal
+from krasner.ideals import HyperIdeal, IdealCheck, IdealLattice, ideal_product, ideal_sum
+from krasner.morphisms import RingHom, identity_hom, kernel_ideal, preimage_ideal
 
 FAILED = IdealCheck(False, "add-closure", (1, 2), "1 + 2 escapes the set")
 
@@ -177,6 +179,123 @@ def test_a_record_is_immutable_and_hashes_by_value(record):
         setattr(one, fields[0], "changed")
     with pytest.raises(AttributeError):
         one.extra = "added"
+
+
+SIGNATURES = {
+    StrongHom: "(source: 'Structure', target: 'Structure', mapping: 'tuple', "
+               "name: 'str | None' = None) -> None",
+    RingHom: "(source: 'Structure', target: 'Structure', mapping: 'tuple', "
+             "name: 'str | None' = None, unit_preserving: 'bool' = False) -> None",
+    ModuleHom: "(source: 'Structure', target: 'Structure', mapping: 'tuple', "
+               "name: 'str | None' = None) -> None",
+    IdealLattice: "(ring: 'HyperRing', two_sided: 'tuple', right: 'tuple', maximal: 'tuple', "
+                  "prime: 'tuple', maximal_right: 'tuple', products: 'dict') -> None",
+}
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=[c.__name__ for c in SIGNATURES])
+def test_a_checked_class_keeps_its_constructor(cls):
+    assert str(inspect.signature(cls)) == SIGNATURES[cls]
+
+
+def test_homs_and_lattices_print_their_fields():
+    z2 = cyclic_ring(2)
+    reg = regular_module(z2)
+    assert repr(identity_hom(z2)) == (
+        "RingHom(source=<HyperRing Z2>, target=<HyperRing Z2>, mapping=(0, 1), "
+        "name='id', unit_preserving=True)")
+    assert repr(RingHom(z2, z2, [0, 0])) == (
+        "RingHom(source=<HyperRing Z2>, target=<HyperRing Z2>, mapping=(0, 0), "
+        "name=None, unit_preserving=False)")
+    assert repr(ModuleHom(reg, reg, (0, 1))) == (
+        "ModuleHom(source=<HyperModule Z2 as module>, target=<HyperModule Z2 as module>, "
+        "mapping=(0, 1), name=None)")
+    assert repr(StrongHom(z2, z2, (0, 1), "s")) == (
+        "StrongHom(source=<HyperRing Z2>, target=<HyperRing Z2>, mapping=(0, 1), name='s')")
+    assert repr(IdealLattice.build(z2)) == (
+        "IdealLattice(ring=<HyperRing Z2>, "
+        "two_sided=(<two-sided ideal {0} of Z2>, <two-sided ideal {0,1} of Z2>), "
+        "right=(<right ideal {0} of Z2>, <right ideal {0,1} of Z2>), "
+        "maximal=(<two-sided ideal {0} of Z2>,), prime=(<two-sided ideal {0} of Z2>,), "
+        "maximal_right=(<right ideal {0} of Z2>,))")
+
+
+def test_homs_compare_by_kind_and_fields_and_hash_by_fields():
+    z2 = cyclic_ring(2)
+    reg = regular_module(z2)
+    hom = RingHom(z2, z2, [0, True], name="id", unit_preserving=True)
+    assert hom.mapping == (0, 1) and all(type(v) is int for v in hom.mapping)
+    assert hom == identity_hom(z2) and hash(hom) == hash(identity_hom(z2))
+    assert hash(hom) == hash((z2, z2, (0, 1), "id", True))
+    assert hom != RingHom(z2, z2, (0, 1), name="id")
+    assert hom != RingHom(z2, z2, (0, 1), unit_preserving=True)
+    module_hom = ModuleHom(reg, reg, (0, 1))
+    assert module_hom == ModuleHom(reg, reg, [0, 1])
+    assert hash(module_hom) == hash(ModuleHom(reg, reg, [0, 1])) == hash((reg, reg, (0, 1), None))
+    assert module_hom != ModuleHom(reg, reg, (0, 0))
+    # the same fields in another kind of hom are another hom
+    assert module_hom != RingHom(reg, reg, (0, 1))
+    assert module_hom != StrongHom(reg, reg, (0, 1))
+    assert StrongHom(z2, z2, (0, 1)) != RingHom(z2, z2, (0, 1))
+    assert StrongHom(z2, z2, (0, 1)) == StrongHom(z2, z2, (0, 1))
+    assert module_hom != (reg, reg, (0, 1), None)
+
+
+def test_a_lattice_compares_and_hashes_without_its_products():
+    ring = cyclic_ring(4)
+    lattice = IdealLattice.build(ring)
+    families = (lattice.ring, lattice.two_sided, lattice.right, lattice.maximal,
+                lattice.prime, lattice.maximal_right)
+    bare = IdealLattice(*families, products={})
+    assert bare == lattice and hash(bare) == hash(lattice) == hash(families)
+    assert bare.products == {} and lattice.products
+    assert IdealLattice(ring, lattice.two_sided[1:], *families[2:], lattice.products) != lattice
+    assert isinstance(IdealLattice.__dict__["build"], classmethod)
+
+
+def checked_objects():
+    z2 = cyclic_ring(2)
+    reg = regular_module(z2)
+    return [identity_hom(z2), ModuleHom(reg, reg, (0, 1)), StrongHom(z2, z2, (0, 1)),
+            IdealLattice.build(z2)]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["RingHom", "ModuleHom", "StrongHom",
+                                                 "IdealLattice"])
+def test_a_checked_object_is_read_only(index):
+    obj = checked_objects()[index]
+    for field in list(inspect.signature(type(obj)).parameters) + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, "changed")
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RingHom(cyclic_ring(2), cyclic_ring(4), (0, 1, 2)),
+     "mapping must cover the source carrier"),
+    (lambda: RingHom(cyclic_ring(2), cyclic_ring(4), (0, 5)),
+     "element 5 outside carrier of size 4"),
+    (lambda: RingHom(cyclic_ring(2), cyclic_ring(2), ("a", 0)),
+     "invalid literal for int() with base 10: 'a'"),
+    (lambda: RingHom(zero_mul_ring(2), cyclic_ring(2), (0, 1), unit_preserving=True),
+     "unit preservation needs units on both sides"),
+    (lambda: RingHom(cyclic_ring(2), zero_mul_ring(2), (0, 1), unit_preserving=True),
+     "unit preservation needs units on both sides"),
+    (lambda: StrongHom(cyclic_ring(2), cyclic_ring(2), (0,)),
+     "mapping must cover the source carrier"),
+    (lambda: ModuleHom(regular_module(cyclic_ring(2)), regular_module(cyclic_ring(4)), (0,)),
+     "mapping must cover the source carrier"),
+    (lambda: ModuleHom(regular_module(cyclic_ring(2)), regular_module(cyclic_ring(2)), (0, 2)),
+     "element 2 outside carrier of size 2"),
+    (lambda: ModuleHom(regular_module(cyclic_ring(2)), regular_module(cyclic_ring(4)), (0, 3)),
+     "module homs need a common base ring"),
+])
+def test_a_hom_refuses_a_table_it_cannot_hold(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
 
 
 def test_a_failed_ideal_check_is_falsy():
