@@ -20,13 +20,17 @@ from a checked structure on it (``derived``).
 
 Checks, reports and the other plain records of the package are
 ``typing.NamedTuple``s, so each compares equal to a tuple with the same
-values; ``StrongHom`` stays a dataclass, which checks its table when built.
+values.  The classes that check what they are built from, ``StrongHom``
+with the ring and module homs on it and ``ideals.IdealLattice``, are
+``FrozenRecord``s: slotted, read-only, and equal only to an object of
+their own class with equal fields.  No module imports ``dataclasses``,
+which with the ``inspect`` it loads took about 14 ms of every ``khr``
+start.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import itemgetter
@@ -723,22 +727,68 @@ def require_scan_bound(structure: Structure, noun: str):
         )
 
 
-@dataclass(frozen=True)
-class StrongHom:
+_set = object.__setattr__
+
+
+class FrozenRecord:
+    """Base of the read-only classes that check what they are built from.
+
+    ``_fields`` names the constructor's fields in order; the repr shows
+    each but those in ``_unshown``.  A subclass sets its fields with
+    ``object.__setattr__`` and defines ``__eq__`` (same class, same
+    compared fields) and ``__hash__`` on the fields directly: a key built
+    by name lookup made both several times slower."""
+
+    __slots__ = ()
+    _fields = ()
+    _unshown = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields
+                          if f not in self._unshown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, built and checked anew."""
+        return type(self)(**{f: changes.pop(f, getattr(self, f)) for f in self._fields},
+                          **changes)
+
+
+class StrongHom(FrozenRecord):
     """Map between two structures given by a value table on the source:
     what ring homs and module homs share."""
 
-    source: Structure
-    target: Structure
-    mapping: tuple
-    name: str | None = None
+    __slots__ = _fields = ("source", "target", "mapping", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        if len(self.mapping) != self.source.order:
+    def __init__(self, source: Structure, target: Structure, mapping: tuple,
+                 name: str | None = None) -> None:
+        mapping = tuple(map(int, mapping))
+        if len(mapping) != source.order:
             raise ValueError("mapping must cover the source carrier")
-        for v in self.mapping:
-            self.target.check_element(v)
+        for v in mapping:
+            target.check_element(v)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "mapping", mapping)
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.mapping, self.name)
+                    == (other.source, other.target, other.mapping, other.name))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.mapping, self.name))
 
     def image_mask(self) -> int:
         return mask_of(self.mapping)

@@ -14,7 +14,6 @@ equals the hypersum of the images as sets, not merely a subset of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 
@@ -260,13 +259,15 @@ def quotient_module(module: HyperModule, members) -> ModuleQuotient:
     return derived(module, ("quotient", k.mask), build)
 
 
-@dataclass(frozen=True)
 class ModuleHom(StrongHom):
     """Map between right hypermodules over one ring, given by a value table."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.source.ring is not self.target.ring:
+    __slots__ = ()
+
+    def __init__(self, source: Structure, target: Structure, mapping: tuple,
+                 name: str | None = None) -> None:
+        super().__init__(source, target, mapping, name)
+        if source.ring is not target.ring:
             raise ValueError("module homs need a common base ring")
 
 

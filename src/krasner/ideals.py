@@ -17,15 +17,16 @@ Canonical order everywhere is the integer value of the member bit mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import (
     ElementSet,
+    FrozenRecord,
     HyperRing,
     Structure,
     TheoremViolationError,
     _MaskTable,
+    _set,
     bits,
     derived,
     hypersum,
@@ -152,23 +153,40 @@ def enumerate_ideals(ring: HyperRing, sidedness: str = "two-sided") -> tuple:
     return tuple(HyperIdeal._trusted(ring, mask, sidedness) for mask in masks)
 
 
-@dataclass(frozen=True)
-class IdealLattice:
+class IdealLattice(FrozenRecord):
     """Two sided and right ideals of a ring plus the distinguished families.
 
     ``products`` maps (a.key, b.key) to the member mask of
     ``ideal_product(a, b)`` for every ordered pair of two sided ideals.
-    It is keyed by mask and left out of comparison, so lattices compare
-    and hash by their families alone.
+    It is keyed by mask and left out of comparison, hashing and the repr,
+    so lattices compare and hash by their families alone.
     """
 
-    ring: HyperRing
-    two_sided: tuple
-    right: tuple
-    maximal: tuple
-    prime: tuple
-    maximal_right: tuple
-    products: dict = field(compare=False, repr=False)
+    __slots__ = _fields = ("ring", "two_sided", "right", "maximal", "prime",
+                           "maximal_right", "products")
+    _unshown = ("products",)
+
+    def __init__(self, ring: HyperRing, two_sided: tuple, right: tuple, maximal: tuple,
+                 prime: tuple, maximal_right: tuple, products: dict) -> None:
+        _set(self, "ring", ring)
+        _set(self, "two_sided", two_sided)
+        _set(self, "right", right)
+        _set(self, "maximal", maximal)
+        _set(self, "prime", prime)
+        _set(self, "maximal_right", maximal_right)
+        _set(self, "products", products)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.ring, self.two_sided, self.right, self.maximal, self.prime,
+                     self.maximal_right)
+                    == (other.ring, other.two_sided, other.right, other.maximal, other.prime,
+                        other.maximal_right))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.two_sided, self.right, self.maximal, self.prime,
+                     self.maximal_right))
 
     @classmethod
     def build(cls, ring: HyperRing) -> "IdealLattice":
@@ -525,24 +543,51 @@ def cross_check_all_generated(ring: HyperRing, lattice: IdealLattice) -> int:
     nonempty mask, closure(mask) = closure(closure(mask - top) + top),
     because ``closure`` is a closure operator.  The earlier masks already
     hold closure(mask - top), a lattice ideal, so at most |L| * n + 1
-    fixpoints run, where |L| = len(lattice.two_sided)."""
+    fixpoints run, where |L| = len(lattice.two_sided).
+
+    The lattice ideals above mask are a bitset over the family: those
+    above mask - top that hold top.  Their meet is taken once per
+    distinct bitset, and a set whose routes disagree is named by
+    ``_lattice_ideal``, the comparison of the single-set route."""
+    return sum(1 for _ in _generated_sweep(ring, lattice))
+
+
+def _generated_sweep(ring: HyperRing, lattice: IdealLattice):
+    # (mask, closure of mask, the lattice ideal it is) for every mask in
+    # ascending order, as ``cross_check_all_generated`` describes
     if lattice.ring is not ring:
         raise ValueError("lattice belongs to a different ring")
     ring.require_validated()
     add, neg = ring.add_masks, ring.neg_table
     actions = _absorption(ring, "two-sided")
+    keys = [ideal.members.mask for ideal in lattice.two_sided]
+    by_key = {ideal.members.mask: ideal for ideal in lattice.two_sided}
+    holds = [mask_of(j for j, key in enumerate(keys) if key >> e & 1)
+             for e in range(ring.order)]
+    above = [(1 << len(keys)) - 1]   # above[mask], the ideals holding mask
+    meets = {}    # the meet of the ideals in each bitset met so far
     closed = []   # closed[mask], the closure of each mask so far
     by_seed = {}
     for mask in range(1 << ring.order):
         seed = 0
         if mask:
-            top = 1 << (mask.bit_length() - 1)
-            seed = closed[mask ^ top] | top
+            top = mask.bit_length() - 1
+            seed = closed[mask ^ 1 << top] | 1 << top
+            above.append(above[mask ^ 1 << top] & holds[top])
         if seed not in by_seed:
             by_seed[seed] = closure(seed, add, neg, actions)
-        closed.append(by_seed[seed])
-        _lattice_ideal(ring, mask, by_seed[seed], lattice)
-    return len(closed)
+        result = by_seed[seed]
+        closed.append(result)
+        meet = meets.get(above[mask])
+        if meet is None:
+            meet = ring.full_mask
+            for j in bits(above[mask]):
+                meet &= keys[j]
+            meets[above[mask]] = meet
+        found = by_key.get(result)
+        if found is None or meet != result:
+            _lattice_ideal(ring, mask, result, lattice)
+        yield mask, result, found
 
 
 def _lattice_ideal(ring: HyperRing, mask: int, closed: int, lattice: IdealLattice) -> HyperIdeal:

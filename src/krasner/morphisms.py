@@ -10,13 +10,14 @@ so nothing here takes a prebuilt one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
     HyperRing,
     StrongHom,
+    Structure,
     VerificationReport,
+    _set,
     axiom_check,
     bits,
     hom_search,
@@ -34,16 +35,28 @@ from .ideals import (
 from .spectrum import SpectrumSpace
 
 
-@dataclass(frozen=True)
 class RingHom(StrongHom):
     """Map between hyperrings given by a value table on the source."""
 
-    unit_preserving: bool = False
+    __slots__ = ("unit_preserving",)
+    _fields = StrongHom._fields + __slots__
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.unit_preserving and (self.source.unit is None or self.target.unit is None):
+    def __init__(self, source: Structure, target: Structure, mapping: tuple,
+                 name: str | None = None, unit_preserving: bool = False) -> None:
+        super().__init__(source, target, mapping, name)
+        _set(self, "unit_preserving", unit_preserving)
+        if unit_preserving and (source.unit is None or target.unit is None):
             raise ValueError("unit preservation needs units on both sides")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.mapping, self.name, self.unit_preserving)
+                    == (other.source, other.target, other.mapping, other.name,
+                        other.unit_preserving))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.mapping, self.name, self.unit_preserving))
 
 
 def verify_strong_hom(hom: RingHom) -> VerificationReport:

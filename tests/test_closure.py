@@ -17,8 +17,6 @@ run on every mask holding 0: on corpus rings, on direct products of
 orders 6 to 12, on modules, and on raw tables that satisfy no axiom.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -258,7 +256,7 @@ def test_cross_check_needs_the_closure_in_the_lattice(corpus4):
         lattice = IdealLattice.build(ring)
         for ideal in lattice.two_sided:
             rest = tuple(i for i in lattice.two_sided if i != ideal)
-            damaged = dataclasses.replace(lattice, two_sided=rest)
+            damaged = lattice._replace(two_sided=rest)
             with pytest.raises(TheoremViolationError, match="generated ideal mismatch"):
                 cross_check_generated(ring, ideal.members, damaged)
             above = [i for i in rest if ideal.key & ~i.key == 0]
@@ -283,27 +281,19 @@ def corpus4_and_z12(corpus4):
     return [e.ring for e in corpus4] + [cyclic_ring(12)]
 
 
-def test_the_sweep_agrees_with_the_single_set_route(corpus4, monkeypatch):
-    # every mask reaches the shared comparison once, in ascending order,
-    # with the closure and the lattice ideal the single-set route finds
-    compare = ideals._lattice_ideal
+def test_the_sweep_agrees_with_the_single_set_route(corpus4):
+    # every mask is compared once, in ascending order, with the closure
+    # and the lattice ideal the single-set route finds
     for ring in corpus4_and_z12(corpus4):
         lattice = IdealLattice.build(ring)
-        seen = []
-
-        def record(ring, mask, closed, lattice):
-            found = compare(ring, mask, closed, lattice)
-            seen.append((mask, closed, found))
-            return found
-
-        with monkeypatch.context() as patch:
-            patch.setattr(ideals, "_lattice_ideal", record)
-            assert cross_check_all_generated(ring, lattice) == 1 << ring.order
+        assert cross_check_all_generated(ring, lattice) == 1 << ring.order
+        seen = list(ideals._generated_sweep(ring, lattice))
         expected = []
         for s in range(1 << ring.order):
             found = cross_check_generated(ring, ring.from_mask(s), lattice)
             expected.append((s, generated_ideal(ring, ring.from_mask(s)).key, found))
         assert seen == expected
+        assert all(got[2] is want[2] for got, want in zip(seen, expected))
 
 
 def first_single_set_failure(ring, lattice):
@@ -322,7 +312,7 @@ def test_the_sweep_fails_on_the_first_failing_mask(corpus4):
         lattice = IdealLattice.build(ring)
         for ideal in lattice.two_sided:
             rest = tuple(i for i in lattice.two_sided if i != ideal)
-            damaged = dataclasses.replace(lattice, two_sided=rest)
+            damaged = lattice._replace(two_sided=rest)
             expected = first_single_set_failure(ring, damaged)
             assert expected is not None
             with pytest.raises(TheoremViolationError) as info:

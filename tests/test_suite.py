@@ -1,7 +1,6 @@
 """Theorem suite: registry behavior, report determinism, searches."""
 
 import collections
-import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -169,7 +168,7 @@ def test_ideal_product_referees_the_lattice_product_table():
     # {0,2} * {0,2} = {0}, mask 1; the damaged table says {0,2}, mask 5
     products = dict(lattice.products)
     products[5, 5] = 5
-    damaged = dataclasses.replace(lattice, products=products)
+    damaged = lattice._replace(products=products)
     bad = check_ideal_product_closed(SimpleNamespace(ring=ring, lattice=damaged))
     assert bad.status == "fail"
     assert bad.detail == "{0,2} * {0,2} has mask 1, the lattice's product table 5"
@@ -189,7 +188,7 @@ def test_product_inside_intersection_reads_the_product_table(monkeypatch):
     # which escapes the intersection {0}
     products = dict(lattice.products)
     products[1, 5] = 5
-    damaged = dataclasses.replace(lattice, products=products)
+    damaged = lattice._replace(products=products)
     bad = check_product_inside_intersection(SimpleNamespace(ring=ring, lattice=damaged))
     assert bad.status == "fail"
     assert bad.detail == "{0} * {0,2} = {0,2} escapes the intersection"
