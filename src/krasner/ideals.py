@@ -571,9 +571,10 @@ def _generated_sweep(ring: HyperRing, lattice: IdealLattice):
     for mask in range(1 << ring.order):
         seed = 0
         if mask:
-            top = mask.bit_length() - 1
-            seed = closed[mask ^ 1 << top] | 1 << top
-            above.append(above[mask ^ 1 << top] & holds[top])
+            bit = mask.bit_length() - 1
+            top = 1 << bit
+            seed = closed[mask ^ top] | top
+            above.append(above[mask ^ top] & holds[bit])
         if seed not in by_seed:
             by_seed[seed] = closure(seed, add, neg, actions)
         result = by_seed[seed]
