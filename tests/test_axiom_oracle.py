@@ -6,10 +6,13 @@ explicit quantifiers, shares no code with ``krasner.core``, and names the
 first failing instance in each validator's scan order: the six
 hypergroup axioms, the ring and module table axioms, and the checks of
 ring homs and module homs.  ``hypothesis`` changes corpus-3 and bundled
-rings and their regular and quotient modules (add cells, emptied ones included,
-single-valued table cells, negation entries and the declared unit) and
-the maps of real homs between them, and every reported
-``(axiom, ok, witness, detail)`` must equal the oracle's.
+rings, Z/7 to Z/12, direct products of order 6 to 12, and their regular
+and quotient modules (add cells, emptied ones included, a pair of
+swapped add cells set to one mask, single-valued table cells, negation
+entries and the declared unit) and the maps of real homs between them,
+and every reported ``(axiom, ok, witness, detail)`` must equal the
+oracle's.  A changed pair keeps a commutative addition commutative, so
+the validators' scans over unordered pairs meet failing tables too.
 """
 
 from functools import lru_cache
@@ -17,7 +20,7 @@ from functools import lru_cache
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from krasner.catalog import cyclic_ring, standard_rings
+from krasner.catalog import cyclic_ring, hyperfield_k, standard_rings
 from krasner.core import HyperRing
 from krasner.corpus import generate_corpus
 from krasner.hypermodules import (
@@ -226,26 +229,60 @@ def reported(report):
     return [(c.axiom, c.ok, c.witness, c.detail) for c in report.checks]
 
 
-@lru_cache(maxsize=1)
-def structures() -> tuple:
-    """Each corpus-3 ring and bundled ring, its regular module and its
-    quotient modules.  Z/6 is there because some scan orders part only
-    from order 5 up: (1, 4) comes before (2, 3) with a outermost, after
-    it with b outermost."""
+def direct_product(r, s):
+    """r x s with componentwise tables, the pair (a, b) numbered
+    a * |s| + b so that 0 stays 0."""
+    m, n = s.order, r.order * s.order
+    A, B = sets(r.add_masks), sets(s.add_masks)
+    add = [[sorted(x * m + y for x in A[a // m][b // m] for y in B[a % m][b % m])
+            for b in range(n)] for a in range(n)]
+    neg = [r.neg_table[a // m] * m + s.neg_table[a % m] for a in range(n)]
+    mul = [[r.mul_table[a // m][b // m] * m + s.mul_table[a % m][b % m] for b in range(n)]
+           for a in range(n)]
+    unit = None if r.unit is None or s.unit is None else r.unit * m + s.unit
+    return HyperRing(add, neg, mul, unit=unit).checked("direct product")
+
+
+def with_modules(rings) -> list:
+    """Each ring, its regular module and its quotient modules."""
     out = []
-    for ring in [e.ring for e in generate_corpus(3)] + list(standard_rings()):
+    for ring in rings:
         reg = regular_module(ring)
         out += [ring, reg]
         out += [quotient_module(reg, sub).module for sub in enumerate_subhypermodules(reg)]
-    return tuple(out)
+    return out
+
+
+@lru_cache(maxsize=1)
+def small_structures() -> tuple:
+    """Each corpus-3 ring and bundled ring with its modules.  Z/6 is
+    there because some scan orders part only from order 5 up: (1, 4)
+    comes before (2, 3) with a outermost, after it with b outermost."""
+    return tuple(with_modules([e.ring for e in generate_corpus(3)] + list(standard_rings())))
+
+
+@lru_cache(maxsize=1)
+def structures() -> tuple:
+    """``small_structures()``, then Z/7 to Z/12 and three direct products
+    with multivalued additions (orders 6, 9 and 12), each with its
+    modules: the larger the order, the further apart a failing instance
+    and its swap lie in a scan."""
+    corpus = {e.ring.name: e.ring for e in generate_corpus(3)}
+    k = hyperfield_k()
+    products = [direct_product(k, corpus["r3_9"]),
+                direct_product(corpus["r3_14"], corpus["r3_7"]),
+                direct_product(k, direct_product(k, corpus["r3_11"]))]
+    return small_structures() + tuple(with_modules(
+        [cyclic_ring(n) for n in range(7, 13)] + products))
 
 
 @lru_cache(maxsize=1)
 def homs() -> tuple:
     """Every strong hom between two rings, then every module hom between
-    two modules over one ring, in ``structures()``."""
-    rings = [s for s in structures() if isinstance(s, HyperRing)]
-    modules = [s for s in structures() if isinstance(s, HyperModule)]
+    two modules over one ring, in ``small_structures()``: the hom
+    searches stop at order 6."""
+    rings = [s for s in small_structures() if isinstance(s, HyperRing)]
+    modules = [s for s in small_structures() if isinstance(s, HyperModule)]
     return (tuple(h for s in rings for t in rings for h in enumerate_ring_homs(s, t)),
             tuple(h for m in modules for n in modules if m.ring is n.ring
                   for h in enumerate_module_homs(m, n)))
@@ -267,9 +304,10 @@ def with_zero_in(ring, cells):
 @st.composite
 def changed(draw):
     """A structure from ``structures()`` with one to three changes, rebuilt
-    unchecked: an add cell set to a nonempty or to the empty set, a cell
-    of the single-valued table, a negation entry, or the declared unit
-    (of a ring moved or dropped, of a module switched)."""
+    unchecked: an add cell set to a nonempty or to the empty set, the
+    cells (a, b) and (b, a) set to one mask, empty or not, a cell of the
+    single-valued table, a negation entry, or the declared unit (of a
+    ring moved or dropped, of a module switched)."""
     s = draw(st.sampled_from(structures()))
     n = s.order
     ring = isinstance(s, HyperRing)
@@ -278,12 +316,15 @@ def changed(draw):
     neg = list(s.neg_table)
     unit = s.unit if ring else s.unital
     for _ in range(draw(st.integers(1, 3))):
-        what = draw(st.sampled_from(("table", "add", "empty", "neg", "unit")))
+        what = draw(st.sampled_from(("table", "add", "pair", "empty", "neg", "unit")))
         a = draw(st.integers(0, n - 1))
         if what == "table":
             table[a][draw(st.integers(0, len(table[a]) - 1))] = draw(st.integers(0, n - 1))
         elif what == "add":
             add[a][draw(st.integers(0, n - 1))] = draw(st.integers(1, (1 << n) - 1))
+        elif what == "pair":
+            b = draw(st.integers(0, n - 1))
+            add[a][b] = add[b][a] = draw(st.integers(0, (1 << n) - 1))
         elif what == "empty":
             add[a][draw(st.integers(0, n - 1))] = 0
         elif what == "neg":
@@ -317,6 +358,9 @@ def changed_hom(draw):
 # commutativity fails at (1, 4) and (2, 3), which a outermost meets in
 # this order and b outermost in the other
 @example(with_zero_in(cyclic_ring(6), {(1, 4), (2, 3)}))
+# commutative but not associative: the first failure, at (1, 1, 3), and
+# its swap (3, 1, 1) are far apart in the scan; both distributivities fail
+@example(with_zero_in(cyclic_ring(12), {(2, 3), (3, 2)}))
 def test_first_witness_matches_the_oracle(s):
     report = s.validate()
     table = ring_oracle(s) if isinstance(s, HyperRing) else module_oracle(s)

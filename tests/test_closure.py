@@ -214,6 +214,38 @@ def old_quotient_module(module, k):
     return tuple(cosets), coset_of, out.encoding()
 
 
+def old_induced_set_table(add, cosets, coset_of):
+    # the per-coset-pair builder the one-pass ideals.induced_set_table
+    # replaced: a set of images for each cell
+    out = []
+    for i, ci in enumerate(cosets):
+        row = []
+        for j, cj in enumerate(cosets):
+            images = {mask_of(coset_of[t] for t in bits(add[a][b]))
+                      for a in bits(ci) for b in bits(cj)}
+            if len(images) != 1:
+                raise TheoremViolationError(
+                    f"coset tables depend on representatives at ({i}, {j})")
+            row.append(images.pop())
+        out.append(row)
+    return out
+
+
+def old_induced_value_table(table, cosets, coset_of, columns):
+    # likewise for ideals.induced_value_table
+    out = []
+    for i, ci in enumerate(cosets):
+        row = []
+        for j, cj in enumerate(columns):
+            images = {coset_of[table[a][b]] for a in bits(ci) for b in bits(cj)}
+            if len(images) != 1:
+                raise TheoremViolationError(
+                    f"coset tables depend on representatives at ({i}, {j})")
+            row.append(images.pop())
+        out.append(row)
+    return out
+
+
 # the shared helpers against their oracles
 
 
@@ -474,6 +506,45 @@ def test_quotients_match_the_old_coset_code(corpus4):
             assert got == old_quotient_module(reg, ideal.key)
             quotients += 1
     assert quotients
+
+
+def built(build, *args):
+    """What build(*args) returns as lists of rows, or the text of the
+    TheoremViolationError it raises."""
+    try:
+        return [list(row) for row in build(*args)]
+    except TheoremViolationError as error:
+        return str(error)
+
+
+def test_coset_tables_match_the_per_pair_builders(corpus4):
+    # every closed mask holding 0 (a subhypergroup, an ideal or not), and
+    # the add, neg, mul and act columns of its cosets: the same table, or
+    # the same error at the same cell
+    tables = raised = 0
+    for ring in (e.ring for e in corpus4):
+        act = regular_module(ring).act_table
+        for k in closed_subsets(ring.add_masks, ring.neg_table, []):
+            cosets, coset_of = ideals.coset_partition(ring.add_masks, k)
+            negs = [(v,) for v in ring.neg_table]
+            singles = [1 << r for r in range(ring.order)]
+            for new, old, args in (
+                    (ideals.induced_set_table, old_induced_set_table,
+                     (ring.add_masks, cosets, coset_of)),
+                    (ideals.induced_value_table, old_induced_value_table,
+                     (negs, cosets, coset_of, (1,))),
+                    (ideals.induced_value_table, old_induced_value_table,
+                     (ring.mul_table, cosets, coset_of, cosets)),
+                    (ideals.induced_value_table, old_induced_value_table,
+                     (act, cosets, coset_of, singles))):
+                expected = built(old, *args)
+                assert built(new, *args) == expected
+                if isinstance(expected, str):
+                    raised += 1
+                else:
+                    tables += 1
+    # 458 masks, four columns each
+    assert (tables, raised) == (1806, 26)
 
 
 def test_the_scan_bound_fires_before_any_work(z4, monkeypatch):

@@ -27,7 +27,13 @@ from krasner import core, corpus, dsl, hypermodules, ideals, morphisms, primitiv
 from krasner import spectrum, suite
 from krasner.catalog import cyclic_ring, zero_mul_ring
 from krasner.cli import main
-from krasner.core import AxiomCheck, StrongHom, TheoremViolationError, VerificationReport
+from krasner.core import (
+    AxiomCheck,
+    HyperRing,
+    StrongHom,
+    TheoremViolationError,
+    VerificationReport,
+)
 from krasner.hypermodules import (
     ModuleHom,
     annihilator,
@@ -118,6 +124,31 @@ def test_a_set_handed_in_that_is_not_closed_is_refused(call, message):
     with pytest.raises(ValueError) as raised:
         call(cyclic_ring(4))
     assert type(raised.value) is ValueError
+    assert str(raised.value) == message
+
+
+def dual_numbers():
+    """F2[x]/(x^2) on a0 + 2 a1 for a0 + a1 x: {0, 1} is an additive
+    subgroup but no ideal, as 1 x = x."""
+    def times(a, b):
+        return (a & 1) * (b & 1) | ((a & 1) * (b >> 1) ^ (a >> 1) * (b & 1)) << 1
+    return HyperRing([[[a ^ b] for b in range(4)] for a in range(4)], [0, 1, 2, 3],
+                     [[times(a, b) for b in range(4)] for a in range(4)], unit=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    # the cosets {0, 1} and {2, 3}: 0 x = 0 and 1 x = x lie in different ones
+    (lambda: ideals.induced_value_table(dual_numbers().mul_table, (0b0011, 0b1100),
+                                        (0, 0, 1, 1), (0b0011, 0b1100)),
+     "coset tables depend on representatives at (0, 1)"),
+    # {0, 1} and {2, 3} are no cosets in Z4: 0 + 0 = 0 and 1 + 1 = 2 part
+    (lambda: ideals.induced_set_table(cyclic_ring(4).add_masks, (0b0011, 0b1100),
+                                      (0, 0, 1, 1)),
+     "coset tables depend on representatives at (0, 0)"),
+])
+def test_coset_tables_name_the_first_cell_that_depends_on_representatives(call, message):
+    with pytest.raises(TheoremViolationError) as raised:
+        call()
     assert str(raised.value) == message
 
 
