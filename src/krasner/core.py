@@ -32,8 +32,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
-from itertools import product
-from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -414,7 +412,10 @@ def hypergroup_checks(n: int, add, neg) -> list:
     """Axiom checks for a canonical hypergroup given raw mask tables.
 
     Shared by rings and modules; returns a list of AxiomCheck.  Witnesses
-    are the smallest offending tuples in scan order.
+    are the smallest offending tuples in scan order.  Associativity scans
+    only a < c of (a, b, c) once commutativity has passed: (a, b, c)
+    fails exactly when (c, b, a) does, the one with the smaller first
+    entry coming first in the scan, and (a, b, a) holds.
     """
     E = range(n)
     empty = next(((a, b) for a in E for b in E if not add[a][b]), None)
@@ -422,12 +423,11 @@ def hypergroup_checks(n: int, add, neg) -> list:
     if empty is not None:
         # the remaining checks assume nonempty entries
         return checks
+    swapped = next(((a, b) for a in E for b in range(a + 1, n) if add[a][b] != add[b][a]),
+                   None)
+    checks.append(axiom_check("commutativity", swapped, "{0} + {1} differs from {1} + {0}"))
     checks.append(axiom_check(
-        "commutativity",
-        next(((a, b) for a in E for b in range(a + 1, n) if add[a][b] != add[b][a]), None),
-        "{0} + {1} differs from {1} + {0}"))
-    checks.append(axiom_check(
-        "associativity", hypergroup_associativity_failure(add, product(E, repeat=3)),
+        "associativity", hypergroup_associativity_failure(add, swapped is None),
         "(a + b) + c != a + (b + c) at {w}"))
     checks.append(axiom_check(
         "identity", next(((a,) for a in E if add[a][0] != 1 << a), None),
@@ -490,26 +490,30 @@ def verify_hyperring(ring: HyperRing) -> VerificationReport:
     right distributivity are action-sum and sum-action), absorption and
     the unit.
 
+    Each axiom reports its first failing (a, b, c) in lexicographic
+    order, right distributivity with c outermost.  When the addition
+    commutes, left distributivity scans only b <= c and right
+    distributivity only a <= b: an instance fails exactly when its swap,
+    which comes first in the scan, does.
+
     Meaningful on top of a passing hypergroup check; run ``validate()``
     to get both in the right order.
     """
     add = ring.add_masks
     mul = ring.mul_table
     E = range(ring.order)
+    commutative = is_commutative(add)
+    # (a, b, c) with c outermost: the first column that fails
+    right = next(filter(None, sum_action_failures(add, mul, ring.order, commutative)), None)
     checks = [
-        axiom_check("mul-associativity",
-                    action_associativity_failure(mul, mul, product(E, repeat=3)),
+        axiom_check("mul-associativity", action_associativity_failure(mul, mul),
                     "(a * b) * c != a * (b * c) at {w}"),
         axiom_check("absorption",
                     next(((a,) for a in E if mul[a][0] != 0 or mul[0][a] != 0), None),
                     "products of {0} with 0 are not 0"),
-        axiom_check("left-distributivity",
-                    action_sum_failure(add, add, mul, product(E, repeat=3)),
+        axiom_check("left-distributivity", action_sum_failure(add, add, mul, commutative),
                     "a * (b + c) != a*b + a*c at {w}"),
-        # (a, b, c) with c outermost: product gives (c, a, b)
-        axiom_check("right-distributivity",
-                    sum_action_failure(add, mul, map(itemgetter(1, 2, 0), product(E, repeat=3))),
-                    "(a + b) * c != a*c + b*c at {w}"),
+        axiom_check("right-distributivity", right, "(a + b) * c != a*c + b*c at {w}"),
     ]
     u = ring.unit
     if u is not None:
@@ -584,57 +588,107 @@ def sum_rule(x: int, y: int, parts, add) -> tuple:
     return ((max(x, y, *parts),), test)
 
 
-def hypergroup_associativity_failure(add, instances):
-    """The first (a, b, c) in instances with (a + b) + c != a + (b + c)."""
-    for a, b, c in instances:
-        row_a = add[a]
-        lhs = 0
-        for t in bits(row_a[b]):
-            lhs |= add[t][c]
-        rhs = 0
-        for u in bits(add[b][c]):
-            rhs |= row_a[u]
-        if lhs != rhs:
-            return (a, b, c)
+def is_commutative(table) -> bool:
+    """Whether the square table equals its transpose."""
+    return list(zip(*table)) == list(map(tuple, table))
+
+
+# The axiom checkers: hypergroup associativity, and the three axioms that
+# tie a single-valued action act (act[m][r] is m r) of a right module with
+# hypergroup madd to a ring with addition radd and product rmul.  A ring
+# is a right module over itself, so (add, add, mul, mul) turns the three
+# into right distributivity, left distributivity and mul-associativity.
+# Each checker is a loop nest over the tables that returns the first
+# failing instance of its scan order, or None (per column, for
+# sum-action).  An axiom that reads one or two hyperadditions has the
+# same two sides, up to order, at an instance and at its swap (two
+# entries exchanged) once those tables commute, so the two fail together
+# and the one with the smaller outer entry comes first in the scan: a
+# checker told that its additions commute scans only that half.  One
+# whose instances at m read nothing of m but row m of the action skips a
+# row equal to an earlier one, which passed.
+
+def hypergroup_associativity_failure(add, commutative: bool):
+    """The first (a, b, c), lexicographic, with (a + b) + c != a + (b + c).
+
+    With add commutative, (c + b) + a is a + (b + c) and c + (b + a) is
+    (a + b) + c, so (a, b, c) fails exactly when (c, b, a) does, and
+    (a, b, a) holds: only a < c is scanned."""
+    n = len(add)
+    for a, row_a in enumerate(add):
+        for b, ab in enumerate(row_a):
+            parts = bits(ab)
+            row_b = add[b]
+            for c in range(a + 1 if commutative else 0, n):
+                lhs = 0
+                for t in parts:
+                    lhs |= add[t][c]
+                rhs = 0
+                for u in bits(row_b[c]):
+                    rhs |= row_a[u]
+                if lhs != rhs:
+                    return (a, b, c)
     return None
 
 
-# The three axioms that tie a single-valued action act (act[m][r] is m r)
-# of a right module with hypergroup madd to a ring with addition radd and
-# product rmul.  A ring is a right module over itself, so (add, add, mul,
-# mul) turns them into right distributivity, left distributivity and
-# mul-associativity.  Each checker returns the first failing instance of
-# the scan order it is given, or None.
+def sum_action_failures(madd, act, columns: int, commutative: bool) -> list:
+    """For each column r, the first (a, b, r), a then b over the module,
+    with (a + b) r != a r + b r, or None: one scan of (a, b, r) with r
+    innermost.  The least entry is the first failure of that scan, and
+    the first entry that is not None the first with r outermost.
 
-def sum_action_failure(madd, act, instances):
-    """The first (a, b, r) in instances with (a + b) r != a r + b r."""
-    for a, b, r in instances:
-        image = 0
-        for t in bits(madd[a][b]):
-            image |= 1 << act[t][r]
-        if image != madd[act[a][r]][act[b][r]]:
-            return (a, b, r)
+    With madd commutative, (b, a, r) has the same two sides as (a, b, r):
+    only a <= b is scanned."""
+    n = len(madd)
+    first = [None] * columns
+    for a, madd_a in enumerate(madd):
+        act_a = act[a]
+        for b in range(a if commutative else 0, n):
+            parts = bits(madd_a[b])
+            act_b = act[b]
+            for r in range(columns):
+                image = 0
+                for t in parts:
+                    image |= 1 << act[t][r]
+                if image != madd[act_a[r]][act_b[r]] and first[r] is None:
+                    first[r] = (a, b, r)
+    return first
+
+
+def action_sum_failure(madd, radd, act, commutative: bool):
+    """The first (m, r, s), lexicographic, with m (r + s) != m r + m s.
+
+    With radd and madd commutative, (m, s, r) has the same two sides as
+    (m, r, s): only r <= s is scanned.  A row m equal to an earlier row
+    is skipped."""
+    nr = len(radd)
+    for m, row in enumerate(act):
+        if row in act[:m]:
+            continue
+        images = [1 << v for v in row]
+        for r, radd_r in enumerate(radd):
+            madd_mr = madd[row[r]]
+            for s in range(r if commutative else 0, nr):
+                image = 0
+                for t in bits(radd_r[s]):
+                    image |= images[t]
+                if image != madd_mr[row[s]]:
+                    return (m, r, s)
     return None
 
 
-def action_sum_failure(madd, radd, act, instances):
-    """The first (m, r, s) in instances with m (r + s) != m r + m s."""
-    for m, r, s in instances:
-        row = act[m]
-        image = 0
-        for t in bits(radd[r][s]):
-            image |= 1 << row[t]
-        if image != madd[row[r]][row[s]]:
-            return (m, r, s)
-    return None
-
-
-def action_associativity_failure(rmul, act, instances):
-    """The first (m, r, s) in instances with m (r s) != (m r) s."""
-    for m, r, s in instances:
-        row = act[m]
-        if row[rmul[r][s]] != act[row[r]][s]:
-            return (m, r, s)
+def action_associativity_failure(rmul, act):
+    """The first (m, r, s), lexicographic, with m (r s) != (m r) s: row m
+    after s -> r s, against row m r.  A row m equal to an earlier row is
+    skipped."""
+    for m, row in enumerate(act):
+        if row in act[:m]:
+            continue
+        for r, mr in enumerate(row):
+            act_mr = act[mr]
+            for s, rs in enumerate(rmul[r]):
+                if row[rs] != act_mr[s]:
+                    return (m, r, s)
     return None
 
 

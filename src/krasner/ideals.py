@@ -422,22 +422,42 @@ def coset_partition(add, k: int) -> tuple:
     return tuple(cosets), tuple(index[m] for m in coset_mask)
 
 
+def _representative_free(out, clashes) -> list:
+    # out once every cell got one value: raise at the first cell, row
+    # after row, that got two (listed in clashes) or none
+    if clashes or any(None in row for row in out):
+        i, j = min(clashes + [(i, j) for i, row in enumerate(out)
+                              for j, v in enumerate(row) if v is None])
+        raise TheoremViolationError(f"coset tables depend on representatives at ({i}, {j})")
+    return out
+
+
 def induced_set_table(add, cosets, coset_of) -> _MaskTable:
     """Quotient hyperaddition as a mask table: entry (i, j) is the mask of
     the cosets met by a + b for a in coset i and b in coset j, which must
-    not depend on the choice of a and b."""
-    out = []
-    for i, ci in enumerate(cosets):
-        row = []
-        for j, cj in enumerate(cosets):
-            images = {mask_of(coset_of[t] for t in bits(add[a][b]))
-                      for a in bits(ci) for b in bits(cj)}
-            if len(images) != 1:
-                raise TheoremViolationError(
-                    f"coset tables depend on representatives at ({i}, {j})")
-            row.append(images.pop())
-        out.append(row)
-    return _MaskTable(out)
+    not depend on the choice of a and b.  One pass over the pairs (a, b),
+    each sum's coset mask computed once per distinct sum."""
+    out = [[None] * len(cosets) for _ in cosets]
+    clashes = []
+    coset_bits = [1 << i for i in coset_of]
+    images = {}
+    for a, row in enumerate(add):
+        i = coset_of[a]
+        cells = out[i]
+        for b, ab in enumerate(row):
+            image = images.get(ab)
+            if image is None:
+                image = 0
+                for t in bits(ab):
+                    image |= coset_bits[t]
+                images[ab] = image
+            j = coset_of[b]
+            seen = cells[j]
+            if seen is None:
+                cells[j] = image
+            elif seen != image:
+                clashes.append((i, j))
+    return _MaskTable(_representative_free(out, clashes))
 
 
 def quotient_hypergroup(structure: Structure, k: int) -> tuple:
@@ -454,18 +474,22 @@ def quotient_hypergroup(structure: Structure, k: int) -> tuple:
 def induced_value_table(table, cosets, coset_of, columns) -> list:
     """Quotient of a single valued table: entry (i, j) is the coset of
     table[a][b] for a in coset i and b in the column mask columns[j],
-    which must not depend on the choice of a and b."""
-    out = []
-    for i, ci in enumerate(cosets):
-        row = []
-        for j, cj in enumerate(columns):
-            images = {coset_of[table[a][b]] for a in bits(ci) for b in bits(cj)}
-            if len(images) != 1:
-                raise TheoremViolationError(
-                    f"coset tables depend on representatives at ({i}, {j})")
-            row.append(images.pop())
-        out.append(row)
-    return out
+    which must not depend on the choice of a and b.  One pass over the
+    pairs (a, b)."""
+    out = [[None] * len(columns) for _ in cosets]
+    clashes = []
+    cells_of = [(j, b) for j, cj in enumerate(columns) for b in bits(cj)]
+    for a, row in enumerate(table):
+        i = coset_of[a]
+        cells = out[i]
+        for j, b in cells_of:
+            v = coset_of[row[b]]
+            seen = cells[j]
+            if seen is None:
+                cells[j] = v
+            elif seen != v:
+                clashes.append((i, j))
+    return _representative_free(out, clashes)
 
 
 def _product_sidedness(a: HyperIdeal, b: HyperIdeal) -> str | None:
