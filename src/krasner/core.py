@@ -413,9 +413,9 @@ def hypergroup_checks(n: int, add, neg) -> list:
 
     Shared by rings and modules; returns a list of AxiomCheck.  Witnesses
     are the smallest offending tuples in scan order.  Associativity scans
-    only a < c of (a, b, c) once commutativity has passed: (a, b, c)
-    fails exactly when (c, b, a) does, the one with the smaller first
-    entry coming first in the scan, and (a, b, a) holds.
+    only a < c of (a, b, c) when the addition commutes: (a, b, c) fails
+    exactly when (c, b, a) does, the one with the smaller first entry
+    coming first in the scan, and (a, b, a) holds.
     """
     E = range(n)
     empty = next(((a, b) for a in E for b in E if not add[a][b]), None)
@@ -423,11 +423,12 @@ def hypergroup_checks(n: int, add, neg) -> list:
     if empty is not None:
         # the remaining checks assume nonempty entries
         return checks
-    swapped = next(((a, b) for a in E for b in range(a + 1, n) if add[a][b] != add[b][a]),
-                   None)
-    checks.append(axiom_check("commutativity", swapped, "{0} + {1} differs from {1} + {0}"))
     checks.append(axiom_check(
-        "associativity", hypergroup_associativity_failure(add, swapped is None),
+        "commutativity",
+        next(((a, b) for a in E for b in range(a + 1, n) if add[a][b] != add[b][a]), None),
+        "{0} + {1} differs from {1} + {0}"))
+    checks.append(axiom_check(
+        "associativity", hypergroup_associativity_failure(add),
         "(a + b) + c != a + (b + c) at {w}"))
     checks.append(axiom_check(
         "identity", next(((a,) for a in E if add[a][0] != 1 << a), None),
@@ -502,18 +503,18 @@ def verify_hyperring(ring: HyperRing) -> VerificationReport:
     add = ring.add_masks
     mul = ring.mul_table
     E = range(ring.order)
-    commutative = is_commutative(add)
-    # (a, b, c) with c outermost: the first column that fails
-    right = next(filter(None, sum_action_failures(add, mul, ring.order, commutative)), None)
     checks = [
         axiom_check("mul-associativity", action_associativity_failure(mul, mul),
                     "(a * b) * c != a * (b * c) at {w}"),
         axiom_check("absorption",
                     next(((a,) for a in E if mul[a][0] != 0 or mul[0][a] != 0), None),
                     "products of {0} with 0 are not 0"),
-        axiom_check("left-distributivity", action_sum_failure(add, add, mul, commutative),
+        axiom_check("left-distributivity", action_sum_failure(add, add, mul),
                     "a * (b + c) != a*b + a*c at {w}"),
-        axiom_check("right-distributivity", right, "(a + b) * c != a*c + b*c at {w}"),
+        # (a, b, c) with c outermost
+        axiom_check("right-distributivity",
+                    sum_action_failure(add, mul, by_column=True),
+                    "(a + b) * c != a*c + b*c at {w}"),
     ]
     u = ring.unit
     if u is not None:
@@ -599,22 +600,21 @@ def is_commutative(table) -> bool:
 # is a right module over itself, so (add, add, mul, mul) turns the three
 # into right distributivity, left distributivity and mul-associativity.
 # Each checker is a loop nest over the tables that returns the first
-# failing instance of its scan order, or None (per column, for
-# sum-action).  An axiom that reads one or two hyperadditions has the
-# same two sides, up to order, at an instance and at its swap (two
-# entries exchanged) once those tables commute, so the two fail together
-# and the one with the smaller outer entry comes first in the scan: a
-# checker told that its additions commute scans only that half.  One
-# whose instances at m read nothing of m but row m of the action skips a
-# row equal to an earlier one, which passed.
+# failing instance of its scan order, or None.  An axiom that reads one
+# or two hyperadditions has the same two sides, up to order, at an
+# instance and at its swap (two entries exchanged) once those tables
+# commute, so the two fail together and the one with the smaller outer
+# entry comes first in the scan: a checker whose additions commute, as
+# it tests itself, scans only that half.
 
-def hypergroup_associativity_failure(add, commutative: bool):
+def hypergroup_associativity_failure(add):
     """The first (a, b, c), lexicographic, with (a + b) + c != a + (b + c).
 
     With add commutative, (c + b) + a is a + (b + c) and c + (b + a) is
     (a + b) + c, so (a, b, c) fails exactly when (c, b, a) does, and
     (a, b, a) holds: only a < c is scanned."""
     n = len(add)
+    commutative = is_commutative(add)
     for a, row_a in enumerate(add):
         for b, ab in enumerate(row_a):
             parts = bits(ab)
@@ -631,16 +631,17 @@ def hypergroup_associativity_failure(add, commutative: bool):
     return None
 
 
-def sum_action_failures(madd, act, columns: int, commutative: bool) -> list:
-    """For each column r, the first (a, b, r), a then b over the module,
-    with (a + b) r != a r + b r, or None: one scan of (a, b, r) with r
-    innermost.  The least entry is the first failure of that scan, and
-    the first entry that is not None the first with r outermost.
+def sum_action_failure(madd, act, by_column: bool = False):
+    """The first (a, b, r) with (a + b) r != a r + b r: lexicographic, or
+    with r outermost when by_column.  Both come from one scan with r
+    innermost; by column, a failure at r leaves only the columns before r
+    to scan.
 
     With madd commutative, (b, a, r) has the same two sides as (a, b, r):
     only a <= b is scanned."""
-    n = len(madd)
-    first = [None] * columns
+    n, columns = len(madd), len(act[0])
+    commutative = is_commutative(madd)
+    found = None
     for a, madd_a in enumerate(madd):
         act_a = act[a]
         for b in range(a if commutative else 0, n):
@@ -650,21 +651,22 @@ def sum_action_failures(madd, act, columns: int, commutative: bool) -> list:
                 image = 0
                 for t in parts:
                     image |= 1 << act[t][r]
-                if image != madd[act_a[r]][act_b[r]] and first[r] is None:
-                    first[r] = (a, b, r)
-    return first
+                if image != madd[act_a[r]][act_b[r]]:
+                    if r == 0 or not by_column:
+                        return (a, b, r)
+                    found, columns = (a, b, r), r
+                    break
+    return found
 
 
-def action_sum_failure(madd, radd, act, commutative: bool):
+def action_sum_failure(madd, radd, act):
     """The first (m, r, s), lexicographic, with m (r + s) != m r + m s.
 
     With radd and madd commutative, (m, s, r) has the same two sides as
-    (m, r, s): only r <= s is scanned.  A row m equal to an earlier row
-    is skipped."""
+    (m, r, s): only r <= s is scanned."""
     nr = len(radd)
+    commutative = is_commutative(radd) and is_commutative(madd)
     for m, row in enumerate(act):
-        if row in act[:m]:
-            continue
         images = [1 << v for v in row]
         for r, radd_r in enumerate(radd):
             madd_mr = madd[row[r]]
@@ -679,11 +681,8 @@ def action_sum_failure(madd, radd, act, commutative: bool):
 
 def action_associativity_failure(rmul, act):
     """The first (m, r, s), lexicographic, with m (r s) != (m r) s: row m
-    after s -> r s, against row m r.  A row m equal to an earlier row is
-    skipped."""
+    after s -> r s, against row m r."""
     for m, row in enumerate(act):
-        if row in act[:m]:
-            continue
         for r, mr in enumerate(row):
             act_mr = act[mr]
             for s, rs in enumerate(rmul[r]):

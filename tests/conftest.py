@@ -2,11 +2,25 @@ import pytest
 
 import krasner
 from krasner.catalog import cyclic_ring, hyperfield_k, zero_mul_ring
+from krasner.core import HyperRing, bits
 from krasner.corpus import generate_corpus
 
 # one pass/FAIL line per shipped guarantee, filled in by test_acceptance
 # and echoed after the run so the gate is readable at a glance
 ACCEPTANCE_LINES = []
+
+
+def direct_product(r, s):
+    """r x s with componentwise tables, the pair (a, b) numbered
+    a * |s| + b so that 0 stays 0; unital when both factors are."""
+    m, n = s.order, r.order * s.order
+    add = [[[x * m + y for x in bits(r.add_masks[a // m][b // m])
+             for y in bits(s.add_masks[a % m][b % m])] for b in range(n)] for a in range(n)]
+    neg = [r.neg_table[a // m] * m + s.neg_table[a % m] for a in range(n)]
+    mul = [[r.mul_table[a // m][b // m] * m + s.mul_table[a % m][b % m] for b in range(n)]
+           for a in range(n)]
+    unit = None if r.unit is None or s.unit is None else r.unit * m + s.unit
+    return HyperRing(add, neg, mul, unit=unit).checked("direct product")
 
 
 def pytest_report_header(config):

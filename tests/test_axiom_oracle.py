@@ -34,6 +34,8 @@ from krasner.hypermodules import (
 )
 from krasner.morphisms import RingHom, enumerate_ring_homs, verify_strong_hom
 
+from conftest import direct_product
+
 
 def sets(masks):
     """A table of member masks as a table of frozensets."""
@@ -227,20 +229,6 @@ def module_hom_oracle(hom):
 
 def reported(report):
     return [(c.axiom, c.ok, c.witness, c.detail) for c in report.checks]
-
-
-def direct_product(r, s):
-    """r x s with componentwise tables, the pair (a, b) numbered
-    a * |s| + b so that 0 stays 0."""
-    m, n = s.order, r.order * s.order
-    A, B = sets(r.add_masks), sets(s.add_masks)
-    add = [[sorted(x * m + y for x in A[a // m][b // m] for y in B[a % m][b % m])
-            for b in range(n)] for a in range(n)]
-    neg = [r.neg_table[a // m] * m + s.neg_table[a % m] for a in range(n)]
-    mul = [[r.mul_table[a // m][b // m] * m + s.mul_table[a % m][b % m] for b in range(n)]
-           for a in range(n)]
-    unit = None if r.unit is None or s.unit is None else r.unit * m + s.unit
-    return HyperRing(add, neg, mul, unit=unit).checked("direct product")
 
 
 def with_modules(rings) -> list:

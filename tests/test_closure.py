@@ -46,6 +46,8 @@ from krasner.ideals import (
     quotient_ring,
 )
 
+from conftest import direct_product
+
 
 # oracles: the separate ideal and module loops
 
@@ -383,17 +385,6 @@ def scan_oracle(add, neg, actions):
     # the enumeration closed_subsets replaced: every mask holding 0,
     # each asked closure_check
     return [s for s in range(1, 1 << len(neg), 2) if closure_check(s, add, neg, actions)]
-
-
-def direct_product(r, s):
-    # componentwise tables; the pair (a, b) is a * |s| + b, so 0 stays 0
-    m, n = s.order, r.order * s.order
-    add = [[[x * m + y for x in bits(r.add_masks[a // m][b // m])
-             for y in bits(s.add_masks[a % m][b % m])] for b in range(n)] for a in range(n)]
-    neg = [r.neg_table[a // m] * m + s.neg_table[a % m] for a in range(n)]
-    mul = [[r.mul_table[a // m][b // m] * m + s.mul_table[a % m][b % m] for b in range(n)]
-           for a in range(n)]
-    return HyperRing(add, neg, mul).checked("direct product")
 
 
 def products_of_orders_6_to_12(corpus4):

@@ -26,7 +26,8 @@ from krasner.dsl import (
 from krasner.hypermodules import HyperModule, quotient_module, regular_module, restrict_scalars
 from krasner.ideals import IdealLattice
 from krasner.morphisms import RingHom, identity_hom
-from test_closure import direct_product
+
+from conftest import direct_product
 
 RING2 = """ring r
   order 2
