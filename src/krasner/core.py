@@ -252,7 +252,7 @@ class Structure:
         # per distinct value of what it reads (key, for verify_table);
         # usable once both pass
         report = ValidationReport(_hypergroup_report(self.add_masks, self.neg_table),
-                                  _table_report(key, verify_table, self))
+                                  table_memo(_TABLE_REPORTS, key, verify_table, self))
         if report.ok:
             self._checked = True
         return report
@@ -415,7 +415,8 @@ def hypergroup_checks(n: int, add, neg) -> list:
     are the smallest offending tuples in scan order.  Associativity scans
     only a < c of (a, b, c) when the addition commutes: (a, b, c) fails
     exactly when (c, b, a) does, the one with the smaller first entry
-    coming first in the scan, and (a, b, a) holds.
+    coming first in the scan, and (a, b, a) holds.  Reversibility scans
+    only b <= c of (a, b, c) then, by the same argument for (a, c, b).
     """
     E = range(n)
     empty = next(((a, b) for a in E for b in E if not add[a][b]), None)
@@ -423,10 +424,8 @@ def hypergroup_checks(n: int, add, neg) -> list:
     if empty is not None:
         # the remaining checks assume nonempty entries
         return checks
-    checks.append(axiom_check(
-        "commutativity",
-        next(((a, b) for a in E for b in range(a + 1, n) if add[a][b] != add[b][a]), None),
-        "{0} + {1} differs from {1} + {0}"))
+    unswapped = next(((a, b) for a in E for b in range(a + 1, n) if add[a][b] != add[b][a]), None)
+    checks.append(axiom_check("commutativity", unswapped, "{0} + {1} differs from {1} + {0}"))
     checks.append(axiom_check(
         "associativity", hypergroup_associativity_failure(add),
         "(a + b) + c != a + (b + c) at {w}"))
@@ -443,8 +442,11 @@ def hypergroup_checks(n: int, add, neg) -> list:
         if len(found) == 1 else f"element {{0}} has {len(found)} additive inverses"))
 
     # a in b + c forces c in -b + a, then b in a - c; stated against the
-    # declared neg table, so it is still checkable when negation failed
-    bad = next(((a, b, c) for b in E for c in E for a in bits(add[b][c])
+    # declared neg table, so it is still checkable when negation failed.
+    # With a commutative addition (a, c, b) states the same two conditions
+    # and comes first in the scan when c < b, so c runs from b up
+    bad = next(((a, b, c) for b in E for c in (E if unswapped else range(b, n))
+                for a in bits(add[b][c])
                 if not (add[neg[b]][a] >> c & 1 and add[a][neg[c]] >> b & 1)), None)
     checks.append(axiom_check(
         "reversibility", bad,
@@ -453,7 +455,7 @@ def hypergroup_checks(n: int, add, neg) -> list:
     return checks
 
 
-# how many verdicts each validation memo keeps
+# how many results each table memo keeps
 _VERDICTS_KEPT = 64
 
 
@@ -467,22 +469,24 @@ def _hypergroup_report(add_masks: tuple, neg_table: tuple) -> VerificationReport
         tuple(hypergroup_checks(len(neg_table), add_masks, neg_table)))
 
 
+def table_memo(store: OrderedDict, key: tuple, build, *args):
+    """build(*args), kept in store for the last _VERDICTS_KEPT distinct
+    keys, least recently used out first.  key holds every value the
+    result reads, as tables and never a structure, and the result holds
+    tables or masks only, so nothing kept pins a ring or what is derived
+    from it.  A miss calls the build passed in, so a wrapped builder sees
+    every miss, and a build that raises stores nothing."""
+    value = store.pop(key, None)
+    if value is None:
+        value = build(*args)
+    store[key] = value
+    if len(store) > _VERDICTS_KEPT:
+        store.popitem(last=False)
+    return value
+
+
+# the table verdict of each structure, keyed by what its verifier reads
 _TABLE_REPORTS = OrderedDict()
-
-
-def _table_report(key: tuple, verify, structure) -> VerificationReport:
-    # verify(structure), kept for the last distinct keys as
-    # _hypergroup_report keeps its verdicts: key holds every value the
-    # report reads, as tables and never a structure, so nothing kept pins
-    # a ring or what is derived from it; a miss calls the verifier passed
-    # in, so a wrapped verifier sees every miss
-    report = _TABLE_REPORTS.pop(key, None)
-    if report is None:
-        report = verify(structure)
-    _TABLE_REPORTS[key] = report
-    if len(_TABLE_REPORTS) > _VERDICTS_KEPT:
-        _TABLE_REPORTS.popitem(last=False)
-    return report
 
 
 def verify_hyperring(ring: HyperRing) -> VerificationReport:

@@ -11,12 +11,16 @@ cross-checked against the lattice, one set at a time or over every
 generating set with each distinct seed closed once.  The lattice also
 keeps the product of every ordered pair of its two sided ideals, each
 closed once and validated by membership, and primality reads that table.
+The lattice families and the quotient hypergroups read tables only, so
+each is built once per set of tables and kept in a bounded memo
+(``core.table_memo``).
 
 Canonical order everywhere is the integer value of the member bit mask.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import NamedTuple
 
 from .core import (
@@ -33,6 +37,7 @@ from .core import (
     mask_of,
     require_scan_bound,
     set_product,
+    table_memo,
 )
 
 SIDEDNESS = ("left", "right", "two-sided")
@@ -159,7 +164,8 @@ class IdealLattice(FrozenRecord):
     ``products`` maps (a.key, b.key) to the member mask of
     ``ideal_product(a, b)`` for every ordered pair of two sided ideals.
     It is keyed by mask and left out of comparison, hashing and the repr,
-    so lattices compare and hash by their families alone.
+    so lattices compare and hash by their families alone.  Lattices of
+    rings with equal tables share it, so it is read, never written.
     """
 
     __slots__ = _fields = ("ring", "two_sided", "right", "maximal", "prime",
@@ -190,16 +196,51 @@ class IdealLattice(FrozenRecord):
 
     @classmethod
     def build(cls, ring: HyperRing) -> "IdealLattice":
+        """The lattice of ring, kept on it.  Its families are masks read
+        from the add, neg and mul tables alone, so they come from
+        ``_LATTICE_FAMILIES`` when a ring with the same tables was built
+        before, wrapped as ideals of this ring."""
         def build():
-            two_sided = enumerate_ideals(ring, "two-sided")
-            right = enumerate_ideals(ring, "right")
-            maximal = tuple(i for i in two_sided if _is_maximal_in(i, two_sided))
-            products = _product_table(ring, two_sided)
-            prime = tuple(i for i in two_sided
-                          if i.proper and _prime_witness(i, two_sided, products) is None)
-            maximal_right = tuple(i for i in right if _is_maximal_in(i, right))
-            return cls(ring, two_sided, right, maximal, prime, maximal_right, products)
+            require_scan_bound(ring, "ideal")
+            families = table_memo(_LATTICE_FAMILIES,
+                                  (ring.add_masks, ring.neg_table, ring.mul_table),
+                                  _lattice_families, ring)
+            two_sided = {m: HyperIdeal._trusted(ring, m, "two-sided") for m in families.two_sided}
+            right = {m: HyperIdeal._trusted(ring, m, "right") for m in families.right}
+            return cls(ring, tuple(two_sided.values()), tuple(right.values()),
+                       tuple(map(two_sided.get, families.maximal)),
+                       tuple(map(two_sided.get, families.prime)),
+                       tuple(map(right.get, families.maximal_right)), families.products)
         return derived(ring, "lattice", build)
+
+
+class _Families(NamedTuple):
+    # the member masks of each family of an IdealLattice, and its products
+    two_sided: tuple
+    right: tuple
+    maximal: tuple
+    prime: tuple
+    maximal_right: tuple
+    products: dict
+
+
+# the families of each ring's lattice, keyed by its add, neg and mul tables
+_LATTICE_FAMILIES = OrderedDict()
+
+
+def _lattice_families(ring: HyperRing) -> _Families:
+    two_sided = enumerate_ideals(ring, "two-sided")
+    right = enumerate_ideals(ring, "right")
+    products = _product_table(ring, two_sided)
+
+    def keys(family):
+        return tuple(i.key for i in family)
+
+    return _Families(
+        keys(two_sided), keys(right),
+        keys(i for i in two_sided if _is_maximal_in(i, two_sided)),
+        keys(i for i in two_sided if i.proper and _prime_witness(i, two_sided, products) is None),
+        keys(i for i in right if _is_maximal_in(i, right)), products)
 
 
 def _product_table(ring: HyperRing, two_sided) -> dict:
@@ -457,18 +498,29 @@ def induced_set_table(add, cosets, coset_of) -> _MaskTable:
                 cells[j] = image
             elif seen != image:
                 clashes.append((i, j))
-    return _MaskTable(_representative_free(out, clashes))
+    return _MaskTable(map(tuple, _representative_free(out, clashes)))
+
+
+# the quotient hypergroup of each (add, neg, mask), shared by a ring's
+# quotient R/I and its module quotient R_R/I
+_QUOTIENT_HYPERGROUPS = OrderedDict()
 
 
 def quotient_hypergroup(structure: Structure, k: int) -> tuple:
     """(cosets, coset_of, add, neg) of the quotient of a ring's or a
     module's hypergroup by the closed mask k: ``coset_partition``, the
     induced hyperaddition (``induced_set_table``) and the induced
-    negation table, each coset's negative."""
-    cosets, coset_of = coset_partition(structure.add_masks, k)
-    add = induced_set_table(structure.add_masks, cosets, coset_of)
-    negs = induced_value_table([(v,) for v in structure.neg_table], cosets, coset_of, (1,))
-    return cosets, coset_of, add, [row[0] for row in negs]
+    negation table, each coset's negative.  All four are tuples, kept in
+    ``_QUOTIENT_HYPERGROUPS`` by the tables and mask they read."""
+    add, neg = structure.add_masks, structure.neg_table
+    return table_memo(_QUOTIENT_HYPERGROUPS, (add, neg, k), _quotient_hypergroup, add, neg, k)
+
+
+def _quotient_hypergroup(add, neg, k: int) -> tuple:
+    cosets, coset_of = coset_partition(add, k)
+    negs = induced_value_table([(v,) for v in neg], cosets, coset_of, (1,))
+    return (cosets, coset_of, induced_set_table(add, cosets, coset_of),
+            tuple(row[0] for row in negs))
 
 
 def induced_value_table(table, cosets, coset_of, columns) -> list:

@@ -1,6 +1,10 @@
+from collections import OrderedDict
+from functools import lru_cache
+
 import pytest
 
 import krasner
+from krasner import core, corpus, ideals
 from krasner.catalog import cyclic_ring, hyperfield_k, zero_mul_ring
 from krasner.core import HyperRing, bits
 from krasner.corpus import generate_corpus
@@ -23,6 +27,16 @@ def direct_product(r, s):
     return HyperRing(add, neg, mul, unit=unit).checked("direct product")
 
 
+def table_copy(ring):
+    """A new ring with the tables, unit and name of ring, validated; it
+    holds nothing derived yet."""
+    copy = HyperRing(add=[[list(bits(m)) for m in row] for row in ring.add_masks],
+                     neg=ring.neg_table, mul=ring.mul_table, unit=ring.unit,
+                     name=ring.name)
+    assert copy.validate().ok
+    return copy
+
+
 def pytest_report_header(config):
     # pyproject's pythonpath puts this checkout's src first, ahead of
     # PYTHONPATH, so name the code actually under test
@@ -34,6 +48,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def fresh_memos(monkeypatch):
+    """Swap every table memo for an empty one until the test ends, so a
+    build or a check happens rather than being read from one an earlier
+    test kept for equal tables.  Returns the swap, for a test that needs
+    empty memos again part way through."""
+    def swap():
+        for module, store in ((core, "_TABLE_REPORTS"), (ideals, "_LATTICE_FAMILIES"),
+                              (ideals, "_QUOTIENT_HYPERGROUPS")):
+            monkeypatch.setattr(module, store, OrderedDict())
+        # read by corpus and core alike
+        memo = lru_cache(maxsize=core._VERDICTS_KEPT)(core._hypergroup_report.__wrapped__)
+        for module in (core, corpus):
+            monkeypatch.setattr(module, "_hypergroup_report", memo)
+    swap()
+    return swap
 
 
 @pytest.fixture(scope="session")

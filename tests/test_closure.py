@@ -538,10 +538,13 @@ def test_coset_tables_match_the_per_pair_builders(corpus4):
     assert (tables, raised) == (1806, 26)
 
 
-def test_the_scan_bound_fires_before_any_work(z4, monkeypatch):
+def test_the_scan_bound_fires_before_any_work(z4, monkeypatch, fresh_memos):
     def refuse(*args):
         raise AssertionError("scanned past the bound")
 
+    # the lattice memo holds Z4's families, and the bound still refuses
+    # a fresh Z4 before the memo is read
+    IdealLattice.build(cyclic_ring(4))
     monkeypatch.setattr(ideals, "closed_subsets", refuse)
     monkeypatch.setattr(hypermodules, "closed_subsets", refuse)
     monkeypatch.setattr(core, "ENUMERATION_BOUND", 3)
@@ -549,3 +552,5 @@ def test_the_scan_bound_fires_before_any_work(z4, monkeypatch):
         enumerate_ideals(z4, "two-sided")
     with pytest.raises(BoundExceededError):
         enumerate_subhypermodules(regular_module(z4))
+    with pytest.raises(BoundExceededError):
+        IdealLattice.build(cyclic_ring(4))

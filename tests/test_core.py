@@ -397,7 +397,7 @@ def test_the_bits_table_covers_every_ideal_scan():
     assert len(core._BITS) == 1 << core.ENUMERATION_BOUND
 
 
-def test_each_search_bound_is_one_constant(z4, z6, monkeypatch):
+def test_each_search_bound_is_one_constant(z4, z6, monkeypatch, fresh_memos):
     def refuse(*args):
         raise AssertionError("searched past the bound")
 

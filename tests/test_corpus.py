@@ -343,12 +343,8 @@ def test_full_passes_run_once_per_class(monkeypatch):
     assert counted == {"_full_min": classes, "_automorphisms": classes}
 
 
-def test_a_cold_corpus_checks_each_hypergroup_class_once(monkeypatch):
+def test_a_cold_corpus_checks_each_hypergroup_class_once(monkeypatch, fresh_memos):
     fresh_hypergroups(monkeypatch)
-    # a fresh verdict memo of the same bound, read by corpus and core alike
-    memo = lru_cache(maxsize=core._VERDICTS_KEPT)(core._hypergroup_report.__wrapped__)
-    for module in (core, corpus):
-        monkeypatch.setattr(module, "_hypergroup_report", memo)
     orders = []
     real = core.hypergroup_checks
 

@@ -1,13 +1,18 @@
 """Derived objects are built once per validated structure and kept on it.
 
 A fresh build from a table copy of each ring is the oracle for what the
-kept objects hold; the copy shares no cache with the original.
+kept objects hold; the copy is built with every table memo empty, so it
+shares no cache with the original.  The table memos themselves (lattice
+families and quotient hypergroups, kept by the tables they read) are
+checked against such fresh builds at the end.
 """
 
 import pytest
 
 import krasner.hypermodules
 import krasner.suite
+from conftest import table_copy
+from krasner import core, ideals
 from krasner.catalog import cyclic_ring
 from krasner.core import ENUMERATION_BOUND, BoundExceededError, HyperRing, NotValidatedError, bits
 from krasner.hypermodules import HyperModule, quotient_module, regular_module, submodule
@@ -16,13 +21,7 @@ from krasner.primitivity import prim_certificates
 from krasner.spectrum import SpectrumSpace
 from krasner.suite import HOM_CHECK_ORDER, RingContext, run_ring_checks, run_theorem_suite
 
-
-def table_copy(ring):
-    copy = HyperRing(add=[[list(bits(m)) for m in row] for row in ring.add_masks],
-                     neg=ring.neg_table, mul=ring.mul_table, unit=ring.unit,
-                     name=ring.name)
-    assert copy.validate().ok
-    return copy
+FAMILIES = ("two_sided", "right", "maximal", "prime", "maximal_right")
 
 
 def derived_view(ring):
@@ -66,7 +65,7 @@ def test_builders_return_the_kept_object():
     assert submodule(reg, k) is submodule(reg, [0, 3])
 
 
-def test_kept_objects_match_a_fresh_build(corpus3):
+def test_kept_objects_match_a_fresh_build(corpus3, fresh_memos):
     for entry in corpus3:
         # warm the original first: the space keeps the lattice, and a first
         # view the quotients and submodules, so the second view reads every
@@ -74,6 +73,7 @@ def test_kept_objects_match_a_fresh_build(corpus3):
         SpectrumSpace.build(entry.ring)
         derived_view(entry.ring)
         kept = derived_view(entry.ring)
+        fresh_memos()
         assert derived_view(table_copy(entry.ring)) == kept, entry.name
 
 
@@ -180,3 +180,105 @@ def test_a_corpus_sweep_validates_each_quotient_once(corpus4, monkeypatch):
     assert len(validated) == 444
     assert len(set(validated)) == 444
     assert all("/" in name for name in validated)
+
+
+def lattice_view(lattice):
+    """The families of a lattice as (mask, sidedness) pairs, and its
+    products."""
+    return ({name: tuple((i.key, i.sidedness) for i in getattr(lattice, name))
+             for name in FAMILIES}, lattice.products)
+
+
+def owned_by(lattice, ring):
+    return lattice.ring is ring and all(i.ring is ring for name in FAMILIES
+                                        for i in getattr(lattice, name))
+
+
+def test_memoised_lattices_match_fresh_builds(corpus4, fresh_memos, monkeypatch):
+    # each corpus-4 ring and then its quotient rings, in the order of a
+    # sweep, each through a table copy that holds no lattice yet: those
+    # with tables met before read their families from the memo
+    rings = []
+    for entry in corpus4:
+        rings.append(entry.ring)
+        rings += [quotient_ring(entry.ring, i).ring
+                  for i in IdealLattice.build(entry.ring).two_sided]
+    built = []
+    families = ideals._lattice_families
+
+    def counting(ring):
+        built.append(ring)
+        return families(ring)
+
+    monkeypatch.setattr(ideals, "_lattice_families", counting)
+    served = []
+    for ring in rings:
+        copy = table_copy(ring)
+        served.append((copy, IdealLattice.build(copy)))
+    # 607 rings on 163 distinct tables; 9 are built again after eviction
+    assert (len(rings), len(built)) == (607, 172)
+    for ring, (copy, lattice) in zip(rings, served):
+        assert owned_by(lattice, copy)
+        fresh_memos()
+        fresh = IdealLattice.build(table_copy(ring))
+        assert lattice_view(lattice) == lattice_view(fresh), ring.name
+
+
+def test_the_zero_quotient_reads_its_rings_lattice(corpus4, fresh_memos, monkeypatch):
+    # R/{0} has R's tables, so its lattice is R's, wrapped for R/{0}
+    scans = []
+    closed_subsets = ideals.closed_subsets
+
+    def counting(*args):
+        scans.append(args)
+        return closed_subsets(*args)
+
+    for entry in corpus4:
+        ring = table_copy(entry.ring)
+        lattice = IdealLattice.build(ring)
+        zero = quotient_ring(ring, lattice.two_sided[0]).ring
+        assert zero.encoding() == ring.encoding()
+        with monkeypatch.context() as m:
+            m.setattr(ideals, "closed_subsets", counting)
+            served = IdealLattice.build(zero)
+        assert scans == []
+        assert owned_by(served, zero) and lattice_view(served) == lattice_view(lattice)
+
+
+def test_a_module_quotient_shares_the_ring_quotients_hypergroup(z6, fresh_memos, monkeypatch):
+    built = []
+    build = ideals._quotient_hypergroup
+
+    def counting(*args):
+        built.append(args[2])
+        return build(*args)
+
+    monkeypatch.setattr(ideals, "_quotient_hypergroup", counting)
+    ring = table_copy(z6)
+    three = next(i for i in IdealLattice.build(ring).two_sided if i.members.members == (0, 3))
+    q = quotient_ring(ring, three)
+    mq = quotient_module(regular_module(ring), three.members.members)
+    assert built == [three.key]
+    assert (mq.cosets, mq.coset_of) == (q.cosets, q.coset_of)
+    assert (mq.module.add_masks, mq.module.neg_table) == (q.ring.add_masks, q.ring.neg_table)
+
+
+def plain(value) -> bool:
+    """Whether value is made of ints, strings, tuples and dicts only."""
+    if isinstance(value, (int, str, type(None))):
+        return True
+    if isinstance(value, tuple):
+        return all(map(plain, value))
+    if isinstance(value, dict):
+        return all(map(plain, value.keys())) and all(map(plain, value.values()))
+    return False
+
+
+def test_each_table_memo_keeps_its_bound_and_no_structure(corpus4, fresh_memos):
+    for entry in corpus4:
+        run_ring_checks(entry.ring)
+    for store in (core._TABLE_REPORTS, ideals._LATTICE_FAMILIES, ideals._QUOTIENT_HYPERGROUPS):
+        # a sweep meets more distinct tables than a memo keeps
+        assert len(store) == core._VERDICTS_KEPT
+        assert all(plain(key) and plain(value) for key, value in store.items())
+    assert core._hypergroup_report.cache_info().currsize <= core._VERDICTS_KEPT

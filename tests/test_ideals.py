@@ -274,7 +274,7 @@ def test_product_table_matches_ideal_product(corpus4):
                 assert lattice.products[a.key, b.key] == ideal_product(a, b).members.mask
 
 
-def test_lattice_build_closes_each_ordered_pair_once(monkeypatch):
+def test_lattice_build_closes_each_ordered_pair_once(monkeypatch, fresh_memos):
     ring = cyclic_ring(12)  # fresh: the lattice is kept on its ring
     closures = []
 
@@ -295,17 +295,21 @@ def test_lattice_build_closes_each_ordered_pair_once(monkeypatch):
     assert verdicts.count(True) == 2  # 2Z/12 and 3Z/12
 
 
-def test_a_product_that_is_no_ideal_raises_ideal_products_message(monkeypatch):
+def test_a_product_that_is_no_ideal_raises_ideal_products_message(monkeypatch, fresh_memos):
     # every product grows by the element 1, and {0,1} is no ideal of Z4
     def grow(add, products):
         return sum_of_products_closure(add, products) | 0b10
 
     monkeypatch.setattr(ideals, "sum_of_products_closure", grow)
-    with pytest.raises(TheoremViolationError, match="product of two-sided ideals failed"):
-        IdealLattice.build(cyclic_ring(4))
+    # a build that raises keeps nothing, so a second ring with the same
+    # tables raises too
+    for ring in (cyclic_ring(4), cyclic_ring(4)):
+        with pytest.raises(TheoremViolationError, match="product of two-sided ideals failed"):
+            IdealLattice.build(ring)
+    assert not ideals._LATTICE_FAMILIES and "lattice" not in ring._derived
 
 
-def test_a_product_missing_from_the_lattice_is_named(monkeypatch):
+def test_a_product_missing_from_the_lattice_is_named(monkeypatch, fresh_memos):
     # {0,2} * {0,2} = {0}, which the damaged scan leaves out
     scan = ideals.enumerate_ideals
 
@@ -318,7 +322,7 @@ def test_a_product_missing_from_the_lattice_is_named(monkeypatch):
         IdealLattice.build(cyclic_ring(4))
 
 
-def test_is_prime_refuses_an_ideal_of_another_ring(z4, z6, monkeypatch):
+def test_is_prime_refuses_an_ideal_of_another_ring(z4, z6, monkeypatch, fresh_memos):
     def refuse(*args):
         raise AssertionError("primality work before the ring check")
 

@@ -16,7 +16,6 @@ what they are built from; their constructors, refusals, reprs, equality
 and hashes are pinned as well.
 """
 
-import collections
 import hashlib
 import inspect
 import json
@@ -169,9 +168,8 @@ BROKEN_TEXT = ("(AxiomCheck(axiom='multiplication', ok=False, witness=(1, 1), "
                "detail='f(a b) != f(a) f(b) at (1, 1)'),)")
 
 
-def test_a_structure_that_fails_validation_names_its_failures(monkeypatch):
-    # a fresh verdict memo, so the replaced verifier is called
-    monkeypatch.setattr(core, "_TABLE_REPORTS", collections.OrderedDict())
+def test_a_structure_that_fails_validation_names_its_failures(monkeypatch, fresh_memos):
+    # fresh memos, so the replaced verifier is called
     monkeypatch.setattr(core, "verify_hyperring", lambda ring: BROKEN)
     with pytest.raises(TheoremViolationError) as raised:
         cyclic_ring(3)

@@ -1,0 +1,61 @@
+"""The zero-product stratum: rings whose products are all 0.
+
+There IJ = {0} for all ideals I and J, so an ideal is any subhypergroup
+(every product 0 lies in it), no proper ideal is prime, every R/m has
+zero action, so no ideal is primitive, and the spectrum is empty.  The
+subhypergroups come from a frozenset closure written here, sharing no
+code with ``ideals``.  Each ring's lattice is read through two fresh
+table copies, the second served from the lattice memo the first filled,
+so the memoised lattices are refereed as well.
+"""
+
+from itertools import combinations
+
+from conftest import table_copy
+from krasner.ideals import IdealLattice, enumerate_ideals
+from krasner.primitivity import prim_set
+from krasner.spectrum import SpectrumSpace
+
+
+def zero_product(ring) -> bool:
+    return all(v == 0 for row in ring.mul_table for v in row)
+
+
+def members(mask: int) -> frozenset:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def subhypergroups(ring) -> set:
+    """The closures of every subset under 0, negation and hyperaddition."""
+    add = [[members(m) for m in row] for row in ring.add_masks]
+    neg = ring.neg_table
+
+    def close(s):
+        while True:
+            grown = s | {0} | {neg[a] for a in s} | {c for a in s for b in s for c in add[a][b]}
+            if grown == s:
+                return s
+            s = grown
+
+    elements = range(ring.order)
+    return {close(frozenset(subset)) for k in range(ring.order + 1)
+            for subset in combinations(elements, k)}
+
+
+def as_sets(ideals) -> set:
+    return {frozenset(i.members) for i in ideals}
+
+
+def test_zero_product_rings_have_every_subhypergroup_as_ideal_and_no_point(corpus4):
+    rings = [e.ring for e in corpus4 if zero_product(e.ring)]
+    assert len(rings) == 110
+    for ring in rings:
+        expected = subhypergroups(ring)
+        for side in ("left", "right", "two-sided"):
+            assert as_sets(enumerate_ideals(ring, side)) == expected, (ring.name, side)
+        for copy in (table_copy(ring), table_copy(ring)):
+            lattice = IdealLattice.build(copy)
+            assert as_sets(lattice.two_sided) == as_sets(lattice.right) == expected, ring.name
+            assert lattice.prime == ()
+            assert prim_set(copy) == ()
+            assert SpectrumSpace.build(copy).point_masks == ()
