@@ -202,33 +202,24 @@ class IdealLattice(FrozenRecord):
         before, wrapped as ideals of this ring."""
         def build():
             require_scan_bound(ring, "ideal")
-            families = table_memo(_LATTICE_FAMILIES,
-                                  (ring.add_masks, ring.neg_table, ring.mul_table),
-                                  _lattice_families, ring)
-            two_sided = {m: HyperIdeal._trusted(ring, m, "two-sided") for m in families.two_sided}
-            right = {m: HyperIdeal._trusted(ring, m, "right") for m in families.right}
+            two_sided, right, maximal, prime, maximal_right, products = table_memo(
+                _LATTICE_FAMILIES, (ring.add_masks, ring.neg_table, ring.mul_table),
+                _lattice_families, ring)
+            two_sided = {m: HyperIdeal._trusted(ring, m, "two-sided") for m in two_sided}
+            right = {m: HyperIdeal._trusted(ring, m, "right") for m in right}
             return cls(ring, tuple(two_sided.values()), tuple(right.values()),
-                       tuple(map(two_sided.get, families.maximal)),
-                       tuple(map(two_sided.get, families.prime)),
-                       tuple(map(right.get, families.maximal_right)), families.products)
+                       tuple(map(two_sided.get, maximal)), tuple(map(two_sided.get, prime)),
+                       tuple(map(right.get, maximal_right)), products)
         return derived(ring, "lattice", build)
-
-
-class _Families(NamedTuple):
-    # the member masks of each family of an IdealLattice, and its products
-    two_sided: tuple
-    right: tuple
-    maximal: tuple
-    prime: tuple
-    maximal_right: tuple
-    products: dict
 
 
 # the families of each ring's lattice, keyed by its add, neg and mul tables
 _LATTICE_FAMILIES = OrderedDict()
 
 
-def _lattice_families(ring: HyperRing) -> _Families:
+def _lattice_families(ring: HyperRing) -> tuple:
+    # the member masks of the two sided, right, maximal, prime and
+    # maximal right ideals, and the products
     two_sided = enumerate_ideals(ring, "two-sided")
     right = enumerate_ideals(ring, "right")
     products = _product_table(ring, two_sided)
@@ -236,11 +227,10 @@ def _lattice_families(ring: HyperRing) -> _Families:
     def keys(family):
         return tuple(i.key for i in family)
 
-    return _Families(
-        keys(two_sided), keys(right),
-        keys(i for i in two_sided if _is_maximal_in(i, two_sided)),
-        keys(i for i in two_sided if i.proper and _prime_witness(i, two_sided, products) is None),
-        keys(i for i in right if _is_maximal_in(i, right)), products)
+    return (keys(two_sided), keys(right),
+            keys(i for i in two_sided if _is_maximal_in(i, two_sided)),
+            keys(i for i in two_sided if i.proper and _prime_witness(i, two_sided, products) is None),
+            keys(i for i in right if _is_maximal_in(i, right)), products)
 
 
 def _product_table(ring: HyperRing, two_sided) -> dict:
