@@ -1,8 +1,11 @@
 """How many finite Krasner hyperrings are there, really?
 
-Exhaustive counts by order, raw and up to relabeling. The growth is why
+Exhaustive counts by order, labelled and up to relabeling. The growth is why
 the generator caps out at order 4.
 """
+
+import itertools
+import math
 
 from krasner.corpus import (
     enumerate_hypergroups,
@@ -11,12 +14,29 @@ from krasner.corpus import (
     ring_canonical_key,
 )
 
-print("canonical hypergroups by order (raw / distinct up to relabeling):")
-for n in (1, 2, 3):
-    raw = enumerate_hypergroups(n, dedupe=False)
-    slim = enumerate_hypergroups(n)
-    print(f"  order {n}: {len(raw):3d} / {len(slim)}")
-print(f"  order 4:       / {len(enumerate_hypergroups(4))}")
+
+def automorphisms(add):
+    """How many relabelings fixing 0 give the addition table back."""
+    n = len(add)
+    count = 0
+    for rest in itertools.permutations(range(1, n)):
+        perm = (0,) + rest
+
+        def moved(m):
+            return sum(1 << perm[r] for r in range(n) if m >> r & 1)
+
+        count += all(moved(add[p][q]) == add[perm[p]][perm[q]]
+                     for p in range(n) for q in range(n))
+    return count
+
+
+# the generator keeps one table per class; a class whose table has
+# automorphism group Aut holds (n - 1)! / |Aut| labelled tables
+print("canonical hypergroups by order (labelled / distinct up to relabeling):")
+for n in (1, 2, 3, 4):
+    classes = enumerate_hypergroups(n)
+    labelled = sum(math.factorial(n - 1) // automorphisms(add) for add, _ in classes)
+    print(f"  order {n}: {labelled:3d} / {len(classes)}")
 
 print("\nmultiplications compatible with each order 3 hypergroup:")
 for add, neg in enumerate_hypergroups(3):

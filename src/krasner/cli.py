@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="*", help="ring files; omitted means the generated corpus")
     p.add_argument("--max-order", type=_positive_int, default=3)
     p.add_argument("--per-order-limit", type=_nonnegative_int, default=None)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_positive_int, default=1,
                    help="accepted for interface stability; runs use one thread")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted for interface stability; runs are deterministic")

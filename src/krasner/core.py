@@ -109,9 +109,6 @@ class ElementSet:
     def __or__(self, other):
         return ElementSet(self.structure, self.mask | self._lift(other))
 
-    def complement(self) -> "ElementSet":
-        return ElementSet(self.structure, self.structure.full_mask & ~self.mask)
-
     def __eq__(self, other):
         if not isinstance(other, ElementSet):
             return NotImplemented

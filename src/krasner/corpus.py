@@ -141,23 +141,22 @@ def check_order(order: int) -> None:
                                  f"is past the supported cap {HARD_ORDER_CAP}")
 
 
-def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
-    """All canonical hypergroups on {0..n-1} as (add_masks, neg) pairs.
+def enumerate_hypergroups(n: int) -> tuple:
+    """One canonical hypergroup on {0..n-1} per relabeling class
+    (permutations fixing 0), as (add_masks, neg) pairs.
 
-    With dedupe, one representative per relabeling class (permutations
-    fixing 0): the first table the labelled search finds in the class,
+    A class is represented by its first table when the labelled tables are
+    listed by negation and then by the bit set of their free orbits.  It is
     found by searching one negation per conjugacy class and keeping the
     tables that no relabeling commuting with it moves to a smaller set of
-    free orbits, sorted by the least encoding over every relabeling.
-    Without, every labelled table, sorted.  The few most recent answers
-    are kept, so a repeated call returns the same tuple, and each call
-    checks every table it returns with the hypergroup validator.
+    free orbits, sorted by the least encoding over every relabeling.  The
+    few most recent answers are kept, so a repeated call returns the same
+    tuple, and each call checks every table it returns with the validator.
     """
     if n < 1:
         raise ValueError("order must be positive")
     check_order(n)
-    # positional, so every spelling of one request shares a cache entry
-    found = _hypergroups(n, dedupe)
+    found = _hypergroups(n)
     # a class holds relabelings fixing 0 of one addition table, which fixes
     # the negation (0 in a + b exactly when b = -a), and every axiom survives
     # them: a class holds a bad table only if its representative is one.
@@ -168,46 +167,6 @@ def enumerate_hypergroups(n: int, dedupe: bool = True) -> tuple:
             raise TheoremViolationError("orbit construction produced a bad table; "
                                         + "; ".join(c.axiom for c in report.failures))
     return found
-
-
-# one entry per negation searched: the 18 negations of orders 1 to 5 all fit
-@lru_cache(maxsize=32)
-def _negation_tables(n: int, nu: tuple, base: int, free: tuple) -> tuple:
-    """Every labelled hypergroup table on {0..n-1} with negation nu, from
-    its split (base, free) of ``_orbit_splits``, as (chosen, (add_masks, nu))
-    pairs, where bit i of chosen says the table includes free[i]; in
-    ascending order of chosen and not yet checked.  The search runs once
-    per negation, whichever ``_hypergroups`` entries ask for it."""
-    full = (1 << n) - 1
-    row = (1 << n * n) - 1
-    # search cell j includes orbit free[k - 1 - j] or leaves it out, so
-    # tables come in ascending order of the included orbits' bit set
-    orbits = free[::-1]
-
-    def table(v, reads):
-        # the orbits are disjoint from one another and from the base
-        return base + sum(orbits[j] for j in reads if v[j])
-
-    # (region, want): no cell is empty, and associativity holds for each
-    # row pair a < c, which covers (c, b, a); (a, b, a) and a = 0 always do
-    wants = [(full << s * n, lambda t, cell=full << s * n: t & cell)
-             for s in range(n * n) if not base >> s * n & full]
-    wants += [(row << a * n * n | row << c * n * n, partial(_associative, n, a, c))
-              for a in range(1, n) for c in range(a + 1, n)]
-    rules = []
-    for region, want in wants:
-        # watch the last cell whose orbit meets the region; with none, test now
-        reads = [j for j, o in enumerate(orbits) if o & region]
-        if reads:
-            rules.append(((reads[-1],), lambda v, i, want=want, reads=reads: want(table(v, reads))))
-        elif not want(base):
-            return ()
-    found = []
-    for v in search([2] * len(orbits), rules):
-        t = table(v, range(len(orbits)))
-        add = tuple(tuple(t >> (p * n + q) * n & full for q in range(n)) for p in range(n))
-        found.append((sum(bit << i for i, bit in enumerate(reversed(v))), (add, nu)))
-    return tuple(found)
 
 
 def _orbit_moves(n: int, nu: tuple, free, relabelings) -> list:
@@ -231,30 +190,52 @@ def _orbit_moves(n: int, nu: tuple, free, relabelings) -> list:
 
 
 @lru_cache(maxsize=8)
-def _hypergroups(n: int, dedupe: bool) -> tuple:
+def _hypergroups(n: int) -> tuple:
+    # the labelled members of a class with negation nu are one orbit of
+    # the relabelings commuting with nu, and their negations fill nu's
+    # conjugacy class, fixed by its number of transpositions; so the first
+    # table a labelled search finds in a class has the first negation of
+    # that class and the least bit set of its orbit
+    full = (1 << n) - 1
+    row = (1 << n * n) - 1
+    relabelings = _relabelings(n)
+    searched = set()
     found = []
-    if dedupe:
-        # the labelled members of a class with negation nu are one orbit of
-        # the relabelings commuting with nu, and their negations fill nu's
-        # conjugacy class, fixed by its number of transpositions; so the first
-        # table a labelled search finds in a class has the first negation of
-        # that class and the least bit set of its orbit
-        relabelings = _relabelings(n)
-        searched = set()
-        for nu, base, free in _orbit_splits(n):
-            swaps = sum(nu[a] > a for a in range(n))
-            if swaps in searched:
-                continue
-            searched.add(swaps)
-            moves = _orbit_moves(n, nu, free, relabelings)
-            found += [table for chosen, table in _negation_tables(n, nu, base, tuple(free))
-                      if all(chosen <= sum(1 << move[i] for i in bits(chosen))
-                             for move in moves)]
-        found.sort(key=lambda rep: _full_min(rep[0], relabelings))
-    else:
-        for nu, base, free in _orbit_splits(n):
-            found += [table for _, table in _negation_tables(n, nu, base, tuple(free))]
-        found.sort()
+    for nu, base, free in _orbit_splits(n):
+        swaps = sum(nu[a] > a for a in range(n))
+        if swaps in searched:
+            continue
+        searched.add(swaps)
+        moves = _orbit_moves(n, nu, free, relabelings)
+
+        def table(v, reads):
+            # search cell j includes free[j] or leaves it out; the orbits
+            # are disjoint from one another and from the base
+            return base + sum(free[j] for j in reads if v[j])
+
+        # (region, want): no cell is empty, and associativity holds for each
+        # row pair a < c, which covers (c, b, a); (a, b, a) and a = 0 always do
+        wants = [(full << s * n, lambda t, cell=full << s * n: t & cell)
+                 for s in range(n * n) if not base >> s * n & full]
+        wants += [(row << a * n * n | row << c * n * n, partial(_associative, n, a, c))
+                  for a in range(1, n) for c in range(a + 1, n)]
+        rules = []
+        for region, want in wants:
+            # watch the last cell whose orbit meets the region; with none, test now
+            reads = [j for j, o in enumerate(free) if o & region]
+            if reads:
+                rules.append(((reads[-1],),
+                              lambda v, i, want=want, reads=reads: want(table(v, reads))))
+            elif not want(base):
+                break
+        else:
+            for v in search([2] * len(free), rules):
+                chosen = sum(bit << j for j, bit in enumerate(v))
+                if all(chosen <= sum(1 << move[i] for i in bits(chosen)) for move in moves):
+                    t = table(v, range(len(free)))
+                    found.append((tuple(tuple(t >> (p * n + q) * n & full for q in range(n))
+                                        for p in range(n)), nu))
+    found.sort(key=lambda rep: _full_min(rep[0], relabelings))
     return tuple(found)
 
 
@@ -357,7 +338,7 @@ def _corpus(max_order: int, per_order_limit: int | None) -> tuple:
         # unchecked tables: validating a class's first ring checks its table,
         # and the memo keeps that verdict while the class's other rings follow;
         # checking all 97 classes of order 4 first would overflow the memo
-        for add, nu in _hypergroups(n, True):
+        for add, nu in _hypergroups(n):
             masks = _MaskTable(add)
             # an isomorphism of two rings is an automorphism of their
             # shared hypergroup, and distinct classes never meet

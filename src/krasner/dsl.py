@@ -545,15 +545,3 @@ def emit_hom(hom: RingHom, name: str | None = None,
         lines.append(f"  map {a} {v}")
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def emit_document(doc: Document) -> str:
-    pieces = []
-    for kind, name in doc.order:
-        if kind == "ring":
-            pieces.append(emit_ring(doc.rings[name], name))
-        elif kind == "module":
-            pieces.append(emit_module(doc.modules[name], name))
-        else:
-            pieces.append(emit_hom(doc.homs[name], name))
-    return "\n".join(pieces)

@@ -265,11 +265,6 @@ def _is_maximal_in(ideal: HyperIdeal, family) -> bool:
     return True
 
 
-def is_maximal(ideal: HyperIdeal, lattice: IdealLattice) -> bool:
-    family = lattice.right if ideal.sidedness == "right" else lattice.two_sided
-    return _is_maximal_in(ideal, family)
-
-
 def maximal_above(ideal: HyperIdeal, lattice: IdealLattice) -> HyperIdeal:
     """Some maximal ideal of the same sidedness containing the input.
 

@@ -96,14 +96,6 @@ def preimage_ideal(hom: RingHom, ideal: HyperIdeal) -> HyperIdeal:
     return HyperIdeal._trusted(hom.source, mask_of(members), ideal.sidedness)
 
 
-def compose(outer: RingHom, inner: RingHom) -> RingHom:
-    if inner.target is not outer.source:
-        raise ValueError("homs do not chain")
-    return RingHom(inner.source, outer.target,
-                   tuple(outer.mapping[v] for v in inner.mapping),
-                   name=f"{outer.name or 'g'} o {inner.name or 'f'}")
-
-
 def identity_hom(ring: HyperRing) -> RingHom:
     return RingHom(ring, ring, tuple(range(ring.order)), name="id",
                    unit_preserving=ring.is_unital)

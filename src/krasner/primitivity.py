@@ -96,10 +96,6 @@ def prim_set(ring: HyperRing) -> tuple:
     return tuple(c.ideal for c in prim_certificates(ring))
 
 
-def is_primitive(ideal: HyperIdeal) -> bool:
-    return ideal.key in {p.key for p in prim_set(ideal.ring)}
-
-
 def is_primitive_ring(ring: HyperRing) -> bool:
     """Primitive ring: the zero ideal annihilates a simple module."""
     return any(c.ideal.members.mask == 1 for c in prim_certificates(ring))

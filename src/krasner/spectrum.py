@@ -60,9 +60,6 @@ class SpectrumSpace:
             out |= 1 << index[m]
         return out
 
-    def members_of(self, pmask: int) -> tuple:
-        return tuple(self.points[i] for i in bits(pmask))
-
     def kernel_of(self, pmask: int) -> int:
         """Intersection of the points, the whole ring for the empty set."""
         out = self.ring.full_mask
@@ -107,10 +104,6 @@ class SpectrumSpace:
                 closed.append(s)
         self._closed = (0,) + tuple(closed)
         return self._closed
-
-    def open_sets(self) -> tuple:
-        full = self.full_pmask
-        return tuple(sorted(full & ~c for c in self.closed_sets()))
 
     def vanishing_set(self, ideal) -> int:
         """Points containing the ideal."""

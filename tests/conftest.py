@@ -1,5 +1,5 @@
 from collections import OrderedDict
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -25,6 +25,45 @@ def direct_product(r, s):
            for a in range(n)]
     unit = None if r.unit is None or s.unit is None else r.unit * m + s.unit
     return HyperRing(add, neg, mul, unit=unit).checked("direct product")
+
+
+@lru_cache(maxsize=8)
+def labelled_hypergroups(n):
+    """Every labelled hypergroup table on {0..n-1} as (add_masks, neg)
+    pairs, sorted: the rule search over the free triple orbits of every
+    negation that ``corpus._orbit_splits`` leaves alive, with no symmetry
+    cut.  It referees the class search of ``corpus.enumerate_hypergroups``;
+    the subset loop (n <= 4) and the frozenset brute force (n <= 3) of
+    test_corpus referee it in turn."""
+    full = (1 << n) - 1
+    row = (1 << n * n) - 1
+    found = []
+    for nu, base, free in corpus._orbit_splits(n):
+        def table(v, reads):
+            # the orbits are disjoint from one another and from the base
+            return base + sum(free[j] for j in reads if v[j])
+
+        # (region, want): no cell is empty, and associativity holds for each
+        # row pair a < c, which covers (c, b, a); (a, b, a) and a = 0 always do
+        wants = [(full << s * n, lambda t, cell=full << s * n: t & cell)
+                 for s in range(n * n) if not base >> s * n & full]
+        wants += [(row << a * n * n | row << c * n * n, partial(corpus._associative, n, a, c))
+                  for a in range(1, n) for c in range(a + 1, n)]
+        rules = []
+        for region, want in wants:
+            # watch the last cell whose orbit meets the region; with none, test now
+            reads = [j for j, o in enumerate(free) if o & region]
+            if reads:
+                rules.append(((reads[-1],),
+                              lambda v, i, want=want, reads=reads: want(table(v, reads))))
+            elif not want(base):
+                break
+        else:
+            for v in core.search([2] * len(free), rules):
+                t = table(v, range(len(free)))
+                found.append((tuple(tuple(t >> (p * n + q) * n & full for q in range(n))
+                                    for p in range(n)), nu))
+    return tuple(sorted(found))
 
 
 def table_copy(ring):

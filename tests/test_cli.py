@@ -400,6 +400,14 @@ def test_non_positive_max_order_is_a_usage_error(command, value, capsys):
     assert f"--max-order: must be positive, not {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_threads_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check", "--max-order", "2", "--threads", value])
+    assert info.value.code == 2
+    assert f"--threads: must be positive, not {value}" in capsys.readouterr().err
+
+
 def test_internal_value_error_is_not_reported_as_invalid_input(monkeypatch):
     # a ValueError from inside a command is a bug, not a refusal of input:
     # it must surface instead of becoming "error: ..." with exit code 2

@@ -5,14 +5,16 @@ and spelled out quantifiers, sharing no code with the generator: the package
 builds tables from triple orbits and bit masks, the oracle filters the raw
 product space. Counts and the tables themselves must agree exactly.
 
-At order 4 the generator's rule search over the free triple orbits is
-refereed by a plain loop over every subset of those orbits, and the
-labelled counts by the orbit-stabilizer identity over the classes.  The
-classes, searched under one negation per conjugacy class, are refereed
-by a class key computed on every labelled table.  The opt-in order-5
-referees also run the product search against the cell-by-cell search it
-replaced on every order-5 hypergroup class, and the closed-subset search
-against the scan it replaced on every order-5 ring.
+The labelled search of ``conftest.labelled_hypergroups``, the rule search
+over the free triple orbits of every negation with no symmetry cut, is
+refereed at order 4 by a plain loop over every subset of those orbits.
+It referees in turn the class search of the package, which searches one
+negation per conjugacy class: its classes must be the first labelled
+table of each class key, and the labelled counts the orbit-stabilizer
+sums over them.  The opt-in order-5 referees also run the product search
+against the cell-by-cell search it replaced on every order-5 hypergroup
+class, and the closed-subset search against the scan it replaced on
+every order-5 ring.
 """
 
 import itertools
@@ -33,6 +35,8 @@ from krasner.corpus import (
 )
 from krasner.core import HyperRing, TheoremViolationError, bits, hypergroup_checks
 from krasner.ideals import SIDEDNESS, closed_subsets
+
+from conftest import labelled_hypergroups
 
 
 # oracle: canonical hypergroups as {(a, b): frozenset} dictionaries
@@ -199,7 +203,7 @@ def zero_fixing(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hypergroup_search_matches_subset_loop(n):
     found = subset_loop_hypergroups(n)
-    assert enumerate_hypergroups(n, dedupe=False) == tuple(sorted(found))
+    assert labelled_hypergroups(n) == tuple(sorted(found))
     # the first table of each class in loop order represents it
     canon = {}
     for add, nu in found:
@@ -215,7 +219,7 @@ def test_labelled_count_is_the_orbit_sum_over_classes(n, labelled):
     for add, _ in enumerate_hypergroups(n):
         aut = sum(1 for perm in zero_fixing(n) if relabel(add, perm) == add)
         total += math.factorial(n - 1) // aut
-    assert total == labelled == len(enumerate_hypergroups(n, dedupe=False))
+    assert total == labelled == len(labelled_hypergroups(n))
 
 
 def relabel_neg(nu, perm):
@@ -256,7 +260,7 @@ def chosen(add, free):
 def first_of_each_class(n):
     # the labelled tables in search order: by negation, then by bit set
     splits = {nu: (i, free) for i, (nu, _, free) in enumerate(_orbit_splits(n))}
-    labelled = sorted(enumerate_hypergroups(n, dedupe=False),
+    labelled = sorted(labelled_hypergroups(n),
                       key=lambda t: (splits[t[1]][0], chosen(t[0], splits[t[1]][1])))
     relabelings = corpus._relabelings(n)
     images = {order: image for order, _, image in relabelings}
@@ -270,7 +274,7 @@ def first_of_each_class(n):
 def test_class_key_ignores_relabeling_and_separates_classes(n):
     images = {order: image for order, _, image in corpus._relabelings(n)}
     key_of_class = {}
-    for add, nu in enumerate_hypergroups(n, dedupe=False):
+    for add, nu in labelled_hypergroups(n):
         key = class_key(add, nu, images)
         for perm in zero_fixing(n):
             moved = class_key(relabel(add, perm), relabel_neg(nu, perm), images)
@@ -320,10 +324,9 @@ def test_automorphism_key_partitions_products_like_the_full_key(n, corpus4):
 def fresh_hypergroups(monkeypatch):
     # empty caches of the same bounds, so the session's hypergroups stay
     # cached and nothing a patched search returns outlives the test
-    for name in ("_negation_tables", "_hypergroups"):
-        cached = getattr(corpus, name)
-        bound = cached.cache_parameters()["maxsize"]
-        monkeypatch.setattr(corpus, name, lru_cache(maxsize=bound)(cached.__wrapped__))
+    bound = corpus._hypergroups.cache_parameters()["maxsize"]
+    monkeypatch.setattr(corpus, "_hypergroups",
+                        lru_cache(maxsize=bound)(corpus._hypergroups.__wrapped__))
 
 
 def test_full_passes_run_once_per_class(monkeypatch):
@@ -338,7 +341,7 @@ def test_full_passes_run_once_per_class(monkeypatch):
     entries = corpus._corpus.__wrapped__(4, None)
     counted = dict(calls)
     classes = sum(len(enumerate_hypergroups(n)) for n in range(1, 5))
-    labelled = sum(len(enumerate_hypergroups(n, dedupe=False)) for n in range(1, 5))
+    labelled = sum(len(labelled_hypergroups(n)) for n in range(1, 5))
     assert len(entries) == 163 and (classes, labelled) == (110, 408)
     assert counted == {"_full_min": classes, "_automorphisms": classes}
 
@@ -366,52 +369,49 @@ def test_a_rule_no_free_orbit_reads_is_tested_before_the_search(monkeypatch):
     # cell to watch, so the nonempty rule is decided up front
     base = sum(1 << (p * 2 + q) * 2 + r for p, q, r in [(0, 0, 0), (0, 1, 1), (1, 0, 1)])
     monkeypatch.setattr(corpus, "_orbit_splits", lambda n: iter([((0, 1), base, [])]))
-    assert enumerate_hypergroups(2, dedupe=False) == ()
+    assert enumerate_hypergroups(2) == ()
 
 
-@pytest.mark.parametrize("dedupe", [False, True])
-def test_a_bad_returned_table_raises(monkeypatch, dedupe):
+def test_a_bad_returned_table_raises(monkeypatch):
     fresh_hypergroups(monkeypatch)
     # a full base with no free orbit: 1 + 1 = {1} has no 0, so 1 has no negative
     base = sum(1 << (p * 2 + q) * 2 + r
                for p, q, r in [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
     monkeypatch.setattr(corpus, "_orbit_splits", lambda n: iter([((0, 1), base, [])]))
     with pytest.raises(TheoremViolationError, match="orbit construction produced a bad table"):
-        enumerate_hypergroups(2, dedupe=dedupe)
+        enumerate_hypergroups(2)
 
 
 def test_corpus_reuses_the_kept_hypergroups(monkeypatch):
     fresh_hypergroups(monkeypatch)
     monkeypatch.setattr(corpus, "_corpus", lru_cache(maxsize=8)(corpus._corpus.__wrapped__))
     searched = []
-    cached = corpus._negation_tables
+    moves = corpus._orbit_moves
 
-    def counting(n, nu, base, free):
+    def counting(n, nu, free, relabelings):
         searched.append((n, nu))
-        return cached.__wrapped__(n, nu, base, free)
+        return moves(n, nu, free, relabelings)
 
-    bound = cached.cache_parameters()["maxsize"]
-    monkeypatch.setattr(corpus, "_negation_tables", lru_cache(maxsize=bound)(counting))
-    enumerate_hypergroups(4, dedupe=False)
+    monkeypatch.setattr(corpus, "_orbit_moves", counting)
+    enumerate_hypergroups(4)
     enumerate_hypergroups(4)
     generate_corpus(4)
-    # one search per order and negation, shared by both dedupe settings;
-    # the classes need only the first negation of each conjugacy class
-    assert searched == [(4, (0, 1, 2, 3)), (4, (0, 1, 3, 2)), (4, (0, 2, 1, 3)),
-                        (4, (0, 3, 2, 1)), (1, (0,)), (2, (0, 1)),
+    # one search per order and conjugacy class of negations, under its
+    # first negation, shared by every later call
+    assert searched == [(4, (0, 1, 2, 3)), (4, (0, 1, 3, 2)), (1, (0,)), (2, (0, 1)),
                         (3, (0, 1, 2)), (3, (0, 2, 1))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hypergroup_tables_match_oracle(n):
     brute = {(to_mask_table(add, n), neg_of(add, n)) for add in brute_hypergroups(n)}
-    generated = set(enumerate_hypergroups(n, dedupe=False))
+    generated = set(labelled_hypergroups(n))
     assert generated == brute
 
 
 def test_hypergroup_counts():
     assert [len(enumerate_hypergroups(n)) for n in (1, 2, 3, 4)] == [1, 2, 10, 97]
-    assert [len(enumerate_hypergroups(n, dedupe=False)) for n in (1, 2, 3)] == [1, 2, 15]
+    assert [len(labelled_hypergroups(n)) for n in (1, 2, 3)] == [1, 2, 15]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -419,7 +419,7 @@ def test_ring_tables_match_oracle(n):
     brute = {(to_mask_table(add, n), neg_of(add, n), to_mul_rows(mul, n))
              for add, mul in brute_rings(n)}
     generated = set()
-    for add, neg in enumerate_hypergroups(n, dedupe=False):
+    for add, neg in labelled_hypergroups(n):
         for mul in mult_tables(n, add):
             generated.add((add, neg, mul))
     assert generated == brute
@@ -516,7 +516,7 @@ def test_corpus_cache_keeps_the_most_recent_keys(monkeypatch):
 def test_order_five_referee(monkeypatch):
     # minutes long, so opt-in: python -m pytest -m slow
     monkeypatch.setattr(corpus, "HARD_ORDER_CAP", 5)
-    labelled = enumerate_hypergroups(5, dedupe=False)
+    labelled = labelled_hypergroups(5)
     classes = enumerate_hypergroups(5)
     assert len(classes) == 3776
     assert len(labelled) == 72112 == sum(

@@ -1,0 +1,55 @@
+"""Direct products as construction oracles past the corpus.
+
+In R x S the element (r, s) is the single sum (r, 0) + (0, s).  So when R
+and S have units the two sided ideals of R x S are exactly the products
+I x J; on every pair the primitive ideals are P x S and R x Q, and R x S
+is T1 exactly when both factors are.  The sample is every ordered pair of
+corpus4 rings of order >= 2 with |R||S| <= 12 that is unital (405 pairs,
+all commutative), plus every such pair with a non-commutative factor (92,
+none unital), which checks the primitive ideals and T1 only.
+"""
+
+from krasner.core import is_commutative
+from krasner.ideals import IdealLattice
+from krasner.primitivity import prim_set
+from krasner.spectrum import SpectrumSpace
+
+from conftest import direct_product
+
+
+def cross_mask(r, s, a, b):
+    """Member mask of A x B in direct_product(r, s), from member masks of r and s."""
+    m = s.order
+    return sum(1 << x * m + y for x in range(r.order) if a >> x & 1 for y in range(m) if b >> y & 1)
+
+
+def sample(corpus4):
+    rings = [e.ring for e in corpus4 if e.ring.order >= 2]
+    pairs = [(r, s) for r in rings for s in rings if r.order * s.order <= 12]
+    return [(r, s) for r, s in pairs
+            if (r.is_unital and s.is_unital)
+            or not (is_commutative(r.mul_table) and is_commutative(s.mul_table))]
+
+
+def masks(ideals):
+    return sorted(i.members.mask for i in ideals)
+
+
+def test_products_of_corpus_rings_have_the_product_prim_lattice_and_t1(corpus4):
+    pairs = sample(corpus4)
+    unital = 0
+    for r, s in pairs:
+        product = direct_product(r, s)
+        assert masks(prim_set(product)) == sorted(
+            [cross_mask(r, s, p.members.mask, s.full_mask) for p in prim_set(r)]
+            + [cross_mask(r, s, r.full_mask, q.members.mask) for q in prim_set(s)]), \
+            (r.name, s.name)
+        assert SpectrumSpace.build(product).is_t1() == (
+            SpectrumSpace.build(r).is_t1() and SpectrumSpace.build(s).is_t1()), (r.name, s.name)
+        if r.is_unital and s.is_unital:
+            unital += 1
+            assert masks(IdealLattice.build(product).two_sided) == sorted(
+                cross_mask(r, s, i.members.mask, j.members.mask)
+                for i in IdealLattice.build(r).two_sided
+                for j in IdealLattice.build(s).two_sided), (r.name, s.name)
+    assert (len(pairs), unital) == (497, 405)

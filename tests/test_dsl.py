@@ -16,7 +16,6 @@ from krasner.dsl import (
     _Parser,
     _columns,
     _tokenize,
-    emit_document,
     emit_hom,
     emit_module,
     emit_ring,
@@ -104,7 +103,10 @@ def test_module_and_hom_round_trip(z4):
     assert doc.modules["reg"].encoding() == reg.encoding()
     assert doc.homs["id"].mapping == (0, 1, 2, 3)
     assert doc.homs["id"].unit_preserving
-    assert emit_document(doc) == text
+    # emitting each block again, in document order, gives the text back
+    emit = {"ring": (doc.rings, emit_ring), "module": (doc.modules, emit_module),
+            "hom": (doc.homs, emit_hom)}
+    assert "\n".join(emit[kind][1](emit[kind][0][name], name) for kind, name in doc.order) == text
 
 
 def test_module_round_trip_corpus(corpus3):

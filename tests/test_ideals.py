@@ -21,7 +21,6 @@ from krasner.ideals import (
     ideal_product,
     ideal_sum,
     is_hyperideal,
-    is_maximal,
     is_prime,
     maximal_above,
     nil_radical,
@@ -212,13 +211,6 @@ def test_maximal_above(z6):
     whole = next(i for i in lattice.two_sided if not i.proper)
     with pytest.raises(ValueError):
         maximal_above(whole, lattice)
-
-
-def test_is_maximal(z6):
-    lattice = IdealLattice.build(z6)
-    for ideal in lattice.two_sided:
-        expect = ideal.members.members in ((0, 3), (0, 2, 4))
-        assert is_maximal(ideal, lattice) is expect
 
 
 def test_prime_witness(z4):

@@ -4,7 +4,11 @@ between modules leaves no stale import behind; and the package defines no
 dataclass, so no ``khr`` start imports ``dataclasses`` or ``inspect``.  In
 a fresh interpreter without bytecode, those two imports took about 13 ms of
 the 130 ms that ``import krasner, krasner.cli`` took under ``-X importtime``,
-and each dataclass the package once kept about 0.8 ms more."""
+and each dataclass the package once kept about 0.8 ms more.
+
+Every function the package defines is also used by the package, a demo or
+the benchmark, apart from a short allowlist: a function only the tests
+call belongs in the tests."""
 
 import ast
 import dataclasses
@@ -19,6 +23,19 @@ import pytest
 import krasner
 
 MODULES = sorted(Path(krasner.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+
+# defined in src but named in no code of src, demos or bench, each kept on purpose
+TEST_ONLY = [
+    "core.FrozenRecord._replace",  # the copy every NamedTuple has, kept for the same spelling
+    "core.Structure.full_set",  # the carrier as a set, which the carrier checks build on
+    "core.Structure.singleton",  # the set {i}, which the hypersum tests build on
+    "dsl.emit_module",  # writes the module block the parser reads; round-trip tests use it
+    "hypermodules.restrict_scalars",  # the module tests and the dsl round trip build on it
+    "ideals.cross_check_generated",  # bench/tracing.py traces it by name
+    "morphisms.identity_hom",  # the hom, dsl and message tests build on it
+    "spectrum.SpectrumSpace.point_set",  # the spectrum tests build on it
+]
 
 
 def unused_imports(tree: ast.Module) -> list:
@@ -70,3 +87,50 @@ def test_a_khr_start_imports_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True).stdout
     assert out == "[]\n"
+
+
+def unused_functions(trees, uses) -> list:
+    """module.qualname of every function defined in trees, a {module: tree}
+    map, whose name no code in uses, a list of trees, refers to: as a name,
+    an attribute or an imported name.  Dunder methods are left out, since
+    Python calls them."""
+    used = set()
+    for tree in uses:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "name", None)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if (not isinstance(child, ast.ClassDef) and name not in used
+                        and not (name.startswith("__") and name.endswith("__"))):
+                    found.append(f"{prefix}.{name}")
+                visit(child, f"{prefix}.{name}")
+            else:
+                visit(child, prefix)
+
+    for module, tree in trees.items():
+        visit(tree, module)
+    return sorted(found)
+
+
+def test_every_function_has_a_caller_outside_the_tests():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    uses = list(trees.values()) + [ast.parse(path.read_text(encoding="utf-8"))
+                                   for folder in ("demos", "bench")
+                                   for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unused_functions(trees, uses) == TEST_ONLY
+
+
+def test_an_unused_function_is_reported():
+    tree = ast.parse("class A:\n    def f(self): g()\n    def __eq__(self, o): pass\n"
+                     "def g(): pass\ndef h(): pass\n")
+    uses = [tree, ast.parse("from m import h")]
+    assert unused_functions({"m": tree}, uses) == ["m.A.f"]

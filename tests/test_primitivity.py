@@ -11,7 +11,6 @@ from krasner.ideals import IdealLattice, quotient_ring
 from krasner.primitivity import (
     check_primitive_iff_quotient_primitive,
     enumerate_simple_modules,
-    is_primitive,
     is_primitive_ring,
     prim_certificates,
     prim_from_maximal_right,
@@ -60,13 +59,6 @@ def test_prim_from_maximal_right_z4(z4):
     assert cert is not None
     assert cert.ideal.members.members == (0, 2)
     assert cert.module.order == 2
-
-
-def test_is_primitive(z4):
-    lattice = IdealLattice.build(z4)
-    for ideal in lattice.two_sided:
-        expect = ideal.members.members == (0, 2)
-        assert is_primitive(ideal) is expect
 
 
 def test_primitive_ring_flags(z2, z4, kfield):
@@ -127,14 +119,11 @@ def test_enumerated_simple_modules_agree_with_prim(z4):
 def counted_hypergroups(monkeypatch):
     # start from empty caches and record each order the corpus searches
     calls = []
-    tables = corpus._negation_tables
-    monkeypatch.setattr(corpus, "_negation_tables", lru_cache(
-        maxsize=tables.cache_parameters()["maxsize"])(tables.__wrapped__))
     search = corpus._hypergroups.__wrapped__
 
-    def counting(n, dedupe):
+    def counting(n):
         calls.append(n)
-        return search(n, dedupe)
+        return search(n)
 
     bound = corpus._hypergroups.cache_parameters()["maxsize"]
     monkeypatch.setattr(corpus, "_hypergroups", lru_cache(maxsize=bound)(counting))
