@@ -372,14 +372,25 @@ def test_a_rule_no_free_orbit_reads_is_tested_before_the_search(monkeypatch):
     assert enumerate_hypergroups(2) == ()
 
 
-def test_a_bad_returned_table_raises(monkeypatch):
+@pytest.mark.parametrize("through_corpus", [False, True])
+def test_a_bad_returned_table_raises(monkeypatch, through_corpus):
     fresh_hypergroups(monkeypatch)
+    monkeypatch.setattr(corpus, "_corpus", lru_cache(maxsize=8)(corpus._corpus.__wrapped__))
     # a full base with no free orbit: 1 + 1 = {1} has no 0, so 1 has no negative
     base = sum(1 << (p * 2 + q) * 2 + r
                for p, q, r in [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
-    monkeypatch.setattr(corpus, "_orbit_splits", lambda n: iter([((0, 1), base, [])]))
-    with pytest.raises(TheoremViolationError, match="orbit construction produced a bad table"):
-        enumerate_hypergroups(2)
+    splits = corpus._orbit_splits
+    monkeypatch.setattr(corpus, "_orbit_splits",
+                        lambda n: iter([((0, 1), base, [])]) if n == 2 else splits(n))
+    # the corpus takes the search's tables unchecked, so there the first
+    # ring's validation is what catches the bad table
+    if through_corpus:
+        with pytest.raises(TheoremViolationError, match="generator produced an invalid ring"):
+            generate_corpus(2)
+    else:
+        with pytest.raises(TheoremViolationError,
+                           match="orbit construction produced a bad table"):
+            enumerate_hypergroups(2)
 
 
 def test_corpus_reuses_the_kept_hypergroups(monkeypatch):
