@@ -538,10 +538,6 @@ def find_unit(n: int, mul) -> int | None:
 # (``require_hom_bound``)
 HOM_SEARCH_BOUND = 6
 
-# the largest carrier of the simple-module search
-# (primitivity.enumerate_simple_modules)
-SIMPLE_MODULE_ORDER = 3
-
 
 def search(sizes, rules) -> list:
     """Every tuple v with 0 <= v[i] < sizes[i] that passes all rules, in
@@ -787,11 +783,12 @@ _set = object.__setattr__
 class FrozenRecord:
     """Base of the read-only classes that check what they are built from.
 
-    ``_fields`` names the constructor's fields in order; the repr shows
-    each but those in ``_unshown``.  A subclass sets its fields with
-    ``object.__setattr__`` and defines ``__eq__`` (same class, same
-    compared fields) and ``__hash__`` on the fields directly: a key built
-    by name lookup made both several times slower."""
+    ``_fields`` names the constructor's fields in order; the repr,
+    equality and the hash read each but those in ``_unshown``, and only an
+    object of the same class compares equal.  A subclass sets its fields
+    with ``object.__setattr__``.  Equality and the hash look each field up
+    by name, which no workload notices: none compares or hashes these
+    objects."""
 
     __slots__ = ()
     _fields = ()
@@ -807,6 +804,17 @@ class FrozenRecord:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields
                           if f not in self._unshown)
         return f"{type(self).__qualname__}({shown})"
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields if f not in self._unshown)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
     def _replace(self, **changes):
         """A copy with the named fields changed, built and checked anew."""
@@ -831,15 +839,6 @@ class StrongHom(FrozenRecord):
         _set(self, "target", target)
         _set(self, "mapping", mapping)
         _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.mapping, self.name)
-                    == (other.source, other.target, other.mapping, other.name))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.mapping, self.name))
 
     def image_mask(self) -> int:
         return mask_of(self.mapping)

@@ -182,18 +182,6 @@ class IdealLattice(FrozenRecord):
         _set(self, "maximal_right", maximal_right)
         _set(self, "products", products)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.ring, self.two_sided, self.right, self.maximal, self.prime,
-                     self.maximal_right)
-                    == (other.ring, other.two_sided, other.right, other.maximal, other.prime,
-                        other.maximal_right))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, self.two_sided, self.right, self.maximal, self.prime,
-                     self.maximal_right))
-
     @classmethod
     def build(cls, ring: HyperRing) -> "IdealLattice":
         """The lattice of ring, kept on it.  Its families are masks read

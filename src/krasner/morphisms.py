@@ -48,16 +48,6 @@ class RingHom(StrongHom):
         if unit_preserving and (source.unit is None or target.unit is None):
             raise ValueError("unit preservation needs units on both sides")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.mapping, self.name, self.unit_preserving)
-                    == (other.source, other.target, other.mapping, other.name,
-                        other.unit_preserving))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.mapping, self.name, self.unit_preserving))
-
 
 def verify_strong_hom(hom: RingHom) -> VerificationReport:
     src, dst, f = hom.source, hom.target, hom.mapping

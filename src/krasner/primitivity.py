@@ -123,18 +123,25 @@ def check_primitive_iff_quotient_primitive(ring: HyperRing) -> BiconditionalRepo
 
 
 def enumerate_simple_modules(ring: HyperRing) -> tuple:
-    """Every simple right hypermodule on a carrier of at most
-    ``core.SIMPLE_MODULE_ORDER`` elements.  For each canonical hypergroup,
-    ``core.action_tables`` finds the action tables (row 0 and column 0
-    zero) that pass the three action axioms against the ring's tables,
-    choosing each row among the strong homs from the ring's hypergroup
-    into the module's; each is validated and kept when simple.  An order
-    past the corpus cap raises ``BoundExceededError`` before any search."""
+    """Every simple right hypermodule over ring on a canonical hypergroup,
+    so every one up to isomorphism.
+
+    The search is exhaustive because a simple M has at most |R| elements
+    (Jacobson's cyclic-module argument, Amer. J. Math. 67, 1945).  The m
+    with mR = {0} form a subhypermodule, proper since the action is
+    nonzero, so only 0 does that; for m != 0, mR is a nonzero
+    subhypermodule, since mr + ms = m(r + s) and -(mr) = m(-r).  So
+    M = mR and |M| <= |R|.
+    For each canonical hypergroup of order 2..|R|, ``core.action_tables``
+    finds the action tables (row 0 and column 0 zero) that pass the three
+    action axioms against the ring's tables, choosing each row among the
+    strong homs from the ring's hypergroup into the module's; each is
+    validated and kept when simple.  A ring past the corpus cap raises
+    ``BoundExceededError`` before any search."""
     ring.require_validated()
-    max_order = core.SIMPLE_MODULE_ORDER
-    corpus.check_order(max_order)
+    corpus.check_order(ring.order)
     found = []
-    for n in range(2, max_order + 1):
+    for n in range(2, ring.order + 1):
         for add_masks, neg in corpus.enumerate_hypergroups(n):
             masks = _MaskTable(add_masks)
             for act in action_tables(add_masks, ring.add_masks, ring.mul_table):
@@ -146,8 +153,8 @@ def enumerate_simple_modules(ring: HyperRing) -> tuple:
 
 
 def rogue_annihilators(ring: HyperRing) -> tuple:
-    """Annihilators of small simple modules that the maximal right ideal
-    hunt did not produce.  Expected empty; returned as (ideal, module)
+    """Annihilators of simple modules that the maximal right ideal hunt
+    did not produce.  Expected empty; returned as (ideal, module)
     pairs rather than asserted, so sweeps can report them."""
     known = {p.key for p in prim_set(ring)}
     rogues = {}

@@ -4,9 +4,16 @@ from functools import lru_cache
 
 import pytest
 
-from krasner import core, corpus
+from krasner import corpus
+from krasner.catalog import cyclic_ring
 from krasner.core import BoundExceededError, TheoremViolationError
-from krasner.hypermodules import annihilator, is_simple
+from krasner.hypermodules import (
+    annihilator,
+    find_isomorphism,
+    is_simple,
+    quotient_module,
+    regular_module,
+)
 from krasner.ideals import IdealLattice, quotient_ring
 from krasner.primitivity import (
     check_primitive_iff_quotient_primitive,
@@ -133,27 +140,44 @@ def counted_hypergroups(monkeypatch):
 def test_simple_module_search_enumerates_each_order_once(z2, z4, monkeypatch):
     calls = counted_hypergroups(monkeypatch)
     first = [m.encoding() for m in enumerate_simple_modules(z4)]
-    assert calls == [2, 3]
+    assert calls == [2, 3, 4]
     enumerate_simple_modules(z2)
-    assert calls == [2, 3]
+    assert calls == [2, 3, 4]
     assert [m.encoding() for m in enumerate_simple_modules(z4)] == first
-    assert calls == [2, 3]
+    assert calls == [2, 3, 4]
 
 
-def test_orders_past_the_corpus_cap_raise_before_any_search(z2, monkeypatch):
+def test_orders_past_the_corpus_cap_raise_before_any_search(monkeypatch):
+    past = cyclic_ring(corpus.HARD_ORDER_CAP + 1)
     calls = counted_hypergroups(monkeypatch)
 
     def search(n):
         raise AssertionError(f"searched order {n}")
 
     monkeypatch.setattr(corpus, "_orbit_splits", search)
-    past = corpus.HARD_ORDER_CAP + 1
     with pytest.raises(BoundExceededError):
-        corpus.enumerate_hypergroups(past)
-    monkeypatch.setattr(core, "SIMPLE_MODULE_ORDER", past)
+        corpus.enumerate_hypergroups(past.order)
     with pytest.raises(BoundExceededError):
-        enumerate_simple_modules(z2)
+        enumerate_simple_modules(past)
+    with pytest.raises(BoundExceededError):
+        rogue_annihilators(past)
     assert calls == []
+
+
+def test_every_simple_module_is_a_quotient_of_the_ring(corpus3, z4, kfield):
+    # referee of the bound |M| <= |R|: for each m != 0 of a simple M,
+    # r -> m r maps R_R onto M with kernel ann(m) = {r : m r = 0}
+    found = 0
+    for ring in [e.ring for e in corpus3] + [z4, kfield]:
+        regular = regular_module(ring)
+        for module in enumerate_simple_modules(ring):
+            assert module.order <= ring.order
+            for m in range(1, module.order):
+                ann = [r for r in range(ring.order) if module.act_table[m][r] == 0]
+                quotient = quotient_module(regular, ann).module
+                assert find_isomorphism(quotient, module) is not None
+            found += 1
+    assert found == 11
 
 
 def test_no_rogue_annihilators(z2, z4, kfield):
@@ -163,9 +187,24 @@ def test_no_rogue_annihilators(z2, z4, kfield):
         assert rogue_annihilators(ring) == ()
 
 
-def test_no_rogue_annihilators_z6_small(z6, monkeypatch):
-    monkeypatch.setattr(core, "SIMPLE_MODULE_ORDER", 2)
-    assert rogue_annihilators(z6) == ()
+def test_no_rogue_annihilators_on_a_product_of_two_fields(z6, corpus4):
+    # Z/6 is past the corpus cap, so its module search is refused; r4_9,
+    # Z/2 x Z/2, is unital with two primitive ideals, as Z/6 is
+    with pytest.raises(BoundExceededError):
+        rogue_annihilators(z6)
+    ring = next(e.ring for e in corpus4 if e.name == "r4_9")
+    assert ring.is_unital and len(prim_set(ring)) == len(prim_set(z6)) == 2
+    assert rogue_annihilators(ring) == ()
+
+
+@pytest.mark.slow
+def test_no_rogue_annihilators_at_order_4(corpus4):
+    # modules of every order up to 4, so this is exhaustive by the bound
+    rings = [e.ring for e in corpus4 if e.ring.order == 4]
+    assert len(rings) == 139
+    for ring in rings:
+        assert rogue_annihilators(ring) == ()
+    assert sum(len(enumerate_simple_modules(ring)) for ring in rings) == 32
 
 
 def test_certificates_deduplicate(z6):

@@ -15,7 +15,6 @@ import pytest
 
 from krasner import core
 from krasner.core import (
-    SIMPLE_MODULE_ORDER,
     action_tables,
     bits,
     search,
@@ -267,6 +266,8 @@ def test_module_homs_and_isomorphisms_match_brute_force(corpus4):
 
 
 def test_simple_modules_match_brute_force(corpus4):
+    # the search stops at the ring's order and the brute force at 3, so
+    # this also finds no order-3 simple module over an order-2 ring
     found = 0
     for ring in small_rings(corpus4, 3):
         mods = enumerate_simple_modules(ring)
@@ -288,7 +289,8 @@ def test_module_actions_match_the_cellwise_search(corpus4):
     assert sum(ring.mul_table != tuple(zip(*ring.mul_table)) for ring in rings) == 2
     found = 0
     for ring in rings:
-        for n in range(2, SIMPLE_MODULE_ORDER + 1):
+        # module orders 2 and 3 over every corpus ring
+        for n in range(2, 4):
             for add, _ in enumerate_hypergroups(n):
                 tables = action_tables(add, ring.add_masks, ring.mul_table)
                 assert tables == cellwise_action_tables(add, ring.add_masks, ring.mul_table)
