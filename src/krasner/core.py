@@ -452,8 +452,13 @@ def hypergroup_checks(n: int, add, neg) -> list:
     return checks
 
 
-# how many results each table memo keeps
-_VERDICTS_KEPT = 64
+# how many results each table memo keeps: the smallest power of two that
+# holds the working set of generate_corpus(4) and then run_ring_checks on
+# its 163 rings, so each result is built once per distinct key.  That set
+# is 921 table verdicts (163 from the build, 758 from the sweep), 110
+# hypergroup verdicts, 163 lattice families and 284 quotient hypergroups;
+# at 512 the sweep rebuilds 125 evicted table verdicts
+_VERDICTS_KEPT = 1024
 
 
 @lru_cache(maxsize=_VERDICTS_KEPT)

@@ -44,9 +44,9 @@ from .ideals import (
     IdealCheck,
     closed_subsets,
     closure,
-    closure_check,
     induced_value_table,
     is_hyperideal,
+    kept_closure_check,
     quotient_hypergroup,
     sum_of_products_closure,
 )
@@ -154,10 +154,10 @@ def _action(module: HyperModule) -> list:
 
 def is_subhypermodule(module: HyperModule, members) -> IdealCheck:
     """Closure of a subset under madd, mneg and the ring action, by
-    ``ideals.closure_check``."""
+    ``ideals.closure_check``; a passing set is kept on the module
+    (``ideals.kept_closure_check``)."""
     module.require_validated()
-    return closure_check(module.members_mask(members), module.add_masks,
-                         module.neg_table, _action(module))
+    return kept_closure_check(module, ("closed",), module.members_mask(members), _action(module))
 
 
 def enumerate_subhypermodules(module: HyperModule) -> tuple:

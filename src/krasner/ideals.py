@@ -93,10 +93,11 @@ def _absorption(ring: HyperRing, sidedness: str) -> list:
 
 
 def is_hyperideal(ring: HyperRing, members, sidedness: str = "two-sided") -> IdealCheck:
-    """Decide whether a subset is a hyperideal, with a witness on failure."""
+    """Decide whether a subset is a hyperideal, with a witness on failure.
+    A passing set is kept on the ring per sidedness (``kept_closure_check``)."""
     ring.require_validated()
     actions = _absorption(ring, sidedness)
-    check = closure_check(_as_mask(ring, members), ring.add_masks, ring.neg_table, actions)
+    check = kept_closure_check(ring, ("closed", sidedness), _as_mask(ring, members), actions)
     if check.clause == "left-absorption":
         a, r = check.witness
         return IdealCheck(False, check.clause, (r, a), f"{r} * {a} escapes the set")
@@ -350,6 +351,21 @@ def closure_check(s: int, add, neg, actions) -> IdealCheck:
                 if not s >> v & 1:
                     return IdealCheck(False, clause, (a, r), f"{a} * {r} escapes the set")
     return _HOLDS
+
+
+def kept_closure_check(structure: Structure, key: tuple, s: int, actions) -> IdealCheck:
+    """``closure_check`` of the mask s on the tables of the validated
+    structure.  The masks that pass are kept on the structure under key
+    (``core.derived``), so a sweep that asserts the same closed set again
+    reads the verdict; a mask that fails is stored nowhere and checked
+    again on every call, with its witness."""
+    passed = derived(structure, key, set)
+    if s in passed:
+        return _HOLDS
+    check = closure_check(s, structure.add_masks, structure.neg_table, actions)
+    if check.ok:
+        passed.add(s)
+    return check
 
 
 def closure(mask: int, add, neg, actions) -> int:

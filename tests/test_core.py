@@ -179,20 +179,29 @@ def test_kept_hypergroup_reports_match_a_fresh_check(corpus3, monkeypatch):
         assert all(report == fresh for report in reports)
 
 
-def test_the_hypergroup_memo_is_bounded():
+def test_the_hypergroup_memo_is_bounded(monkeypatch, request):
+    info = core._hypergroup_report.cache_info()
+    assert info.maxsize == core._VERDICTS_KEPT and info.currsize <= core._VERDICTS_KEPT
+    # under a bound below the 97 order-4 classes the oldest verdicts are
+    # evicted and checked again; the empty memos take the patched bound
+    small = 64
+    monkeypatch.setattr(core, "_VERDICTS_KEPT", small)
+    request.getfixturevalue("fresh_memos")
     tables = enumerate_hypergroups(4)
-    assert len(tables) > 64
+    assert len(tables) > small
     for add, neg in tables:
         core._hypergroup_report(add, neg)
     info = core._hypergroup_report.cache_info()
-    assert info.maxsize == 64 and info.currsize <= 64
+    assert info.maxsize == small and info.currsize == small
+    core._hypergroup_report(*tables[0])
+    assert core._hypergroup_report.cache_info().misses == info.misses + 1
     # the ring and module verdicts are kept the same way
     rings = [HyperRing(*ring_tables(e.ring), unit=e.ring.unit) for e in generate_corpus(4)]
-    assert len({ring.encoding() for ring in rings}) > 64
+    assert len({ring.encoding() for ring in rings}) > small
     for ring in rings:
         assert ring.validate().ok
-        assert len(core._TABLE_REPORTS) <= 64
-    assert len(core._TABLE_REPORTS) == 64
+        assert len(core._TABLE_REPORTS) <= small
+    assert len(core._TABLE_REPORTS) == small
 
 
 # validate() may keep verdicts, but every one must equal a check from

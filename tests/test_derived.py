@@ -7,6 +7,8 @@ families and quotient hypergroups, kept by the tables they read) are
 checked against such fresh builds at the end.
 """
 
+from collections import Counter, defaultdict
+
 import pytest
 
 import krasner.hypermodules
@@ -15,9 +17,16 @@ from conftest import table_copy
 from krasner import core, ideals
 from krasner.catalog import cyclic_ring
 from krasner.core import ENUMERATION_BOUND, BoundExceededError, HyperRing, NotValidatedError, bits
-from krasner.hypermodules import HyperModule, quotient_module, regular_module, submodule
-from krasner.ideals import IdealLattice, quotient_ring
-from krasner.primitivity import prim_certificates
+from krasner.corpus import enumerate_hypergroups
+from krasner.hypermodules import (
+    HyperModule,
+    is_subhypermodule,
+    quotient_module,
+    regular_module,
+    submodule,
+)
+from krasner.ideals import IdealCheck, IdealLattice, is_hyperideal, quotient_ring
+from krasner.primitivity import enumerate_simple_modules, prim_certificates
 from krasner.spectrum import SpectrumSpace
 from krasner.suite import HOM_CHECK_ORDER, RingContext, run_ring_checks, run_theorem_suite
 
@@ -122,7 +131,7 @@ def test_a_kept_submodule_is_not_checked_again(monkeypatch):
             with pytest.raises(ValueError, match="not a subhypermodule"):
                 build(reg, [0, 1])
     assert checked == [0b1001, 0b11, 0b11] * 2
-    assert len(reg._derived) == 2
+    assert sum(key[0] in ("quotient", "submodule") for key in reg._derived) == 2
 
     # an unvalidated module refuses before it looks at the set
     raw = HyperModule(ring, [[list(bits(m)) for m in row] for row in reg.add_masks],
@@ -203,6 +212,8 @@ def test_memoised_lattices_match_fresh_builds(corpus4, fresh_memos, monkeypatch)
         rings.append(entry.ring)
         rings += [quotient_ring(entry.ring, i).ring
                   for i in IdealLattice.build(entry.ring).two_sided]
+    # the memo now holds every family above; start the sweep with none
+    fresh_memos()
     built = []
     families = ideals._lattice_families
 
@@ -215,8 +226,8 @@ def test_memoised_lattices_match_fresh_builds(corpus4, fresh_memos, monkeypatch)
     for ring in rings:
         copy = table_copy(ring)
         served.append((copy, IdealLattice.build(copy)))
-    # 607 rings on 163 distinct tables; 9 are built again after eviction
-    assert (len(rings), len(built)) == (607, 172)
+    # 607 rings on 163 distinct tables, each built once
+    assert (len(rings), len(built)) == (607, 163)
     for ring, (copy, lattice) in zip(rings, served):
         assert owned_by(lattice, copy)
         fresh_memos()
@@ -278,7 +289,102 @@ def test_each_table_memo_keeps_its_bound_and_no_structure(corpus4, fresh_memos):
     for entry in corpus4:
         run_ring_checks(entry.ring)
     for store in (core._TABLE_REPORTS, ideals._LATTICE_FAMILIES, ideals._QUOTIENT_HYPERGROUPS):
-        # a sweep meets more distinct tables than a memo keeps
-        assert len(store) == core._VERDICTS_KEPT
+        assert 0 < len(store) <= core._VERDICTS_KEPT
         assert all(plain(key) and plain(value) for key, value in store.items())
     assert core._hypergroup_report.cache_info().currsize <= core._VERDICTS_KEPT
+
+
+def test_an_order_4_sweep_builds_each_table_result_once(corpus4, fresh_memos, monkeypatch):
+    # the memos hold the working set of an order-4 corpus: a repeated
+    # search checks no hypergroup again, and a sweep builds each verdict,
+    # lattice family and quotient hypergroup once per distinct key
+    hypergroups = []
+    checks = core.hypergroup_checks
+
+    def counting_checks(n, add, neg):
+        hypergroups.append((add, neg))
+        return checks(n, add, neg)
+
+    monkeypatch.setattr(core, "hypergroup_checks", counting_checks)
+    r4_9 = next(e.ring for e in corpus4 if e.name == "r4_9")
+    for search in (lambda: enumerate_hypergroups(4), lambda: enumerate_simple_modules(r4_9)):
+        search()
+        assert hypergroups
+        hypergroups.clear()
+        search()
+        assert hypergroups == []
+
+    fresh_memos()
+    misses, keys = Counter(), defaultdict(set)
+    memo = core.table_memo
+
+    def counting_memo(store, key, build, *args):
+        keys[id(store)].add(key)
+
+        def counted(*built):
+            misses[id(store)] += 1
+            return build(*built)
+        return memo(store, key, counted, *args)
+
+    monkeypatch.setattr(core, "table_memo", counting_memo)
+    monkeypatch.setattr(ideals, "table_memo", counting_memo)
+    for entry in corpus4:
+        run_ring_checks(entry.ring)
+    stores = [id(store) for store in (core._TABLE_REPORTS, ideals._LATTICE_FAMILIES,
+                                      ideals._QUOTIENT_HYPERGROUPS)]
+    assert all(misses[store] for store in stores)
+    assert [misses[store] for store in stores] == [len(keys[store]) for store in stores]
+    assert hypergroups and len(hypergroups) == len(set(hypergroups))
+
+
+def test_kept_closure_verdicts_match_an_uncached_check(corpus3, monkeypatch):
+    # every mask, twice, against closure_check on a table copy's tables; a
+    # set that passes is checked once, a refused one on every call
+    calls = []
+    check = ideals.closure_check
+
+    def counting(s, *tables):
+        calls.append(s)
+        return check(s, *tables)
+
+    monkeypatch.setattr(ideals, "closure_check", counting)
+
+    def referee(verdict, structure, s, expected):
+        seen = []
+        for _ in range(2):
+            calls.clear()
+            assert verdict(structure.from_mask(s)) == expected, (structure, s)
+            seen.append(len(calls))
+        assert seen == ([1, 0] if expected.ok else [1, 1])
+
+    for ring in [table_copy(e.ring) for e in corpus3] + [table_copy(cyclic_ring(4))]:
+        plain = table_copy(ring)
+        tables = (plain.add_masks, plain.neg_table)
+        right = ("right-absorption", plain.mul_table)
+        left = ("left-absorption", tuple(zip(*plain.mul_table)))
+        for sidedness, actions in (("right", [right]), ("left", [left]),
+                                   ("two-sided", [right, left])):
+            for s in range(1 << ring.order):
+                expected = check(s, *tables, actions)
+                if expected.clause == "left-absorption":
+                    # reported as r * a, the product that escapes
+                    a, r = expected.witness
+                    expected = IdealCheck(False, expected.clause, (r, a),
+                                          f"{r} * {a} escapes the set")
+                referee(lambda members: is_hyperideal(ring, members, sidedness),
+                        ring, s, expected)
+        module = regular_module(ring)
+        for s in range(1 << ring.order):
+            expected = check(s, *tables, [("action-closure", plain.mul_table)])
+            referee(lambda members: is_subhypermodule(module, members), module, s, expected)
+
+        # an unknown sidedness is refused before the members are read
+        def unread():
+            raise AssertionError("members read")
+            yield
+
+        calls.clear()
+        for members in (unread(), [ring.order + 1]):
+            with pytest.raises(ValueError, match="sidedness must be one of"):
+                is_hyperideal(ring, members, "bogus")
+        assert calls == []
