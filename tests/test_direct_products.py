@@ -44,7 +44,8 @@ def masks(ideals):
 def check_product(r, s) -> bool:
     """Assert on r x s that Prim is {P x S} with {R x Q} and that it is T1
     exactly when both factors are; when both have units, that the two
-    sided ideals are the I x J as well.  Returns whether they do."""
+    sided ideals are the I x J as well.  Returns whether it checked the
+    ideals, that is whether both factors have units."""
     product = direct_product(r, s)
     assert masks(prim_set(product)) == sorted(
         [cross_mask(r, s, p.members.mask, s.full_mask) for p in prim_set(r)]
