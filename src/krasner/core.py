@@ -455,9 +455,9 @@ def hypergroup_checks(n: int, add, neg) -> list:
 # how many results each table memo keeps: the smallest power of two that
 # holds the working set of generate_corpus(4) and then run_ring_checks on
 # its 163 rings, so each result is built once per distinct key.  That set
-# is 921 table verdicts (163 from the build, 758 from the sweep), 110
+# is 842 table verdicts (163 from the build, 679 from the sweep), 110
 # hypergroup verdicts, 163 lattice families and 284 quotient hypergroups;
-# at 512 the sweep rebuilds 125 evicted table verdicts
+# at 512 the sweep rebuilds 113 evicted table verdicts
 _VERDICTS_KEPT = 1024
 
 

@@ -79,9 +79,11 @@ class HyperModule(Structure):
     def validate(self) -> ValidationReport:
         ring = self.ring
         ring.require_validated()
-        # every value verify_hypermodule reads, the ring's name among them
+        # every value verify_hypermodule reads; the ring's name only where
+        # the report names the ring, so equal-table rings share verdicts
+        named = ring.name if self.unital and ring.unit is None else None
         return self._settle(verify_hypermodule,
-                            (ring._key(), ring.name, self.add_masks, self.neg_table,
+                            (ring._key(), named, self.add_masks, self.neg_table,
                              self.act_table, self.unital))
 
     def encoding(self) -> tuple:
@@ -315,10 +317,11 @@ def induced_isomorphism(hom: ModuleHom, quotient: ModuleQuotient,
     when it is a bijective module hom, else None.
 
     ``quotient`` is ``quotient_module(M, ker f)``, read through its
-    ``coset_of``, and ``image`` is ``submodule(target, im f)``, whose
-    elements are the members of im f in ascending order.  A bijective
-    module hom is an isomorphism, so a map that passes settles
-    M/ker f = im f; on None, ``find_isomorphism`` decides instead."""
+    ``coset_of``, and ``image`` is ``submodule(target, im f)``, or the
+    target itself when f is onto: its elements are the members of im f
+    in ascending order.  A bijective module hom is an isomorphism, so a
+    map that passes settles M/ker f = im f; on None, ``find_isomorphism``
+    decides instead."""
     if quotient.source is not hom.source:
         raise ValueError("quotient is not a quotient of the hom's source")
     f = hom.mapping

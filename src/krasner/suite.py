@@ -247,19 +247,31 @@ def check_first_isomorphism(ctx):
     targets = [reg]
     for m in ctx.lattice.maximal_right:
         targets.append(quotient_module(reg, reg.from_mask(m.members.mask)).module)
+    # a claim M/ker f = im f reads only the tables of the target and the
+    # masks of ker f and im f, so each is decided once: a target with the
+    # tables of an earlier one repeats its homs, homs with one kernel and
+    # image compare the same two modules, and the zero hom (kernel M,
+    # image {0}) makes one claim whatever the target
+    hom_counts = {}
     tried = 0
     seen = set()
     for t, target in enumerate(targets):
-        for hom in enumerate_module_homs(reg, target):
-            tried += 1
+        tables = (target.add_masks, target.neg_table, target.act_table)
+        if tables in hom_counts:
+            tried += hom_counts[tables]
+            continue
+        homs = enumerate_module_homs(reg, target)
+        hom_counts[tables] = len(homs)
+        tried += len(homs)
+        for hom in homs:
             ker = hom_kernel(hom)
             img = hom_image(hom)
-            # homs with one kernel and image compare the same two modules
-            if (t, ker.mask, img.mask) in seen:
+            claim = (None if img.mask == 1 else t, ker.mask, img.mask)
+            if claim in seen:
                 continue
-            seen.add((t, ker.mask, img.mask))
+            seen.add(claim)
             quot = quotient_module(reg, ker)
-            image_mod = submodule(target, img)
+            image_mod = target if img.is_full() else submodule(target, img)
             # the induced map [m] -> f(m) first; the search only when it fails
             if (induced_isomorphism(hom, quot, image_mod) is None
                     and find_isomorphism(quot.module, image_mod) is None):

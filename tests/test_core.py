@@ -32,7 +32,7 @@ from krasner.hypermodules import (
     regular_module,
     verify_hypermodule,
 )
-from krasner.ideals import IdealLattice, enumerate_ideals, is_hyperideal
+from krasner.ideals import IdealLattice, enumerate_ideals, is_hyperideal, quotient_ring
 from krasner.morphisms import enumerate_ring_homs
 from krasner.spectrum import SpectrumSpace, compactness_witness
 from krasner.suite import run_ring_checks
@@ -236,6 +236,38 @@ def test_unit_action_names_its_own_ring():
     module = module_over(left, regular_module(left), unital=True)
     left.name = None
     assert module.validate().failures[0].detail == "declared unital, but the ring has no unit"
+
+
+def test_equal_table_rings_with_other_names_share_module_verdicts(fresh_memos, monkeypatch):
+    built = []
+    verify = hypermodules.verify_hypermodule
+
+    def counting(module):
+        built.append(module.ring.name)
+        return verify(module)
+
+    monkeypatch.setattr(hypermodules, "verify_hypermodule", counting)
+    z4 = cyclic_ring(4, name="z4")
+    renamed = [cyclic_ring(4, name="other"),
+               quotient_ring(z4, IdealLattice.build(z4).two_sided[0]).ring]
+    assert renamed[1].name != "z4" and renamed[1].encoding() == z4.encoding()
+    for ring in [z4] + renamed:
+        for unital in (False, True):
+            report = module_over(ring, regular_module(z4), unital).validate()
+            assert report == fresh_report(module_over(ring, regular_module(z4), unital))
+            assert report.ok
+    # the regular module of z4, then one build per unital flag: every
+    # renamed ring reads the verdicts of z4
+    assert built == ["z4", "z4"]
+    # without a unit the report names the ring, so each name gets its own
+    built.clear()
+    for name in ("left", "right", "left"):
+        ring = zero_mul_ring(2, name=name)
+        assert module_over(ring, regular_module(ring)).validate().ok
+        report = module_over(ring, regular_module(ring), unital=True).validate()
+        assert [c.detail for c in report.failures] == [
+            f"declared unital, but {name} has no unit"]
+    assert built == ["left", "left", "right"]
 
 
 def test_rings_that_differ_only_in_their_unit(z4):

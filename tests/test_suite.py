@@ -6,10 +6,21 @@ from types import SimpleNamespace
 
 import pytest
 
-from krasner import suite
+from krasner import corpus, suite
 from krasner.catalog import cyclic_ring, zero_mul_ring
 from krasner.core import TheoremViolationError
-from krasner.hypermodules import ModuleHom, find_isomorphism, verify_module_hom
+from krasner.corpus import generate_corpus
+from krasner.hypermodules import (
+    ModuleHom,
+    enumerate_module_homs,
+    find_isomorphism,
+    hom_image,
+    hom_kernel,
+    quotient_module,
+    regular_module,
+    submodule,
+    verify_module_hom,
+)
 from krasner.ideals import IdealLattice
 from krasner.suite import (
     CHECK_IDS,
@@ -218,6 +229,115 @@ def test_every_induced_map_the_check_builds_is_an_isomorphism(corpus4, monkeypat
         assert sorted(iso) == list(range(image_mod.order)) == list(range(quot.order))
         assert verify_module_hom(ModuleHom(quot, image_mod, iso)).ok
         assert find_isomorphism(quot, image_mod) is not None
+
+
+def unabridged_first_isomorphism(ring):
+    """Referee of the check: every target by index and every hom into it,
+    one claim per (target, kernel, image), each image a fresh submodule.
+    The two routes to an isomorphism are read from the suite, so a test
+    that patches them there patches both walks."""
+    reg = regular_module(ring)
+    targets = [reg] + [quotient_module(reg, reg.from_mask(m.members.mask)).module
+                       for m in IdealLattice.build(ring).maximal_right]
+    tried = 0
+    seen = set()
+    for t, target in enumerate(targets):
+        for hom in enumerate_module_homs(reg, target):
+            tried += 1
+            ker, img = hom_kernel(hom), hom_image(hom)
+            if (t, ker.mask, img.mask) in seen:
+                continue
+            seen.add((t, ker.mask, img.mask))
+            quot = quotient_module(reg, ker)
+            image_mod = submodule(target, img)
+            if (suite.induced_isomorphism(hom, quot, image_mod) is None
+                    and suite.find_isomorphism(quot.module, image_mod) is None):
+                return suite.CheckResult("first-isomorphism", "fail",
+                                         f"M/ker not isomorphic to image for mapping {hom.mapping}")
+    return suite.CheckResult("first-isomorphism", "pass", f"checked {tried} homs")
+
+
+def test_first_isomorphism_agrees_with_the_unabridged_walk(corpus4, monkeypatch):
+    searched, claims = [], []
+    induced = suite.induced_isomorphism
+
+    def counting(source, target):
+        homs = enumerate_module_homs(source, target)
+        searched.append(len(homs))
+        return homs
+
+    def deciding(hom, quot, image_mod):
+        claims.append(hom.mapping)
+        return induced(hom, quot, image_mod)
+
+    monkeypatch.setattr(suite, "enumerate_module_homs", counting)
+    monkeypatch.setattr(suite, "induced_isomorphism", deciding)
+    rings = [e.ring for e in corpus4]
+    results = [first_isomorphism(ring) for ring in rings]
+    monkeypatch.undo()
+    assert results == [unabridged_first_isomorphism(ring) for ring in rings]
+    # one hom search per distinct target table set, whose homs a repeated
+    # target still counts, and one zero-hom claim per ring
+    assert len(searched) == 263
+    assert sum(int(r.detail.split()[1]) for r in results) == 985 > sum(searched)
+    assert len(claims) == 522
+
+
+def test_first_isomorphism_fails_on_the_claim_the_unabridged_walk_fails(corpus4, monkeypatch):
+    # make the claims of one kind fail, for each kind a walk reaches: the
+    # claims whose image has one set of tables, or one claim as the check
+    # keys it (target tables, kernel and image; the zero hom's on every
+    # target).  Both walks must stop at the same hom, so the check skips
+    # only claims that the referee decides the same way
+    induced, search = suite.induced_isomorphism, suite.find_isomorphism
+    reached, failing = set(), False
+
+    def kinds(hom, quot, image_mod):
+        img = hom.image_mask()
+        target = None if img == 1 else hom.target.encoding()
+        return {("image", image_mod.encoding()), ("claim", target, quot.kernel_members.mask, img)}
+
+    def recording(hom, quot, image_mod):
+        reached.update(kinds(hom, quot, image_mod))
+        return induced(hom, quot, image_mod)
+
+    def failing_induced(hom, quot, image_mod):
+        nonlocal failing
+        failing = bad in kinds(hom, quot, image_mod)
+        return None if failing else induced(hom, quot, image_mod)
+
+    def failing_search(a, b):
+        # called only after failing_induced refused the same claim
+        return None if failing else search(a, b)
+
+    injected = 0
+    for ring in [e.ring for e in corpus4]:
+        reached.clear()
+        monkeypatch.setattr(suite, "induced_isomorphism", recording)
+        unabridged_first_isomorphism(ring)
+        monkeypatch.setattr(suite, "induced_isomorphism", failing_induced)
+        monkeypatch.setattr(suite, "find_isomorphism", failing_search)
+        for bad in reached:
+            expected = unabridged_first_isomorphism(ring)
+            assert expected.status == "fail"
+            assert first_isomorphism(ring) == expected, (ring.name, bad)
+            injected += 1
+        monkeypatch.setattr(suite, "find_isomorphism", search)
+    assert injected > len(corpus4)
+
+
+@pytest.mark.slow
+def test_first_isomorphism_agrees_with_the_unabridged_walk_at_order_5(monkeypatch):
+    # every order-5 ring, with the corpus cap and the hom bound raised to
+    # 5 as the order-5 referees of test_corpus do; opt-in: pytest -m slow
+    monkeypatch.setattr(corpus, "HARD_ORDER_CAP", 5)
+    monkeypatch.setattr(suite, "HOM_CHECK_ORDER", 5)
+    rings = [e.ring for e in generate_corpus(5) if e.ring.order == 5]
+    assert len(rings) == 4418
+    for ring in rings:
+        result = first_isomorphism(ring)
+        assert result.status == "pass"
+        assert result == unabridged_first_isomorphism(ring), ring.name
 
 
 def test_first_isomorphism_falls_back_to_the_search(corpus4, monkeypatch):
