@@ -456,8 +456,9 @@ def hypergroup_checks(n: int, add, neg) -> list:
 # holds the working set of generate_corpus(4) and then run_ring_checks on
 # its 163 rings, so each result is built once per distinct key.  That set
 # is 842 table verdicts (163 from the build, 679 from the sweep), 110
-# hypergroup verdicts, 163 lattice families and 284 quotient hypergroups;
-# at 512 the sweep rebuilds 113 evicted table verdicts
+# hypergroup verdicts, 272 strong-map lists (110 and 162), 163 lattice
+# families and 284 quotient hypergroups; at 512 the sweep rebuilds 113
+# evicted table verdicts
 _VERDICTS_KEPT = 1024
 
 
@@ -705,6 +706,26 @@ def strong_addition_rules(source_add, target_add) -> list:
             for a in range(1, len(source_add)) for b in range(a, len(source_add))]
 
 
+# the strong maps between each pair of addition tables
+_STRONG_MAPS = OrderedDict()
+
+
+def strong_maps(source_add, target_add) -> tuple:
+    """The maps f fixing 0 that send each hypersum a + b of source_add
+    onto exactly f(a) + f(b) in target_add, as mapping tuples in
+    lexicographic order: ``search`` under ``strong_addition_rules``, run
+    once per pair of tables while the memo keeps it.  The hom and action
+    table searches each filter this list by the rules that read their
+    other tables."""
+    return table_memo(_STRONG_MAPS, (source_add, target_add), _strong_maps,
+                      source_add, target_add)
+
+
+def _strong_maps(source_add, target_add) -> tuple:
+    sizes = [1] + [len(target_add)] * (len(source_add) - 1)
+    return tuple(search(sizes, strong_addition_rules(source_add, target_add)))
+
+
 def action_tables(madd, radd, rmul=None) -> list:
     """Every action table of a module with hypergroup madd over a ring with
     addition radd and product rmul that passes the three axioms above and
@@ -713,16 +734,17 @@ def action_tables(madd, radd, rmul=None) -> list:
     the multiplications that make the hypergroup a hyperring.
 
     Row m is the map r -> m r.  Action-sum says it is a strong hom from
-    radd to madd, and killing 0 says it fixes 0, so ``search`` lists those
-    maps once (the zero map first) and then searches rows whose value is
-    an index into that list; the tables keep the lexicographic order.
+    radd to madd, and killing 0 says it fixes 0, so ``strong_maps`` lists
+    those maps (the zero map first) and ``search`` then finds rows whose
+    value is an index into that list; the tables keep the lexicographic
+    order.
     Two rules link the rows: sum-action (a + b) r = a r + b r, read from
     rows a, b and the rows of a + b; and associativity (m r) s = m (r s),
     which says row m r is row m after s -> r s (row r, for a product).
     Instances with a 0 hold once row 0 is zero, so only nonzero ones
     become rules."""
     n, nr = len(madd), len(radd)
-    maps = search([1] + [n] * (nr - 1), strong_addition_rules(radd, madd))
+    maps = strong_maps(radd, madd)
     columns = range(1, nr)
     rules = []
     for a in range(1, n):
@@ -881,15 +903,14 @@ def strong_hom_checks(hom: StrongHom) -> list:
             axiom_check("strong-addition", bad, claim)]
 
 
-def hom_search(cls, source: Structure, target: Structure, rules, verify, what: str) -> tuple:
-    """Every cls(source, target, f) for the maps f fixing 0 that send each
-    hypersum a + b onto f(a) + f(b) and pass rules, lexicographic, by
-    ``search`` (cell a holds f(a)).  Each is re-verified by verify, and
-    one that fails raises "<what> produced ...".  Callers bound the
-    orders first (``require_hom_bound``) where the search must stay small."""
-    rules = strong_addition_rules(source.add_masks, target.add_masks) + rules
+def hom_search(cls, source: Structure, target: Structure, keep, verify, what: str) -> tuple:
+    """Every cls(source, target, f) for the strong maps f between the two
+    addition tables (``strong_maps``) that pass keep(f), lexicographic.
+    Each is re-verified by verify, and one that fails raises "<what>
+    produced ...".  Callers bound the orders first (``require_hom_bound``)
+    where the search must stay small."""
     homs = tuple(cls(source, target, f)
-                 for f in search([1] + [target.order] * (source.order - 1), rules))
+                 for f in strong_maps(source.add_masks, target.add_masks) if keep(f))
     for hom in homs:
         report = verify(hom)
         if not report.ok:

@@ -297,11 +297,11 @@ def hom_image(hom: ModuleHom) -> ElementSet:
     return out
 
 
-def _equivariance(source: HyperModule, target: HyperModule) -> list:
-    # search rules: f(a r) = f(a) r for every a and r
-    tact = target.act_table
-    return [((max(a, ar),), lambda f, i, a=a, r=r, ar=ar: f[ar] == tact[f[a]][r])
-            for a, row in enumerate(source.act_table) for r, ar in enumerate(row)]
+def _equivariance(source: HyperModule, target: HyperModule):
+    # keep(f) for hom_search: f(a r) = f(a) r for every a and r
+    sact, tact = source.act_table, target.act_table
+    return lambda f: all(f[ar] == tact[fa][r] for fa, row in zip(f, sact)
+                         for r, ar in enumerate(row))
 
 
 def enumerate_module_homs(source: HyperModule, target: HyperModule) -> tuple:
@@ -337,11 +337,12 @@ def induced_isomorphism(hom: ModuleHom, quotient: ModuleQuotient,
 
 def find_isomorphism(a: HyperModule, b: HyperModule) -> tuple | None:
     """The lexicographically first bijective module hom a -> b as a mapping
-    tuple, or None: ``core.hom_search`` with each f(m) outside f(0..m-1)."""
+    tuple, or None: ``core.hom_search`` keeping injective maps."""
     if a.ring is not b.ring or a.order != b.order:
         return None
-    injective = (range(1, a.order), lambda f, i: f[i] not in f[:i])
-    isos = hom_search(ModuleHom, a, b, [injective] + _equivariance(a, b),
+    equivariant = _equivariance(a, b)
+    isos = hom_search(ModuleHom, a, b,
+                      lambda f: len(set(f)) == len(f) and equivariant(f),
                       verify_module_hom, "module hom search")
     return isos[0].mapping if isos else None
 

@@ -92,17 +92,18 @@ def identity_hom(ring: HyperRing) -> RingHom:
 
 
 def enumerate_ring_homs(source: HyperRing, target: HyperRing) -> tuple:
-    """All verified strong homs fixing 0, lexicographic, by ``core.hom_search``."""
+    """All verified strong homs fixing 0, lexicographic, by ``core.hom_search``:
+    the strong maps that keep negation and multiplication."""
     require_hom_bound(source, target)
+    sneg, smul = source.neg_table, source.mul_table
     tneg, tmul = target.neg_table, target.mul_table
-    rules = []
-    for a, na in enumerate(source.neg_table):
-        rules.append(((max(a, na),), lambda f, i, a=a, na=na: f[na] == tneg[f[a]]))
-    for a, row in enumerate(source.mul_table):
-        for b, ab in enumerate(row):
-            rules.append(((max(a, b, ab),),
-                          lambda f, i, a=a, b=b, ab=ab: f[ab] == tmul[f[a]][f[b]]))
-    return hom_search(RingHom, source, target, rules, verify_strong_hom, "hom search")
+
+    def keep(f):
+        return (all(f[na] == tneg[fa] for fa, na in zip(f, sneg))
+                and all(f[ab] == tmul[fa][f[b]] for fa, row in zip(f, smul)
+                        for b, ab in enumerate(row)))
+
+    return hom_search(RingHom, source, target, keep, verify_strong_hom, "hom search")
 
 
 class InducedMap(NamedTuple):

@@ -96,8 +96,8 @@ def fresh_memos(monkeypatch):
     test kept for equal tables.  Returns the swap, for a test that needs
     empty memos again part way through."""
     def swap():
-        for module, store in ((core, "_TABLE_REPORTS"), (ideals, "_LATTICE_FAMILIES"),
-                              (ideals, "_QUOTIENT_HYPERGROUPS")):
+        for module, store in ((core, "_TABLE_REPORTS"), (core, "_STRONG_MAPS"),
+                              (ideals, "_LATTICE_FAMILIES"), (ideals, "_QUOTIENT_HYPERGROUPS")):
             monkeypatch.setattr(module, store, OrderedDict())
         # read by corpus and core alike
         memo = lru_cache(maxsize=core._VERDICTS_KEPT)(core._hypergroup_report.__wrapped__)

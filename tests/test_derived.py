@@ -7,14 +7,17 @@ families and quotient hypergroups, kept by the tables they read) are
 checked against such fresh builds at the end.
 """
 
-from collections import Counter, defaultdict
+import ast
+import importlib
+from collections import Counter, OrderedDict, defaultdict
+from pathlib import Path
 
 import pytest
 
 import krasner.hypermodules
 import krasner.suite
 from conftest import table_copy
-from krasner import core, ideals
+from krasner import core, corpus, ideals
 from krasner.catalog import cyclic_ring
 from krasner.core import ENUMERATION_BOUND, BoundExceededError, HyperRing, NotValidatedError, bits
 from krasner.corpus import enumerate_hypergroups
@@ -285,10 +288,41 @@ def plain(value) -> bool:
     return False
 
 
+def memo_stores() -> set:
+    """(module, name) of every store that the package passes to
+    ``core.table_memo``, found in its source."""
+    found = set()
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) \
+                    != "table_memo":
+                continue
+            store = node.args[0]
+            assert isinstance(store, ast.Name), (path.name, ast.dump(store))
+            found.add((importlib.import_module(f"krasner.{path.stem}"), store.id))
+    return found
+
+
+def test_fresh_memos_swaps_every_table_memo_store(fresh_memos):
+    stores = memo_stores()
+    assert {(module.__name__, name) for module, name in stores} == {
+        ("krasner.core", "_TABLE_REPORTS"), ("krasner.core", "_STRONG_MAPS"),
+        ("krasner.ideals", "_LATTICE_FAMILIES"), ("krasner.ideals", "_QUOTIENT_HYPERGROUPS")}
+    before = {key: getattr(*key) for key in stores}
+    fresh_memos()
+    for key, store in before.items():
+        swapped = getattr(*key)
+        assert swapped is not store and swapped == OrderedDict(), key
+
+
 def test_each_table_memo_keeps_its_bound_and_no_structure(corpus4, fresh_memos):
     for entry in corpus4:
         run_ring_checks(entry.ring)
-    for store in (core._TABLE_REPORTS, ideals._LATTICE_FAMILIES, ideals._QUOTIENT_HYPERGROUPS):
+    for store in (core._TABLE_REPORTS, core._STRONG_MAPS, ideals._LATTICE_FAMILIES,
+                  ideals._QUOTIENT_HYPERGROUPS):
         assert 0 < len(store) <= core._VERDICTS_KEPT
         assert all(plain(key) and plain(value) for key, value in store.items())
     assert core._hypergroup_report.cache_info().currsize <= core._VERDICTS_KEPT
@@ -296,8 +330,9 @@ def test_each_table_memo_keeps_its_bound_and_no_structure(corpus4, fresh_memos):
 
 def test_an_order_4_sweep_builds_each_table_result_once(corpus4, fresh_memos, monkeypatch):
     # the memos hold the working set of an order-4 corpus: a repeated
-    # search checks no hypergroup again, and a sweep builds each verdict,
-    # lattice family and quotient hypergroup once per distinct key
+    # search checks no hypergroup again, and a cold generate_corpus(4)
+    # followed by a sweep of its rings builds each verdict, strong-map
+    # list, lattice family and quotient hypergroup once per distinct key
     hypergroups = []
     checks = core.hypergroup_checks
 
@@ -328,12 +363,21 @@ def test_an_order_4_sweep_builds_each_table_result_once(corpus4, fresh_memos, mo
 
     monkeypatch.setattr(core, "table_memo", counting_memo)
     monkeypatch.setattr(ideals, "table_memo", counting_memo)
-    for entry in corpus4:
+    strong = id(core._STRONG_MAPS)
+    # new rings, which hold no endomorphisms or lattices from earlier tests
+    entries = corpus._corpus.__wrapped__(4, None)
+    assert len(entries) == 163
+    # one strong-map list per hypergroup class, for its products
+    assert misses[strong] == len(keys[strong]) == 110
+    for entry in entries:
         run_ring_checks(entry.ring)
-    stores = [id(store) for store in (core._TABLE_REPORTS, ideals._LATTICE_FAMILIES,
-                                      ideals._QUOTIENT_HYPERGROUPS)]
+    stores = [id(store) for store in (core._TABLE_REPORTS, core._STRONG_MAPS,
+                                      ideals._LATTICE_FAMILIES, ideals._QUOTIENT_HYPERGROUPS)]
     assert all(misses[store] for store in stores)
     assert [misses[store] for store in stores] == [len(keys[store]) for store in stores]
+    # the sweep's ring-hom, module-hom and action-table searches list
+    # strong maps 662 times, on 272 pairs of tables in all
+    assert (misses[strong] - 110, len(keys[strong])) == (162, 272)
     assert hypergroups and len(hypergroups) == len(set(hypergroups))
 
 

@@ -2,8 +2,9 @@
 
 In R x S the element (r, s) is the single sum (r, 0) + (0, s).  So when R
 and S have units the two sided ideals of R x S are exactly the products
-I x J; on every pair the primitive ideals are P x S and R x Q, and R x S
-is T1 exactly when both factors are.  The pairs are the ordered pairs of
+I x J; on every pair the primitive ideals are P x S and R x Q, R x S
+is T1 exactly when both factors are, and the closed sets of Prim(R x S)
+are the unions of a closed set of each factor's points.  The pairs are the ordered pairs of
 corpus4 rings of order >= 2 with |R||S| <= 12.  The tier-1 sample is every
 such pair that is unital (405 pairs, all commutative), plus every one with
 a non-commutative factor (92, none unital), which checks the primitive
@@ -12,7 +13,7 @@ ideals and T1 only; the ``slow`` referee takes all 6,923 pairs.
 
 import pytest
 
-from krasner.core import is_commutative
+from krasner.core import bits, is_commutative
 from krasner.ideals import IdealLattice
 from krasner.primitivity import prim_set
 from krasner.spectrum import SpectrumSpace
@@ -41,18 +42,31 @@ def masks(ideals):
     return sorted(i.members.mask for i in ideals)
 
 
+def closed_point_sets(space, lift) -> list:
+    """Each closed set of space as the frozenset of lift(m) over the member
+    masks m of its points."""
+    return [frozenset(lift(space.point_masks[i]) for i in bits(c)) for c in space.closed_sets()]
+
+
 def check_product(r, s) -> bool:
-    """Assert on r x s that Prim is {P x S} with {R x Q} and that it is T1
-    exactly when both factors are; when both have units, that the two
-    sided ideals are the I x J as well.  Returns whether it checked the
-    ideals, that is whether both factors have units."""
+    """Assert on r x s that Prim is {P x S} with {R x Q}, that its closed
+    sets are the A u B of a closed set A of Prim(R) x S and B of R x
+    Prim(S), and that it is T1 exactly when both factors are; when both
+    have units, that the two sided ideals are the I x J as well.  Returns
+    whether it checked the ideals, that is whether both factors have
+    units."""
     product = direct_product(r, s)
     assert masks(prim_set(product)) == sorted(
         [cross_mask(r, s, p.members.mask, s.full_mask) for p in prim_set(r)]
         + [cross_mask(r, s, r.full_mask, q.members.mask) for q in prim_set(s)]), \
         (r.name, s.name)
-    assert SpectrumSpace.build(product).is_t1() == (
-        SpectrumSpace.build(r).is_t1() and SpectrumSpace.build(s).is_t1()), (r.name, s.name)
+    space, space_r, space_s = (SpectrumSpace.build(x) for x in (product, r, s))
+    unions = [a | b
+              for a in closed_point_sets(space_r, lambda p: cross_mask(r, s, p, s.full_mask))
+              for b in closed_point_sets(space_s, lambda q: cross_mask(r, s, r.full_mask, q))]
+    closed = closed_point_sets(space, lambda m: m)
+    assert len(closed) == len(unions) and set(closed) == set(unions), (r.name, s.name)
+    assert space.is_t1() == (space_r.is_t1() and space_s.is_t1()), (r.name, s.name)
     if not (r.is_unital and s.is_unital):
         return False
     assert masks(IdealLattice.build(product).two_sided) == sorted(

@@ -5,7 +5,10 @@ Each oracle below tries every table or map in lexicographic order and
 runs the full validator on it, as the searchers did before they became
 rule lists for ``core.search``.  The search must give the same results
 in the same order.  ``core.action_tables``, which searches whole rows,
-is refereed in the same way by the cell-by-cell search it replaced.
+is refereed in the same way by the cell-by-cell search it replaced, and
+the hom searches, which filter the kept list of ``core.strong_maps``, by
+the joint search they replaced: one ``search`` under the strong addition
+rules and per-cell rules for the other tables together.
 """
 
 import gc
@@ -137,6 +140,38 @@ def cellwise_action_tables(madd, radd, rmul=None):
     return [tuple(v[m * nr:m * nr + nr] for m in range(n)) for v in search(sizes, rules)]
 
 
+def joint_hom_search(source, target, rules):
+    """The maps f fixing 0 that are strong between the addition tables and
+    pass rules, by one ``search`` over the cells f(a)."""
+    rules = strong_addition_rules(source.add_masks, target.add_masks) + rules
+    return search([1] + [target.order] * (source.order - 1), rules)
+
+
+def ring_hom_rules(source, target):
+    # f(-a) = -f(a) and f(a b) = f(a) f(b), each decided at its last cell
+    tneg, tmul = target.neg_table, target.mul_table
+    rules = [((max(a, na),), lambda f, i, a=a, na=na: f[na] == tneg[f[a]])
+             for a, na in enumerate(source.neg_table)]
+    rules += [((max(a, b, ab),), lambda f, i, a=a, b=b, ab=ab: f[ab] == tmul[f[a]][f[b]])
+              for a, row in enumerate(source.mul_table) for b, ab in enumerate(row)]
+    return rules
+
+
+def equivariance_rules(source, target):
+    # f(a r) = f(a) r, decided at the later of cells a and a r
+    tact = target.act_table
+    return [((max(a, ar),), lambda f, i, a=a, r=r, ar=ar: f[ar] == tact[f[a]][r])
+            for a, row in enumerate(source.act_table) for r, ar in enumerate(row)]
+
+
+def joint_isomorphism(a, b):
+    if a.ring is not b.ring or a.order != b.order:
+        return None
+    injective = (range(1, a.order), lambda f, i: f[i] not in f[:i])
+    isos = joint_hom_search(a, b, [injective] + equivariance_rules(a, b))
+    return isos[0] if isos else None
+
+
 # the search itself
 
 
@@ -205,7 +240,8 @@ def all_pairs_strong_addition_rules(source_add, target_add):
             for a, row in enumerate(source_add) for b, ab in enumerate(row)]
 
 
-def test_strong_addition_rules_find_what_every_ordered_pair_finds(corpus3, monkeypatch):
+def test_strong_addition_rules_find_what_every_ordered_pair_finds(corpus3, fresh_memos,
+                                                                  monkeypatch):
     classes = [add for n in range(1, 4) for add, _ in enumerate_hypergroups(n)]
     found = 0
     for source in classes:
@@ -217,8 +253,18 @@ def test_strong_addition_rules_find_what_every_ordered_pair_finds(corpus3, monke
     assert found > len(classes) ** 2
     pairs = [(a.ring, b.ring) for a in corpus3 for b in corpus3]
     homs = [[h.mapping for h in enumerate_ring_homs(s, t)] for s, t in pairs]
-    monkeypatch.setattr(core, "strong_addition_rules", all_pairs_strong_addition_rules)
+    listed = []
+
+    def all_pairs(source_add, target_add):
+        listed.append((source_add, target_add))
+        return all_pairs_strong_addition_rules(source_add, target_add)
+
+    # with the strong maps of the first run still kept, the patched rules
+    # would never run
+    monkeypatch.setattr(core, "strong_addition_rules", all_pairs)
+    fresh_memos()
     assert [[h.mapping for h in enumerate_ring_homs(s, t)] for s, t in pairs] == homs
+    assert sorted(listed) == sorted({(s.add_masks, t.add_masks) for s, t in pairs})
 
 
 # the searchers against their oracles
@@ -265,6 +311,56 @@ def test_module_homs_and_isomorphisms_match_brute_force(corpus4):
     assert outcomes == {False, True}
 
 
+def test_ring_homs_match_the_joint_search(corpus3, fresh_memos):
+    found = 0
+    for a in corpus3:
+        for b in corpus3:
+            homs = [h.mapping for h in enumerate_ring_homs(a.ring, b.ring)]
+            assert homs == joint_hom_search(a.ring, b.ring, ring_hom_rules(a.ring, b.ring))
+            found += len(homs)
+    assert found > len(corpus3) ** 2
+
+
+def test_module_homs_and_isomorphisms_match_the_joint_search(corpus4, fresh_memos):
+    # the regular module of each corpus-4 ring to each R/m, m maximal
+    # right, and the R/m to one another for isomorphisms
+    found, outcomes = 0, set()
+    for entry in corpus4:
+        reg, *quotients = regular_and_quotients(entry.ring)
+        for q in quotients:
+            homs = [h.mapping for h in enumerate_module_homs(reg, q)]
+            assert homs == joint_hom_search(reg, q, equivariance_rules(reg, q))
+            found += len(homs)
+        for a, b in [(reg, q) for q in quotients] + [(p, q) for p in quotients for q in quotients]:
+            iso = find_isomorphism(a, b)
+            assert iso == joint_isomorphism(a, b)
+            if a.order == b.order:
+                outcomes.add(iso is None)
+    assert found and outcomes == {False, True}
+
+
+def test_the_hom_searches_share_one_strong_map_search(corpus3, fresh_memos, monkeypatch):
+    # ring homs, module homs and isomorphisms between equal addition
+    # tables filter one kept list: the first of them searches, none after
+    calls = []
+    real = core.search
+
+    def counting(sizes, rules):
+        calls.append(len(sizes))
+        return real(sizes, rules)
+
+    monkeypatch.setattr(core, "search", counting)
+    for entry in corpus3:
+        reg = regular_module(entry.ring)
+        for _ in range(2):
+            enumerate_ring_homs(entry.ring, entry.ring)
+            enumerate_module_homs(reg, reg)
+            assert find_isomorphism(reg, reg) is not None
+        assert calls == [entry.ring.order]
+        fresh_memos()
+        calls.clear()
+
+
 def test_simple_modules_match_brute_force(corpus4):
     # the search stops at the ring's order and the brute force at 3, so
     # this also finds no order-3 simple module over an order-2 ring
@@ -276,14 +372,14 @@ def test_simple_modules_match_brute_force(corpus4):
     assert found
 
 
-def test_products_match_the_cellwise_search():
+def test_products_match_the_cellwise_search(fresh_memos):
     classes = [add for n in range(1, 5) for add, _ in enumerate_hypergroups(n)]
     assert len(classes) == 110
     for add in classes:
         assert action_tables(add, add) == cellwise_action_tables(add, add)
 
 
-def test_module_actions_match_the_cellwise_search(corpus4):
+def test_module_actions_match_the_cellwise_search(corpus4, fresh_memos):
     rings = [e.ring for e in corpus4]
     assert min(ring.order for ring in rings) == 1
     assert sum(ring.mul_table != tuple(zip(*ring.mul_table)) for ring in rings) == 2
