@@ -294,11 +294,8 @@ def memo_stores() -> set:
     found = set()
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) \
-                    != "table_memo":
+            if not (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in ("table_memo", "core.table_memo")):
                 continue
             store = node.args[0]
             assert isinstance(store, ast.Name), (path.name, ast.dump(store))
