@@ -30,13 +30,18 @@ validators get written down.
 Parsing builds structures without validating them; run their validators
 (or `Document.verify_all`) afterwards.
 
-A table block reads an entry line by lookup first: each element is one
-dict lookup of the plain decimal names below the order (the ring's order
-for an `act` column), at most `_NAMED` of them, and a set whose members
-are all such names becomes its member mask at once.  A line with any
-other token (`07`, `{ 1, 2}`, `{1}` as a product, `x`, `300`) is read
-again by the checked readers, which find the same values or raise the
-same diagnostic at the same place whether or not the lookup ran.
+Each block reads its lines in one pass.  An entry line (`add`, `neg`,
+`mul`, their module forms, or `map`) without a `#` is cut by
+`str.split()` and read by lookup: each element is one dict lookup of the
+plain decimal names below the order (the ring's order for an `act`
+column, each side's for a `map`), at most `_NAMED` of them, and a closed
+set whose members are all such names becomes its member mask at once.
+It is stored then if its cell is new and 0 stays the additive identity.
+Every other line (a comment, `order`, `symmetric`, a unit line, `end`,
+a token such as `07`, `{ 1, 2}`, `{1}` as a product, `x` or `300`, a
+duplicate) takes the checked route: `_tokenize`, the key checks and the
+checked readers, which find the same values or raise the same diagnostic
+at the same place whether or not the lookup ran.
 """
 
 from __future__ import annotations
@@ -109,17 +114,6 @@ def _names(count: int) -> dict:
     """Element by plain decimal name, for the elements below count and
     below `_NAMED`."""
     return {str(v): v for v in range(min(count, _NAMED))}
-
-
-def _set_mask(text: str, names: dict) -> int:
-    """The member mask of a `{a,b,..}` token, or of a bare element as its
-    singleton, whose members are all keys of names; KeyError otherwise."""
-    if text[0] != "{":
-        return 1 << names[text]
-    m = 0
-    for piece in text[1:-1].split(","):
-        m |= 1 << names[piece]
-    return m
 
 
 class BlockedReport(NamedTuple):
@@ -228,25 +222,18 @@ class _Parser:
             self.error_at(f"duplicate name {name!r}", lineno, 1)
         self.names.add(name)
 
-    def block_lines(self, i, keys):
-        """Yield (lineno, toks) of each entry line from line i on, dispatch
-        checked against keys, and last (lineno, None) for its 'end'."""
-        lines = self.lines
-        while i < len(lines):
-            raw = lines[i]
-            i += 1  # this line's number, the next line's index
-            toks = _tokenize(raw, self.source, i)
-            if not toks:
-                continue
+    def entry_tokens(self, raw, lineno, keys):
+        """The tokens of entry line lineno on the checked route, its key
+        checked against keys: [] for a blank line, None for 'end'."""
+        toks = _tokenize(raw, self.source, lineno)
+        if toks:
             if toks[0] == "end":
                 if len(toks) != 1:
-                    self.error_at("nothing may follow 'end'", i, 1)
-                yield i, None
-                return
+                    self.error_at("nothing may follow 'end'", lineno, 1)
+                return None
             if toks[0] not in keys:
-                self.error_at(f"unknown key {toks[0]!r}", i, 0)
-            yield i, toks
-        self.error("block never closed with 'end'", len(lines), 1)
+                self.error_at(f"unknown key {toks[0]!r}", lineno, 0)
+        return toks
 
     def arity(self, toks, count, lineno):
         if len(toks) != count + 1:
@@ -303,6 +290,12 @@ class _Parser:
         self.arity(toks, 2, lineno)
         return self.element(toks, 1, order, lineno), self.element(toks, 2, order, lineno)
 
+    def map_entry(self, toks, source_order, target_order, lineno):
+        """(a, f(a)) of a map line."""
+        self.arity(toks, 2, lineno)
+        return (self.element(toks, 1, source_order, lineno),
+                self.element(toks, 2, target_order, lineno))
+
     def table_entry(self, toks, order, ring, lineno):
         """(a, b, value) of a mul line (ring None) or an act line."""
         self.arity(toks, 3, lineno)
@@ -328,17 +321,62 @@ class _Parser:
         a module's runs over the ring's and `unital` is a flag.  An entry
         line is read by lookup, or by its checked reader on a miss."""
         add_key, neg_key, table_key, unit_key = keys
+        block_keys = ("order", "symmetric") + keys
         order = None
         unit = None
         symmetric = False
         add = {}
         neg = {}
         table = {}
+        # element by name; empty until `order`, so every lookup misses
+        names = column_names = {}
         first = i
-        for lineno, toks in self.block_lines(i, ("order", "symmetric") + keys):
+        for lineno, raw in enumerate(self.lines[i:], i + 1):
+            if "#" not in raw:
+                # The lookup reads split()'s tokens, which are _TOKEN's
+                # unless a brace set holds whitespace ('{0, 2}'), touches
+                # other text ('x{1}', '{1}x', '{1}{2}') or is unclosed
+                # ('{2,'); then the count changes, a piece is no plain
+                # name or a set token does not end in '}', so a lookup
+                # misses.  A line it reads must also be a new cell, with
+                # 0 as the additive identity, or the checked route below
+                # reads it again to report what is wrong.
+                toks = raw.split()
+                n = len(toks)
+                try:
+                    if n == 4:
+                        key, x, y, z = toks
+                        if key == add_key:
+                            a, b = names[x], names[y]
+                            if z[0] == "{" and z[-1] == "}":
+                                m = 0
+                                for piece in z[1:-1].split(","):
+                                    m |= 1 << names[piece]
+                            else:  # a bare element, its singleton
+                                m = 1 << names[z]
+                            if (((a and b) or m == 1 << (a or b)) and (a, b) not in add
+                                    and not (symmetric and (b, a) in add)):
+                                add[a, b] = m
+                                if symmetric:
+                                    add[b, a] = m
+                                continue
+                        elif key == table_key:
+                            a, b, v = names[x], column_names[y], names[z]
+                            if (a, b) not in table:
+                                table[a, b] = v
+                                continue
+                    elif n == 3 and toks[0] == neg_key:
+                        a, v = names[toks[1]], names[toks[2]]
+                        if (a or not v) and a not in neg:
+                            neg[a] = v
+                            continue
+                except KeyError:
+                    pass
+            toks = self.entry_tokens(raw, lineno, block_keys)
             if toks is None:
-                i = lineno
                 break
+            if not toks:
+                continue
             key = toks[0]
             if key == "order":
                 self.arity(toks, 1, lineno)
@@ -353,29 +391,17 @@ class _Parser:
             if order is None:
                 self.error_at("'order' must come first in the block", lineno, 0)
             if key == add_key:
-                try:
-                    _, x, y, z = toks
-                    a, b, m = names[x], names[y], _set_mask(z, names)
-                except (ValueError, KeyError):
-                    a, b, m = self.add_entry(toks, order, lineno)
+                a, b, m = self.add_entry(toks, order, lineno)
                 if (a == 0 or b == 0) and m != 1 << (b if a == 0 else a):
                     self.error_at("element 0 must be the additive identity", lineno, 3)
                 self.put(add, (a, b), m, lineno, add_key)
                 if symmetric and a != b:
                     self.put(add, (b, a), m, lineno, add_key)
             elif key == table_key:
-                try:
-                    _, x, y, z = toks
-                    a, b, v = names[x], column_names[y], names[z]
-                except (ValueError, KeyError):
-                    a, b, v = self.table_entry(toks, order, ring, lineno)
+                a, b, v = self.table_entry(toks, order, ring, lineno)
                 self.put(table, (a, b), v, lineno, table_key)
             elif key == neg_key:
-                try:
-                    _, x, y = toks
-                    a, v = names[x], names[y]
-                except (ValueError, KeyError):
-                    a, v = self.neg_entry(toks, order, lineno)
+                a, v = self.neg_entry(toks, order, lineno)
                 if a == 0 and v != 0:
                     self.error_at("element 0 must be the additive identity", lineno, 2)
                 self.put(neg, a, v, lineno, neg_key)
@@ -389,6 +415,8 @@ class _Parser:
                 if symmetric:
                     self.error_at("duplicate entry for symmetric", lineno, 0)
                 symmetric = True
+        else:
+            self.error("block never closed with 'end'", len(self.lines), 1)
         if order is None:
             self.error("missing order", first, 1)
 
@@ -420,7 +448,7 @@ class _Parser:
         else:
             self.modules[name] = HyperModule(ring, _MaskTable(add_table), neg_table,
                                                  value_table, unital=bool(unit), name=name)
-        return i
+        return lineno
 
     def put(self, store, key, value, lineno, label):
         # an entry's line starts with its key
@@ -429,20 +457,29 @@ class _Parser:
         store[key] = value
 
     def hom_block(self, name, source_ring, target_ring, i):
+        """A hom block: a `map` line per source element, read by lookup
+        as a table block's entries are, and an optional flag."""
         mapping = {}
         unit_preserving = False
         flag_line = None
-        keys = {"map", "unit_preserving"}
+        source_names, target_names = _names(source_ring.order), _names(target_ring.order)
         first = i
-        for lineno, toks in self.block_lines(i, keys):
+        for lineno, raw in enumerate(self.lines[i:], i + 1):
+            if "#" not in raw:
+                # read as table_block reads its entry lines
+                toks = raw.split()
+                if len(toks) == 3 and toks[0] == "map":
+                    a, v = source_names.get(toks[1]), target_names.get(toks[2])
+                    if a is not None and v is not None and a not in mapping:
+                        mapping[a] = v
+                        continue
+            toks = self.entry_tokens(raw, lineno, ("map", "unit_preserving"))
             if toks is None:
-                i = lineno
                 break
-            key = toks[0]
-            if key == "map":
-                self.arity(toks, 2, lineno)
-                a = self.element(toks, 1, source_ring.order, lineno)
-                v = self.element(toks, 2, target_ring.order, lineno)
+            if not toks:
+                continue
+            if toks[0] == "map":
+                a, v = self.map_entry(toks, source_ring.order, target_ring.order, lineno)
                 self.put(mapping, a, v, lineno, "map")
             else:
                 self.arity(toks, 0, lineno)
@@ -450,6 +487,8 @@ class _Parser:
                     self.error_at("duplicate entry for unit_preserving", lineno, 0)
                 unit_preserving = True
                 flag_line = lineno
+        else:
+            self.error("block never closed with 'end'", len(self.lines), 1)
         for a in range(source_ring.order):
             if a not in mapping:
                 self.error(f"missing map entry for {a}", first, 1)
@@ -458,7 +497,7 @@ class _Parser:
         self.homs[name] = RingHom(source_ring, target_ring,
                                       tuple(mapping[a] for a in range(source_ring.order)),
                                       name=name, unit_preserving=unit_preserving)
-        return i
+        return lineno
 
 
 def parse_text(text: str, source: str = "<string>") -> Document:

@@ -93,15 +93,16 @@ def identity_hom(ring: HyperRing) -> RingHom:
 
 def enumerate_ring_homs(source: HyperRing, target: HyperRing) -> tuple:
     """All verified strong homs fixing 0, lexicographic, by ``core.hom_search``:
-    the strong maps that keep negation and multiplication."""
+    the strong maps that keep multiplication."""
     require_hom_bound(source, target)
-    sneg, smul = source.neg_table, source.mul_table
-    tneg, tmul = target.neg_table, target.mul_table
+    smul, tmul = source.mul_table, target.mul_table
 
+    # A strong map keeps negation already: f(0) = 0 and 0 in a + (-a) put
+    # 0 in f(a) + f(-a), so f(-a) = -f(a), the unique inverse; the
+    # verification below checks it again on every kept map.
     def keep(f):
-        return (all(f[na] == tneg[fa] for fa, na in zip(f, sneg))
-                and all(f[ab] == tmul[fa][f[b]] for fa, row in zip(f, smul)
-                        for b, ab in enumerate(row)))
+        return all(f[ab] == tmul[fa][f[b]] for fa, row in zip(f, smul)
+                   for b, ab in enumerate(row))
 
     return hom_search(RingHom, source, target, keep, verify_strong_hom, "hom search")
 

@@ -75,24 +75,50 @@ def test_round_trip_corpus(corpus3):
         assert emit_ring(back, entry.name) == text
 
 
-def test_round_trip_shuffled_products(corpus4):
-    # products of orders 6 to 12 name elements 10 and 11 too; any order of
-    # the lines after 'symmetric' parses back to the same tables
+def shuffled_products(corpus4) -> list:
+    """(text, product) for direct products of orders 6 to 12, whose
+    elements include 10 and 11, each line after 'symmetric' shuffled."""
     by_order = {n: [e.ring for e in corpus4 if e.ring.order == n] for n in (2, 3, 4)}
     pairs = [(r, s) for m, n in ((2, 3), (2, 4), (3, 3), (3, 4), (4, 3))
              for r in by_order[m][:3] for s in by_order[n][-3:]]
+    assert {r.order * s.order for r, s in pairs} == {6, 8, 9, 12}
     rng = random.Random(0)
+    out = []
     for k, (r, s) in enumerate(pairs):
         product = direct_product(r, s)
         lines = emit_ring(product, f"p{k}").splitlines()
         head = lines.index("  symmetric") + 1
         body = lines[head:-1]
         rng.shuffle(body)
-        text = "\n".join(lines[:head] + body + ["end"])
+        out.append(("\n".join(lines[:head] + body + ["end"]), product))
+    return out
+
+
+def test_round_trip_shuffled_products(corpus4):
+    # any order of the lines after 'symmetric' parses back to the same tables
+    for k, (text, product) in enumerate(shuffled_products(corpus4)):
         assert reading(parse_text, text) == reading(reference_parse, text)
         back = parse_text(text).rings[f"p{k}"]
         assert back.encoding() == product.encoding()
-    assert {r.order * s.order for r, s in pairs} == {6, 8, 9, 12}
+
+
+def test_well_formed_entry_lines_never_reach_the_checked_readers(corpus4, monkeypatch):
+    # every entry line of the emitted corpus-4 documents and of the
+    # shuffled products is read by lookup; a line with a comment is not
+    calls = []
+    for reader in ("add_entry", "neg_entry", "table_entry", "map_entry"):
+        def spy(self, *args, _reader=reader, _read=getattr(_Parser, reader)):
+            calls.append(_reader)
+            return _read(self, *args)
+        monkeypatch.setattr(_Parser, reader, spy)
+    texts = emitted_documents(4) + tuple(text for text, _ in shuffled_products(corpus4))
+    for text in texts:
+        parse_text(text)
+    assert len(texts) == 163 + 45 and calls == []
+    commented = "".join(line + (" #\n" if line[:3] in ("  a", "  n", "  m") else "\n")
+                        for line in RING2.splitlines())
+    parse_text(commented + "hom f : r -> r\n  map 0 0 #\n  map 1 1\nend\n")
+    assert calls == ["add_entry", "neg_entry", "table_entry", "map_entry"]
 
 
 def test_module_and_hom_round_trip(z4):
@@ -216,6 +242,8 @@ def test_tokenizer_edge_cases():
         (ring + "  add 1 1 {0\nend\n", "t.khr:3:11: unclosed '{'"),
         (ring + "  add 1 1{0\nend\n", "t.khr:3:10: unclosed '{'"),
         (ring + "  add 1 1 {\nend\n", "t.khr:3:11: unclosed '{'"),
+        # a set unclosed after a name and a comma, whose inside is a name
+        (ring + "  add 1 1 {1,\nend\n", "t.khr:3:11: unclosed '{'"),
         # the unclosed brace is found before the line's arity is read
         (ring + "  add 1 1} {0\nend\n", "t.khr:3:12: unclosed '{'"),
         # a stray '}' is part of a word
@@ -268,9 +296,10 @@ def reference_tokens(raw: str, source: str, lineno: int) -> list:
 
 
 class ReferenceParser(_Parser):
-    """The token-by-token table block reader the lookup replaced, kept as
-    its oracle: every element through `element`, every set through
-    `values`, each line cut by the character-loop tokenizer above."""
+    """The token-by-token table and hom block readers the lookup replaced,
+    kept as its oracle: every element through `element`, every set
+    through `values`, each line cut by the character-loop tokenizer
+    above."""
 
     def entry_line(self, i, keys):
         # (index of the next line, lineno, toks) of the next entry line,
@@ -390,6 +419,37 @@ class ReferenceParser(_Parser):
         else:
             self.modules[name] = HyperModule(ring, add_table, neg_table, value_table,
                                                  unital=bool(unit), name=name)
+        return i
+
+
+    def hom_block(self, name, source_ring, target_ring, i):
+        mapping = {}
+        unit_preserving = False
+        flag_line = None
+        first = i
+        while True:
+            i, lineno, toks = self.entry_line(i, ("map", "unit_preserving"))
+            if toks is None:
+                break
+            if toks[0] == "map":
+                self.arity(toks, 2, lineno)
+                a = self.element(toks, 1, source_ring.order, lineno)
+                v = self.element(toks, 2, target_ring.order, lineno)
+                self.put(mapping, a, v, lineno, "map")
+            else:
+                self.arity(toks, 0, lineno)
+                if unit_preserving:
+                    self.error_at("duplicate entry for unit_preserving", lineno, 0)
+                unit_preserving = True
+                flag_line = lineno
+        for a in range(source_ring.order):
+            if a not in mapping:
+                self.error(f"missing map entry for {a}", first, 1)
+        if unit_preserving and (source_ring.unit is None or target_ring.unit is None):
+            self.error("unit preservation needs units on both sides", flag_line, 1)
+        self.homs[name] = RingHom(source_ring, target_ring,
+                                  tuple(mapping[a] for a in range(source_ring.order)),
+                                  name=name, unit_preserving=unit_preserving)
         return i
 
 
@@ -607,19 +667,29 @@ def emitted_documents(max_order: int) -> tuple:
                  for e in generate_corpus(max_order))
 
 
-# the last row holds spellings the lookup misses that still read as
+# the second last row holds spellings the lookup misses that still read as
 # elements or sets: leading zeros, spaces and repeats inside a set, names
-# past the order
+# past the order; the last, sets and comments that str.split() cuts
+# otherwise than the tokenizer
 TOKENS = ("0", "1", "3", "-1", "99999999999", "1" * 5000, "x", "²", "{}", "{0}",
           "{1,2}", "{9}", "{,}", "{x}", "{", "}", "#", ":", "->", "order", "unit",
           "symmetric", "add", "neg", "mul", "madd", "mneg", "act", "unital", "map",
           "unit_preserving", "ring", "module", "over", "hom", "end", "r", "m", "h",
-          "07", "00", "{ 1, 2}", "{2,2,1}", "{01}", "{1,}", "12", "300", "{300}")
+          "07", "00", "{ 1, 2}", "{2,2,1}", "{01}", "{1,}", "12", "300", "{300}",
+          "{2,", "{1}x", "x{1}", "{1}{2}", "{2}}", "1#x", "{2}#c")
 
 
 # element names at and around the orders of the corpus, drawn as often as
 # all of TOKENS, so that entries move to and past the edges of a table
 NUMERALS = ("0", "1", "2", "3", "4")
+
+
+# whitespace within a line that str.split() and the tokenizer both cut at
+SPACES = (" ", "\t", "\x0b", "\x0c", "\u3000", "   ", " \t ")
+
+
+# what a brace or comma of a set may be retyped as
+MARKS = ("", " ", ",", "{", "}", "x", "#", "}{", ", ")
 
 
 @st.composite
@@ -631,7 +701,8 @@ def mutated_documents(draw, max_order=3):
         j = draw(st.integers(0, len(toks)))
         token = draw(st.sampled_from(TOKENS) | st.sampled_from(NUMERALS))
         kind = draw(st.sampled_from(["drop line", "copy line", "move line", "new line",
-                                     "replace token", "insert token", "drop token"]))
+                                     "replace token", "insert token", "drop token",
+                                     "respace line", "retype mark"]))
         if kind == "drop line":
             del lines[i]
         elif kind == "copy line":
@@ -642,6 +713,18 @@ def mutated_documents(draw, max_order=3):
             lines.insert(i, " ".join(draw(st.lists(st.sampled_from(TOKENS), max_size=4))))
         elif kind == "insert token":
             lines[i] = " ".join(toks[:j] + [token] + toks[j:])
+        elif kind == "respace line":
+            # other whitespace before, between and after the tokens
+            gaps = draw(st.lists(st.sampled_from(SPACES), min_size=len(toks) + 1,
+                                 max_size=len(toks) + 1))
+            lines[i] = "".join(g + t for g, t in zip(gaps, toks + [""]))
+        elif kind == "retype mark":
+            # a set left open ('{0,'), glued to a word ('{0}x') or split
+            marks = [(k, n) for k, line in enumerate(lines) for n, c in enumerate(line)
+                     if c in "{},"]
+            if marks:
+                k, n = draw(st.sampled_from(marks))
+                lines[k] = lines[k][:n] + draw(st.sampled_from(MARKS)) + lines[k][n + 1:]
         elif toks and j < len(toks):
             lines[i] = " ".join(toks[:j] + ([token] if kind == "replace token" else [])
                                 + toks[j + 1:])

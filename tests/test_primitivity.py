@@ -205,6 +205,12 @@ def test_no_rogue_annihilators_at_order_4(corpus4):
     for ring in rings:
         assert rogue_annihilators(ring) == ()
     assert sum(len(enumerate_simple_modules(ring)) for ring in rings) == 32
+    # a ring whose products all vanish has none
+    zero_product = [ring for ring in rings
+                    if all(v == 0 for row in ring.mul_table for v in row)]
+    assert len(zero_product) == 97
+    for ring in zero_product:
+        assert enumerate_simple_modules(ring) == (), ring.name
 
 
 def test_certificates_deduplicate(z6):

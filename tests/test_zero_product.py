@@ -18,7 +18,7 @@ from conftest import table_copy
 from krasner import corpus
 from krasner.corpus import generate_corpus
 from krasner.ideals import IdealLattice, enumerate_ideals
-from krasner.primitivity import prim_set
+from krasner.primitivity import enumerate_simple_modules, prim_set
 from krasner.spectrum import SpectrumSpace
 
 
@@ -71,6 +71,16 @@ def test_zero_product_rings_have_every_subhypergroup_as_ideal_and_no_point(corpu
     assert len(rings) == 110
     for ring in rings:
         check_zero_product(ring)
+
+
+def test_zero_product_rings_have_no_simple_module(corpus4):
+    # the m with mR = {0} hold every mr, as (mr)s = m(rs) = 0, so a nonzero
+    # action makes them a proper nonzero submodule; the order-4 rings are
+    # searched under `slow`, in test_no_rogue_annihilators_at_order_4
+    rings = [e.ring for e in corpus4 if e.ring.order <= 3 and zero_product(e.ring)]
+    assert len(rings) == 13
+    for ring in rings:
+        assert enumerate_simple_modules(ring) == (), ring.name
 
 
 @pytest.mark.slow
