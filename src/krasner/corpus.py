@@ -30,13 +30,15 @@ the first negation of its conjugacy class alone, where its members are
 one orbit of the relabelings that commute with nu.  Those permute the
 free orbits, and the table kept is the one whose set of included free
 orbits is least over that orbit: the table a search of every negation in
-turn would have found first in its class.  One pass over all (n-1)!
-relabelings of each representative gives its sort key, the least
-encoding over them all, so the classes come out in the order of that
-full minimum.  Products on one representative are told apart by their
-least relabeled form over the representative's automorphisms; products
-on different representatives are never isomorphic, because the additive
-hypergroup is an invariant.
+turn would have found first in its class.  The search decides the free
+orbits from the last down and cuts a partial table once a relabeling
+lowers that set on the orbits decided, so it finds the kept tables
+alone.  One pass over all (n-1)! relabelings of each representative
+gives its sort key, the least encoding over them all, so the classes
+come out in the order of that full minimum.  Products on one
+representative are told apart by their least relabeled form over the
+representative's automorphisms; products on different representatives
+are never isomorphic, because the additive hypergroup is an invariant.
 """
 
 from __future__ import annotations
@@ -147,11 +149,14 @@ def enumerate_hypergroups(n: int) -> tuple:
 
     A class is represented by its first table when the labelled tables are
     listed by negation and then by the bit set of their free orbits.  It is
-    found by searching one negation per conjugacy class and keeping the
-    tables that no relabeling commuting with it moves to a smaller set of
-    free orbits, sorted by the least encoding over every relabeling.  The
-    few most recent answers are kept, so a repeated call returns the same
-    tuple, and each call checks every table it returns with the validator.
+    found by searching one negation per conjugacy class, the free orbits
+    from the last down, and cutting a partial table inside the search as
+    soon as a relabeling commuting with that negation is known to move it
+    to a smaller bit set, so every table the search returns is a class;
+    the classes are sorted by the least encoding over every relabeling.
+    The few most recent answers are kept, so a repeated call returns the
+    same tuple, and each call checks every table it returns with the
+    validator.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -174,7 +179,11 @@ def _orbit_moves(n: int, nu: tuple, free, relabelings) -> list:
     with free[i] relabeled onto free[move[i]]: such a relabeling keeps nu,
     so it maps free orbits onto free orbits.  The identity and nu itself
     are left out; nu is an automorphism of every table with negation nu,
-    as -(a + b) = -a + -b, so neither moves a table."""
+    as -(a + b) = -a + -b, so neither moves a table.  The inverse of a
+    listed relabeling is listed too, so the class search reads each move
+    as the preimages of one: the relabeled table includes free[i] exactly
+    when the table includes free[move[i]], which settles the comparison
+    of the two bit sets on the orbits already decided."""
     moves = []
     for _, perm, _ in relabelings:
         if perm in ((*range(n),), nu) or any(perm[nu[x]] != nu[perm[x]] for x in range(n)):
@@ -195,7 +204,10 @@ def _hypergroups(n: int) -> tuple:
     # the relabelings commuting with nu, and their negations fill nu's
     # conjugacy class, fixed by its number of transpositions; so the first
     # table a labelled search finds in a class has the first negation of
-    # that class and the least bit set of its orbit
+    # that class and the least bit set of its orbit.  The search decides
+    # the free orbits from the last down, the high bits of that set first,
+    # and cuts a branch as soon as a relabeling is known to lower it, so
+    # every table it returns is a class
     full = (1 << n) - 1
     row = (1 << n * n) - 1
     relabelings = _relabelings(n)
@@ -206,12 +218,25 @@ def _hypergroups(n: int) -> tuple:
         if swaps in searched:
             continue
         searched.add(swaps)
-        moves = _orbit_moves(n, nu, free, relabelings)
+        # search cell c includes cells[c] or leaves it out; the orbits are
+        # disjoint from one another and from the base
+        cells = free[::-1]
+        moves = _orbit_moves(n, nu, cells, relabelings)
 
-        def table(v, reads):
-            # search cell j includes free[j] or leaves it out; the orbits
-            # are disjoint from one another and from the base
-            return base + sum(free[j] for j in reads if v[j])
+        def leader(v, i):
+            # a relabeled bit set holds cell c exactly when the set holds
+            # cell move[c]; compare the two from cell 0, the high bit, while
+            # both are decided, and cut where the relabeling first drops a cell
+            for move in moves:
+                for c in range(i + 1):
+                    d = move[c]
+                    if d > i:
+                        break
+                    if v[c] != v[d]:
+                        if v[c]:
+                            return False
+                        break
+            return True
 
         # (region, want): no cell is empty, and associativity holds for each
         # row pair a < c, which covers (c, b, a); (a, b, a) and a = 0 always do
@@ -222,19 +247,18 @@ def _hypergroups(n: int) -> tuple:
         rules = []
         for region, want in wants:
             # watch the last cell whose orbit meets the region; with none, test now
-            reads = [j for j, o in enumerate(free) if o & region]
+            reads = [c for c, o in enumerate(cells) if o & region]
             if reads:
-                rules.append(((reads[-1],),
-                              lambda v, i, want=want, reads=reads: want(table(v, reads))))
+                rules.append(((reads[-1],), lambda v, i, want=want, reads=reads:
+                              want(base + sum(cells[c] for c in reads if v[c]))))
             elif not want(base):
                 break
         else:
-            for v in search([2] * len(free), rules):
-                chosen = sum(bit << j for j, bit in enumerate(v))
-                if all(chosen <= sum(1 << move[i] for i in bits(chosen)) for move in moves):
-                    t = table(v, range(len(free)))
-                    found.append((tuple(tuple(t >> (p * n + q) * n & full for q in range(n))
-                                        for p in range(n)), nu))
+            rules.append((range(len(cells)), leader))
+            for v in search([2] * len(cells), rules):
+                t = base + sum(o for o, bit in zip(cells, v) if bit)
+                found.append((tuple(tuple(t >> (p * n + q) * n & full for q in range(n))
+                                    for p in range(n)), nu))
     found.sort(key=lambda rep: _full_min(rep[0], relabelings))
     return tuple(found)
 

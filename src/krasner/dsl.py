@@ -116,6 +116,12 @@ def _names(count: int) -> dict:
     return {str(v): v for v in range(min(count, _NAMED))}
 
 
+def _on_zero(rows: int, columns: int):
+    """The keys on row and column 0 of a rows x columns table, lazily."""
+    yield from ((0, b) for b in range(columns))
+    yield from ((a, 0) for a in range(1, rows))
+
+
 class BlockedReport(NamedTuple):
     """Stands in for a verification that could not run."""
 
@@ -421,15 +427,21 @@ class _Parser:
             self.error("missing order", first, 1)
 
         # find a missing entry before allocating anything by the declared
-        # order: each scan stops within one step past its dict's size, and
-        # complete tables are no larger than the input
+        # order.  A store holds each key once and none out of range, so it
+        # lacks one exactly when it holds fewer than the cells off row and
+        # column 0 plus those it holds on them; row and column 0 are probed
+        # only once it is that large.  Only a short store is scanned, and
+        # the scan stops within one step past its size: complete tables
+        # are no larger than the input
         columns = order if ring is None else ring.order
-        for label, store, keys in (
-                (add_key, add, ((a, b) for a in range(1, order) for b in range(1, order))),
-                (neg_key, neg, range(1, order)),
-                (table_key, table, ((a, b) for a in range(1, order) for b in range(1, columns)))):
-            missing = next((k for k in keys if k not in store), None)
-            if missing is not None:
+        for label, store, cells, on_zero, keys in (
+                (add_key, add, (order - 1) ** 2, _on_zero(order, order),
+                 ((a, b) for a in range(1, order) for b in range(1, order))),
+                (neg_key, neg, order - 1, (0,), range(1, order)),
+                (table_key, table, (order - 1) * (columns - 1), _on_zero(order, columns),
+                 ((a, b) for a in range(1, order) for b in range(1, columns)))):
+            if len(store) < cells or len(store) - sum(k in store for k in on_zero) < cells:
+                missing = next(k for k in keys if k not in store)
                 self.error(f"missing {label} entry for {missing}", first, 1)
         add_table = [[0] * order for _ in range(order)]
         for a in range(order):

@@ -204,6 +204,13 @@ def test_diagnostic_positions():
         # a missing entry is found before any table of the order is built
         ("ring r\n  order 99999999999\n  add 1 1 {0}\nend\n",
          "t.khr:1:1: missing add entry for (1, 2)"),
+        # an entry on row or column 0 does not stand in for a missing one
+        ("ring r\n  order 2\n  add 0 1 1\nend\n",
+         "t.khr:1:1: missing add entry for (1, 1)"),
+        ("ring r\n  order 2\n  add 1 1 {0}\n  neg 0 0\nend\n",
+         "t.khr:1:1: missing neg entry for 1"),
+        ("ring r\n  order 2\n  add 1 1 {0}\n  neg 1 1\n  mul 0 1 0\nend\n",
+         "t.khr:1:1: missing mul entry for (1, 1)"),
         ("end\n", "t.khr:1:1: 'end' outside a block"),
         ("ring r\n  order 2\n  add 1 1 {0}\n",
          "t.khr:3:1: block never closed with 'end'"),
