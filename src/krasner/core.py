@@ -289,13 +289,6 @@ class Structure:
             raise ValueError("mask has bits outside the carrier")
         return ElementSet(self, mask)
 
-    def singleton(self, i: int) -> ElementSet:
-        self.check_element(i)
-        return ElementSet(self, 1 << i)
-
-    def full_set(self) -> ElementSet:
-        return ElementSet(self, self.full_mask)
-
     def members_mask(self, members) -> int:
         """The mask of an ElementSet of this structure, or of any other
         iterable of its elements."""

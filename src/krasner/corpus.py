@@ -34,11 +34,13 @@ turn would have found first in its class.  The search decides the free
 orbits from the last down and cuts a partial table once a relabeling
 lowers that set on the orbits decided, so it finds the kept tables
 alone.  One pass over all (n-1)! relabelings of each representative
-gives its sort key, the least encoding over them all, so the classes
-come out in the order of that full minimum.  Products on one
-representative are told apart by their least relabeled form over the
-representative's automorphisms; products on different representatives
-are never isomorphic, because the additive hypergroup is an invariant.
+gives both its sort key, the least encoding over them all, and its
+automorphisms, the relabelings that give it back: the classes come out
+in the order of that full minimum, with their automorphisms kept beside
+them.  Products on one representative are told apart by their least
+relabeled form over those automorphisms; products on different
+representatives are never isomorphic, because the additive hypergroup
+is an invariant.
 """
 
 from __future__ import annotations
@@ -161,7 +163,7 @@ def enumerate_hypergroups(n: int) -> tuple:
     if n < 1:
         raise ValueError("order must be positive")
     check_order(n)
-    found = _hypergroups(n)
+    found = _hypergroups(n)[0]
     # a class holds relabelings fixing 0 of one addition table, which fixes
     # the negation (0 in a + b exactly when b = -a), and every axiom survives
     # them: a class holds a bad table only if its representative is one.
@@ -259,8 +261,17 @@ def _hypergroups(n: int) -> tuple:
                 t = base + sum(o for o, bit in zip(cells, v) if bit)
                 found.append((tuple(tuple(t >> (p * n + q) * n & full for q in range(n))
                                     for p in range(n)), nu))
-    found.sort(key=lambda rep: _full_min(rep[0], relabelings))
-    return tuple(found)
+    # one pass over every relabeling of a class gives both its sort key, the
+    # least relabeled table, and its automorphisms, the relabelings that
+    # give the table back, which are returned beside the classes
+    keyed = []
+    for add, nu in found:
+        images = [(_relabel(add, order, image), (order, perm))
+                  for order, perm, image in relabelings]
+        keyed.append((min(t for t, _ in images), (add, nu),
+                      tuple(aut for t, aut in images if t == add)))
+    keyed.sort(key=lambda k: k[0])
+    return tuple(rep for _, rep, _ in keyed), tuple(auts for _, _, auts in keyed)
 
 
 def _relabelings(n: int) -> list:
@@ -283,18 +294,6 @@ def _relabelings(n: int) -> list:
 def _relabel(add, order, image) -> tuple:
     rows = [add[p] for p in order]
     return tuple(tuple([image[row[q]] for q in order]) for row in rows)
-
-
-def _full_min(add, relabelings) -> tuple:
-    """The least encoding of a table over every relabeling fixing 0: the
-    key the classes are sorted by."""
-    return min(_relabel(add, order, image) for order, _, image in relabelings)
-
-
-def _automorphisms(add, relabelings) -> list:
-    """(order, perm) of every relabeling fixing 0 that gives back the table."""
-    return [(order, perm) for order, perm, image in relabelings
-            if _relabel(add, order, image) == add]
 
 
 def _mul_key(mul, automorphisms) -> tuple:
@@ -357,16 +356,14 @@ def generate_corpus(max_order: int = HARD_ORDER_CAP,
 def _corpus(max_order: int, per_order_limit: int | None) -> tuple:
     entries = []
     for n in range(1, max_order + 1):
-        relabelings = _relabelings(n)
         rings = []
         # unchecked tables: validating a class's first ring checks its table,
         # and the memo keeps that verdict while the class's other rings follow;
-        # checking all 97 classes of order 4 first would overflow the memo
-        for add, nu in _hypergroups(n):
+        # checking all 3,776 classes of order 5 first would overflow the memo.
+        # An isomorphism of two rings is an automorphism of their shared
+        # hypergroup, and distinct classes never meet
+        for (add, nu), automorphisms in zip(*_hypergroups(n)):
             masks = _MaskTable(add)
-            # an isomorphism of two rings is an automorphism of their
-            # shared hypergroup, and distinct classes never meet
-            automorphisms = _automorphisms(add, relabelings)
             kept = {}
             for mul in mult_tables(n, add):
                 kept.setdefault(_mul_key(mul, automorphisms), mul)

@@ -49,17 +49,6 @@ class SpectrumSpace:
     def full_pmask(self) -> int:
         return (1 << self.size) - 1
 
-    def point_set(self, ideals) -> int:
-        """pmask of the given points (ideals or raw member masks)."""
-        index = {m: i for i, m in enumerate(self.point_masks)}
-        out = 0
-        for p in ideals:
-            m = p.members.mask if isinstance(p, HyperIdeal) else int(p)
-            if m not in index:
-                raise ValueError(f"not a point of this space: {m}")
-            out |= 1 << index[m]
-        return out
-
     def kernel_of(self, pmask: int) -> int:
         """Intersection of the points, the whole ring for the empty set."""
         out = self.ring.full_mask

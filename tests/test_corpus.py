@@ -10,12 +10,15 @@ over the free triple orbits of every negation with no symmetry cut, is
 refereed at order 4 by a plain loop over every subset of those orbits.
 It referees in turn the class search of the package, which searches one
 negation per conjugacy class: its classes must be the first labelled
-table of each class key, and the labelled counts the orbit-stabilizer
-sums over them.  Node and leaf counts pin the symmetry cut inside the
-class search: every table it returns is a class.  The opt-in order-5
-referees also run the product search against the cell-by-cell search it
-replaced on every order-5 hypergroup class, and the closed-subset search
-against the scan it replaced on every order-5 ring.
+table of each class key, sorted by their least relabeled table, and the
+labelled counts the orbit-stabilizer sums over them; the sort key and the
+automorphisms the class search keeps beside each class are checked with
+this module's own relabeling loop.  Node and leaf counts pin the
+symmetry cut inside the class search: every table it returns is a class.
+The opt-in order-5 referees also run the product search against the
+cell-by-cell search it replaced on every order-5 hypergroup class, and
+the closed-subset search against the scan it replaced on every order-5
+ring.
 """
 
 import itertools
@@ -201,6 +204,11 @@ def zero_fixing(n):
     return [(0,) + rest for rest in itertools.permutations(range(1, n))]
 
 
+def full_min(add):
+    """The least relabeled table over every relabeling fixing 0."""
+    return min(relabel(add, perm) for perm in zero_fixing(len(add)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hypergroup_search_matches_subset_loop(n):
     found = subset_loop_hypergroups(n)
@@ -208,7 +216,7 @@ def test_hypergroup_search_matches_subset_loop(n):
     # the first table of each class in loop order represents it
     canon = {}
     for add, nu in found:
-        canon.setdefault(min(relabel(add, perm) for perm in zero_fixing(n)), (add, nu))
+        canon.setdefault(full_min(add), (add, nu))
     assert enumerate_hypergroups(n) == tuple(canon[k] for k in sorted(canon))
 
 
@@ -263,12 +271,11 @@ def first_of_each_class(n):
     splits = {nu: (i, free) for i, (nu, _, free) in enumerate(_orbit_splits(n))}
     labelled = sorted(labelled_hypergroups(n),
                       key=lambda t: (splits[t[1]][0], chosen(t[0], splits[t[1]][1])))
-    relabelings = corpus._relabelings(n)
-    images = {order: image for order, _, image in relabelings}
+    images = {order: image for order, _, image in corpus._relabelings(n)}
     classes = {}
     for add, nu in labelled:
         classes.setdefault(class_key(add, nu, images), (add, nu))
-    return sorted(classes.values(), key=lambda rep: corpus._full_min(rep[0], relabelings))
+    return sorted(classes.values(), key=lambda rep: full_min(rep[0]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -280,8 +287,7 @@ def test_class_key_ignores_relabeling_and_separates_classes(n):
         for perm in zero_fixing(n):
             moved = class_key(relabel(add, perm), relabel_neg(nu, perm), images)
             assert moved == key
-        full = min(relabel(add, perm) for perm in zero_fixing(n))
-        assert key_of_class.setdefault(full, key) == key
+        assert key_of_class.setdefault(full_min(add), key) == key
     assert len(set(key_of_class.values())) == len(key_of_class)
 
 
@@ -303,12 +309,15 @@ def test_classes_come_from_the_first_negation_of_each_conjugacy_class(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_automorphism_key_partitions_products_like_the_full_key(n, corpus4):
-    relabelings = corpus._relabelings(n)
+    classes, kept = corpus._hypergroups(n)
+    assert classes is enumerate_hypergroups(n) and len(kept) == len(classes)
     firsts = set()
-    for add, nu in enumerate_hypergroups(n):
-        automorphisms = corpus._automorphisms(add, relabelings)
+    for (add, nu), automorphisms in zip(classes, kept):
+        # the kept automorphisms are the relabelings that give the table back,
+        # each with order listing the elements by their new labels
         assert sorted(perm for _, perm in automorphisms) == \
             [perm for perm in zero_fixing(n) if relabel(add, perm) == add]
+        assert all(order[perm[x]] == x for order, perm in automorphisms for x in range(n))
         members = [[list(bits(m)) for m in row] for row in add]
         by_aut, by_full = {}, {}
         for mul in mult_tables(n, add):
@@ -350,7 +359,7 @@ def class_search_counts(monkeypatch, n):
         return out
 
     monkeypatch.setattr(corpus, "search", counting)
-    assert len(corpus._hypergroups(n)) == counts[1]
+    assert len(corpus._hypergroups(n)[0]) == counts[1]
     return tuple(counts)
 
 
@@ -368,21 +377,30 @@ def test_the_class_search_cuts_inside_the_search_at_order_5(monkeypatch):
     assert class_search_counts(monkeypatch, 5) == (48088, 3776)
 
 
-def test_full_passes_run_once_per_class(monkeypatch):
+def test_each_class_is_relabeled_once(monkeypatch):
     fresh_hypergroups(monkeypatch)
-    calls = {"_full_min": 0, "_automorphisms": 0}
-    for name in calls:
-        def counting(*args, real=getattr(corpus, name), name=name):
-            calls[name] += 1
-            return real(*args)
-        monkeypatch.setattr(corpus, name, counting)
-    # an uncached build of corpus4
+    calls = []
+    real = corpus._relabel
+
+    def counting(add, order, image):
+        calls.append(len(add))
+        return real(add, order, image)
+
+    monkeypatch.setattr(corpus, "_relabel", counting)
+    # an uncached build of corpus4: one pass of the (n - 1)! relabelings
+    # per class gives its sort key and its automorphisms
     entries = corpus._corpus.__wrapped__(4, None)
-    counted = dict(calls)
-    classes = sum(len(enumerate_hypergroups(n)) for n in range(1, 5))
-    labelled = sum(len(labelled_hypergroups(n)) for n in range(1, 5))
-    assert len(entries) == 163 and (classes, labelled) == (110, 408)
-    assert counted == {"_full_min": classes, "_automorphisms": classes}
+    assert len(entries) == 163
+    assert [calls.count(n) for n in (1, 2, 3, 4)] == [1 * 1, 2 * 1, 10 * 2, 97 * 6]
+    assert len(calls) == 605
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_repeated_call_returns_the_same_classes(monkeypatch, n):
+    fresh_hypergroups(monkeypatch)
+    first = enumerate_hypergroups(n)
+    assert enumerate_hypergroups(n) is first
+    assert corpus._hypergroups(n)[0] is first
 
 
 def test_a_cold_corpus_checks_each_hypergroup_class_once(monkeypatch, fresh_memos):
@@ -397,7 +415,8 @@ def test_a_cold_corpus_checks_each_hypergroup_class_once(monkeypatch, fresh_memo
     monkeypatch.setattr(core, "hypergroup_checks", counting)
     entries = corpus._corpus.__wrapped__(4, None)
     assert len(entries) == 163
-    # 97 order-4 classes, more than the memo keeps, each checked once
+    # each class checked once: the memo keeps all 97 order-4 classes while
+    # their rings are validated (the 3,776 of order 5 would overflow it)
     assert [orders.count(n) for n in (1, 2, 3, 4)] == [1, 2, 10, 97]
     assert len(orders) == 110
 
@@ -569,13 +588,13 @@ def test_order_five_referee(monkeypatch):
     labelled = labelled_hypergroups(5)
     classes = enumerate_hypergroups(5)
     assert len(classes) == 3776
-    assert len(labelled) == 72112 == sum(
-        24 // sum(1 for perm in zero_fixing(5) if relabel(add, perm) == add)
-        for add, _ in classes)
-    relabelings = corpus._relabelings(5)
-    images = {order: image for order, _, image in relabelings}
-    pairs = {(class_key(add, nu, images), corpus._full_min(add, relabelings))
-             for add, nu in labelled}
+    # each kept automorphism group has the size this module counts
+    sizes = [sum(1 for perm in zero_fixing(5) if relabel(add, perm) == add)
+             for add, _ in classes]
+    assert [len(a) for a in corpus._hypergroups(5)[1]] == sizes
+    assert len(labelled) == 72112 == sum(24 // size for size in sizes)
+    images = {order: image for order, _, image in corpus._relabelings(5)}
+    pairs = {(class_key(add, nu, images), full_min(add)) for add, nu in labelled}
     assert len(pairs) == len({k for k, _ in pairs}) == len({f for _, f in pairs}) == 3776
     assert list(classes) == first_of_each_class(5)
     entries = generate_corpus(5)

@@ -227,7 +227,7 @@ def test_induced_isomorphism_refuses_a_map_that_is_not_one(z4):
     too_fine = quotient_module(reg, [0])
     assert induced_isomorphism(proj, too_fine, image_mod) is None
     # a quotient by more than the kernel: one coset for two elements
-    too_coarse = quotient_module(reg, reg.full_set())
+    too_coarse = quotient_module(reg, reg.from_mask(reg.full_mask))
     assert induced_isomorphism(proj, too_coarse, image_mod) is None
     # a bijection onto a two element module with zero action is no hom
     quot = quotient_module(reg, [0, 2])

@@ -28,13 +28,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # defined in src but named in no code of src, demos or bench, each kept on purpose
 TEST_ONLY = [
     "core.FrozenRecord._replace",  # the copy every NamedTuple has, kept for the same spelling
-    "core.Structure.full_set",  # the carrier as a set, which the carrier checks build on
-    "core.Structure.singleton",  # the set {i}, which the hypersum tests build on
     "dsl.emit_module",  # writes the module block the parser reads; round-trip tests use it
     "hypermodules.restrict_scalars",  # the module tests and the dsl round trip build on it
     "ideals.cross_check_generated",  # bench/tracing.py traces it by name
     "morphisms.identity_hom",  # the hom, dsl and message tests build on it
-    "spectrum.SpectrumSpace.point_set",  # the spectrum tests build on it
 ]
 
 

@@ -64,14 +64,6 @@ def test_kernel_of(z6):
     assert space.kernel_of(0) == z6.full_mask
 
 
-def test_point_set_round_trip(z6):
-    space = SpectrumSpace.build(z6)
-    pmask = space.point_set(space.points)
-    assert pmask == space.full_pmask
-    with pytest.raises(ValueError):
-        space.point_set([IdealLattice.build(z6).two_sided[0]])
-
-
 def test_kuratowski_exact(z2, z4, z6, kfield):
     for ring in (z2, z4, z6, kfield):
         report = verify_kuratowski(SpectrumSpace.build(ring))
