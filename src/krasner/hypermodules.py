@@ -197,15 +197,19 @@ def cyclic_submodule(module: HyperModule, m: int) -> ElementSet:
     return module.from_mask(mask)
 
 
-def action_is_zero(module: HyperModule) -> bool:
-    return all(v == 0 for row in module.act_table for v in row)
-
-
 def is_simple(module: HyperModule) -> bool:
-    """Nonzero action and exactly two subhypermodules."""
-    if action_is_zero(module):
-        return False
-    return len(enumerate_subhypermodules(module)) == 2
+    """Nonzero action and exactly two subhypermodules, decided as |M| >= 2
+    and mR = M for every m != 0 (Jacobson's cyclic-module argument, Amer.
+    J. Math. 67, 1945).
+
+    mR is a subhypermodule, since mr + ms = m(r + s) and -(mr) = m(-r),
+    and so is {m : mR = {0}}.  In a simple M the latter is proper, as the
+    action is nonzero, so it is {0}, and each m != 0 has mR = M.  Conversely,
+    when every such mR is M the action is nonzero and a subhypermodule
+    holding some m != 0 holds mR = M."""
+    module.require_validated()
+    return module.order > 1 and all(mask_of(row) == module.full_mask
+                                    for row in module.act_table[1:])
 
 
 def module_ideal_product(module: HyperModule, ideal: HyperIdeal) -> ElementSet:

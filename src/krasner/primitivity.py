@@ -126,12 +126,8 @@ def enumerate_simple_modules(ring: HyperRing) -> tuple:
     """Every simple right hypermodule over ring on a canonical hypergroup,
     so every one up to isomorphism.
 
-    The search is exhaustive because a simple M has at most |R| elements
-    (Jacobson's cyclic-module argument, Amer. J. Math. 67, 1945).  The m
-    with mR = {0} form a subhypermodule, proper since the action is
-    nonzero, so only 0 does that; for m != 0, mR is a nonzero
-    subhypermodule, since mr + ms = m(r + s) and -(mr) = m(-r).  So
-    M = mR and |M| <= |R|.
+    The search is exhaustive because a simple M is mR for each m != 0
+    (``hypermodules.is_simple``), so |M| <= |R|.
     For each canonical hypergroup of order 2..|R|, ``core.action_tables``
     finds the action tables (row 0 and column 0 zero) that pass the three
     action axioms against the ring's tables, choosing each row among the

@@ -2,12 +2,12 @@
 
 import pytest
 
+from krasner import primitivity
 from krasner.catalog import cyclic_ring, hyperfield_k, standard_rings
 from krasner.core import NotValidatedError, TheoremViolationError, bits
 from krasner.hypermodules import (
     HyperModule,
     ModuleHom,
-    action_is_zero,
     annihilator,
     cyclic_submodule,
     enumerate_module_homs,
@@ -118,8 +118,50 @@ def test_zero_action_module_is_not_simple(z2):
     act = [[0, 0], [0, 0]]
     mod = HyperModule(z2, madd, mneg, act)
     mod.validate()
-    assert action_is_zero(mod)
+    assert all(v == 0 for row in mod.act_table for v in row)
     assert not is_simple(mod)
+
+
+def lattice_simple(module):
+    # the definition, by the subhypermodule lattice: nonzero action and
+    # exactly two subhypermodules
+    if all(v == 0 for row in module.act_table for v in row):
+        return False
+    return len(enumerate_subhypermodules(module)) == 2
+
+
+def test_simplicity_matches_the_lattice_definition_on_corpus4(corpus4):
+    checked = simple = 0
+    for entry in corpus4:
+        reg = regular_module(entry.ring)
+        modules = [reg] + [quotient_module(reg, reg.from_mask(i.members.mask)).module
+                           for i in IdealLattice.build(entry.ring).right]
+        for mod in modules:
+            assert is_simple(mod) == lattice_simple(mod), mod
+            checked += 1
+            simple += is_simple(mod)
+    assert (checked, simple) == (609, 52)
+
+
+def test_simplicity_matches_the_lattice_definition_on_searched_modules(corpus3, monkeypatch):
+    # every module the simple-module search validates, caught as it asks
+    seen = []
+
+    def spy(module):
+        seen.append(module)
+        return is_simple(module)
+
+    monkeypatch.setattr(primitivity, "is_simple", spy)
+    for entry in corpus3:
+        primitivity.enumerate_simple_modules(entry.ring)
+    assert all(m.validated and is_simple(m) == lattice_simple(m) for m in seen)
+    assert (len(seen), sum(map(is_simple, seen))) == (253, 9)
+
+
+def test_simplicity_answers_past_the_subset_scan_bound():
+    # the lattice search refuses carriers past core.ENUMERATION_BOUND = 12
+    assert is_simple(regular_module(cyclic_ring(13)))
+    assert not is_simple(regular_module(cyclic_ring(14)))
 
 
 def test_annihilators(z4, z6):

@@ -1,7 +1,9 @@
 """Import hygiene: every top-level import of a package module is used in
 that module or re-exported through its ``__all__``, so code that moves
 between modules leaves no stale import behind; and the package defines no
-dataclass, so no ``khr`` start imports ``dataclasses`` or ``inspect``.  In
+dataclass, so no ``khr`` start imports ``dataclasses`` or ``inspect``; and
+no module imports ``random``, since every answer is exhaustive and nothing
+samples.  In
 a fresh interpreter without bytecode, those two imports took about 13 ms of
 the 130 ms that ``import krasner, krasner.cli`` took under ``-X importtime``,
 and each dataclass the package once kept about 0.8 ms more.
@@ -61,6 +63,29 @@ def test_every_top_level_import_is_used(path):
 def test_an_unused_import_is_reported():
     tree = ast.parse("import os\nfrom a import b, c as d\n__all__ = ['b']\nd()\n")
     assert unused_imports(tree) == [(1, "os")]
+
+
+def imported_modules(tree: ast.Module) -> set:
+    # top-level package names of every import, at any depth of the tree
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_random():
+    found = [path.name for path in MODULES
+             if "random" in imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [], "every answer is exhaustive: a search that samples belongs nowhere"
+
+
+def test_an_import_of_random_is_found():
+    tree = ast.parse("def f():\n    from random import Random\nimport os.path\n"
+                     "from . import random\n")
+    assert imported_modules(tree) == {"random", "os"}
 
 
 def test_no_module_defines_a_dataclass():

@@ -1,12 +1,17 @@
 """Hull kernel topology on the primitive ideal space."""
 
+import collections
+import itertools
+import random
+
 import pytest
 
 from krasner import core
 from krasner.catalog import cyclic_ring
-from krasner.core import BoundExceededError
+from krasner.core import BoundExceededError, bits
 from krasner.ideals import IdealLattice
 from krasner.spectrum import (
+    KuratowskiReport,
     SpectrumSpace,
     compactness_witness,
     dot_graph,
@@ -68,23 +73,138 @@ def test_kuratowski_exact(z2, z4, z6, kfield):
     for ring in (z2, z4, z6, kfield):
         report = verify_kuratowski(SpectrumSpace.build(ring))
         assert report.ok
-        assert not report.sampled
+        assert report.pairs_checked == 4 ** SpectrumSpace.build(ring).size
         assert report.failure == ()
 
 
-def test_kuratowski_sampled_mode(z6, monkeypatch):
-    import krasner.spectrum as spectrum
+class StubSpace:
+    """A space by duck typing: a size and a closure, whose calls are counted."""
 
-    monkeypatch.setattr(spectrum, "FULL_KURATOWSKI_BOUND", 1)
-    monkeypatch.setattr(spectrum, "KURATOWSKI_SAMPLES", 64)
-    space = SpectrumSpace.build(z6)
+    def __init__(self, size, closure):
+        self.size = size
+        self._closure = closure
+        self.calls = 0
+
+    def closure(self, pmask):
+        self.calls += 1
+        return self._closure(pmask)
+
+
+def preorder_closure(below):
+    # below[i] is the pmask of the points at or under point i, a preorder;
+    # the closure of a set is its down-set
+    def closure(pmask):
+        out = 0
+        for i in bits(pmask):
+            out |= below[i]
+        return out
+    return closure
+
+
+def random_preorder(rng, size):
+    below = [1 << i | (rng.getrandbits(size) & rng.getrandbits(size)) for i in range(size)]
+    for k in range(size):  # transitive closure, Warshall
+        for i in range(size):
+            if below[i] >> k & 1:
+                below[i] |= below[k]
+    return below
+
+
+def broken_union(closure, top, extra):
+    # adds the point extra to the closure of each set whose closure holds
+    # top: still a closure operator, but the union law fails on the pair
+    # of points in top when neither closure holds top and neither holds extra
+    def broken(pmask):
+        c = closure(pmask)
+        return closure(pmask | extra) if c & top == top else c
+    return broken
+
+
+def shrunk_union(closure, top):
+    # leaves each set holding top as it is: still extensive and idempotent,
+    # but no longer monotone, so the union law fails on the pair of points
+    # in top when their closures hold a point outside top
+    def shrunk(pmask):
+        return pmask if pmask & top == top else closure(pmask)
+    return shrunk
+
+
+def swept_kuratowski(space):
+    """The closure laws with the union law swept over all 4^size subset
+    pairs in order, reporting the first failing pair."""
+    total = 1 << space.size
+    cl = [space.closure(s) for s in range(total)]
+    if cl[0] != 0:
+        return KuratowskiReport(False, 0, (0,), "closure of the empty set is not empty")
+    for s, c in enumerate(cl):
+        if s & ~c:
+            return KuratowskiReport(False, 0, (s,), "a set escapes its own closure")
+        if cl[c] != c:
+            return KuratowskiReport(False, 0, (s,), "closure is not idempotent")
+    for checked, (s, t) in enumerate(itertools.product(range(total), repeat=2), 1):
+        if cl[s | t] != cl[s] | cl[t]:
+            return KuratowskiReport(False, checked, (s, t),
+                                    "closure does not distribute over the union")
+    return KuratowskiReport(True, total * total)
+
+
+def agrees_with_the_sweep(space):
+    """Asserts verify_kuratowski and the pair sweep agree on space; returns
+    the failed law's detail, or "" when every law holds."""
+    swept, report = swept_kuratowski(space), verify_kuratowski(space)
+    assert (report.ok, report.detail) == (swept.ok, swept.detail)
+    if report.ok:
+        assert report.pairs_checked == 4 ** space.size
+    elif report.detail.startswith("closure does not distribute"):
+        # a genuinely failing pair, after the pairs whose union comes before
+        s, t = report.failure
+        assert space.closure(s | t) != space.closure(s) | space.closure(t)
+        assert report.pairs_checked == 1 + sum(3 ** u.bit_count() for u in range(s | t))
+    else:
+        assert report == swept
+    return report.detail
+
+
+def test_kuratowski_matches_the_pair_sweep_on_corpus4(corpus4):
+    details = {agrees_with_the_sweep(SpectrumSpace.build(e.ring)) for e in corpus4}
+    assert details == {""}
+
+
+def test_kuratowski_matches_the_pair_sweep_on_preorders():
+    rng = random.Random(0)
+    details = collections.Counter()
+    for size in range(10):
+        for _ in range(3 if size > 7 else 6):
+            below = random_preorder(rng, size)
+            closure = preorder_closure(below)
+            details[agrees_with_the_sweep(StubSpace(size, closure))] += 1
+            pairs = [(i, j) for i in range(size) for j in range(i)
+                     if not below[i] >> j & 1 and not below[j] >> i & 1
+                     and below[i] | below[j] != (1 << size) - 1]
+            if pairs:
+                i, j = rng.choice(pairs)
+                top = 1 << i | 1 << j
+                extra = 1 << min(bits(~(below[i] | below[j]) & ((1 << size) - 1)))
+                broken = broken_union(closure, top, extra)
+                details[agrees_with_the_sweep(StubSpace(size, broken))] += 1
+            pairs = [(i, j) for i in range(size) for j in range(i)
+                     if not below[i] >> j & 1 and not below[j] >> i & 1
+                     and below[i] | below[j] != 1 << i | 1 << j]
+            if pairs:
+                i, j = pairs[0]
+                shrunk = shrunk_union(closure, 1 << i | 1 << j)
+                details[agrees_with_the_sweep(StubSpace(size, shrunk))] += 1
+    # every intact preorder passes and every broken one (23 grown, 21 shrunk)
+    # fails the union law
+    assert details == {"": 54, "closure does not distribute over the union": 44}
+
+
+def test_kuratowski_decides_nine_points_from_one_closure_each():
+    # past 7 points the union law was once sampled from 4,096 pairs
+    space = StubSpace(9, preorder_closure(random_preorder(random.Random(9), 9)))
     report = verify_kuratowski(space)
-    assert report.ok
-    assert report.sampled
-    assert report.pairs_checked <= 64
-    # a fixed seed, the same pairs
-    again = verify_kuratowski(space)
-    assert again.pairs_checked == report.pairs_checked
+    assert report == (True, 4 ** 9, (), "")
+    assert space.calls == 2 ** 9
 
 
 def test_irreducibility(z6):
