@@ -20,24 +20,23 @@ from krasner.primitivity import prim_certificates
 ring = cyclic_ring(6)
 reg = regular_module(ring)
 print(f"the regular module of {ring.name} has submodules:")
-for mask_members in enumerate_subhypermodules(reg):
-    print(f"  {{{','.join(map(str, mask_members))}}}")
+for sub in enumerate_subhypermodules(reg):
+    print(f"  {sub!r}")
 
 lattice = IdealLattice.build(ring)
 print(f"\nmaximal right hyperideals: "
-      + ", ".join("{" + ",".join(map(str, m.members)) + "}"
-                  for m in lattice.maximal_right))
+      + ", ".join(repr(m.members) for m in lattice.maximal_right))
 
 for m in lattice.maximal_right:
     quot = quotient_module(reg, reg.from_mask(m.members.mask))
     module = quot.module
     ann = annihilator(module)
-    print(f"\nR/{{{','.join(map(str, m.members))}}}: "
+    print(f"\nR/{m.members!r}: "
           f"order {module.order}, simple: {is_simple(module)}")
-    print(f"  annihilator {{{','.join(map(str, ann.members))}}}")
+    print(f"  annihilator {ann.members!r}")
 
 certs = prim_certificates(ring)
 print(f"\nprimitive hyperideals of {ring.name}:")
 for c in certs:
-    print(f"  {{{','.join(map(str, c.ideal.members))}}} "
-          f"(from maximal right {{{','.join(map(str, c.maximal_right.members))}}})")
+    print(f"  {c.ideal.members!r} "
+          f"(from maximal right {c.maximal_right.members!r})")

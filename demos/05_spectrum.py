@@ -18,7 +18,7 @@ from krasner.spectrum import (
 space = SpectrumSpace.build(cyclic_ring(12))
 print(f"spectrum of z12: {space.size} points")
 for i, p in enumerate(space.points):
-    print(f"  p{i} = {{{','.join(map(str, p.members))}}}")
+    print(f"  p{i} = {p.members!r}")
 print(f"closed sets: {[f'{c:04b}' for c in space.closed_sets()]}")
 print(f"t0 {space.is_t0()}, t1 {space.is_t1()}")
 

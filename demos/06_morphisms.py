@@ -19,7 +19,7 @@ z2 = cyclic_ring(2)
 # reduction mod 2 is a strong surjection
 proj = RingHom(z4, z2, (0, 1, 0, 1))
 print(f"z4 -> z2 via {proj.mapping}: strong hom {verify_strong_hom(proj).ok}, "
-      f"kernel {{{','.join(map(str, kernel_ideal(proj).members))}}}")
+      f"kernel {kernel_ideal(proj).members!r}")
 
 imap = induced_map(proj)
 print(f"pullback sends {imap.codomain.size} point(s) into Prim(z4), "
@@ -36,8 +36,8 @@ zmap = induced_map(zero)
 print(f"\nzero map: strong hom {verify_strong_hom(zero).ok}, "
       f"total pullback {zmap.total}")
 for i, pulled in zmap.escapes:
-    print(f"  point {{{','.join(map(str, zmap.domain.points[i].members))}}} "
-          f"pulls back to {{{','.join(map(str, pulled.members))}}}")
+    print(f"  point {zmap.domain.points[i].members!r} "
+          f"pulls back to {pulled.members!r}")
 
 # how common is each kind? sweep all homs between the two rings
 homs = enumerate_ring_homs(z4, z2)

@@ -41,10 +41,6 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _members(ideal) -> str:
-    return "{" + ",".join(str(x) for x in ideal.members) + "}"
-
-
 def _failures(report) -> str:
     """One line per failed check of a report: axiom, witness and detail."""
     return "\n".join(f"  {chk.axiom}: witness {chk.witness}"
@@ -112,8 +108,8 @@ def cmd_ideals(args) -> int:
                 flags.append("maximal")
             if a.key in prime:
                 flags.append("prime")
-            print(f"  {_members(a)}" + (" " + " ".join(flags) if flags else ""))
-        print(f"  nil radical {_members(nil_radical(ring, lattice))}")
+            print(f"  {a.members!r}" + (" " + " ".join(flags) if flags else ""))
+        print(f"  nil radical {nil_radical(ring, lattice).members!r}")
     if args.format == "json":
         sys.stdout.write(_dump(payload))
     return 0
@@ -141,7 +137,7 @@ def cmd_prim(args) -> int:
             continue
         print(f"{name}: {len(certs)} primitive hyperideal(s)")
         for c in certs:
-            print(f"  {_members(c.ideal)} from maximal right {_members(c.maximal_right)} "
+            print(f"  {c.ideal.members!r} from maximal right {c.maximal_right.members!r} "
                   f"via a simple module of order {c.module.order}")
     if args.format == "json":
         sys.stdout.write(_dump(payload))
@@ -160,8 +156,8 @@ def cmd_spectrum(args) -> int:
         else:
             d = space_as_dict(space)
             print(f"{name}: {space.size} point(s)")
-            for i, p in enumerate(d["points"]):
-                print(f"  p{i} = {{{','.join(str(x) for x in p)}}}")
+            for i, p in enumerate(space.points):
+                print(f"  p{i} = {p.members!r}")
             print(f"  closed sets: {len(d['closed_sets'])}")
             print(f"  t0 {d['t0']}  t1 {d['t1']}")
             comps = " ".join("{" + ",".join(f"p{i}" for i in c) + "}"
@@ -277,11 +273,11 @@ def cmd_hom(args) -> int:
         kind = ("isomorphism" if hom.is_injective() and hom.is_surjective()
                 else "surjection" if hom.is_surjective()
                 else "injection" if hom.is_injective() else "hom")
-        print(f"{name}: strong {kind}, kernel {_members(ker)}")
+        print(f"{name}: strong {kind}, kernel {ker.members!r}")
         imap = induced_map(hom)
         for i, pulled in imap.escapes:
-            print(f"  pullback misses: point {_members(imap.domain.points[i])} "
-                  f"pulls back to non-primitive {_members(pulled)}")
+            print(f"  pullback misses: point {imap.domain.points[i].members!r} "
+                  f"pulls back to non-primitive {pulled.members!r}")
         if imap.total:
             cont = is_continuous(imap)
             print(f"  pullback total on {imap.domain.size} point(s), "

@@ -31,7 +31,6 @@ start.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -71,8 +70,11 @@ def _bits_table(width: int) -> tuple:
     return tuple(table)
 
 
-# the most elements whose subsets a search may visit in the worst case
-# (``require_scan_bound``, spectrum.compactness_witness)
+# the most elements, points or ideals whose subsets a scan may visit in
+# the worst case: the ideal and submodule lattice searches refuse a larger
+# carrier through ``require_scan_bound``, and SpectrumSpace.closed_sets,
+# spectrum.verify_kuratowski and spectrum.compactness_witness a larger
+# space or family through ``require_subset_bound``
 ENUMERATION_BOUND = 12
 
 # the answer of ``bits`` for every mask a search meets; 4096 tuples, built
@@ -98,16 +100,6 @@ class ElementSet:
     def __init__(self, structure: "Structure", mask: int):
         self.structure = structure
         self.mask = mask
-
-    def _lift(self, other: "ElementSet") -> int:
-        if not isinstance(other, ElementSet):
-            raise TypeError(f"expected ElementSet, got {type(other).__name__}")
-        if other.structure is not self.structure:
-            raise CarrierMismatchError("operands live over different carriers")
-        return other.mask
-
-    def __or__(self, other):
-        return ElementSet(self.structure, self.mask | self._lift(other))
 
     def __eq__(self, other):
         if not isinstance(other, ElementSet):
@@ -455,16 +447,6 @@ def hypergroup_checks(n: int, add, neg) -> list:
 _VERDICTS_KEPT = 1024
 
 
-@lru_cache(maxsize=_VERDICTS_KEPT)
-def _hypergroup_report(add_masks: tuple, neg_table: tuple) -> VerificationReport:
-    # the verdict of hypergroup_checks depends on the two tables alone, and
-    # a sweep validates many structures over few additive tables; the call
-    # goes through the module global, so a wrapped hypergroup_checks sees
-    # every miss
-    return VerificationReport(
-        tuple(hypergroup_checks(len(neg_table), add_masks, neg_table)))
-
-
 def table_memo(store: OrderedDict, key: tuple, build, *args):
     """build(*args), kept in store for the last _VERDICTS_KEPT distinct
     keys, least recently used out first.  key holds every value the
@@ -479,6 +461,19 @@ def table_memo(store: OrderedDict, key: tuple, build, *args):
     if len(store) > _VERDICTS_KEPT:
         store.popitem(last=False)
     return value
+
+
+# the hypergroup verdict of each pair of addition and negation tables
+_HYPERGROUP_REPORTS = OrderedDict()
+
+
+def _hypergroup_report(add_masks: tuple, neg_table: tuple) -> VerificationReport:
+    # the verdict of hypergroup_checks depends on the two tables alone, and
+    # a sweep validates many structures over few additive tables; the call
+    # goes through the module global, so a wrapped hypergroup_checks sees
+    # every miss
+    return table_memo(_HYPERGROUP_REPORTS, (add_masks, neg_table), lambda: VerificationReport(
+        tuple(hypergroup_checks(len(neg_table), add_masks, neg_table))))
 
 
 # the table verdict of each structure, keyed by what its verifier reads
@@ -794,6 +789,17 @@ def require_scan_bound(structure: Structure, noun: str):
         raise BoundExceededError(
             f"{noun} enumeration scans 2^{structure.order - 1} subsets; "
             f"order {structure.order} exceeds the bound {ENUMERATION_BOUND}"
+        )
+
+
+def require_subset_bound(count: int, scan: str, things: str):
+    """Refuse a scan over all 2^count subsets of count things (points of
+    a space, ideals of a family) with count past ENUMERATION_BOUND; scan
+    names it.  Runs before the scan reads anything."""
+    if count > ENUMERATION_BOUND:
+        raise BoundExceededError(
+            f"{scan} scans 2^{count} subsets; "
+            f"{count} {things} exceeds the bound {ENUMERATION_BOUND}"
         )
 
 

@@ -291,13 +291,9 @@ class _Parser:
                 self.error_at(f"element {v} out of range for order {order}", lineno, 3)
         return a, b, mask_of(vals)
 
-    def neg_entry(self, toks, order, lineno):
-        """(a, -a) of a neg line."""
-        self.arity(toks, 2, lineno)
-        return self.element(toks, 1, order, lineno), self.element(toks, 2, order, lineno)
-
     def map_entry(self, toks, source_order, target_order, lineno):
-        """(a, f(a)) of a map line."""
+        """(a, f(a)) of a map line, or (a, -a) of a neg line, whose two
+        orders are equal."""
         self.arity(toks, 2, lineno)
         return (self.element(toks, 1, source_order, lineno),
                 self.element(toks, 2, target_order, lineno))
@@ -407,7 +403,7 @@ class _Parser:
                 a, b, v = self.table_entry(toks, order, ring, lineno)
                 self.put(table, (a, b), v, lineno, table_key)
             elif key == neg_key:
-                a, v = self.neg_entry(toks, order, lineno)
+                a, v = self.map_entry(toks, order, order, lineno)
                 if a == 0 and v != 0:
                     self.error_at("element 0 must be the additive identity", lineno, 2)
                 self.put(neg, a, v, lineno, neg_key)

@@ -12,11 +12,9 @@ import itertools
 from typing import NamedTuple
 
 from . import core
-from .core import BoundExceededError, ElementSet, HyperRing, bits, derived
+from .core import ElementSet, HyperRing, bits, derived
 from .ideals import HyperIdeal, ideal_sum
 from .primitivity import prim_certificates
-
-MATERIALIZE_BOUND = 15
 
 
 class SpectrumSpace:
@@ -70,25 +68,11 @@ class SpectrumSpace:
         return self.closure(pmask) == pmask
 
     def closed_sets(self) -> tuple:
-        """Every closed pmask, ascending.  Materializes all 2^size subsets
-        via a shared kernel table, so the size is bounded."""
-        if self._closed is not None:
-            return self._closed
-        n = self.size
-        if n > MATERIALIZE_BOUND:
-            raise BoundExceededError(
-                f"materializing closed sets scans 2^{n} subsets; "
-                f"{n} points exceeds the bound {MATERIALIZE_BOUND}"
-            )
-        full = self.ring.full_mask
-        kern = [full] * (1 << n)
-        closed = []
-        for s in range(1, 1 << n):
-            low = s & -s
-            kern[s] = kern[s ^ low] & self.point_masks[low.bit_length() - 1]
-            if self._points_containing(kern[s]) == s:
-                closed.append(s)
-        self._closed = (0,) + tuple(closed)
+        """Every closed pmask, ascending: the fixed points of ``closure``
+        over all 2^size subsets, so the size is bounded."""
+        if self._closed is None:
+            core.require_subset_bound(self.size, "materializing closed sets", "points")
+            self._closed = tuple(s for s in range(1 << self.size) if self.is_closed(s))
         return self._closed
 
     def vanishing_set(self, ideal: HyperIdeal) -> int:
@@ -122,7 +106,9 @@ class KuratowskiReport(NamedTuple):
 
 def verify_kuratowski(space: SpectrumSpace) -> KuratowskiReport:
     """The four closure laws: empty set fixed, extensivity, idempotence,
-    and union distribution, from one closure of each of the 2^size subsets.
+    and union distribution, from one closure of each of the 2^size subsets;
+    a space of more than ``core.ENUMERATION_BOUND`` points is refused
+    before the first.
 
     The union law is decided on all 4^size pairs by the instances
     Cl(s) = Cl(s - low) | Cl(low), low the lowest point of s: by induction
@@ -131,6 +117,7 @@ def verify_kuratowski(space: SpectrumSpace) -> KuratowskiReport:
     fails is a failing pair.  pairs_checked counts the pairs decided: the
     3^|u| pairs with union u for each u passed, plus a failing one.
     """
+    core.require_subset_bound(space.size, "the Kuratowski check", "points")
     cl = [space.closure(s) for s in range(1 << space.size)]
     if cl[0] != 0:
         return KuratowskiReport(False, 0, (0,), "closure of the empty set is not empty")
@@ -219,11 +206,7 @@ def compactness_witness(space: SpectrumSpace, ideals) -> tuple:
     empty (so the complements form an open cover).  A family of more than
     ``core.ENUMERATION_BOUND`` ideals is refused."""
     ideals = tuple(ideals)
-    if len(ideals) > core.ENUMERATION_BOUND:
-        raise BoundExceededError(
-            f"witness search scans subsets of {len(ideals)} ideals; "
-            f"bound is {core.ENUMERATION_BOUND}"
-        )
+    core.require_subset_bound(len(ideals), "the witness search", "ideals")
     vs = [space.vanishing_set(a) for a in ideals]
     full = space.full_pmask
     acc = full
@@ -255,8 +238,7 @@ def dot_graph(space: SpectrumSpace) -> str:
     in the closure of p."""
     lines = ["digraph spectrum {"]
     for i, p in enumerate(space.points):
-        label = "{" + ",".join(str(x) for x in p.members) + "}"
-        lines.append(f'  p{i} [label="{label}"];')
+        lines.append(f'  p{i} [label="{p.members!r}"];')
     for i in range(space.size):
         cl = space.closure(1 << i)
         for j in bits(cl):

@@ -96,13 +96,10 @@ def fresh_memos(monkeypatch):
     test kept for equal tables.  Returns the swap, for a test that needs
     empty memos again part way through."""
     def swap():
-        for module, store in ((core, "_TABLE_REPORTS"), (core, "_STRONG_MAPS"),
-                              (ideals, "_LATTICE_FAMILIES"), (ideals, "_QUOTIENT_HYPERGROUPS")):
+        for module, store in ((core, "_HYPERGROUP_REPORTS"), (core, "_TABLE_REPORTS"),
+                              (core, "_STRONG_MAPS"), (ideals, "_LATTICE_FAMILIES"),
+                              (ideals, "_QUOTIENT_HYPERGROUPS")):
             monkeypatch.setattr(module, store, OrderedDict())
-        # read by corpus and core alike
-        memo = lru_cache(maxsize=core._VERDICTS_KEPT)(core._hypergroup_report.__wrapped__)
-        for module in (core, corpus):
-            monkeypatch.setattr(module, "_hypergroup_report", memo)
     swap()
     return swap
 

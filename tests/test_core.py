@@ -34,7 +34,8 @@ from krasner.hypermodules import (
 )
 from krasner.ideals import IdealLattice, enumerate_ideals, is_hyperideal, quotient_ring
 from krasner.morphisms import enumerate_ring_homs
-from krasner.spectrum import SpectrumSpace, compactness_witness
+from krasner.primitivity import prim_certificates
+from krasner.spectrum import SpectrumSpace, compactness_witness, verify_kuratowski
 from krasner.suite import run_ring_checks
 
 
@@ -179,22 +180,23 @@ def test_kept_hypergroup_reports_match_a_fresh_check(corpus3, monkeypatch):
         assert all(report == fresh for report in reports)
 
 
-def test_the_hypergroup_memo_is_bounded(monkeypatch, request):
-    info = core._hypergroup_report.cache_info()
-    assert info.maxsize == core._VERDICTS_KEPT and info.currsize <= core._VERDICTS_KEPT
+def test_the_hypergroup_memo_is_bounded(monkeypatch, fresh_memos):
     # under a bound below the 97 order-4 classes the oldest verdicts are
-    # evicted and checked again; the empty memos take the patched bound
+    # evicted and checked again; the memo reads the bound at each call
     small = 64
     monkeypatch.setattr(core, "_VERDICTS_KEPT", small)
-    request.getfixturevalue("fresh_memos")
     tables = enumerate_hypergroups(4)
     assert len(tables) > small
     for add, neg in tables:
         core._hypergroup_report(add, neg)
-    info = core._hypergroup_report.cache_info()
-    assert info.maxsize == small and info.currsize == small
+    assert len(core._HYPERGROUP_REPORTS) == small
+    checked = []
+    real = core.hypergroup_checks
+    monkeypatch.setattr(core, "hypergroup_checks", lambda *args: checked.append(args) or real(*args))
+    core._hypergroup_report(*tables[-1])
+    assert checked == []
     core._hypergroup_report(*tables[0])
-    assert core._hypergroup_report.cache_info().misses == info.misses + 1
+    assert len(checked) == 1 and len(core._HYPERGROUP_REPORTS) == small
     # the ring and module verdicts are kept the same way
     rings = [HyperRing(*ring_tables(e.ring), unit=e.ring.unit) for e in generate_corpus(4)]
     assert len({ring.encoding() for ring in rings}) > small
@@ -384,8 +386,6 @@ def test_equal_order_structures_keep_their_sets_apart():
     assert a.from_mask(a.full_mask) != ma.subset(range(4))
     with pytest.raises(CarrierMismatchError):
         hypersum(a, a.from_mask(a.full_mask), b.from_mask(b.full_mask))
-    with pytest.raises(CarrierMismatchError):
-        a.from_mask(a.full_mask) | b.from_mask(b.full_mask)
     with pytest.raises(ValueError, match="different carrier"):
         is_hyperideal(a, b.from_mask(b.full_mask))
     with pytest.raises(ValueError, match="different carrier"):
@@ -442,16 +442,21 @@ def test_each_search_bound_is_one_constant(z4, z6, monkeypatch, fresh_memos):
         raise AssertionError("searched past the bound")
 
     reg = regular_module(z4)
-    space = SpectrumSpace.build(z6)
+    # a space of its own, whose closed sets no earlier test materialized
+    space = SpectrumSpace(z6, prim_certificates(z6))
     family = IdealLattice.build(z6).two_sided
+    assert space.size == 2 and len(family) == 4
     with monkeypatch.context() as m:
-        # lowered once, the scan bound refuses all three scans before any work
-        m.setattr(core, "ENUMERATION_BOUND", len(family) - 1)
+        # lowered once, below the two points of the space, the scan bound
+        # refuses all five scans before any work
+        m.setattr(core, "ENUMERATION_BOUND", space.size - 1)
         m.setattr(ideals, "closed_subsets", refuse)
         m.setattr(hypermodules, "closed_subsets", refuse)
         m.setattr(SpectrumSpace, "vanishing_set", refuse)
+        m.setattr(SpectrumSpace, "closure", refuse)
         for scan in (lambda: enumerate_ideals(z4), lambda: enumerate_subhypermodules(reg),
-                     lambda: compactness_witness(space, family)):
+                     lambda: compactness_witness(space, family), space.closed_sets,
+                     lambda: verify_kuratowski(space)):
             with pytest.raises(BoundExceededError):
                 scan()
         # simplicity reads the action table, not the subset lattice

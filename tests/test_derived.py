@@ -306,8 +306,9 @@ def memo_stores() -> set:
 def test_fresh_memos_swaps_every_table_memo_store(fresh_memos):
     stores = memo_stores()
     assert {(module.__name__, name) for module, name in stores} == {
-        ("krasner.core", "_TABLE_REPORTS"), ("krasner.core", "_STRONG_MAPS"),
-        ("krasner.ideals", "_LATTICE_FAMILIES"), ("krasner.ideals", "_QUOTIENT_HYPERGROUPS")}
+        ("krasner.core", "_HYPERGROUP_REPORTS"), ("krasner.core", "_TABLE_REPORTS"),
+        ("krasner.core", "_STRONG_MAPS"), ("krasner.ideals", "_LATTICE_FAMILIES"),
+        ("krasner.ideals", "_QUOTIENT_HYPERGROUPS")}
     before = {key: getattr(*key) for key in stores}
     fresh_memos()
     for key, store in before.items():
@@ -318,11 +319,10 @@ def test_fresh_memos_swaps_every_table_memo_store(fresh_memos):
 def test_each_table_memo_keeps_its_bound_and_no_structure(corpus4, fresh_memos):
     for entry in corpus4:
         run_ring_checks(entry.ring)
-    for store in (core._TABLE_REPORTS, core._STRONG_MAPS, ideals._LATTICE_FAMILIES,
-                  ideals._QUOTIENT_HYPERGROUPS):
+    for store in (core._HYPERGROUP_REPORTS, core._TABLE_REPORTS, core._STRONG_MAPS,
+                  ideals._LATTICE_FAMILIES, ideals._QUOTIENT_HYPERGROUPS):
         assert 0 < len(store) <= core._VERDICTS_KEPT
         assert all(plain(key) and plain(value) for key, value in store.items())
-    assert core._hypergroup_report.cache_info().currsize <= core._VERDICTS_KEPT
 
 
 def test_an_order_4_sweep_builds_each_table_result_once(corpus4, fresh_memos, monkeypatch):
@@ -368,8 +368,9 @@ def test_an_order_4_sweep_builds_each_table_result_once(corpus4, fresh_memos, mo
     assert misses[strong] == len(keys[strong]) == 110
     for entry in entries:
         run_ring_checks(entry.ring)
-    stores = [id(store) for store in (core._TABLE_REPORTS, core._STRONG_MAPS,
-                                      ideals._LATTICE_FAMILIES, ideals._QUOTIENT_HYPERGROUPS)]
+    stores = [id(store) for store in (core._HYPERGROUP_REPORTS, core._TABLE_REPORTS,
+                                      core._STRONG_MAPS, ideals._LATTICE_FAMILIES,
+                                      ideals._QUOTIENT_HYPERGROUPS)]
     assert all(misses[store] for store in stores)
     assert [misses[store] for store in stores] == [len(keys[store]) for store in stores]
     # the sweep's ring-hom, module-hom and action-table searches list

@@ -10,7 +10,9 @@ and each dataclass the package once kept about 0.8 ms more.
 
 Every function the package defines is also used by the package, a demo or
 the benchmark, apart from a short allowlist: a function only the tests
-call belongs in the tests."""
+call belongs in the tests.  And every ``BoundExceededError`` is raised by a
+``core.require_*`` check, the one that reads its bound, or by
+``corpus.check_order`` for the generation cap, so no search keeps a copy."""
 
 import ast
 import dataclasses
@@ -86,6 +88,41 @@ def test_an_import_of_random_is_found():
     tree = ast.parse("def f():\n    from random import Random\nimport os.path\n"
                      "from . import random\n")
     assert imported_modules(tree) == {"random", "os"}
+
+
+def bound_raises(tree: ast.Module) -> list:
+    """The enclosing function name of every ``raise BoundExceededError``
+    in tree, in source order; None for one at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if ast.unparse(exc).split(".")[-1] == "BoundExceededError":
+                    found.append(function)
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_bound_is_refused_by_one_check():
+    found = [f"{path.stem}.{function}" for path in MODULES
+             for function in bound_raises(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found and all(name.startswith("core.require_") or name == "corpus.check_order"
+                         for name in found), (
+        "a search refuses past its bound through the core.require_* check that "
+        f"reads that bound, or corpus.check_order for the generation cap: {found}")
+
+
+def test_a_bound_raise_is_found():
+    tree = ast.parse("def f():\n    def g():\n        raise core.BoundExceededError('x')\n"
+                     "    raise BoundExceededError\nraise ValueError('y')\n")
+    assert bound_raises(tree) == ["g", "f"]
 
 
 def test_no_module_defines_a_dataclass():

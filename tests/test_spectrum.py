@@ -3,13 +3,14 @@
 import collections
 import itertools
 import random
+import types
 
 import pytest
 
 from krasner import core
 from krasner.catalog import cyclic_ring
 from krasner.core import BoundExceededError, bits
-from krasner.ideals import IdealLattice
+from krasner.ideals import HyperIdeal, IdealLattice
 from krasner.spectrum import (
     KuratowskiReport,
     SpectrumSpace,
@@ -292,14 +293,66 @@ def test_compactness_witness_bound(z6, monkeypatch):
 
 
 def test_materialize_bound(monkeypatch):
-    import krasner.spectrum as spectrum
-
     # a ring of its own: the session z6 keeps a space whose closed sets
-    # another test may already have materialized
-    monkeypatch.setattr(spectrum, "MATERIALIZE_BOUND", 1)
+    # another test may already have materialized; the bound is lowered
+    # below its two points after the ideal search that builds it
     space = SpectrumSpace.build(cyclic_ring(6))
+    monkeypatch.setattr(core, "ENUMERATION_BOUND", 1)
     with pytest.raises(BoundExceededError):
         space.closed_sets()
+
+
+def trusted_space(ring, masks):
+    """A space through the public constructor whose points are the given
+    element masks, taken as ideals unchecked: the topology reads masks only."""
+    ideals = [HyperIdeal._trusted(ring, m, "two-sided") for m in masks]
+    return SpectrumSpace(ring, [types.SimpleNamespace(ideal=p) for p in ideals])
+
+
+def kernel_table_closed_sets(space):
+    """The closed pmasks by the route closed_sets once took: the kernel of
+    each subset from that of the subset less its lowest point, in one
+    table, and the subset closed when the points holding its kernel are
+    its own."""
+    masks = space.point_masks
+    kern = [space.ring.full_mask] * (1 << space.size)
+    closed = [0]
+    for s in range(1, 1 << space.size):
+        low = s & -s
+        kern[s] = kern[s ^ low] & masks[low.bit_length() - 1]
+        if sum(1 << i for i, m in enumerate(masks) if kern[s] & ~m == 0) == s:
+            closed.append(s)
+    return tuple(closed)
+
+
+def test_closed_sets_match_the_kernel_table(corpus4):
+    for entry in corpus4:
+        space = SpectrumSpace.build(entry.ring)
+        assert space.closed_sets() == kernel_table_closed_sets(space)
+    # every corpus space has at most two points; spaces up to the bound
+    # come from masks of Z6 holding 0, as many as 12 of its 32
+    rng = random.Random(1)
+    z6 = cyclic_ring(6)
+    holding_zero = range(1, 1 << 6, 2)
+    for size in range(core.ENUMERATION_BOUND + 1):
+        for _ in range(3):
+            space = trusted_space(z6, rng.sample(holding_zero, size))
+            assert space.closed_sets() == kernel_table_closed_sets(space)
+
+
+def test_a_space_past_the_bound_is_refused_before_any_closure(monkeypatch):
+    bound = core.ENUMERATION_BOUND
+    space = trusted_space(cyclic_ring(6), range(1, 2 * bound + 3, 2))
+    assert space.size == bound + 1
+    calls = []
+    closure = SpectrumSpace.closure
+    monkeypatch.setattr(SpectrumSpace, "closure",
+                        lambda self, pmask: calls.append(pmask) or closure(self, pmask))
+    for scan in (verify_kuratowski, SpectrumSpace.closed_sets):
+        with pytest.raises(BoundExceededError,
+                           match=rf"2\^{bound + 1} subsets; {bound + 1} points exceeds the bound {bound}"):
+            scan(space)
+    assert calls == []
 
 
 def test_dot_graph_discrete(z6):
